@@ -6,19 +6,12 @@ experiments."""
 
 from .algorithms import (
     ALGORITHMS,
-    AgentState,
     DivergedError,
     RunConfig,
     SwarmState,
-    dsgd_round,
-    dsgt_round,
-    gt_saga_round,
-    gtvr_round,
-    init_dsgd,
-    init_dsgt,
-    init_gtsaga,
-    init_gtvr,
+    init_swarm,
     run_experiment,
+    run_round,
     vr_gradient_estimate,
 )
 from .graph import (
@@ -31,7 +24,6 @@ from .graph import (
     metropolis_weights,
     mix,
     mixing_matrix_from_array,
-    spectral_radius_rho,
 )
 from .ingest import (
     LibsvmFormatError,

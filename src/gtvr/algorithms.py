@@ -1,9 +1,9 @@
 """Round engine for GT-VR and the DSGD / DSGT / GT-SAGA baselines.
 
-Every algorithm advances in bulk-synchronous rounds: all reads come from
-the start-of-round snapshot, per-agent updates write private state, and
-the two mixing steps realize the per-round communication. GT-VR's local
-estimator is the anchored difference
+Every algorithm advances in bulk-synchronous rounds of one skeleton: the
+tracked methods run x+ = W(x - eta y) and y+ = W(y + v+ - v) and differ
+only in the local estimator that forms v+; DSGD is the same step with
+tracking switched off. GT-VR's estimator is the anchored difference
 
     v_i = grad f_is(x_i) - grad f_is(tau_i) + grad f_i(tau_i),
 
@@ -16,9 +16,8 @@ P * m_i + 2 component evaluations per agent.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -46,7 +45,6 @@ class RunConfig:
     rounds: int = 0
     seed: int = 0
     cadence: int = 1
-    workers: int = 1
     timing: bool = True
 
     def __post_init__(self) -> None:
@@ -60,30 +58,16 @@ class RunConfig:
             raise ValueError(f"round budget must be >= 0, got {self.rounds}")
         if self.cadence < 1:
             raise ValueError(f"metric cadence must be >= 1, got {self.cadence}")
-        if self.workers < 1:
-            raise ValueError(f"worker count must be >= 1, got {self.workers}")
-
-
-@dataclass
-class AgentState:
-    """Read-only view of one agent's iterates."""
-
-    x: np.ndarray
-    y: np.ndarray | None
-    v: np.ndarray | None
-    tau: np.ndarray | None
-    g_tau: np.ndarray | None
-    grad_evals: int
 
 
 @dataclass
 class SwarmState:
     """Stacked per-agent state; row i-1 belongs to agent i.
 
-    Rounds read the arrays as the start-of-round snapshot and swap in
-    fresh arrays at the barrier, so intra-round reads are synchronous by
-    construction. ``tables``/``table_mean`` exist only for GT-SAGA and
-    ``g_last`` only for DSGT.
+    Rounds read ``x``/``y``/``v`` as the start-of-round snapshot and swap
+    in fresh arrays at the barrier. ``y``/``v`` are None for the
+    untracked DSGD. The estimator owns whatever else the local gradient
+    estimate needs (GT-VR's anchors, GT-SAGA's tables).
     """
 
     k: int
@@ -91,24 +75,8 @@ class SwarmState:
     grad_evals: np.ndarray
     y: np.ndarray | None = None
     v: np.ndarray | None = None
-    tau: np.ndarray | None = None
-    g_tau: np.ndarray | None = None
-    g_last: np.ndarray | None = None
-    tables: list[np.ndarray] | None = None
-    table_mean: np.ndarray | None = None
     mix_count: int = 0
-
-    def agent(self, i: int) -> AgentState:
-        idx = i - 1
-        pick = lambda arr: None if arr is None else arr[idx]
-        return AgentState(
-            x=self.x[idx],
-            y=pick(self.y),
-            v=pick(self.v),
-            tau=pick(self.tau),
-            g_tau=pick(self.g_tau),
-            grad_evals=int(self.grad_evals[idx]),
-        )
+    estimator: object = None
 
 
 def _as_stacked(problem: FiniteSumProblem, x1: np.ndarray) -> np.ndarray:
@@ -128,12 +96,6 @@ def _check_finite(swarm: SwarmState, k: int) -> None:
         raise DivergedError(f"gradient tracker diverged at iteration {k}")
 
 
-def _map_agents(fn: Callable[[int], tuple], n: int, pool: ThreadPoolExecutor | None) -> list:
-    if pool is None:
-        return [fn(i) for i in range(1, n + 1)]
-    return list(pool.map(fn, range(1, n + 1)))
-
-
 def vr_gradient_estimate(
     problem: FiniteSumProblem,
     i: int,
@@ -146,201 +108,91 @@ def vr_gradient_estimate(
     return problem.component_grad(i, j, x_i) - problem.component_grad(i, j, tau_i) + g_tau_i
 
 
-def init_gtvr(problem: FiniteSumProblem, x1: np.ndarray, cfg: RunConfig) -> SwarmState:
-    """Anchor at the start point; tracker and estimator hold the full
-    local gradients there, which costs one pass over every sample."""
-    x = _as_stacked(problem, x1)
-    g = np.stack([problem.local_full_grad(i, x[i - 1]) for i in range(1, problem.n + 1)])
-    return SwarmState(
-        k=0,
-        x=x,
-        y=g.copy(),
-        v=g.copy(),
-        tau=x.copy(),
-        g_tau=g.copy(),
-        grad_evals=np.array(problem.m, dtype=np.int64),
-    )
+# Local estimators. ``start(problem, x, streams)`` builds the estimator's
+# state at x1 and returns the first stacked estimate with its per-agent
+# oracle counts; ``step(problem, x, cfg, streams)`` returns the next
+# estimate at x and the counts it spent.
 
 
-def gtvr_round(
-    swarm: SwarmState,
-    problem: FiniteSumProblem,
-    mixing: MixingMatrix,
-    cfg: RunConfig,
-    streams: Sequence[AgentStreams],
-    pool: ThreadPoolExecutor | None = None,
-) -> SwarmState:
-    """One synchronous iteration of the tracked variance-reduced method."""
-    x_new = mix(mixing, swarm.x - cfg.eta * swarm.y)
+class _StochasticGradient:
+    """One sampled component gradient per agent (DSGD untracked, DSGT tracked).
 
-    def update(i: int) -> tuple:
-        idx = i - 1
-        x_i = x_new[idx]
-        m_i = problem.m[idx]
-        if draw_bernoulli(streams[idx].bernoulli, cfg.p):
-            tau_i = x_i.copy()
-            g_tau_i = problem.local_full_grad(i, x_i)
-            evals = m_i + 2
-        else:
-            tau_i = swarm.tau[idx]
-            g_tau_i = swarm.g_tau[idx]
-            evals = 2
-        j = draw_index(streams[idx].index, m_i)
-        v_i = vr_gradient_estimate(problem, i, j, x_i, tau_i, g_tau_i)
-        return tau_i, g_tau_i, v_i, evals
+    DSGT seeds its tracker with one draw per agent, so every iteration
+    including the first costs exactly one evaluation.
+    """
 
-    results = _map_agents(update, problem.n, pool)
-    tau_new = np.stack([r[0] for r in results])
-    g_tau_new = np.stack([r[1] for r in results])
-    v_new = np.stack([r[2] for r in results])
-    y_new = mix(mixing, swarm.y + v_new - swarm.v)
+    def start(self, problem, x, streams):
+        return self.step(problem, x, None, streams)
 
-    swarm.x, swarm.y, swarm.v = x_new, y_new, v_new
-    swarm.tau, swarm.g_tau = tau_new, g_tau_new
-    swarm.grad_evals += np.array([r[3] for r in results], dtype=np.int64)
-    swarm.k += 1
-    swarm.mix_count += 2
-    _check_finite(swarm, swarm.k)
-    return swarm
+    def step(self, problem, x, cfg, streams):
+        v = np.stack(
+            [
+                problem.component_grad(i, draw_index(s.index, problem.m[i - 1]), x[i - 1])
+                for i, s in enumerate(streams, start=1)
+            ]
+        )
+        return v, 1
 
 
-def init_dsgd(problem: FiniteSumProblem, x1: np.ndarray, cfg: RunConfig) -> SwarmState:
-    return SwarmState(k=0, x=_as_stacked(problem, x1), grad_evals=np.zeros(problem.n, np.int64))
+class _AnchoredGradient:
+    """GT-VR's loopless-SVRG estimator around the anchor ``tau``.
+
+    Starts anchored at x1 with ``g_tau`` the full local gradients there,
+    which costs one pass over every sample; afterwards a Bernoulli(P)
+    coin moves agent i's anchor to its current iterate (m_i evals).
+    """
+
+    def start(self, problem, x, streams):
+        self.tau = x.copy()
+        self.g_tau = np.stack([problem.local_full_grad(i, x[i - 1]) for i in range(1, problem.n + 1)])
+        return self.g_tau.copy(), np.array(problem.m)
+
+    def step(self, problem, x, cfg, streams):
+        v = np.empty_like(x)
+        evals = np.full(problem.n, 2, dtype=np.int64)
+        for idx, s in enumerate(streams):
+            i = idx + 1
+            if draw_bernoulli(s.bernoulli, cfg.p):
+                self.tau[idx] = x[idx]
+                self.g_tau[idx] = problem.local_full_grad(i, x[idx])
+                evals[idx] += problem.m[idx]
+            j = draw_index(s.index, problem.m[idx])
+            v[idx] = vr_gradient_estimate(problem, i, j, x[idx], self.tau[idx], self.g_tau[idx])
+        return v, evals
 
 
-def dsgd_round(
-    swarm: SwarmState,
-    problem: FiniteSumProblem,
-    mixing: MixingMatrix,
-    cfg: RunConfig,
-    streams: Sequence[AgentStreams],
-    pool: ThreadPoolExecutor | None = None,
-) -> SwarmState:
-    """Adapt-then-combine stochastic gradient step, one eval per agent."""
-
-    def update(i: int) -> tuple:
-        idx = i - 1
-        j = draw_index(streams[idx].index, problem.m[idx])
-        return (problem.component_grad(i, j, swarm.x[idx]),)
-
-    grads = np.stack([r[0] for r in _map_agents(update, problem.n, pool)])
-    swarm.x = mix(mixing, swarm.x - cfg.eta * grads)
-    swarm.grad_evals += 1
-    swarm.k += 1
-    swarm.mix_count += 1
-    _check_finite(swarm, swarm.k)
-    return swarm
-
-
-def init_dsgt(
-    problem: FiniteSumProblem,
-    x1: np.ndarray,
-    cfg: RunConfig,
-    streams: Sequence[AgentStreams],
-) -> SwarmState:
-    """Tracker seeded with one stochastic gradient per agent, so every
-    iteration including the first costs exactly one evaluation."""
-    x = _as_stacked(problem, x1)
-    g = np.stack(
-        [
-            problem.component_grad(i, draw_index(streams[i - 1].index, problem.m[i - 1]), x[i - 1])
-            for i in range(1, problem.n + 1)
-        ]
-    )
-    return SwarmState(
-        k=0,
-        x=x,
-        y=g.copy(),
-        g_last=g,
-        grad_evals=np.ones(problem.n, dtype=np.int64),
-    )
-
-
-def dsgt_round(
-    swarm: SwarmState,
-    problem: FiniteSumProblem,
-    mixing: MixingMatrix,
-    cfg: RunConfig,
-    streams: Sequence[AgentStreams],
-    pool: ThreadPoolExecutor | None = None,
-) -> SwarmState:
-    """Stochastic gradient tracking without variance reduction."""
-    x_new = mix(mixing, swarm.x - cfg.eta * swarm.y)
-
-    def update(i: int) -> tuple:
-        idx = i - 1
-        j = draw_index(streams[idx].index, problem.m[idx])
-        return (problem.component_grad(i, j, x_new[idx]),)
-
-    g_new = np.stack([r[0] for r in _map_agents(update, problem.n, pool)])
-    swarm.y = mix(mixing, swarm.y + g_new - swarm.g_last)
-    swarm.x, swarm.g_last = x_new, g_new
-    swarm.grad_evals += 1
-    swarm.k += 1
-    swarm.mix_count += 2
-    _check_finite(swarm, swarm.k)
-    return swarm
-
-
-def init_gtsaga(problem: FiniteSumProblem, x1: np.ndarray, cfg: RunConfig) -> SwarmState:
-    """Gradient table filled at the start point (m_i evals per agent).
+class _GradientTable:
+    """GT-SAGA's estimator: the last gradient of every sample, filled at x1.
 
     The table is the storage cost the anchored estimator avoids: GT-SAGA
     keeps m_i * d reals per agent where GT-VR keeps d.
     """
-    x = _as_stacked(problem, x1)
-    tables = [problem.component_grad_table(i, x[i - 1]) for i in range(1, problem.n + 1)]
-    v = np.stack([t.mean(axis=0) for t in tables])
-    return SwarmState(
-        k=0,
-        x=x,
-        y=v.copy(),
-        v=v.copy(),
-        tables=tables,
-        table_mean=v.copy(),
-        grad_evals=np.array(problem.m, dtype=np.int64),
-    )
+
+    def start(self, problem, x, streams):
+        self.tables = [problem.component_grad_table(i, x[i - 1]) for i in range(1, problem.n + 1)]
+        self.table_mean = np.stack([t.mean(axis=0) for t in self.tables])
+        return self.table_mean.copy(), np.array(problem.m)
+
+    def step(self, problem, x, cfg, streams):
+        v = np.empty_like(x)
+        for idx, s in enumerate(streams):
+            m_i = problem.m[idx]
+            j = draw_index(s.index, m_i)
+            fresh = problem.component_grad(idx + 1, j, x[idx])
+            delta = fresh - self.tables[idx][j - 1]
+            v[idx] = delta + self.table_mean[idx]
+            # running average maintained in O(d); stays within rounding of
+            # the recomputed table mean
+            self.table_mean[idx] += delta / m_i
+            self.tables[idx][j - 1] = fresh
+        return v, 1
 
 
-def gt_saga_round(
-    swarm: SwarmState,
-    problem: FiniteSumProblem,
-    mixing: MixingMatrix,
-    cfg: RunConfig,
-    streams: Sequence[AgentStreams],
-    pool: ThreadPoolExecutor | None = None,
-) -> SwarmState:
-    """Table-based variance reduction with gradient tracking."""
-    x_new = mix(mixing, swarm.x - cfg.eta * swarm.y)
-
-    def update(i: int) -> tuple:
-        idx = i - 1
-        j = draw_index(streams[idx].index, problem.m[idx])
-        fresh = problem.component_grad(i, j, x_new[idx])
-        table = swarm.tables[idx]
-        old = table[j - 1].copy()
-        v_i = fresh - old + swarm.table_mean[idx]
-        # running average maintained in O(d); stays within rounding of the
-        # recomputed table mean
-        swarm.table_mean[idx] += (fresh - old) / problem.m[idx]
-        table[j - 1] = fresh
-        return (v_i,)
-
-    v_new = np.stack([r[0] for r in _map_agents(update, problem.n, pool)])
-    swarm.y = mix(mixing, swarm.y + v_new - swarm.v)
-    swarm.x, swarm.v = x_new, v_new
-    swarm.grad_evals += 1
-    swarm.k += 1
-    swarm.mix_count += 2
-    _check_finite(swarm, swarm.k)
-    return swarm
-
-
-_ROUND_FNS = {
-    "gtvr": gtvr_round,
-    "dsgd": dsgd_round,
-    "dsgt": dsgt_round,
-    "gtsaga": gt_saga_round,
+_ESTIMATORS = {
+    "gtvr": _AnchoredGradient,
+    "dsgd": _StochasticGradient,
+    "dsgt": _StochasticGradient,
+    "gtsaga": _GradientTable,
 }
 
 
@@ -350,13 +202,45 @@ def init_swarm(
     cfg: RunConfig,
     streams: Sequence[AgentStreams],
 ) -> SwarmState:
-    if cfg.algorithm == "gtvr":
-        return init_gtvr(problem, x1, cfg)
-    if cfg.algorithm == "dsgd":
-        return init_dsgd(problem, x1, cfg)
-    if cfg.algorithm == "dsgt":
-        return init_dsgt(problem, x1, cfg, streams)
-    return init_gtsaga(problem, x1, cfg)
+    """Start state at x1. Tracked algorithms seed tracker and estimate
+    with the estimator's first value; DSGD starts with neither."""
+    x = _as_stacked(problem, x1)
+    estimator = _ESTIMATORS[cfg.algorithm]()
+    swarm = SwarmState(k=0, x=x, grad_evals=np.zeros(problem.n, np.int64), estimator=estimator)
+    if cfg.algorithm != "dsgd":
+        v, evals = estimator.start(problem, x, streams)
+        swarm.y, swarm.v = v.copy(), v
+        swarm.grad_evals += evals
+    return swarm
+
+
+def run_round(
+    swarm: SwarmState,
+    problem: FiniteSumProblem,
+    mixing: MixingMatrix,
+    cfg: RunConfig,
+    streams: Sequence[AgentStreams],
+) -> SwarmState:
+    """One synchronous iteration, agents updated in order.
+
+    Tracked: x+ = W(x - eta y), then each agent forms v+ at x+ and
+    y+ = W(y + v+ - v), two exchanges. Untracked (DSGD): the estimate at
+    x gives x+ = W(x - eta v), one exchange.
+    """
+    if swarm.y is None:
+        v, evals = swarm.estimator.step(problem, swarm.x, cfg, streams)
+        swarm.x = mix(mixing, swarm.x - cfg.eta * v)
+        swarm.mix_count += 1
+    else:
+        x_new = mix(mixing, swarm.x - cfg.eta * swarm.y)
+        v, evals = swarm.estimator.step(problem, x_new, cfg, streams)
+        swarm.y = mix(mixing, swarm.y + v - swarm.v)
+        swarm.x, swarm.v = x_new, v
+        swarm.mix_count += 2
+    swarm.grad_evals += evals
+    swarm.k += 1
+    _check_finite(swarm, swarm.k)
+    return swarm
 
 
 def run_experiment(
@@ -367,9 +251,9 @@ def run_experiment(
 ) -> list[TraceRow]:
     """Init plus cfg.rounds iterations, recording metrics at the cadence.
 
-    Deterministic for a fixed seed: per-agent streams make the trace
-    independent of the worker count. Metric passes evaluate full
-    gradients but never touch the oracle counters.
+    Deterministic for a fixed seed: every agent draws from its own
+    streams. Metric passes evaluate full gradients but never touch the
+    oracle counters.
     """
     if mixing.n != problem.n:
         raise ValueError(f"mixing matrix is for {mixing.n} agents, problem has {problem.n}")
@@ -377,7 +261,6 @@ def run_experiment(
         x1 = np.zeros((problem.n, problem.d))
     streams = make_swarm_streams(cfg.seed, problem.n)
     swarm = init_swarm(problem, x1, cfg, streams)
-    round_fn = _ROUND_FNS[cfg.algorithm]
 
     start = time.perf_counter()
 
@@ -398,13 +281,8 @@ def run_experiment(
         )
 
     rows = [record()]
-    pool = ThreadPoolExecutor(max_workers=cfg.workers) if cfg.workers > 1 else None
-    try:
-        for k in range(1, cfg.rounds + 1):
-            round_fn(swarm, problem, mixing, cfg, streams, pool)
-            if k % cfg.cadence == 0 or k == cfg.rounds:
-                rows.append(record())
-    finally:
-        if pool is not None:
-            pool.shutdown()
+    for k in range(1, cfg.rounds + 1):
+        run_round(swarm, problem, mixing, cfg, streams)
+        if k % cfg.cadence == 0 or k == cfg.rounds:
+            rows.append(record())
     return rows

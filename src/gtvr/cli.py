@@ -43,7 +43,7 @@ class ExperimentConfig:
     cadence: int = 0
     output: str = ""
     max_samples: int = 0
-    workers: int = 1
+    workers: int = 1  # validated only: the engine updates agents serially
     scheme: str = "shuffled"
     declared_d: int = 0
     normalize: bool = False
@@ -66,7 +66,6 @@ class ExperimentConfig:
             rounds=self.rounds,
             seed=self.seed,
             cadence=self.effective_cadence(),
-            workers=self.workers,
             timing=timing,
         )
 
@@ -142,6 +141,8 @@ def _validate_config(cfg: ExperimentConfig, source: str) -> None:
         cfg.run_config()
         if cfg.n < 2:
             raise ValueError(f"need at least 2 agents, got n = {cfg.n}")
+        if cfg.workers < 1:
+            raise ValueError(f"worker count must be >= 1, got {cfg.workers}")
         if cfg.topology not in graph.TOPOLOGY_KINDS:
             raise ValueError(
                 f"unknown topology {cfg.topology!r}, expected one of {graph.TOPOLOGY_KINDS}"
@@ -302,7 +303,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="run one experiment from a config file")
     run.add_argument("--config", required=True)
     run.add_argument("--seed", type=int, default=None, help="override the config seed")
-    run.add_argument("--workers", type=int, default=None, help="override the worker count")
+    run.add_argument("--workers", type=int, default=None, help="worker count, >= 1 (agents run serially)")
     run.add_argument("--output", default=None, help="override the trace output path")
     run.add_argument("--jsonl", default=None, help="also write a JSON-lines mirror here")
     run.add_argument("--no-timing", action="store_true", help="zero the wall_ms column")

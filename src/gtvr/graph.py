@@ -165,11 +165,6 @@ def _deviation_spectral_norm(
     )
 
 
-def spectral_radius_rho(mixing: MixingMatrix) -> float:
-    """Network radius: sup of ||W(x - xbar)|| / ||x - xbar||, in [0, 1)."""
-    return _deviation_spectral_norm(mixing.w)
-
-
 def mix(mixing: MixingMatrix, stacked: np.ndarray) -> np.ndarray:
     """One communication round: row i of the result is sum_r w_ir * row r.
 

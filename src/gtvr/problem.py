@@ -55,11 +55,6 @@ class FiniteSumProblem:
     def total_samples(self) -> int:
         return sum(self.m)
 
-    # alias used in complexity formulas
-    @property
-    def M(self) -> int:  # noqa: N802
-        return self.total_samples
-
     def _check_indices(self, i: int, j: int | None = None) -> None:
         if not 1 <= i <= self.n:
             raise IndexError(f"agent index {i} out of range [1, {self.n}]")

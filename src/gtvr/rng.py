@@ -4,8 +4,7 @@ Each agent owns two independent streams: one for the anchor-refresh coin
 flips and one for uniform sample indices. Streams are derived from
 ``(master_seed, agent_id, purpose)`` through numpy's counter-based Philox
 generator, so streams for distinct (agent, purpose) pairs never share
-state and a run is bit-reproducible from the master seed alone, no matter
-how many workers execute the round engine.
+state and a run is bit-reproducible from the master seed alone.
 """
 
 from __future__ import annotations

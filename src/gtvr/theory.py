@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -261,29 +261,7 @@ class TheoryReport:
     notes: list[str] = field(default_factory=list)
 
     def to_json(self) -> str:
-        data = {
-            "rho": self.rho,
-            "L": self.L,
-            "P": self.P,
-            "n": self.n,
-            "M": self.M,
-            "p_lower": self.p_lower,
-            "eps3": self.eps3,
-            "T": self.T,
-            "eta_bar": self.eta_bar,
-            "eta_tilde": self.eta_tilde,
-            "eta": self.eta,
-            "C": self.C,
-            "C4": self.C4,
-            "C4pp": self.C4pp,
-            "contraction_ok": self.contraction_ok,
-            "dC": self.dC,
-            "iterations": self.iterations,
-            "gradient_evals": self.gradient_evals,
-            "communications": self.communications,
-            "notes": self.notes,
-        }
-        return json.dumps(data, indent=2)
+        return json.dumps(asdict(self), indent=2)
 
     def to_text(self) -> str:
         def show(val) -> str:

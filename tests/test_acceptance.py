@@ -18,7 +18,7 @@ import pytest
 
 import gtvr
 from gtvr import ingest, metrics, theory
-from gtvr.algorithms import RunConfig, dsgd_round, gtvr_round, init_dsgd, init_gtvr
+from gtvr.algorithms import RunConfig, init_swarm, run_round
 from gtvr.problem import make_logistic, make_quadratic
 from conftest import require_dataset
 from helpers import estimate_vr_second_moments
@@ -64,13 +64,13 @@ def test_c01_mean_state_identity(quad5):
     start = time.perf_counter()
     cfg = RunConfig(algorithm="gtvr", eta=admissible_eta(prob, mixing), p=0.5, seed=2024)
     streams = gtvr.make_swarm_streams(cfg.seed, prob.n)
-    swarm = init_gtvr(prob, np.zeros((prob.n, prob.d)), cfg)
+    swarm = init_swarm(prob, np.zeros((prob.n, prob.d)), cfg, streams)
     worst_identity = 0.0
     worst_recursion = 0.0
     for _ in range(2000):
         xbar = swarm.x.mean(axis=0)
         ybar = swarm.y.mean(axis=0)
-        gtvr_round(swarm, prob, mixing, cfg, streams)
+        run_round(swarm, prob, mixing, cfg, streams)
         worst_identity = max(
             worst_identity, float(np.abs(swarm.y.mean(axis=0) - swarm.v.mean(axis=0)).max())
         )
@@ -125,10 +125,10 @@ def test_c03_no_steady_state_error(quad5):
     eta = admissible_eta(prob, mixing)
     cfg = RunConfig(algorithm="gtvr", eta=eta, p=0.5, seed=3)
     streams = gtvr.make_swarm_streams(cfg.seed, prob.n)
-    swarm = init_gtvr(prob, np.zeros((prob.n, prob.d)), cfg)
+    swarm = init_swarm(prob, np.zeros((prob.n, prob.d)), cfg, streams)
     reached = None
     for k in range(1, 50_001):
-        gtvr_round(swarm, prob, mixing, cfg, streams)
+        run_round(swarm, prob, mixing, cfg, streams)
         if k % 10 == 0:
             g = mean_grad(prob, swarm.x.mean(axis=0))
             if float(g @ g) <= 1e-16:
@@ -138,9 +138,9 @@ def test_c03_no_steady_state_error(quad5):
 
     cfg2 = RunConfig(algorithm="dsgd", eta=eta, p=0.5, seed=3)
     streams2 = gtvr.make_swarm_streams(cfg2.seed, prob.n)
-    swarm2 = init_dsgd(prob, np.zeros((prob.n, prob.d)), cfg2)
+    swarm2 = init_swarm(prob, np.zeros((prob.n, prob.d)), cfg2, streams2)
     for _ in range(50_000):
-        dsgd_round(swarm2, prob, mixing, cfg2, streams2)
+        run_round(swarm2, prob, mixing, cfg2, streams2)
     g2 = mean_grad(prob, swarm2.x.mean(axis=0))
     floor = float(g2 @ g2)
     elapsed = time.perf_counter() - start
@@ -162,10 +162,10 @@ def test_c04_sublinear_rate_summability(quad5):
     for seed in (101, 102, 103, 104, 105):
         cfg = RunConfig(algorithm="gtvr", eta=eta, p=0.5, seed=seed)
         streams = gtvr.make_swarm_streams(cfg.seed, prob.n)
-        swarm = init_gtvr(prob, np.zeros((prob.n, prob.d)), cfg)
+        swarm = init_swarm(prob, np.zeros((prob.n, prob.d)), cfg, streams)
         partial = 0.0
         for k in range(1, 40_001):
-            gtvr_round(swarm, prob, mixing, cfg, streams)
+            run_round(swarm, prob, mixing, cfg, streams)
             g = mean_grad(prob, swarm.x.mean(axis=0))
             partial += float(g @ g)
             if k == 20_000:
@@ -237,10 +237,10 @@ def test_c07_gradient_accounting(quad5):
     p = 0.3
     cfg = RunConfig(algorithm="gtvr", eta=admissible_eta(prob, mixing), p=p, seed=5)
     streams = gtvr.make_swarm_streams(cfg.seed, prob.n)
-    swarm = init_gtvr(prob, np.zeros((prob.n, prob.d)), cfg)
+    swarm = init_swarm(prob, np.zeros((prob.n, prob.d)), cfg, streams)
     after_init = swarm.grad_evals.copy()
     for _ in range(rounds):
-        gtvr_round(swarm, prob, mixing, cfg, streams)
+        run_round(swarm, prob, mixing, cfg, streams)
     per_round = (swarm.grad_evals - after_init) / rounds
     sigma = np.array(prob.m) * math.sqrt(p * (1 - p) / rounds)
     expected = p * np.array(prob.m) + 2.0
@@ -273,10 +273,10 @@ def run_logistic_pair(prob, mixing, epochs, seed):
     n, d, total = prob.n, prob.d, prob.total_samples
     cfg = RunConfig(algorithm="gtvr", eta=0.1, p=0.3, seed=seed)
     streams = gtvr.make_swarm_streams(cfg.seed, n)
-    swarm = init_gtvr(prob, np.zeros((n, d)), cfg)
+    swarm = init_swarm(prob, np.zeros((n, d)), cfg, streams)
     trace = []
     while swarm.grad_evals.sum() / total < epochs:
-        gtvr_round(swarm, prob, mixing, cfg, streams)
+        run_round(swarm, prob, mixing, cfg, streams)
         cost, grad = prob.global_cost_and_grad(swarm.x.mean(axis=0))
         trace.append(
             (
@@ -288,10 +288,10 @@ def run_logistic_pair(prob, mixing, epochs, seed):
         )
     cfg2 = RunConfig(algorithm="dsgd", eta=0.1, p=0.3, seed=seed)
     streams2 = gtvr.make_swarm_streams(cfg2.seed, n)
-    swarm2 = init_dsgd(prob, np.zeros((n, d)), cfg2)
+    swarm2 = init_swarm(prob, np.zeros((n, d)), cfg2, streams2)
     dsgd_rounds = int(epochs * total / n)
     for _ in range(dsgd_rounds):
-        dsgd_round(swarm2, prob, mixing, cfg2, streams2)
+        run_round(swarm2, prob, mixing, cfg2, streams2)
     dsgd_cost, _ = prob.global_cost_and_grad(swarm2.x.mean(axis=0))
     return trace, dsgd_cost, dsgd_rounds
 
@@ -359,10 +359,10 @@ def test_c08s_desk_scale_synthetic_round_efficiency(synthetic_vi_setup):
     _, dsgd_cost, dsgd_rounds = run_logistic_pair(prob, mixing, epochs=30, seed=4)
     cfg = RunConfig(algorithm="gtvr", eta=0.1, p=0.3, seed=4)
     streams = gtvr.make_swarm_streams(cfg.seed, n)
-    swarm = init_gtvr(prob, np.zeros((n, d)), cfg)
+    swarm = init_swarm(prob, np.zeros((n, d)), cfg, streams)
     crossover = None
     for k in range(1, dsgd_rounds + 1):
-        gtvr_round(swarm, prob, mixing, cfg, streams)
+        run_round(swarm, prob, mixing, cfg, streams)
         if k % 5 == 0:
             cost, _ = prob.global_cost_and_grad(swarm.x.mean(axis=0))
             if cost <= dsgd_cost:

@@ -5,15 +5,9 @@ from gtvr import algorithms, graph, metrics, rng
 from gtvr.algorithms import (
     DivergedError,
     RunConfig,
-    dsgd_round,
-    dsgt_round,
-    gt_saga_round,
-    gtvr_round,
-    init_dsgd,
-    init_dsgt,
-    init_gtsaga,
-    init_gtvr,
+    init_swarm,
     run_experiment,
+    run_round,
     vr_gradient_estimate,
 )
 from gtvr.problem import QuadraticProblem, make_logistic, make_quadratic
@@ -36,15 +30,15 @@ def test_init_gtvr_state(setup5):
     prob, mixing = setup5
     x1 = np.zeros((5, 4))
     cfg = RunConfig(algorithm="gtvr", eta=0.01, p=0.5, rounds=0, seed=0)
-    swarm = init_gtvr(prob, x1, cfg)
+    swarm = init_swarm(prob, x1, cfg, make_streams(cfg.seed, 5))
+    est = swarm.estimator
     for i in range(1, 6):
         g = prob.local_full_grad(i, x1[i - 1])
-        agent = swarm.agent(i)
-        assert np.array_equal(agent.y, g)
-        assert np.array_equal(agent.v, g)
-        assert np.array_equal(agent.g_tau, g)
-        assert np.array_equal(agent.tau, x1[i - 1])
-        assert agent.grad_evals == prob.m[i - 1]
+        assert np.array_equal(swarm.y[i - 1], g)
+        assert np.array_equal(swarm.v[i - 1], g)
+        assert np.array_equal(est.g_tau[i - 1], g)
+        assert np.array_equal(est.tau[i - 1], x1[i - 1])
+        assert swarm.grad_evals[i - 1] == prob.m[i - 1]
     assert np.array_equal(swarm.y.mean(axis=0), swarm.v.mean(axis=0))
     assert int(swarm.grad_evals.sum()) == prob.total_samples
 
@@ -64,7 +58,7 @@ def test_vr_estimate_hand_example():
 def test_refresh_makes_estimator_exact(setup5):
     prob, mixing = setup5
     cfg = RunConfig(algorithm="gtvr", eta=0.01, p=0.5, rounds=0, seed=1)
-    swarm = init_gtvr(prob, np.zeros((5, 4)), cfg)
+    swarm = init_swarm(prob, np.zeros((5, 4)), cfg, make_streams(cfg.seed, 5))
     # force every anchor refresh (uniform draw 0.0 < p) with real index draws
     real = make_streams(1, 5)
     stubs = [
@@ -72,9 +66,9 @@ def test_refresh_makes_estimator_exact(setup5):
     ]
     for stub, actual in zip(stubs, real):
         stub.index = actual.index
-    gtvr_round(swarm, prob, mixing, cfg, stubs)
-    assert np.array_equal(swarm.v, swarm.g_tau)
-    assert np.array_equal(swarm.tau, swarm.x)
+    run_round(swarm, prob, mixing, cfg, stubs)
+    assert np.array_equal(swarm.v, swarm.estimator.g_tau)
+    assert np.array_equal(swarm.estimator.tau, swarm.x)
     # and every counter moved by m_i + 2
     assert np.array_equal(swarm.grad_evals, np.array(prob.m) + np.array(prob.m) + 2)
 
@@ -82,15 +76,15 @@ def test_refresh_makes_estimator_exact(setup5):
 def test_skip_branch_costs_two_evals(setup5):
     prob, mixing = setup5
     cfg = RunConfig(algorithm="gtvr", eta=0.01, p=0.5, rounds=0, seed=1)
-    swarm = init_gtvr(prob, np.zeros((5, 4)), cfg)
-    tau_before = swarm.tau.copy()
+    swarm = init_swarm(prob, np.zeros((5, 4)), cfg, make_streams(cfg.seed, 5))
+    tau_before = swarm.estimator.tau.copy()
     real = make_streams(1, 5)
     stubs = [StubStreams(i, uniforms=[0.999999]) for i in range(1, 6)]
     for stub, actual in zip(stubs, real):
         stub.index = actual.index
     evals_before = swarm.grad_evals.copy()
-    gtvr_round(swarm, prob, mixing, cfg, stubs)
-    assert np.array_equal(swarm.tau, tau_before)
+    run_round(swarm, prob, mixing, cfg, stubs)
+    assert np.array_equal(swarm.estimator.tau, tau_before)
     assert np.array_equal(swarm.grad_evals - evals_before, np.full(5, 2))
 
 
@@ -98,12 +92,12 @@ def test_anchor_gradient_cache_stays_coherent(setup5):
     prob, mixing = setup5
     cfg = RunConfig(algorithm="gtvr", eta=0.01, p=0.3, rounds=0, seed=21)
     streams = make_streams(cfg.seed, 5)
-    swarm = init_gtvr(prob, np.zeros((5, 4)), cfg)
+    swarm = init_swarm(prob, np.zeros((5, 4)), cfg, streams)
+    est = swarm.estimator
     for _ in range(60):
-        gtvr_round(swarm, prob, mixing, cfg, streams)
+        run_round(swarm, prob, mixing, cfg, streams)
         for i in range(1, 6):
-            agent = swarm.agent(i)
-            assert np.array_equal(agent.g_tau, prob.local_full_grad(i, agent.tau))
+            assert np.array_equal(est.g_tau[i - 1], prob.local_full_grad(i, est.tau[i - 1]))
 
 
 @pytest.mark.parametrize("algo", ["gtvr", "dsgt", "gtsaga"])
@@ -112,13 +106,11 @@ def test_mean_state_identity_and_mean_recursion(setup5, algo):
     cfg = RunConfig(algorithm=algo, eta=0.02, p=0.4, rounds=0, seed=3)
     streams = make_streams(cfg.seed, 5)
     swarm = algorithms.init_swarm(prob, np.zeros((5, 4)), cfg, streams)
-    round_fn = {"gtvr": gtvr_round, "dsgt": dsgt_round, "gtsaga": gt_saga_round}[algo]
     for _ in range(300):
         xbar = swarm.x.mean(axis=0)
         ybar = swarm.y.mean(axis=0)
-        round_fn(swarm, prob, mixing, cfg, streams)
-        tracked = swarm.v if algo in ("gtvr", "gtsaga") else swarm.g_last
-        assert np.abs(swarm.y.mean(axis=0) - tracked.mean(axis=0)).max() <= 1e-9
+        run_round(swarm, prob, mixing, cfg, streams)
+        assert np.abs(swarm.y.mean(axis=0) - swarm.v.mean(axis=0)).max() <= 1e-9
         assert np.abs(swarm.x.mean(axis=0) - (xbar - cfg.eta * ybar)).max() <= 1e-12
 
 
@@ -130,10 +122,10 @@ def test_dsgd_reduces_to_centralized_gd_on_shared_data():
     mixing = graph.metropolis_weights(graph.build_topology("complete", 3))
     cfg = RunConfig(algorithm="dsgd", eta=0.05, p=0.5, rounds=0, seed=5)
     streams = make_streams(cfg.seed, 3)
-    swarm = init_dsgd(prob, np.zeros((3, 2)), cfg)
+    swarm = init_swarm(prob, np.zeros((3, 2)), cfg, streams)
     x_manual = np.zeros(2)
     for _ in range(25):
-        dsgd_round(swarm, prob, mixing, cfg, streams)
+        run_round(swarm, prob, mixing, cfg, streams)
         x_manual = x_manual - cfg.eta * prob.component_grad(1, 1, x_manual)
         assert np.abs(swarm.x - x_manual).max() <= 1e-12
 
@@ -146,13 +138,13 @@ def test_dsgt_with_single_samples_equals_deterministic_tracking(setup5):
     prob = QuadraticProblem(feats, targets)
     cfg = RunConfig(algorithm="dsgt", eta=0.03, p=0.5, rounds=0, seed=8)
     streams = make_streams(cfg.seed, 5)
-    swarm = init_dsgt(prob, np.zeros((5, 3)), cfg, streams)
+    swarm = init_swarm(prob, np.zeros((5, 3)), cfg, streams)
 
     x = np.zeros((5, 3))
     g = np.stack([prob.component_grad(i, 1, x[i - 1]) for i in range(1, 6)])
     y = g.copy()
     for _ in range(50):
-        dsgt_round(swarm, prob, mixing, cfg, streams)
+        run_round(swarm, prob, mixing, cfg, streams)
         x_new = graph.mix(mixing, x - cfg.eta * y)
         g_new = np.stack([prob.component_grad(i, 1, x_new[i - 1]) for i in range(1, 6)])
         y = graph.mix(mixing, y + g_new - g)
@@ -163,24 +155,17 @@ def test_dsgt_with_single_samples_equals_deterministic_tracking(setup5):
 
 def test_baseline_accounting_is_exact(setup5):
     prob, mixing = setup5
-    for algo, init, round_fn, init_cost in (
-        ("dsgd", init_dsgd, dsgd_round, 0),
-        ("dsgt", init_dsgt, dsgt_round, 1),
-        ("gtsaga", init_gtsaga, gt_saga_round, None),
-    ):
+    for algo, init_cost in (("dsgd", 0), ("dsgt", 1), ("gtsaga", None)):
         cfg = RunConfig(algorithm=algo, eta=0.01, p=0.5, rounds=0, seed=2)
         streams = make_streams(cfg.seed, 5)
-        if algo == "dsgt":
-            swarm = init(prob, np.zeros((5, 4)), cfg, streams)
-        else:
-            swarm = init(prob, np.zeros((5, 4)), cfg)
+        swarm = init_swarm(prob, np.zeros((5, 4)), cfg, streams)
         if init_cost is None:
             assert np.array_equal(swarm.grad_evals, np.array(prob.m))
         else:
             assert np.array_equal(swarm.grad_evals, np.full(5, init_cost))
         start = swarm.grad_evals.copy()
         for k in range(1, 51):
-            round_fn(swarm, prob, mixing, cfg, streams)
+            run_round(swarm, prob, mixing, cfg, streams)
             assert np.array_equal(swarm.grad_evals - start, np.full(5, k))
 
 
@@ -189,10 +174,10 @@ def test_gtsaga_frozen_table_gives_full_gradient(setup5):
     cfg = RunConfig(algorithm="gtsaga", eta=0.01, p=0.5, rounds=0, seed=4)
     streams = make_streams(cfg.seed, 5)
     x_star_stack = exact_stationary_quadratic(prob)
-    swarm = init_gtsaga(prob, x_star_stack, cfg)
+    swarm = init_swarm(prob, x_star_stack, cfg, streams)
     # zero trackers make the next iterate equal the stationary stack again
     swarm.y = np.zeros_like(swarm.y)
-    gt_saga_round(swarm, prob, mixing, cfg, streams)
+    run_round(swarm, prob, mixing, cfg, streams)
     for i in range(1, 6):
         full = prob.local_full_grad(i, x_star_stack[i - 1])
         assert np.abs(swarm.v[i - 1] - full).max() <= 1e-12
@@ -202,25 +187,27 @@ def test_gtsaga_running_mean_matches_table(setup5):
     prob, mixing = setup5
     cfg = RunConfig(algorithm="gtsaga", eta=0.005, p=0.5, rounds=0, seed=6)
     streams = make_streams(cfg.seed, 5)
-    swarm = init_gtsaga(prob, np.zeros((5, 4)), cfg)
+    swarm = init_swarm(prob, np.zeros((5, 4)), cfg, streams)
     for _ in range(1000):
-        gt_saga_round(swarm, prob, mixing, cfg, streams)
+        run_round(swarm, prob, mixing, cfg, streams)
+    est = swarm.estimator
     for i in range(5):
-        assert np.abs(swarm.table_mean[i] - swarm.tables[i].mean(axis=0)).max() <= 1e-10
+        assert np.abs(est.table_mean[i] - est.tables[i].mean(axis=0)).max() <= 1e-10
 
 
 def test_gtvr_two_exchanges_per_round(setup5):
     prob, mixing = setup5
     cfg = RunConfig(algorithm="gtvr", eta=0.01, p=0.5, rounds=0, seed=7)
     streams = make_streams(cfg.seed, 5)
-    swarm = init_gtvr(prob, np.zeros((5, 4)), cfg)
+    swarm = init_swarm(prob, np.zeros((5, 4)), cfg, streams)
     for k in range(1, 21):
-        gtvr_round(swarm, prob, mixing, cfg, streams)
+        run_round(swarm, prob, mixing, cfg, streams)
         assert swarm.mix_count == 2 * k
     # the plain stochastic baseline needs only the one x-exchange
-    swarm2 = init_dsgd(prob, np.zeros((5, 4)), cfg)
+    cfg2 = RunConfig(algorithm="dsgd", eta=0.01, p=0.5)
+    swarm2 = init_swarm(prob, np.zeros((5, 4)), cfg2, streams)
     for k in range(1, 21):
-        dsgd_round(swarm2, prob, mixing, RunConfig(algorithm="dsgd", eta=0.01, p=0.5), streams)
+        run_round(swarm2, prob, mixing, cfg2, streams)
         assert swarm2.mix_count == k
 
 
@@ -242,11 +229,12 @@ def test_run_experiment_cadence_and_final_row(setup5):
 
 @pytest.mark.parametrize("algo", algorithms.ALGORITHMS)
 def test_trace_deterministic_and_worker_invariant(setup5, algo):
+    # the engine has no worker count; C10 checks that `--workers 1` and
+    # `--workers 8` give byte-identical traces end to end
     prob, mixing = setup5
     base = dict(algorithm=algo, eta=0.01, p=0.4, rounds=120, seed=13, cadence=40, timing=False)
     rows1 = run_experiment(prob, mixing, RunConfig(**base))
     rows2 = run_experiment(prob, mixing, RunConfig(**base))
-    rows8 = run_experiment(prob, mixing, RunConfig(**base, workers=8))
     import io
 
     def dump(rows):
@@ -254,7 +242,7 @@ def test_trace_deterministic_and_worker_invariant(setup5, algo):
         metrics.write_trace(rows, buf)
         return buf.getvalue()
 
-    assert dump(rows1) == dump(rows2) == dump(rows8)
+    assert dump(rows1) == dump(rows2)
 
 
 def test_divergence_reports_iteration(setup5):
@@ -273,15 +261,13 @@ def test_run_config_validation():
         RunConfig(p=1.0)
     with pytest.raises(ValueError):
         RunConfig(rounds=-1)
-    with pytest.raises(ValueError):
-        RunConfig(workers=0)
 
 
 def test_init_rejects_bad_shape(setup5):
     prob, _ = setup5
     cfg = RunConfig(algorithm="gtvr", eta=0.01, p=0.5)
     with pytest.raises(ValueError, match="shape"):
-        init_gtvr(prob, np.zeros((4, 4)), cfg)
+        init_swarm(prob, np.zeros((4, 4)), cfg, make_streams(cfg.seed, 4))
 
 
 def test_estimator_moment_bounds_monte_carlo():

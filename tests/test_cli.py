@@ -73,6 +73,15 @@ def test_invalid_parameter_rejected(tmp_path, capsys):
     assert "(0, 1)" in capsys.readouterr().err
 
 
+def test_zero_workers_rejected(tmp_path, capsys):
+    cfg = write_config(tmp_path, QUAD_CONFIG.format(rounds=1) + "workers = 0\n")
+    assert cli.main(["run", "--config", str(cfg)]) != 0
+    assert "worker count" in capsys.readouterr().err
+    cfg = write_config(tmp_path, QUAD_CONFIG.format(rounds=1), name="flag.cfg")
+    assert cli.main(["run", "--config", str(cfg), "--workers", "0"]) != 0
+    assert "worker count" in capsys.readouterr().err
+
+
 def test_seed_flag_overrides_config(tmp_path):
     cfg = write_config(tmp_path, QUAD_CONFIG.format(rounds=30))
     out_a = tmp_path / "a.csv"

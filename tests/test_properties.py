@@ -1,0 +1,100 @@
+"""Property tests of the round engine over random small instances.
+
+After every round: the tracker mean equals the estimate mean, the mean
+iterate follows x̄⁺ = x̄ − ηȳ (DSGD: x̄⁺ = x̄ − η·mean of its sampled
+gradients), the oracle counters move by the paper's accounting (GT-VR:
+m_i + 2 on a refresh round and 2 otherwise, with the coins replayed from
+each agent's Philox stream; 1 per agent for the baselines), and the
+exchange count is 2 per round (1 for DSGD).
+"""
+
+import numpy as np
+import scipy.sparse as sp
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from gtvr import algorithms, graph, rng
+from gtvr.algorithms import RunConfig, init_swarm, run_round
+from gtvr.problem import LogisticProblem, QuadraticProblem
+
+ROUNDS = 12
+
+
+@st.composite
+def instances(draw):
+    n = draw(st.integers(2, 6))
+    m = draw(st.lists(st.integers(1, 12), min_size=n, max_size=n))
+    d = draw(st.integers(1, 5))
+    kind = draw(st.sampled_from(["quadratic", "logistic"]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    data = np.random.default_rng(seed)
+    if kind == "quadratic":
+        feats = [data.normal(size=(m_i, d)) for m_i in m]
+        feats = [a / np.linalg.norm(a, axis=1, keepdims=True) for a in feats]
+        prob = QuadraticProblem(feats, [data.normal(size=m_i) for m_i in m])
+    else:
+        feats = []
+        for m_i in m:
+            mask = data.random(size=(m_i, d)) < 0.5
+            mask[np.arange(m_i), data.integers(d, size=m_i)] = True
+            feats.append(sp.csr_matrix(mask.astype(float)))
+        labels = [np.where(data.random(size=m_i) < 0.5, 1.0, -1.0) for m_i in m]
+        prob = LogisticProblem(feats, labels, lam1=1e-3)
+    mixing = graph.metropolis_weights(graph.build_topology("random", n, p_edge=0.5, seed=seed))
+    cfg = RunConfig(
+        algorithm=draw(st.sampled_from(algorithms.ALGORITHMS)),
+        eta=draw(st.floats(0.01, 0.2)),
+        p=draw(st.floats(0.05, 0.95)),
+        seed=seed,
+    )
+    x1 = data.normal(size=(n, d))
+    return prob, mixing, cfg, x1
+
+
+@settings(
+    derandomize=True,
+    max_examples=100,
+    deadline=None,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(instances())
+def test_round_invariants(instance):
+    prob, mixing, cfg, x1 = instance
+    n, m = prob.n, np.array(prob.m)
+    tracked = cfg.algorithm != "dsgd"
+    streams = rng.make_swarm_streams(cfg.seed, n)
+    swarm = init_swarm(prob, x1, cfg, streams)
+    init_evals = {"gtvr": m, "dsgd": 0, "dsgt": 1, "gtsaga": m}[cfg.algorithm]
+    assert np.array_equal(swarm.grad_evals, np.broadcast_to(init_evals, n))
+    coins = [rng.derived_generator(cfg.seed, i, rng.PURPOSE_BERNOULLI) for i in range(1, n + 1)]
+    # DSGD's sampled indices, replayed from a second copy of its streams
+    replay = rng.make_swarm_streams(cfg.seed, n)
+
+    for k in range(1, ROUNDS + 1):
+        xbar = swarm.x.mean(axis=0)
+        before = swarm.grad_evals.copy()
+        if tracked:
+            step = swarm.y.mean(axis=0)
+        else:
+            step = np.mean(
+                [
+                    prob.component_grad(i, rng.draw_index(replay[i - 1].index, prob.m[i - 1]), swarm.x[i - 1])
+                    for i in range(1, n + 1)
+                ],
+                axis=0,
+            )
+        run_round(swarm, prob, mixing, cfg, streams)
+
+        scale = 1.0 + float(np.abs(swarm.x).max())
+        assert np.abs(swarm.x.mean(axis=0) - (xbar - cfg.eta * step)).max() <= 1e-12 * scale
+        if tracked:
+            assert np.abs(swarm.y.mean(axis=0) - swarm.v.mean(axis=0)).max() <= 1e-9
+        if cfg.algorithm == "gtvr":
+            refreshed = np.array([c.random() < cfg.p for c in coins])
+            expected = 2 + refreshed * m
+        else:
+            expected = np.ones(n, dtype=np.int64)
+        assert np.array_equal(swarm.grad_evals - before, expected)
+        assert swarm.mix_count == (2 * k if tracked else k)
+        assert swarm.k == k
