@@ -234,9 +234,10 @@ def cmd_sweep(ns: argparse.Namespace) -> int:
     seeds = [int(v) for v in ns.seeds.split(",")] if ns.seeds else [base.seed]
     out_dir = Path(ns.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for eta in etas:
-        for p in ps:
-            for seed in seeds:
+    for seed in seeds:
+        prob = mixing = None
+        for eta in etas:
+            for p in ps:
                 cfg = load_experiment_config(
                     ns.config,
                     {
@@ -249,8 +250,10 @@ def cmd_sweep(ns: argparse.Namespace) -> int:
                         ),
                     },
                 )
-                prob = prepare_problem(cfg)
-                mixing = build_mixing(cfg)
+                if prob is None:
+                    # the data, its partition and the graph depend on the seed, not on eta or p
+                    prob = prepare_problem(cfg)
+                    mixing = build_mixing(cfg)
                 warn_outside_theory(cfg, mixing, prob)
                 rows = algorithms.run_experiment(prob, mixing, cfg.run_config())
                 metrics.write_trace(rows, cfg.output_path())

@@ -17,7 +17,7 @@ from typing import IO, TYPE_CHECKING, Sequence
 import numpy as np
 
 from .graph import MixingMatrix
-from .problem import FiniteSumProblem
+from .problem import FiniteSumProblem, agent_average
 
 if TYPE_CHECKING:
     from .algorithms import SwarmState
@@ -63,7 +63,8 @@ def stationarity_metrics(
     for algorithms that carry no tracker. Read-only on the swarm.
     """
     xbar = swarm.x.mean(axis=0)
-    cost, grad = problem.global_cost_and_grad(xbar)
+    costs, grads = problem.local_costs_and_grads(xbar)
+    cost, grad = agent_average(costs, grads)
     stat = float(grad @ grad)
     dev = swarm.x - xbar
     cons = float(np.sum(dev * dev))
@@ -71,8 +72,8 @@ def stationarity_metrics(
         track = float("nan")
     else:
         track = 0.0
-        for i in range(1, problem.n + 1):
-            diff = swarm.y[i - 1] - problem.local_full_grad(i, xbar)
+        for y_i, g_i in zip(swarm.y, grads):
+            diff = y_i - g_i
             track += float(diff @ diff)
     return cost, stat, cons, track
 

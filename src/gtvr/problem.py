@@ -82,15 +82,31 @@ class FiniteSumProblem:
     def lipschitz_estimate(self) -> float:
         raise NotImplementedError
 
+    def local_costs_and_grads(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Every agent's local cost and full local gradient at one point x.
+
+        Returns the n costs and the stacked (n, d) gradients, agent i in
+        row i - 1, equal to ``local_cost(i, x)`` and ``local_full_grad(i, x)``.
+        """
+        x = np.asarray(x, dtype=float)
+        agents = range(1, self.n + 1)
+        costs = np.array([self.local_cost(i, x) for i in agents])
+        grads = np.array([self.local_full_grad(i, x) for i in agents])
+        return costs, grads
+
     def global_cost_and_grad(self, x: np.ndarray) -> tuple[float, np.ndarray]:
         """Cost and gradient of the network average f at a single point x."""
-        x = np.asarray(x, dtype=float)
-        cost = 0.0
-        grad = np.zeros(self.d)
-        for i in range(1, self.n + 1):
-            cost += self.local_cost(i, x)
-            grad += self.local_full_grad(i, x)
-        return cost / self.n, grad / self.n
+        return agent_average(*self.local_costs_and_grads(x))
+
+
+def agent_average(costs: np.ndarray, grads: np.ndarray) -> tuple[float, np.ndarray]:
+    """Mean of per-agent costs and stacked gradients, summed in agent order."""
+    cost = 0.0
+    grad = np.zeros(grads.shape[1])
+    for c, g in zip(costs, grads):
+        cost += float(c)
+        grad += g
+    return cost / len(costs), grad / len(costs)
 
 
 class LogisticProblem(FiniteSumProblem):
@@ -108,27 +124,47 @@ class LogisticProblem(FiniteSumProblem):
     ) -> None:
         if len(features) != len(labels) or not features:
             raise ValueError("need one feature matrix and label vector per agent")
+        feats = [sp.csr_matrix(a, dtype=float) for a in features]
+        labels = [np.asarray(l, dtype=float) for l in labels]
+        for a, l in zip(feats, labels):
+            if a.shape[1] != feats[0].shape[1]:
+                raise ValueError("all agents must share the feature dimension")
+            if a.shape[0] != l.shape[0]:
+                raise ValueError("feature rows and labels must match and be non-empty")
+        self._hold(
+            sp.vstack(feats, format="csr"),
+            np.concatenate(labels),
+            [a.shape[0] for a in feats],
+            lam1,
+        )
+
+    def _hold(
+        self, rows: sp.csr_matrix, labels: np.ndarray, sizes: Sequence[int], lam1: float
+    ) -> None:
+        """Keep all agents' rows as one CSR; agent i owns the next sizes[i-1] rows.
+
+        The per-agent matrices and label vectors are views into the
+        stacked arrays, so the features are held once.
+        """
         if lam1 < 0:
             raise ValueError(f"regularization weight must be >= 0, got {lam1}")
-        self.n = len(features)
-        self.d = int(features[0].shape[1])
+        if min(sizes) < 1:
+            raise ValueError("feature rows and labels must match and be non-empty")
+        if not np.isin(labels, (-1.0, 1.0)).all():
+            raise ValueError("labels must be exactly -1 or +1")
+        self.n = len(sizes)
+        self.d = int(rows.shape[1])
         self.lam1 = float(lam1)
-        self._feats: list[sp.csr_matrix] = []
-        self._labels: list[np.ndarray] = []
-        for a, l in zip(features, labels):
-            a = sp.csr_matrix(a, dtype=float)
-            l = np.asarray(l, dtype=float)
-            if a.shape[1] != self.d:
-                raise ValueError("all agents must share the feature dimension")
-            if a.shape[0] != l.shape[0] or a.shape[0] == 0:
-                raise ValueError("feature rows and labels must match and be non-empty")
-            if not np.isin(l, (-1.0, 1.0)).all():
-                raise ValueError("labels must be exactly -1 or +1")
-            self._feats.append(a)
-            self._labels.append(l)
-        self.m = tuple(int(a.shape[0]) for a in self._feats)
-        sq = [np.asarray(a.multiply(a).sum(axis=1)).ravel() for a in self._feats]
-        self._max_row_sq = max(float(v.max()) for v in sq)
+        self.m = tuple(int(size) for size in sizes)
+        self._rows = rows
+        self._label_rows = labels
+        offsets = np.concatenate(([0], np.cumsum(self.m))).tolist()
+        self._bounds = list(zip(offsets[:-1], offsets[1:]))
+        blocks = [_row_block(rows, lo, hi) for lo, hi in self._bounds]
+        self._feats = [a for a, _ in blocks]
+        self._feats_t = [a_t for _, a_t in blocks]
+        self._labels = [labels[lo:hi] for lo, hi in self._bounds]
+        self._max_row_sq = max(float(a.multiply(a).sum(axis=1).max()) for a in self._feats)
 
     @classmethod
     def from_partition(
@@ -145,9 +181,11 @@ class LogisticProblem(FiniteSumProblem):
             norms[norms == 0.0] = 1.0
             csr = sp.diags(1.0 / norms) @ csr
             csr = sp.csr_matrix(csr)
-        feats = [csr[np.asarray(idx, dtype=np.int64)] for idx in parts]
-        labels = [raw.labels[np.asarray(idx, dtype=np.int64)] for idx in parts]
-        return cls(feats, labels, lam1)
+        order = np.concatenate([np.asarray(idx, dtype=np.int64) for idx in parts])
+        labels = np.asarray(raw.labels[order], dtype=float)
+        prob = cls.__new__(cls)
+        prob._hold(csr[order], labels, [len(idx) for idx in parts], lam1)
+        return prob
 
     def component_cost(self, i: int, j: int, x: np.ndarray) -> float:
         self._check_indices(i, j)
@@ -194,12 +232,44 @@ class LogisticProblem(FiniteSumProblem):
         z = l * (a @ x)
         sig, sig_neg = sigmoid_pair(z)
         coef = (-l * sig * sig_neg) / self.m[i - 1]
-        return (a.T @ coef) + (2.0 * self.lam1) * x
+        return (self._feats_t[i - 1] @ coef) + (2.0 * self.lam1) * x
+
+    def local_costs_and_grads(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # one product over the stacked rows, then per-agent reductions of
+        # its slices; each slice sees the arithmetic of the per-agent oracles
+        x = np.asarray(x, dtype=float)
+        z = self._label_rows * (self._rows @ x)
+        sig, sig_neg = sigmoid_pair(z)
+        coef = -self._label_rows * sig * sig_neg
+        reg = self.lam1 * float(x @ x)
+        reg_grad = (2.0 * self.lam1) * x
+        costs = np.empty(self.n)
+        grads = np.empty((self.n, self.d))
+        for i, ((lo, hi), a_t) in enumerate(zip(self._bounds, self._feats_t)):
+            costs[i] = float(sig_neg[lo:hi].mean()) + reg
+            grads[i] = (a_t @ (coef[lo:hi] / self.m[i])) + reg_grad
+        return costs, grads
 
     def lipschitz_estimate(self) -> float:
         # sigmoid-composition curvature is bounded by 1/4; conservative
         # but valid, which is all the step-size theory requires
         return self._max_row_sq / 4.0 + 2.0 * self.lam1
+
+
+def _row_block(rows: sp.csr_matrix, lo: int, hi: int) -> tuple[sp.csr_matrix, sp.csc_matrix]:
+    """Rows lo..hi-1 of a CSR matrix and their transpose, sharing its arrays.
+
+    scipy's constructors copy an index or data slice that is under half
+    of its base array (and ``.T`` goes through them), so both blocks are
+    made empty and then handed the views.
+    """
+    start, stop = rows.indptr[lo], rows.indptr[hi]
+    arrays = (rows.data[start:stop], rows.indices[start:stop], rows.indptr[lo : hi + 1] - start)
+    block = sp.csr_matrix((hi - lo, rows.shape[1]))
+    block_t = sp.csc_matrix((rows.shape[1], hi - lo))
+    for out in (block, block_t):
+        out.data, out.indices, out.indptr = arrays
+    return block, block_t
 
 
 class QuadraticProblem(FiniteSumProblem):

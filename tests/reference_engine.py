@@ -4,8 +4,10 @@ This is the engine ``gtvr.algorithms`` replaced with one round skeleton
 and pluggable local estimators, kept verbatim apart from the per-round
 thread pool (agents are updated in order). Differential tests run both
 engines on the same seeds and require identical traces and state.
-Only the shared primitives (mixing, draws, oracles, metrics) come from
-the package under test.
+The metric pass is the per-agent one that batched
+``local_costs_and_grads`` replaced, also kept verbatim. Only the shared
+primitives (mixing, draws, per-agent oracles, the trace row and the
+consensus gap) come from the package under test.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import numpy as np
 
 from gtvr.algorithms import DIVERGENCE_NORM_CAP, DivergedError, RunConfig
 from gtvr.graph import MixingMatrix, mix
-from gtvr.metrics import TraceRow, consensus_gap_D, stationarity_metrics
+from gtvr.metrics import TraceRow, consensus_gap_D
 from gtvr.problem import FiniteSumProblem
 from gtvr.rng import AgentStreams, draw_bernoulli, draw_index, make_swarm_streams
 
@@ -59,6 +61,42 @@ def _check_finite(swarm: SwarmState, k: int) -> None:
         raise DivergedError(f"iterate diverged at iteration {k}")
     if swarm.y is not None and not np.isfinite(swarm.y).all():
         raise DivergedError(f"gradient tracker diverged at iteration {k}")
+
+
+def global_cost_and_grad(problem: FiniteSumProblem, x: np.ndarray) -> tuple[float, np.ndarray]:
+    """Cost and gradient of the network average f at a single point x."""
+    x = np.asarray(x, dtype=float)
+    cost = 0.0
+    grad = np.zeros(problem.d)
+    for i in range(1, problem.n + 1):
+        cost += problem.local_cost(i, x)
+        grad += problem.local_full_grad(i, x)
+    return cost / problem.n, grad / problem.n
+
+
+def stationarity_metrics(
+    problem: FiniteSumProblem,
+    swarm: SwarmState,
+) -> tuple[float, float, float, float]:
+    """(cost, stat, cons, track) at the current mean iterate.
+
+    ``track`` compares each tracker y_i to the local gradient at xbar,
+    i.e. to the stacked gradient the tracking analysis bounds; it is NaN
+    for algorithms that carry no tracker. Read-only on the swarm.
+    """
+    xbar = swarm.x.mean(axis=0)
+    cost, grad = global_cost_and_grad(problem, xbar)
+    stat = float(grad @ grad)
+    dev = swarm.x - xbar
+    cons = float(np.sum(dev * dev))
+    if swarm.y is None:
+        track = float("nan")
+    else:
+        track = 0.0
+        for i in range(1, problem.n + 1):
+            diff = swarm.y[i - 1] - problem.local_full_grad(i, xbar)
+            track += float(diff @ diff)
+    return cost, stat, cons, track
 
 
 def _map_agents(fn, n: int) -> list:

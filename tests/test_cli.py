@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -228,6 +229,63 @@ def test_sweep_writes_grid(tmp_path, capsys):
     files = sorted(p.name for p in out_dir.glob("*.csv"))
     assert len(files) == 8
     assert any("eta0.005" in f and "p0.6" in f and "_2" in f for f in files)
+
+
+def write_toy_libsvm(path, rows=23, d=6, seed=3):
+    data = np.random.default_rng(seed)
+    with open(path, "w") as fh:
+        for _ in range(rows):
+            feats = [f"{j + 1}:{data.normal():.6f}" for j in range(d) if j == 0 or data.random() < 0.6]
+            fh.write(f"{data.choice(['+1', '-1'])} {' '.join(feats)}\n")
+
+
+@pytest.mark.parametrize("dataset", ["quadratic", "libsvm"])
+def test_sweep_builds_problem_once_per_seed(tmp_path, monkeypatch, dataset):
+    text = QUAD_CONFIG.format(rounds=12)
+    token = "quadratic"
+    if dataset == "libsvm":
+        write_toy_libsvm(tmp_path / "toy.libsvm")
+        text = text.replace("synthetic:quadratic", str(tmp_path / "toy.libsvm"))
+        token = "toy"
+    cfg = write_config(tmp_path, text)
+    built = []
+
+    def counted(name):
+        real = getattr(cli, name)
+
+        def wrapper(c):
+            built.append((name, c.seed))
+            return real(c)
+
+        return wrapper
+
+    for name in ("prepare_problem", "build_mixing"):
+        monkeypatch.setattr(cli, name, counted(name))
+    out_dir = tmp_path / "sweep"
+    code = cli.main(
+        [
+            "sweep", "--config", str(cfg), "--eta", "0.01,0.005", "--p", "0.4,0.6",
+            "--seeds", "1,2", "--out-dir", str(out_dir),
+        ]
+    )
+    assert code == 0
+    assert sorted(built) == [
+        ("build_mixing", 1), ("build_mixing", 2), ("prepare_problem", 1), ("prepare_problem", 2),
+    ]
+    # every grid point's trace equals a stand-alone run of that point, timing aside
+    for eta in (0.01, 0.005):
+        for p in (0.4, 0.6):
+            for seed in (1, 2):
+                point_text = text.replace("eta = 0.01", f"eta = {eta}").replace("p = 0.5", f"p = {p}")
+                point = write_config(tmp_path, point_text, "point.cfg")
+                alone = tmp_path / "alone.csv"
+                argv = ["run", "--config", str(point), "--seed", str(seed), "--output", str(alone)]
+                assert cli.main(argv) == 0
+                swept = metrics.read_trace(out_dir / f"gtvr_{token}_eta{eta:g}_p{p:g}_{seed}.csv")
+                expected = metrics.read_trace(alone)
+                assert [replace(r, wall_ms=0.0) for r in swept] == [
+                    replace(r, wall_ms=0.0) for r in expected
+                ]
 
 
 def test_divergence_exits_nonzero(tmp_path, capsys):

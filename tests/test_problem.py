@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from gtvr import ingest
 from gtvr.problem import LogisticProblem, QuadraticProblem, make_logistic, make_quadratic
 from helpers import central_diff_grad, least_squares_solution, rel_err
 
@@ -158,3 +159,98 @@ def test_index_validation():
 def test_labels_must_be_plus_minus_one():
     with pytest.raises(ValueError, match="-1"):
         LogisticProblem([sp.csr_matrix(np.eye(2))], [np.array([0.0, 1.0])], 0.0)
+
+
+def test_logistic_rejects_malformed_agents():
+    rows = sp.csr_matrix(np.eye(3))
+    with pytest.raises(ValueError, match="non-empty"):
+        LogisticProblem([rows, sp.csr_matrix((0, 3))], [np.ones(3), np.ones(0)], 0.0)
+    with pytest.raises(ValueError, match="must match"):
+        LogisticProblem([rows], [np.ones(2)], 0.0)
+    with pytest.raises(ValueError, match="dimension"):
+        LogisticProblem([rows, sp.csr_matrix(np.eye(2))], [np.ones(3), np.ones(2)], 0.0)
+    with pytest.raises(ValueError, match="regularization"):
+        LogisticProblem([rows], [np.ones(3)], -1.0)
+
+
+def random_raw(rows, d, seed):
+    data = np.random.default_rng(seed)
+    out = []
+    for _ in range(rows):
+        idx = np.sort(data.choice(d, size=data.integers(1, d + 1), replace=False)).astype(np.int32)
+        out.append((idx, data.normal(size=len(idx))))
+    return ingest.RawDataset(rows=out, labels=np.where(data.random(rows) < 0.5, 1.0, -1.0), d=d)
+
+
+def partitioned_logistic(rows=23, n=4):
+    """Agents of unequal size (n does not divide rows) over one stacked CSR."""
+    raw = random_raw(rows, 9, seed=rows)
+    parts = ingest.partition(raw, n, seed=2)
+    return raw, parts, LogisticProblem.from_partition(raw, parts, 2e-3)
+
+
+def uneven_quadratic(sizes=(7, 3, 11, 1)):
+    data = np.random.default_rng(21)
+    return QuadraticProblem([data.normal(size=(m, 5)) for m in sizes], [data.normal(size=m) for m in sizes])
+
+
+def uneven_logistic_lists(sizes=(7, 3, 11, 1)):
+    data = np.random.default_rng(22)
+    feats = [sp.csr_matrix((data.random(size=(m, 6)) < 0.5) * data.normal(size=(m, 6))) for m in sizes]
+    labels = [np.where(data.random(m) < 0.5, 1.0, -1.0) for m in sizes]
+    return LogisticProblem(feats, labels, 1e-3)
+
+
+BATCH_CASES = {
+    "logistic": lambda: make_logistic(5, 9, 7, seed=4, lam1=1e-3),
+    "logistic_partitioned_unequal": lambda: partitioned_logistic()[2],
+    "logistic_lists_unequal": uneven_logistic_lists,
+    "logistic_n1": lambda: make_logistic(1, 13, 6, seed=2),
+    "logistic_partitioned_n1": lambda: partitioned_logistic(rows=5, n=1)[2],
+    "quadratic": lambda: make_quadratic(4, 6, 3, seed=7),
+    "quadratic_unequal": uneven_quadratic,
+    "quadratic_n1": lambda: make_quadratic(1, 10, 4, seed=3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BATCH_CASES))
+def test_local_costs_and_grads_equal_per_agent_oracles(name):
+    prob = BATCH_CASES[name]()
+    rng = np.random.default_rng(5)
+    for x in (np.zeros(prob.d), rng.normal(size=prob.d), 300.0 * rng.normal(size=prob.d)):
+        costs, grads = prob.local_costs_and_grads(x)
+        assert costs.shape == (prob.n,) and grads.shape == (prob.n, prob.d)
+        for i in range(1, prob.n + 1):
+            assert costs[i - 1] == prob.local_cost(i, x)
+            assert np.array_equal(grads[i - 1], prob.local_full_grad(i, x))
+
+
+def test_view_backed_agents_match_independent_copies():
+    raw, parts, prob = partitioned_logistic()
+    assert len(set(prob.m)) == 2
+    csr = raw.to_csr()
+    singles = [LogisticProblem([csr[idx]], [raw.labels[idx]], 2e-3) for idx in parts]
+    x = np.random.default_rng(6).normal(size=prob.d)
+    for i, single in enumerate(singles, start=1):
+        assert single.m[0] == prob.m[i - 1]
+        for j in range(1, prob.m[i - 1] + 1):
+            assert prob.component_cost(i, j, x) == single.component_cost(1, j, x)
+            assert np.array_equal(prob.component_grad(i, j, x), single.component_grad(1, j, x))
+        assert np.array_equal(prob.component_grad_table(i, x), single.component_grad_table(1, x))
+        assert prob.local_cost(i, x) == single.local_cost(1, x)
+        assert np.array_equal(prob.local_full_grad(i, x), single.local_full_grad(1, x))
+
+
+def test_agents_share_one_stacked_feature_matrix():
+    _, _, prob = partitioned_logistic(rows=40, n=5)
+    x = np.ones(prob.d)
+    prob.local_costs_and_grads(x)
+    for i in range(1, prob.n + 1):
+        prob.local_full_grad(i, x)
+        prob.component_grad_table(i, x)
+    assert prob._rows.shape == (40, prob.d)
+    for a, a_t, labels in zip(prob._feats, prob._feats_t, prob._labels):
+        assert np.shares_memory(labels, prob._label_rows)
+        for block in (a, a_t):
+            assert np.shares_memory(block.data, prob._rows.data)
+            assert np.shares_memory(block.indices, prob._rows.indices)

@@ -1,23 +1,40 @@
-"""Property tests of the round engine over random small instances.
+"""Property tests over random small instances, with fixed hypothesis seeds.
 
-After every round: the tracker mean equals the estimate mean, the mean
-iterate follows x̄⁺ = x̄ − ηȳ (DSGD: x̄⁺ = x̄ − η·mean of its sampled
-gradients), the oracle counters move by the paper's accounting (GT-VR:
-m_i + 2 on a refresh round and 2 otherwise, with the coins replayed from
-each agent's Philox stream; 1 per agent for the baselines), and the
-exchange count is 2 per round (1 for DSGD).
+Round engine, after every round: the tracker mean equals the estimate
+mean, the mean iterate follows x̄⁺ = x̄ − ηȳ (DSGD: x̄⁺ = x̄ − η·mean of
+its sampled gradients), the oracle counters move by the paper's
+accounting (GT-VR: m_i + 2 on a refresh round and 2 otherwise, with the
+coins replayed from each agent's Philox stream; 1 per agent for the
+baselines), and the exchange count is 2 per round (1 for DSGD).
+
+Mixing: Metropolis weights on a random connected graph are symmetric,
+doubly stochastic and contract deviations from the mean by ρ < 1.
+
+Ingest: serializing a dataset to LIBSVM text and parsing it back gives
+the same rows, labels and dimension, bit for bit.
 """
+
+import io
 
 import numpy as np
 import scipy.sparse as sp
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from gtvr import algorithms, graph, rng
+from gtvr import algorithms, graph, ingest, rng
 from gtvr.algorithms import RunConfig, init_swarm, run_round
 from gtvr.problem import LogisticProblem, QuadraticProblem
+from helpers import dense_deviation_norm
 
 ROUNDS = 12
+
+FIXED_SEED = settings(
+    derandomize=True,
+    max_examples=100,
+    deadline=None,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
 
 
 @st.composite
@@ -51,13 +68,7 @@ def instances(draw):
     return prob, mixing, cfg, x1
 
 
-@settings(
-    derandomize=True,
-    max_examples=100,
-    deadline=None,
-    database=None,
-    suppress_health_check=[HealthCheck.too_slow],
-)
+@FIXED_SEED
 @given(instances())
 def test_round_invariants(instance):
     prob, mixing, cfg, x1 = instance
@@ -98,3 +109,65 @@ def test_round_invariants(instance):
         assert np.array_equal(swarm.grad_evals - before, expected)
         assert swarm.mix_count == (2 * k if tracked else k)
         assert swarm.k == k
+
+
+@st.composite
+def connected_topologies(draw):
+    n = draw(st.integers(2, 12))
+    # a random spanning tree keeps the graph connected; extra edges vary the degrees
+    edges = {(draw(st.integers(1, j - 1)), j) for j in range(2, n + 1)}
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    edges |= set(draw(st.lists(st.sampled_from(pairs), max_size=len(pairs))))
+    return graph.Topology(n=n, edges=frozenset(edges))
+
+
+@FIXED_SEED
+@given(connected_topologies(), st.integers(0, 2**32 - 1))
+def test_metropolis_weights_doubly_stochastic_and_contracting(topo, seed):
+    mixing = graph.metropolis_weights(topo)
+    w = mixing.w
+    assert np.array_equal(w, w.T)
+    assert (w >= 0.0).all() and (np.diag(w) > 0.0).all()
+    assert np.abs(w.sum(axis=0) - 1.0).max() <= 1e-12
+    assert np.abs(w.sum(axis=1) - 1.0).max() <= 1e-12
+    assert 0.0 <= mixing.rho < 1.0
+    assert abs(mixing.rho - dense_deviation_norm(w)) <= 1e-9
+    x = np.random.default_rng(seed).normal(size=(topo.n, 3))
+    xbar = x.mean(axis=0)
+    mixed = graph.mix(mixing, x)
+    assert np.abs(mixed.mean(axis=0) - xbar).max() <= 1e-12 * (1.0 + np.abs(x).max())
+    dev = np.linalg.norm(x - xbar)
+    assert np.linalg.norm(mixed - xbar) <= (mixing.rho + 1e-9) * dev + 1e-12
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def libsvm_datasets(draw):
+    d = draw(st.integers(1, 40))
+    rows = []
+    for _ in range(draw(st.integers(1, 8))):
+        idx = sorted(draw(st.lists(st.integers(0, d - 1), unique=True, max_size=min(d, 8))))
+        vals = draw(st.lists(_FINITE, min_size=len(idx), max_size=len(idx)))
+        rows.append((np.array(idx, dtype=np.int32), np.array(vals, dtype=float)))
+    labels = np.array(draw(st.lists(_FINITE, min_size=len(rows), max_size=len(rows))), dtype=float)
+    return ingest.RawDataset(rows=rows, labels=labels, d=d)
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a.view(np.uint8), b.view(np.uint8))
+
+
+@FIXED_SEED
+@given(libsvm_datasets())
+def test_libsvm_round_trip(raw):
+    buf = io.StringIO()
+    ingest.serialize_libsvm(raw, buf)
+    back = ingest.parse_libsvm(io.StringIO(buf.getvalue()), declared_d=raw.d)
+    assert back.d == raw.d
+    assert same_bits(back.labels, raw.labels)
+    assert len(back.rows) == len(raw.rows)
+    for (idx, val), (idx_back, val_back) in zip(raw.rows, back.rows):
+        assert same_bits(idx_back, idx)
+        assert same_bits(val_back, val)

@@ -1,4 +1,4 @@
-"""Differential check of the round engine against the reference oracle."""
+"""Differential check of the round engine and metric pass against the reference oracle."""
 
 import io
 
@@ -6,14 +6,27 @@ import numpy as np
 import pytest
 
 import reference_engine as ref
-from gtvr import algorithms, graph, metrics
+from gtvr import algorithms, graph, ingest, metrics
 from gtvr.algorithms import RunConfig, init_swarm, run_experiment, run_round
-from gtvr.problem import make_logistic, make_quadratic
+from gtvr.problem import LogisticProblem, make_logistic, make_quadratic
 from gtvr.rng import make_swarm_streams
+
+
+def unequal_logistic():
+    """Six agents over 95 LIBSVM-style rows: m_i of 16 and 15 (n does not divide 95)."""
+    data = np.random.default_rng(8)
+    rows = []
+    for _ in range(95):
+        idx = np.sort(data.choice(12, size=data.integers(1, 7), replace=False)).astype(np.int32)
+        rows.append((idx, data.normal(size=len(idx))))
+    raw = ingest.RawDataset(rows=rows, labels=np.where(data.random(95) < 0.4, 1.0, -1.0), d=12)
+    return LogisticProblem.from_partition(raw, ingest.partition(raw, 6, seed=4), 1e-3)
+
 
 PROBLEMS = {
     "quadratic": lambda: make_quadratic(5, 20, 4, seed=11, noise=0.5),
     "logistic": lambda: make_logistic(6, 30, 12, seed=3, lam1=1e-3, density=0.4),
+    "logistic_unequal": unequal_logistic,
 }
 
 
