@@ -16,7 +16,6 @@ from .algorithms import (
 )
 from .graph import (
     MixingMatrix,
-    PowerIterationError,
     Topology,
     build_topology,
     dump_mixing_matrix,
@@ -43,6 +42,7 @@ from .problem import (
 )
 from .rng import AgentStreams, draw_bernoulli, draw_index, make_agent_streams, make_swarm_streams
 from .theory import (
+    PowerIterationError,
     TheoryReport,
     build_report,
     complexity_estimate,

@@ -19,10 +19,6 @@ from .rng import PURPOSE_TOPOLOGY
 TOPOLOGY_KINDS = ("ring", "path", "complete", "random")
 
 
-class PowerIterationError(RuntimeError):
-    """Power iteration exceeded its iteration cap without converging."""
-
-
 @dataclass(frozen=True)
 class Topology:
     """Connected undirected graph over agents 1..n, no self-loops."""
@@ -132,37 +128,9 @@ def metropolis_weights(topology: Topology) -> MixingMatrix:
     return MixingMatrix(n=n, w=w, rho=_deviation_spectral_norm(w))
 
 
-def _deviation_spectral_norm(
-    w: np.ndarray,
-    tol: float = 1e-12,
-    max_iter: int = 10_000,
-) -> float:
-    """Spectral norm of W - (1/n) 11^T by power iteration on its Gram matrix.
-
-    The start vector is a centered ramp (deterministic and orthogonal to
-    the all-ones direction, which the deviation operator annihilates).
-    Convergence is declared on the eigenvalue residual, which bounds the
-    eigenvalue error for a symmetric matrix.
-    """
-    n = w.shape[0]
-    dev = w - np.full((n, n), 1.0 / n)
-    gram = dev.T @ dev
-    v = np.arange(1, n + 1, dtype=float)
-    v -= v.mean()
-    v /= np.linalg.norm(v)
-    for _ in range(max_iter):
-        gv = gram @ v
-        norm = np.linalg.norm(gv)
-        if norm <= 1e-300:
-            return 0.0
-        v = gv / norm
-        gv = gram @ v
-        lam = float(v @ gv)
-        if np.linalg.norm(gv - lam * v) <= tol * max(lam, 1e-300):
-            return float(np.sqrt(max(lam, 0.0)))
-    raise PowerIterationError(
-        f"spectral radius iteration did not converge within {max_iter} steps"
-    )
+def _deviation_spectral_norm(w: np.ndarray) -> float:
+    """Spectral norm of W - (1/n) 11^T, from a dense SVD."""
+    return float(np.linalg.norm(w - 1.0 / w.shape[0], 2))
 
 
 def mix(mixing: MixingMatrix, stacked: np.ndarray) -> np.ndarray:

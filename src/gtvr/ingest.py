@@ -2,16 +2,20 @@
 
 Grammar per data line: ``<label> <idx>:<val> <idx>:<val> ...`` with
 strictly increasing 1-based indices; ``#`` starts a comment that runs to
-the end of the line. Feature indices are normalized to 0-based storage.
+the end of the line. Rows are parsed straight into one CSR matrix whose
+columns are the 0-based feature indices.
 """
 
 from __future__ import annotations
 
 import logging
 import re
+from array import array
 from dataclasses import dataclass
+from itertools import islice
+from math import isfinite
 from pathlib import Path
-from typing import IO
+from typing import IO, NoReturn
 
 import numpy as np
 import scipy.sparse as sp
@@ -31,26 +35,23 @@ class LibsvmFormatError(ValueError):
 
 @dataclass
 class RawDataset:
-    """Parsed rows as (0-based index array, value array) pairs."""
+    """Parsed rows as one CSR matrix (0-based feature columns) and their labels."""
 
-    rows: list[tuple[np.ndarray, np.ndarray]]
+    features: sp.csr_matrix
     labels: np.ndarray
-    d: int
+
+    @property
+    def d(self) -> int:
+        return int(self.features.shape[1])
 
     @property
     def num_rows(self) -> int:
-        return len(self.rows)
-
-    def to_csr(self) -> sp.csr_matrix:
-        indptr = np.zeros(len(self.rows) + 1, dtype=np.int64)
-        for r, (idx, _) in enumerate(self.rows):
-            indptr[r + 1] = indptr[r] + len(idx)
-        indices = np.concatenate([idx for idx, _ in self.rows]) if self.rows else np.empty(0, np.int32)
-        data = np.concatenate([val for _, val in self.rows]) if self.rows else np.empty(0)
-        return sp.csr_matrix((data, indices, indptr), shape=(len(self.rows), self.d))
+        return int(self.features.shape[0])
 
 
-def _fail(line_no: int, col: int, message: str) -> None:
+def _fail(line_no: int, body: str, k: int, message: str) -> NoReturn:
+    """Raise for the k-th whitespace-separated token of ``body``."""
+    col = next(islice(_TOKEN.finditer(body), k, None)).start() + 1
     raise LibsvmFormatError(f"line {line_no}, column {col}: {message}")
 
 
@@ -61,7 +62,8 @@ def parse_libsvm(source: str | Path | IO[str], declared_d: int | None = None) ->
     index seen; the effective dimension is the max of the two. Blank
     lines and trailing whitespace are tolerated; duplicate or decreasing
     indices are rejected because silently deduplicating them would
-    corrupt every gradient computed from the row.
+    corrupt every gradient computed from the row, and non-finite labels
+    and values are rejected because no gradient survives them.
     """
     if declared_d is not None and declared_d < 1:
         raise ValueError(f"declared dimension must be positive, got {declared_d}")
@@ -69,50 +71,59 @@ def parse_libsvm(source: str | Path | IO[str], declared_d: int | None = None) ->
         with open(source, "r") as fh:
             return parse_libsvm(fh, declared_d)
 
-    rows: list[tuple[np.ndarray, np.ndarray]] = []
-    labels: list[float] = []
+    labels = array("d")
+    indices = array("i")
+    data = array("d")
+    indptr = array("q", [0])
     max_index = 0
     for line_no, line in enumerate(source, start=1):
         body = line.split("#", 1)[0]
-        tokens = list(_TOKEN.finditer(body))
+        tokens = body.split()
         if not tokens:
             continue
-        label_tok = tokens[0]
         try:
-            label = float(label_tok.group())
+            label = float(tokens[0])
         except ValueError:
-            _fail(line_no, label_tok.start() + 1, f"bad label {label_tok.group()!r}")
-        idxs: list[int] = []
-        vals: list[float] = []
+            _fail(line_no, body, 0, f"bad label {tokens[0]!r}")
+        if not isfinite(label):
+            _fail(line_no, body, 0, f"non-finite label {tokens[0]!r}")
         prev = 0
-        for tok in tokens[1:]:
-            col = tok.start() + 1
-            text = tok.group()
-            idx_str, sep, val_str = text.partition(":")
+        for k in range(1, len(tokens)):
+            idx_str, sep, val_str = tokens[k].partition(":")
             if not sep or not idx_str or not val_str:
-                _fail(line_no, col, f"expected <index>:<value>, got {text!r}")
+                _fail(line_no, body, k, f"expected <index>:<value>, got {tokens[k]!r}")
             try:
                 idx = int(idx_str)
             except ValueError:
-                _fail(line_no, col, f"bad feature index {idx_str!r}")
+                _fail(line_no, body, k, f"bad feature index {idx_str!r}")
             if idx < 1:
-                _fail(line_no, col, f"feature indices are 1-based, got {idx}")
+                _fail(line_no, body, k, f"feature indices are 1-based, got {idx}")
             if idx <= prev:
-                _fail(line_no, col, f"feature index {idx} not increasing (previous {prev})")
+                _fail(line_no, body, k, f"feature index {idx} not increasing (previous {prev})")
             try:
                 val = float(val_str)
             except ValueError:
-                _fail(line_no, col, f"bad feature value {val_str!r}")
-            idxs.append(idx - 1)
-            vals.append(val)
+                _fail(line_no, body, k, f"bad feature value {val_str!r}")
+            if not isfinite(val):
+                _fail(line_no, body, k, f"non-finite feature value {val_str!r}")
+            indices.append(idx - 1)
+            data.append(val)
             prev = idx
         max_index = max(max_index, prev)
-        rows.append((np.array(idxs, dtype=np.int32), np.array(vals)))
         labels.append(label)
+        indptr.append(len(indices))
 
-    if not rows:
+    if not labels:
         raise LibsvmFormatError("line 1, column 1: no data rows found")
-    return RawDataset(rows=rows, labels=np.array(labels), d=max(max_index, declared_d or 0))
+    features = sp.csr_matrix(
+        (
+            np.frombuffer(data, dtype=float),
+            np.frombuffer(indices, dtype=np.intc),
+            np.frombuffer(indptr, dtype=np.int64),
+        ),
+        shape=(len(labels), max(max_index, declared_d or 0)),
+    )
+    return RawDataset(features, np.frombuffer(labels, dtype=float))
 
 
 def serialize_libsvm(raw: RawDataset, sink: str | Path | IO[str]) -> None:
@@ -121,9 +132,13 @@ def serialize_libsvm(raw: RawDataset, sink: str | Path | IO[str]) -> None:
         with open(sink, "w") as fh:
             serialize_libsvm(raw, fh)
             return
-    for label, (idx, val) in zip(raw.labels, raw.rows):
+    indptr = raw.features.indptr.tolist()
+    indices = raw.features.indices.tolist()
+    data = raw.features.data.tolist()
+    for r, label in enumerate(raw.labels.tolist()):
         parts = [f"{label:.17g}"]
-        parts.extend(f"{i + 1}:{v:.17g}" for i, v in zip(idx, val))
+        lo, hi = indptr[r], indptr[r + 1]
+        parts.extend(f"{i + 1}:{v:.17g}" for i, v in zip(indices[lo:hi], data[lo:hi]))
         sink.write(" ".join(parts) + "\n")
 
 
@@ -149,7 +164,7 @@ def to_binary_labels(raw: RawDataset) -> RawDataset:
     mapping = mappings[key]
     log.info("label mapping: %s", {k: mapping[k] for k in key})
     labels = np.array([mapping[l] for l in raw.labels])
-    return RawDataset(rows=raw.rows, labels=labels, d=raw.d)
+    return RawDataset(raw.features, labels)
 
 
 def _balanced_sizes(total: int, n: int) -> list[int]:
@@ -194,4 +209,4 @@ def take_head(raw: RawDataset, max_samples: int) -> RawDataset:
         raise ValueError(f"max_samples must be positive, got {max_samples}")
     if max_samples >= raw.num_rows:
         return raw
-    return RawDataset(rows=raw.rows[:max_samples], labels=raw.labels[:max_samples], d=raw.d)
+    return RawDataset(raw.features[:max_samples], raw.labels[:max_samples])

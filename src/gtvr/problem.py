@@ -152,6 +152,8 @@ class LogisticProblem(FiniteSumProblem):
             raise ValueError("feature rows and labels must match and be non-empty")
         if not np.isin(labels, (-1.0, 1.0)).all():
             raise ValueError("labels must be exactly -1 or +1")
+        if not np.isfinite(rows.data).all():
+            raise ValueError("logistic features must be finite")
         self.n = len(sizes)
         self.d = int(rows.shape[1])
         self.lam1 = float(lam1)
@@ -175,7 +177,7 @@ class LogisticProblem(FiniteSumProblem):
         normalize: bool = False,
     ) -> "LogisticProblem":
         """Build from a parsed dataset and a per-agent row assignment."""
-        csr = raw.to_csr()
+        csr = raw.features
         if normalize:
             norms = np.sqrt(np.asarray(csr.multiply(csr).sum(axis=1)).ravel())
             norms[norms == 0.0] = 1.0

@@ -19,7 +19,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .graph import PowerIterationError
+
+class PowerIterationError(RuntimeError):
+    """Power iteration exceeded its iteration cap without converging."""
 
 
 def p_lower_bound(rho: float) -> float:

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import numpy as np
+import scipy.sparse as sp
 
+from gtvr.ingest import RawDataset
 from gtvr.problem import FiniteSumProblem, QuadraticProblem
 
 
@@ -25,6 +27,26 @@ def dense_deviation_norm(w: np.ndarray) -> float:
     """Spectral norm of W - (1/n)11^T straight from a dense SVD."""
     n = w.shape[0]
     return float(np.linalg.norm(w - np.full((n, n), 1.0 / n), 2))
+
+
+def raw_from_rows(rows, labels, d: int) -> RawDataset:
+    """RawDataset from one (0-based index array, value array) pair per row."""
+    indptr = np.cumsum([0] + [len(idx) for idx, _ in rows])
+    indices = np.concatenate([np.asarray(idx, dtype=np.int32) for idx, _ in rows])
+    data = np.concatenate([np.asarray(val, dtype=float) for _, val in rows])
+    features = sp.csr_matrix((data, indices, indptr), shape=(len(rows), d))
+    return RawDataset(features, np.asarray(labels, dtype=float))
+
+
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a.view(np.uint8), b.view(np.uint8))
+
+
+def same_csr(a: sp.csr_matrix, b: sp.csr_matrix) -> bool:
+    """Equal shape and bit-identical indptr, indices and data, dtypes included."""
+    return a.shape == b.shape and all(
+        same_bits(getattr(a, name), getattr(b, name)) for name in ("indptr", "indices", "data")
+    )
 
 
 def brute_force_consensus_gap(w: np.ndarray, x: np.ndarray) -> float:

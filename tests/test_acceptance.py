@@ -21,7 +21,7 @@ from gtvr import ingest, metrics, theory
 from gtvr.algorithms import RunConfig, init_swarm, run_round
 from gtvr.problem import make_logistic, make_quadratic
 from conftest import require_dataset
-from helpers import estimate_vr_second_moments
+from helpers import estimate_vr_second_moments, raw_from_rows, same_bits, same_csr
 
 EPS_DUST = 1e-13  # additive allowance for float rounding of the Frobenius norms
 
@@ -387,20 +387,16 @@ def test_c09_parser_fidelity_fixture(tmp_path):
         nnz = int(rng.integers(1, 12))
         idx = np.sort(rng.choice(400, size=nnz, replace=False)).astype(np.int32)
         rows.append((idx, rng.normal(size=nnz) * 10.0 ** rng.integers(-6, 7)))
-    raw = ingest.RawDataset(rows=rows, labels=labels, d=400)
+    raw = raw_from_rows(rows, labels, 400)
     fixture = tmp_path / "fixture.libsvm"
     ingest.serialize_libsvm(raw, fixture)
     back = ingest.parse_libsvm(fixture, declared_d=400)
-    same_rows = all(
-        np.array_equal(ia, ib) and np.array_equal(va, vb)
-        for (ia, va), (ib, vb) in zip(raw.rows, back.rows)
-    )
     again = tmp_path / "again.libsvm"
     ingest.serialize_libsvm(back, again)
     elapsed = time.perf_counter() - start
     ok = (
-        same_rows
-        and np.array_equal(back.labels, raw.labels)
+        same_csr(back.features, raw.features)
+        and same_bits(back.labels, raw.labels)
         and back.d == raw.d
         and again.read_bytes() == fixture.read_bytes()
         and elapsed < 5.0

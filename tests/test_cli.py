@@ -214,6 +214,28 @@ def test_ingest_subcommand_bad_file(tmp_path, capsys):
     sample.write_text("+1 3:1 2:1\n")
     assert cli.main(["ingest", "--input", str(sample), "--agents", "1"]) != 0
     assert "not increasing" in capsys.readouterr().err
+    sample.write_text("+1 1:1 3:nan\n-1 2:1\n")
+    assert cli.main(["ingest", "--input", str(sample), "--agents", "1"]) == 2
+    assert "line 1, column 8: non-finite feature value 'nan'" in capsys.readouterr().err
+
+
+def test_run_rejects_non_finite_data_naming_the_token(tmp_path, capsys):
+    data = tmp_path / "nan.libsvm"
+    data.write_text("+1 3:nan\n-1 1:1\n+1 2:1\n-1 1:2\n")
+    cfg = write_config(tmp_path, f"dataset = {data}\nn = 2\nrounds = 5\n")
+    assert cli.main(["run", "--config", str(cfg), "--output", str(tmp_path / "t.csv")]) == 2
+    err = capsys.readouterr().err
+    assert "line 1, column 4: non-finite feature value 'nan'" in err
+    assert "diverged" not in err
+
+
+def test_run_on_a_196_agent_ring(tmp_path):
+    cfg = write_config(
+        tmp_path, "dataset = synthetic:quadratic\nn = 196\ntopology = ring\nrounds = 2\nquad_m = 2\n"
+    )
+    out = tmp_path / "ring.csv"
+    assert cli.main(["run", "--config", str(cfg), "--output", str(out), "--no-timing"]) == 0
+    assert metrics.read_trace(out)[-1].k == 2
 
 
 def test_sweep_writes_grid(tmp_path, capsys):

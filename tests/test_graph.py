@@ -108,10 +108,12 @@ def test_rho_matches_dense_oracle_up_to_n8():
         assert mixing.rho == pytest.approx(dense_deviation_norm(mixing.w), abs=1e-9)
 
 
-def test_power_iteration_cap_reports_nonconvergence():
-    w = graph.metropolis_weights(graph.build_topology("path", 8)).w
-    with pytest.raises(graph.PowerIterationError):
-        graph._deviation_spectral_norm(w, max_iter=1)
+@pytest.mark.parametrize("n", [196, 256])
+def test_rho_of_large_ring_matches_closed_form(n):
+    # Metropolis weights on a ring are 1/3 everywhere on the band, so the
+    # deviation operator's largest eigenvalue is 1/3 + (2/3) cos(2 pi / n)
+    mixing = graph.metropolis_weights(graph.build_topology("ring", n))
+    assert mixing.rho == pytest.approx(1.0 / 3.0 + (2.0 / 3.0) * np.cos(2.0 * np.pi / n), abs=1e-12)
 
 
 def test_mix_keeps_constant_rows():

@@ -4,7 +4,7 @@ import scipy.sparse as sp
 
 from gtvr import ingest
 from gtvr.problem import LogisticProblem, QuadraticProblem, make_logistic, make_quadratic
-from helpers import central_diff_grad, least_squares_solution, rel_err
+from helpers import central_diff_grad, least_squares_solution, raw_from_rows, rel_err
 
 
 def single_logistic(a_row, label, lam1=0.0):
@@ -171,6 +171,13 @@ def test_logistic_rejects_malformed_agents():
         LogisticProblem([rows, sp.csr_matrix(np.eye(2))], [np.ones(3), np.ones(2)], 0.0)
     with pytest.raises(ValueError, match="regularization"):
         LogisticProblem([rows], [np.ones(3)], -1.0)
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            LogisticProblem([sp.csr_matrix(np.diag([1.0, bad, 2.0]))], [np.ones(3)], 0.0)
+        raw = random_raw(6, 4, seed=1)
+        raw.features.data[3] = bad
+        with pytest.raises(ValueError, match="finite"):
+            LogisticProblem.from_partition(raw, ingest.partition(raw, 2, seed=0), 0.0)
 
 
 def random_raw(rows, d, seed):
@@ -179,7 +186,7 @@ def random_raw(rows, d, seed):
     for _ in range(rows):
         idx = np.sort(data.choice(d, size=data.integers(1, d + 1), replace=False)).astype(np.int32)
         out.append((idx, data.normal(size=len(idx))))
-    return ingest.RawDataset(rows=out, labels=np.where(data.random(rows) < 0.5, 1.0, -1.0), d=d)
+    return raw_from_rows(out, np.where(data.random(rows) < 0.5, 1.0, -1.0), d)
 
 
 def partitioned_logistic(rows=23, n=4):
@@ -228,7 +235,7 @@ def test_local_costs_and_grads_equal_per_agent_oracles(name):
 def test_view_backed_agents_match_independent_copies():
     raw, parts, prob = partitioned_logistic()
     assert len(set(prob.m)) == 2
-    csr = raw.to_csr()
+    csr = raw.features
     singles = [LogisticProblem([csr[idx]], [raw.labels[idx]], 2e-3) for idx in parts]
     x = np.random.default_rng(6).normal(size=prob.d)
     for i, single in enumerate(singles, start=1):

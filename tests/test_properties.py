@@ -11,7 +11,7 @@ Mixing: Metropolis weights on a random connected graph are symmetric,
 doubly stochastic and contract deviations from the mean by ρ < 1.
 
 Ingest: serializing a dataset to LIBSVM text and parsing it back gives
-the same rows, labels and dimension, bit for bit.
+the same CSR arrays, labels and dimension, bit for bit.
 """
 
 import io
@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 from gtvr import algorithms, graph, ingest, rng
 from gtvr.algorithms import RunConfig, init_swarm, run_round
 from gtvr.problem import LogisticProblem, QuadraticProblem
-from helpers import dense_deviation_norm
+from helpers import dense_deviation_norm, raw_from_rows, same_bits, same_csr
 
 ROUNDS = 12
 
@@ -152,11 +152,7 @@ def libsvm_datasets(draw):
         vals = draw(st.lists(_FINITE, min_size=len(idx), max_size=len(idx)))
         rows.append((np.array(idx, dtype=np.int32), np.array(vals, dtype=float)))
     labels = np.array(draw(st.lists(_FINITE, min_size=len(rows), max_size=len(rows))), dtype=float)
-    return ingest.RawDataset(rows=rows, labels=labels, d=d)
-
-
-def same_bits(a, b):
-    return a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a.view(np.uint8), b.view(np.uint8))
+    return raw_from_rows(rows, labels, d)
 
 
 @FIXED_SEED
@@ -167,7 +163,4 @@ def test_libsvm_round_trip(raw):
     back = ingest.parse_libsvm(io.StringIO(buf.getvalue()), declared_d=raw.d)
     assert back.d == raw.d
     assert same_bits(back.labels, raw.labels)
-    assert len(back.rows) == len(raw.rows)
-    for (idx, val), (idx_back, val_back) in zip(raw.rows, back.rows):
-        assert same_bits(idx_back, idx)
-        assert same_bits(val_back, val)
+    assert same_csr(back.features, raw.features)

@@ -10,6 +10,7 @@ from gtvr import algorithms, graph, ingest, metrics
 from gtvr.algorithms import RunConfig, init_swarm, run_experiment, run_round
 from gtvr.problem import LogisticProblem, make_logistic, make_quadratic
 from gtvr.rng import make_swarm_streams
+from helpers import raw_from_rows
 
 
 def unequal_logistic():
@@ -19,7 +20,7 @@ def unequal_logistic():
     for _ in range(95):
         idx = np.sort(data.choice(12, size=data.integers(1, 7), replace=False)).astype(np.int32)
         rows.append((idx, data.normal(size=len(idx))))
-    raw = ingest.RawDataset(rows=rows, labels=np.where(data.random(95) < 0.4, 1.0, -1.0), d=12)
+    raw = raw_from_rows(rows, np.where(data.random(95) < 0.4, 1.0, -1.0), 12)
     return LogisticProblem.from_partition(raw, ingest.partition(raw, 6, seed=4), 1e-3)
 
 
