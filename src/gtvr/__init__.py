@@ -18,11 +18,8 @@ from .graph import (
     MixingMatrix,
     Topology,
     build_topology,
-    dump_mixing_matrix,
-    load_mixing_matrix,
     metropolis_weights,
     mix,
-    mixing_matrix_from_array,
 )
 from .ingest import (
     LibsvmFormatError,
@@ -42,7 +39,6 @@ from .problem import (
 )
 from .rng import AgentStreams, draw_bernoulli, draw_index, make_agent_streams, make_swarm_streams
 from .theory import (
-    PowerIterationError,
     TheoryReport,
     build_report,
     complexity_estimate,

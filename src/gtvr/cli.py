@@ -13,7 +13,7 @@ import argparse
 import logging
 import os
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from . import algorithms, graph, ingest, metrics, problem, theory
@@ -228,7 +228,8 @@ def cmd_run(ns: argparse.Namespace) -> int:
 
 
 def cmd_sweep(ns: argparse.Namespace) -> int:
-    base = load_experiment_config(ns.config)
+    source = str(Path(ns.config))
+    base = load_experiment_config(source)
     etas = [float(v) for v in ns.eta.split(",")] if ns.eta else [base.eta]
     ps = [float(v) for v in ns.p.split(",")] if ns.p else [base.p]
     seeds = [int(v) for v in ns.seeds.split(",")] if ns.seeds else [base.seed]
@@ -238,18 +239,9 @@ def cmd_sweep(ns: argparse.Namespace) -> int:
         prob = mixing = None
         for eta in etas:
             for p in ps:
-                cfg = load_experiment_config(
-                    ns.config,
-                    {
-                        "eta": eta,
-                        "p": p,
-                        "seed": seed,
-                        "output": str(
-                            out_dir
-                            / f"{base.algorithm}_{base.dataset_token()}_eta{eta:g}_p{p:g}_{seed}.csv"
-                        ),
-                    },
-                )
+                name = f"{base.algorithm}_{base.dataset_token()}_eta{eta:g}_p{p:g}_{seed}.csv"
+                cfg = replace(base, eta=eta, p=p, seed=seed, output=str(out_dir / name))
+                _validate_config(cfg, source)
                 if prob is None:
                     # the data, its partition and the graph depend on the seed, not on eta or p
                     prob = prepare_problem(cfg)

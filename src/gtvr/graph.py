@@ -10,7 +10,6 @@ disagreement between agents.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -32,9 +31,6 @@ class Topology:
             deg[i - 1] += 1
             deg[j - 1] += 1
         return deg
-
-    def neighbor_counts(self) -> list[int]:
-        return [int(d) for d in self.degrees()]
 
 
 @dataclass(frozen=True)
@@ -145,74 +141,3 @@ def mix(mixing: MixingMatrix, stacked: np.ndarray) -> np.ndarray:
             f"expected a stacked ({mixing.n}, d) matrix, got shape {stacked.shape}"
         )
     return mixing.w @ stacked
-
-
-def validate_mixing_matrix(w: np.ndarray, tol: float = 1e-12) -> None:
-    """Raise ValueError unless w satisfies every mixing-matrix invariant."""
-    w = np.asarray(w, dtype=float)
-    if w.ndim != 2 or w.shape[0] != w.shape[1]:
-        raise ValueError(f"mixing matrix must be square, got shape {w.shape}")
-    n = w.shape[0]
-    if not np.isfinite(w).all():
-        raise ValueError("mixing matrix contains non-finite entries")
-    if (w < 0.0).any():
-        raise ValueError("mixing matrix entries must be non-negative")
-    if (np.diag(w) <= 0.0).any():
-        raise ValueError("mixing matrix diagonal must be strictly positive")
-    row_err = np.abs(w.sum(axis=1) - 1.0).max()
-    col_err = np.abs(w.sum(axis=0) - 1.0).max()
-    if row_err > tol or col_err > tol:
-        raise ValueError(
-            f"matrix is not doubly stochastic within {tol:g} "
-            f"(row error {row_err:.3e}, column error {col_err:.3e})"
-        )
-    if np.abs(w - w.T).max() > tol:
-        raise ValueError("only symmetric (undirected) mixing matrices are supported")
-    support = {
-        _normalize_edge(i + 1, j + 1)
-        for i in range(n)
-        for j in range(n)
-        if i != j and w[i, j] > 0.0
-    }
-    if not _is_connected(n, frozenset(support)):
-        raise ValueError("mixing matrix support graph is not connected")
-
-
-def mixing_matrix_from_array(w: np.ndarray, tol: float = 1e-9) -> MixingMatrix:
-    w = np.asarray(w, dtype=float)
-    validate_mixing_matrix(w, tol=tol)
-    return MixingMatrix(n=w.shape[0], w=w, rho=_deviation_spectral_norm(w))
-
-
-def dump_mixing_matrix(mixing: MixingMatrix, path: str | Path) -> None:
-    """Plain-text format: first line n, then n rows of n decimals."""
-    lines = [str(mixing.n)]
-    for row in mixing.w:
-        lines.append(" ".join(f"{val:.17g}" for val in row))
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def load_mixing_matrix(path: str | Path, tol: float = 1e-9) -> MixingMatrix:
-    text = Path(path).read_text().strip().splitlines()
-    if not text:
-        raise ValueError(f"{path}: empty mixing-matrix file")
-    try:
-        n = int(text[0].strip())
-    except ValueError as exc:
-        raise ValueError(f"{path}: first line must be the agent count") from exc
-    if len(text) != n + 1:
-        raise ValueError(f"{path}: expected {n} matrix rows, found {len(text) - 1}")
-    rows = []
-    for ln, line in enumerate(text[1:], start=2):
-        vals = line.split()
-        if len(vals) != n:
-            raise ValueError(f"{path}: line {ln}: expected {n} entries, found {len(vals)}")
-        try:
-            rows.append([float(v) for v in vals])
-        except ValueError as exc:
-            raise ValueError(f"{path}: line {ln}: non-numeric entry") from exc
-    w = np.array(rows)
-    try:
-        return mixing_matrix_from_array(w, tol=tol)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from exc

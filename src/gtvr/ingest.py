@@ -27,6 +27,8 @@ log = logging.getLogger(__name__)
 PARTITION_SCHEMES = ("contiguous", "round_robin", "shuffled")
 
 _TOKEN = re.compile(r"\S+")
+# feature indices are stored as C ints, the CSR index type
+_MAX_INDEX = 2**31 - 1
 
 
 class LibsvmFormatError(ValueError):
@@ -67,6 +69,8 @@ def parse_libsvm(source: str | Path | IO[str], declared_d: int | None = None) ->
     """
     if declared_d is not None and declared_d < 1:
         raise ValueError(f"declared dimension must be positive, got {declared_d}")
+    if declared_d is not None and declared_d > _MAX_INDEX:
+        raise ValueError(f"declared dimension {declared_d} exceeds {_MAX_INDEX}")
     if isinstance(source, (str, Path)):
         with open(source, "r") as fh:
             return parse_libsvm(fh, declared_d)
@@ -106,7 +110,10 @@ def parse_libsvm(source: str | Path | IO[str], declared_d: int | None = None) ->
                 _fail(line_no, body, k, f"bad feature value {val_str!r}")
             if not isfinite(val):
                 _fail(line_no, body, k, f"non-finite feature value {val_str!r}")
-            indices.append(idx - 1)
+            try:
+                indices.append(idx)  # 1-based here, shifted once after the loop
+            except OverflowError:
+                _fail(line_no, body, k, f"feature index {idx} exceeds {_MAX_INDEX}")
             data.append(val)
             prev = idx
         max_index = max(max_index, prev)
@@ -115,10 +122,12 @@ def parse_libsvm(source: str | Path | IO[str], declared_d: int | None = None) ->
 
     if not labels:
         raise LibsvmFormatError("line 1, column 1: no data rows found")
+    columns = np.frombuffer(indices, dtype=np.intc)
+    columns -= 1
     features = sp.csr_matrix(
         (
             np.frombuffer(data, dtype=float),
-            np.frombuffer(indices, dtype=np.intc),
+            columns,
             np.frombuffer(indptr, dtype=np.int64),
         ),
         shape=(len(labels), max(max_index, declared_d or 0)),

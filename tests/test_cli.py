@@ -217,6 +217,13 @@ def test_ingest_subcommand_bad_file(tmp_path, capsys):
     sample.write_text("+1 1:1 3:nan\n-1 2:1\n")
     assert cli.main(["ingest", "--input", str(sample), "--agents", "1"]) == 2
     assert "line 1, column 8: non-finite feature value 'nan'" in capsys.readouterr().err
+    sample.write_text("+1 3000000000:1\n-1 2:1\n")
+    assert cli.main(["ingest", "--input", str(sample), "--agents", "1"]) == 2
+    assert "line 1, column 4: feature index 3000000000 exceeds 2147483647" in capsys.readouterr().err
+    sample.write_text("+1 1:1\n-1 2:1\n")
+    argv = ["ingest", "--input", str(sample), "--agents", "1", "--declared-d", "3000000000"]
+    assert cli.main(argv) == 2
+    assert "declared dimension 3000000000 exceeds 2147483647" in capsys.readouterr().err
 
 
 def test_run_rejects_non_finite_data_naming_the_token(tmp_path, capsys):

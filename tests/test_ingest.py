@@ -21,6 +21,17 @@ def test_basic_line():
     assert raw.d == 11
 
 
+def test_dimension_is_bounded_by_the_c_int_range():
+    # the largest index a C int holds is accepted; the error cases for
+    # larger indices are in test_error_messages_name_line_and_column
+    raw = parse("+1 2147483647:1\n")
+    assert raw.d == 2**31 - 1
+    assert raw.features.indices.tolist() == [2**31 - 2]
+    assert parse("-1 2:1\n", declared_d=2**31 - 1).d == 2**31 - 1
+    with pytest.raises(ValueError, match="declared dimension 2147483648 exceeds 2147483647"):
+        parse("-1 2:1\n", declared_d=2**31)
+
+
 def test_declared_dimension_widens():
     assert parse("-1 2:1\n", declared_d=40).d == 40
     assert parse("-1 2:1\n", declared_d=1).d == 2
@@ -85,6 +96,10 @@ def test_error_messages_name_line_and_column():
         ("nan 1:1\n", r"line 1, column 1: non-finite label 'nan'"),
         ("+1 1:1\n  -inf 1:1\n", r"line 2, column 3: non-finite label '-inf'"),
         ("1e400 1:1\n", r"line 1, column 1: non-finite label '1e400'"),
+        # feature indices past the C int range of the CSR columns
+        ("+1 3000000000:1\n", r"line 1, column 4: feature index 3000000000 exceeds 2147483647"),
+        ("+1 1:1 2147483648:1\n", r"line 1, column 8: feature index 2147483648 exceeds 2147483647"),
+        ("+1 1:1\n-1 2:1 99999999999999999999:1\n", r"line 2, column 8: feature index 99999999999999999999 exceeds"),
     ]:
         with pytest.raises(ingest.LibsvmFormatError, match=message):
             parse(text)

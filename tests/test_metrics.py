@@ -21,7 +21,7 @@ def test_consensus_gap_zero_at_consensus(ring5):
 
 
 def test_consensus_gap_two_agent_hand_value():
-    w = graph.mixing_matrix_from_array(np.array([[0.5, 0.5], [0.5, 0.5]]))
+    w = graph.MixingMatrix(n=2, w=np.array([[0.5, 0.5], [0.5, 0.5]]), rho=0.0)
     x = np.array([[1.0], [0.0]])
     # brute force: 1 * 0.5 * (1 - 0) + 0 * 0.5 * (0 - 1) = 0.5
     assert brute_force_consensus_gap(w.w, x) == pytest.approx(0.5, abs=1e-15)

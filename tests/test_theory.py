@@ -221,8 +221,28 @@ def test_nonneg_spectral_radius_matches_eigvals():
         m = rng.random((4, 4)) + 1e-3
         got = theory.nonneg_spectral_radius(m)
         assert got == pytest.approx(max(abs(np.linalg.eigvals(m))), abs=1e-9)
+    assert theory.nonneg_spectral_radius(np.zeros((3, 3))) == 0.0
+    # reducible: the radius is the largest diagonal entry
+    upper = np.array([[0.2, 5.0, 1.0], [0.0, 0.7, 3.0], [0.0, 0.0, 0.4]])
+    assert theory.nonneg_spectral_radius(upper) == pytest.approx(0.7, rel=1e-12)
     with pytest.raises(ValueError):
         theory.nonneg_spectral_radius(np.array([[1.0, -0.1], [0.0, 1.0]]))
+    with pytest.raises(ValueError, match="square"):
+        theory.nonneg_spectral_radius(np.ones((2, 3)))
+
+
+def test_spectral_radius_is_the_perron_root_of_each_certificate_matrix():
+    # for any positive v, min_i (Cv)_i / v_i <= d(C) <= max_i (Cv)_i / v_i
+    # (Collatz-Wielandt); at the Perron vector the bracket closes
+    for rho, p in admissible_grid():
+        for lip in (1.0, 10.0):
+            eta = 0.99 * theory.eta_bar(lip, rho, p)
+            c, _, _ = theory.lmi_matrix(eta, rho, p, lip)
+            vals, vecs = np.linalg.eig(c)
+            v = np.abs(vecs[:, np.argmax(np.abs(vals))].real)
+            ratios = (c @ v) / v
+            d_c = theory.nonneg_spectral_radius(c)
+            assert ratios.min() * (1.0 - 1e-12) <= d_c <= ratios.max() * (1.0 + 1e-12)
 
 
 def test_complexity_scales_linearly_in_accuracy():
