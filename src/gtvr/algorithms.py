@@ -17,14 +17,13 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from .graph import MixingMatrix, mix
 from .metrics import TraceRow, consensus_gap_D, stationarity_metrics
 from .problem import FiniteSumProblem
-from .rng import AgentStreams, draw_bernoulli, draw_index, make_swarm_streams
+from .rng import SwarmStreams, make_swarm_streams
 
 ALGORITHMS = ("gtvr", "dsgd", "dsgt", "gtsaga")
 
@@ -90,7 +89,9 @@ def _as_stacked(problem: FiniteSumProblem, x1: np.ndarray) -> np.ndarray:
 
 def _check_finite(swarm: SwarmState, k: int) -> None:
     x = swarm.x
-    if not np.isfinite(x).all() or (np.linalg.norm(x, axis=1) > DIVERGENCE_NORM_CAP).any():
+    # a NaN or infinite entry makes its row norm NaN or infinite, so one
+    # comparison covers both guards
+    if not (np.sqrt((x * x).sum(axis=1)) <= DIVERGENCE_NORM_CAP).all():
         raise DivergedError(f"iterate diverged at iteration {k}")
     if swarm.y is not None and not np.isfinite(swarm.y).all():
         raise DivergedError(f"gradient tracker diverged at iteration {k}")
@@ -111,7 +112,8 @@ def vr_gradient_estimate(
 # Local estimators. ``start(problem, x, streams)`` builds the estimator's
 # state at x1 and returns the first stacked estimate with its per-agent
 # oracle counts; ``step(problem, x, cfg, streams)`` returns the next
-# estimate at x and the counts it spent.
+# estimate at x and the counts it spent. Each step takes the round's
+# coins and indices for all agents at once and calls the batched oracle.
 
 
 class _StochasticGradient:
@@ -125,13 +127,7 @@ class _StochasticGradient:
         return self.step(problem, x, None, streams)
 
     def step(self, problem, x, cfg, streams):
-        v = np.stack(
-            [
-                problem.component_grad(i, draw_index(s.index, problem.m[i - 1]), x[i - 1])
-                for i, s in enumerate(streams, start=1)
-            ]
-        )
-        return v, 1
+        return problem.component_grads(streams.indices(problem.m), x), 1
 
 
 class _AnchoredGradient:
@@ -145,20 +141,18 @@ class _AnchoredGradient:
     def start(self, problem, x, streams):
         self.tau = x.copy()
         self.g_tau = np.stack([problem.local_full_grad(i, x[i - 1]) for i in range(1, problem.n + 1)])
-        return self.g_tau.copy(), np.array(problem.m)
+        self._m = np.array(problem.m)
+        return self.g_tau.copy(), self._m.copy()
 
     def step(self, problem, x, cfg, streams):
-        v = np.empty_like(x)
-        evals = np.full(problem.n, 2, dtype=np.int64)
-        for idx, s in enumerate(streams):
-            i = idx + 1
-            if draw_bernoulli(s.bernoulli, cfg.p):
-                self.tau[idx] = x[idx]
-                self.g_tau[idx] = problem.local_full_grad(i, x[idx])
-                evals[idx] += problem.m[idx]
-            j = draw_index(s.index, problem.m[idx])
-            v[idx] = vr_gradient_estimate(problem, i, j, x[idx], self.tau[idx], self.g_tau[idx])
-        return v, evals
+        refresh = streams.coins(cfg.p)
+        # refreshes stay per agent: a batched pass measured no faster
+        for idx in refresh.nonzero()[0].tolist():
+            self.tau[idx] = x[idx]
+            self.g_tau[idx] = problem.local_full_grad(idx + 1, x[idx])
+        js = streams.indices(problem.m)
+        v = problem.component_grads(js, x) - problem.component_grads(js, self.tau) + self.g_tau
+        return v, 2 + refresh * self._m
 
 
 class _GradientTable:
@@ -169,22 +163,30 @@ class _GradientTable:
     """
 
     def start(self, problem, x, streams):
-        self.tables = [problem.component_grad_table(i, x[i - 1]) for i in range(1, problem.n + 1)]
+        m = np.array(problem.m)
+        ends = np.cumsum(m)
+        # one stacked (sum m_i, d) table, filled agent by agent so only one
+        # agent's table is ever held twice; agent i's rows are ``tables[i - 1]``
+        self._table = np.empty((int(ends[-1]), problem.d))
+        self.tables = np.split(self._table, ends[:-1])
+        for i, table in enumerate(self.tables, start=1):
+            table[...] = problem.component_grad_table(i, x[i - 1])
         self.table_mean = np.stack([t.mean(axis=0) for t in self.tables])
-        return self.table_mean.copy(), np.array(problem.m)
+        # stacked row of agent i's sample j is _row_base[i - 1] + j
+        self._row_base = ends - m - 1
+        self._m_column = m[:, None]
+        return self.table_mean.copy(), m
 
     def step(self, problem, x, cfg, streams):
-        v = np.empty_like(x)
-        for idx, s in enumerate(streams):
-            m_i = problem.m[idx]
-            j = draw_index(s.index, m_i)
-            fresh = problem.component_grad(idx + 1, j, x[idx])
-            delta = fresh - self.tables[idx][j - 1]
-            v[idx] = delta + self.table_mean[idx]
-            # running average maintained in O(d); stays within rounding of
-            # the recomputed table mean
-            self.table_mean[idx] += delta / m_i
-            self.tables[idx][j - 1] = fresh
+        js = streams.indices(problem.m)
+        rows = self._row_base + js
+        fresh = problem.component_grads(js, x)
+        delta = fresh - self._table.take(rows, axis=0)
+        v = delta + self.table_mean
+        # running average maintained in O(d); stays within rounding of
+        # the recomputed table mean
+        self.table_mean += delta / self._m_column
+        self._table[rows] = fresh
         return v, 1
 
 
@@ -200,7 +202,7 @@ def init_swarm(
     problem: FiniteSumProblem,
     x1: np.ndarray,
     cfg: RunConfig,
-    streams: Sequence[AgentStreams],
+    streams: SwarmStreams,
 ) -> SwarmState:
     """Start state at x1. Tracked algorithms seed tracker and estimate
     with the estimator's first value; DSGD starts with neither."""
@@ -219,9 +221,9 @@ def run_round(
     problem: FiniteSumProblem,
     mixing: MixingMatrix,
     cfg: RunConfig,
-    streams: Sequence[AgentStreams],
+    streams: SwarmStreams,
 ) -> SwarmState:
-    """One synchronous iteration, agents updated in order.
+    """One synchronous iteration, all agents in one stacked step.
 
     Tracked: x+ = W(x - eta y), then each agent forms v+ at x+ and
     y+ = W(y + v+ - v), two exchanges. Untracked (DSGD): the estimate at

@@ -11,6 +11,7 @@ Agent ids and sample indices are 1-based throughout the public surface
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import TYPE_CHECKING, Sequence
 
@@ -44,7 +45,8 @@ class FiniteSumProblem:
     """Shared surface of the per-instance objectives.
 
     Subclasses provide component/local costs and gradients; this base
-    supplies the network-level average and common bookkeeping.
+    supplies the network-level average, a per-agent loop for the batched
+    oracles, and common bookkeeping.
     """
 
     n: int
@@ -68,6 +70,21 @@ class FiniteSumProblem:
 
     def component_grad(self, i: int, j: int, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
+
+    def component_grads(self, js: np.ndarray, X: np.ndarray) -> np.ndarray:
+        """One component gradient per agent, stacked (n, d): row i - 1 is
+        ``component_grad(i, js[i - 1], X[i - 1])``."""
+        self._check_batch(js, X)
+        return np.stack(
+            [self.component_grad(i, j, X[i - 1]) for i, j in enumerate(js.tolist(), start=1)]
+        )
+
+    def _check_batch(self, js: np.ndarray, X: np.ndarray) -> None:
+        if js.shape != (self.n,) or X.shape != (self.n, self.d):
+            raise ValueError(
+                f"need one index and one ({self.d},) point per agent ({self.n}), "
+                f"got indices {js.shape} and points {X.shape}"
+            )
 
     def component_grad_table(self, i: int, x: np.ndarray) -> np.ndarray:
         """All component gradients of agent i at x, stacked (m_i, d)."""
@@ -280,16 +297,26 @@ class QuadraticProblem(FiniteSumProblem):
     def __init__(self, features: Sequence[np.ndarray], targets: Sequence[np.ndarray]) -> None:
         if len(features) != len(targets) or not features:
             raise ValueError("need one feature matrix and target vector per agent")
-        self.n = len(features)
-        self._feats = [np.asarray(a, dtype=float) for a in features]
-        self._targets = [np.asarray(t, dtype=float) for t in targets]
-        self.d = self._feats[0].shape[1]
-        for a, t in zip(self._feats, self._targets):
+        feats = [np.asarray(a, dtype=float) for a in features]
+        targets = [np.asarray(t, dtype=float) for t in targets]
+        self.n = len(feats)
+        self.d = feats[0].shape[1]
+        for a, t in zip(feats, targets):
             if a.ndim != 2 or a.shape[1] != self.d or a.shape[0] != t.shape[0] or not a.size:
                 raise ValueError("inconsistent quadratic instance data")
-            if not (np.isfinite(a).all() and np.isfinite(t).all()):
-                raise ValueError("quadratic instance data must be finite")
-        self.m = tuple(a.shape[0] for a in self._feats)
+        self.m = tuple(a.shape[0] for a in feats)
+        # all agents' rows stacked once; agent i owns the next m_i rows, and
+        # the per-agent arrays are views of them
+        self._rows = np.concatenate(feats)
+        self._target_rows = np.concatenate(targets)
+        if not (np.isfinite(self._rows).all() and np.isfinite(self._target_rows).all()):
+            raise ValueError("quadratic instance data must be finite")
+        offsets = [0, *itertools.accumulate(self.m)]
+        self._feats = [self._rows[lo:hi] for lo, hi in zip(offsets, offsets[1:])]
+        self._targets = [self._target_rows[lo:hi] for lo, hi in zip(offsets, offsets[1:])]
+        # stacked row of agent i's sample j is _row_base[i - 1] + j
+        self._row_base = np.array(offsets[:-1]) - 1
+        self._m_array = np.array(self.m)
 
     def component_cost(self, i: int, j: int, x: np.ndarray) -> float:
         self._check_indices(i, j)
@@ -301,6 +328,17 @@ class QuadraticProblem(FiniteSumProblem):
         a = self._feats[i - 1][j - 1]
         r = float(a @ x) - self._targets[i - 1][j - 1]
         return r * a
+
+    def component_grads(self, js: np.ndarray, X: np.ndarray) -> np.ndarray:
+        self._check_batch(js, X)
+        if np.count_nonzero((js < 1) | (js > self._m_array)):
+            raise IndexError(f"sample indices {js.tolist()} outside [1, m_i] for m = {self.m}")
+        rows = self._row_base + js
+        a = self._rows.take(rows, axis=0)
+        # stacked (1, d) @ (d, 1) products reproduce each row's a @ x bit
+        # for bit; einsum and (a * X).sum(1) do not
+        r = (a[:, None, :] @ X[:, :, None])[:, 0, 0] - self._target_rows.take(rows)
+        return r[:, None] * a
 
     def component_grad_table(self, i: int, x: np.ndarray) -> np.ndarray:
         self._check_indices(i)
@@ -320,7 +358,7 @@ class QuadraticProblem(FiniteSumProblem):
         return (a.T @ r) / self.m[i - 1]
 
     def lipschitz_estimate(self) -> float:
-        return max(float((a * a).sum(axis=1).max()) for a in self._feats)
+        return float((self._rows * self._rows).sum(axis=1).max())
 
 
 def make_quadratic(

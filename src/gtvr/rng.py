@@ -5,11 +5,21 @@ flips and one for uniform sample indices. Streams are derived from
 ``(master_seed, agent_id, purpose)`` through numpy's counter-based Philox
 generator, so streams for distinct (agent, purpose) pairs never share
 state and a run is bit-reproducible from the master seed alone.
+
+The block draws ``draw_bernoullis`` and ``draw_indices`` return, value
+for value, what the same number of scalar draws would, and leave the
+stream in the same state. ``SwarmStreams`` draws the same way to hand
+the round engine one coin vector and one index vector per round, from
+per-agent buffers refilled ``DRAW_BLOCK`` values at a time. A buffered
+stream has been drawn ahead of what was handed out, so once a stream is
+buffered, nothing else may draw from it directly: the scalar sequence
+holds only for draws that go through the buffer.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -20,6 +30,9 @@ PURPOSE_INDEX = 2
 PURPOSE_PARTITION = 3
 PURPOSE_TOPOLOGY = 4
 PURPOSE_DATA = 5
+
+# values per agent that one buffer refill draws from each stream
+DRAW_BLOCK = 256
 
 
 def derived_generator(master_seed: int, agent_id: int, purpose: int) -> np.random.Generator:
@@ -51,15 +64,32 @@ def make_agent_streams(master_seed: int, agent_id: int) -> AgentStreams:
     )
 
 
-def make_swarm_streams(master_seed: int, n: int) -> list[AgentStreams]:
-    return [make_agent_streams(master_seed, i) for i in range(1, n + 1)]
+def make_swarm_streams(master_seed: int, n: int) -> SwarmStreams:
+    return SwarmStreams([make_agent_streams(master_seed, i) for i in range(1, n + 1)])
+
+
+def _check_probability(p: float) -> None:
+    if not 0.0 < p < 1.0:
+        raise ValueError(f"Bernoulli probability must lie in (0, 1), got {p}")
 
 
 def draw_bernoulli(stream: np.random.Generator, p: float) -> int:
     """One Bernoulli(p) trial: 1 iff the next uniform [0,1) draw is below p."""
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"Bernoulli probability must lie in (0, 1), got {p}")
+    _check_probability(p)
     return 1 if stream.random() < p else 0
+
+
+def draw_bernoullis(stream: np.random.Generator, p: float, size: int) -> np.ndarray:
+    """``size`` Bernoulli(p) trials as a bool array, equal to ``size``
+    calls of ``draw_bernoulli`` and leaving the stream where they would."""
+    _check_probability(p)
+    return stream.random(size) < p
+
+
+def _index_bound(m: int) -> int:
+    if m < 1:
+        raise ValueError(f"index range must be >= 1, got {m}")
+    return 1 << (m - 1).bit_length()
 
 
 def draw_index(stream: np.random.Generator, m: int) -> int:
@@ -69,10 +99,94 @@ def draw_index(stream: np.random.Generator, m: int) -> int:
     out-of-range values, so every index is exactly equally likely (no
     modulo bias).
     """
-    if m < 1:
-        raise ValueError(f"index range must be >= 1, got {m}")
-    bound = 1 << (m - 1).bit_length()
+    bound = _index_bound(m)
     while True:
         r = int(stream.integers(bound))
         if r < m:
             return r + 1
+
+
+def draw_indices(stream: np.random.Generator, m: int, size: int) -> np.ndarray:
+    """``size`` uniform indices in [1, m] as an int64 array, equal to
+    ``size`` calls of ``draw_index`` and leaving the stream where they would.
+
+    Each chunk draws as many raw values as are still needed and keeps
+    those below m. A chunk cannot accept more values than are needed, so
+    no raw value beyond the last accepted one is consumed.
+    """
+    bound = _index_bound(m)
+    out = np.empty(size, dtype=np.int64)
+    filled = 0
+    while filled < size:
+        raw = stream.integers(bound, size=size - filled)
+        kept = raw[raw < m]
+        out[filled : filled + kept.size] = kept
+        filled += kept.size
+    return out + 1
+
+
+class SwarmStreams(Sequence[AgentStreams]):
+    """Every agent's streams, agent i at position i - 1, with the
+    per-round draws buffered.
+
+    ``coins`` and ``indices`` return one draw per agent per call: what
+    ``draw_bernoulli`` and ``draw_index`` on each agent's own stream would
+    return, in the same order. Each refills ``DRAW_BLOCK`` values per
+    agent when its buffer runs out, so a stream it has drawn from must not
+    be drawn from directly afterwards.
+    """
+
+    def __init__(self, agents: Sequence[AgentStreams]) -> None:
+        self._agents = list(agents)
+        n = len(self._agents)
+        self._uniforms = np.empty((0, n))
+        self._next_uniform = 0
+        self._indices = np.empty((0, n), dtype=np.int64)
+        self._next_index = 0
+        self._m: tuple[int, ...] | None = None
+
+    def __len__(self) -> int:
+        return len(self._agents)
+
+    def __getitem__(self, k):
+        return self._agents[k]
+
+    def coins(self, p: float) -> np.ndarray:
+        """Every agent's next Bernoulli(p) trial, as an (n,) bool array."""
+        _check_probability(p)
+        if self._next_uniform == len(self._uniforms):
+            self._uniforms = np.stack(
+                [s.bernoulli.random(DRAW_BLOCK) for s in self._agents], axis=1
+            )
+            self._next_uniform = 0
+        u = self._uniforms[self._next_uniform]
+        self._next_uniform += 1
+        return u < p
+
+    def indices(self, m: Sequence[int]) -> np.ndarray:
+        """Every agent's next uniform index in [1, m_i], as an (n,) int64 array.
+
+        The buffer holds indices for one m; asking for another m while
+        some are left raises, since the rejected raw values are gone.
+        """
+        if m is not self._m:
+            m = tuple(m)
+            if m != self._m:
+                if len(m) != len(self._agents):
+                    raise ValueError(
+                        f"need one index range per agent ({len(self._agents)}), got {len(m)}"
+                    )
+                if self._next_index < len(self._indices):
+                    raise ValueError(
+                        f"index buffer holds draws for ranges {self._m}, asked for {m}"
+                    )
+            self._m = m
+        if self._next_index == len(self._indices):
+            self._indices = np.stack(
+                [draw_indices(s.index, m_i, DRAW_BLOCK) for s, m_i in zip(self._agents, m)],
+                axis=1,
+            )
+            self._next_index = 0
+        js = self._indices[self._next_index]
+        self._next_index += 1
+        return js

@@ -170,6 +170,13 @@ def verify_contraction(
     return ok, nonneg_spectral_radius(c)
 
 
+def _extrapolation_note(eta: float, eta_tilde_value: float) -> str:
+    return (
+        f"step-size {eta} exceeds the complexity-range cap {eta_tilde_value:.6g}; "
+        "estimates are extrapolations"
+    )
+
+
 def complexity_estimate(
     eta: float,
     epsilon: float,
@@ -199,11 +206,7 @@ def complexity_estimate(
     if len(neighbor_counts) != n:
         raise ValueError(f"expected {n} neighbor counts, got {len(neighbor_counts)}")
     if eta_tilde_value is not None and eta > eta_tilde_value:
-        warnings.warn(
-            f"step-size {eta} exceeds the complexity-range cap {eta_tilde_value:.6g}; "
-            "estimates are extrapolations",
-            stacklevel=2,
-        )
+        warnings.warn(_extrapolation_note(eta, eta_tilde_value), stacklevel=2)
     iterations = 9.0 / (eta * epsilon) * (f_gap + (10.0 / (9.0 * n)) * r0 / eta)
     grads = iterations * (p * total_samples + 2.0 * n)
     comms = iterations * float(sum(neighbor_counts))
@@ -340,16 +343,12 @@ def build_report(
         )
     if None not in (epsilon, f_gap, r0) and neighbor_counts is not None:
         its, grads, comms = complexity_estimate(
-            eta_eff,
-            epsilon,
-            f_gap,
-            r0,
-            n,
-            total_samples,
-            p_ref,
-            neighbor_counts,
-            eta_tilde_value=report.eta_tilde,
+            eta_eff, epsilon, f_gap, r0, n, total_samples, p_ref, neighbor_counts
         )
+        # the report carries the advisory itself, so CLI users see a note
+        # rather than a warning pointing into this module
+        if eta_eff > report.eta_tilde:
+            report.notes.append(_extrapolation_note(eta_eff, report.eta_tilde))
         report.iterations = its
         report.gradient_evals = grads
         report.communications = comms

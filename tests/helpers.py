@@ -88,13 +88,19 @@ class StubGenerator:
         return self._integers.pop(0)
 
 
-class StubStreams:
-    """AgentStreams replacement with scripted bernoulli/index draws."""
+class StubSwarmStreams:
+    """SwarmStreams replacement: each round's coins come from one scripted
+    vector of uniform draws, its indices from real swarm streams."""
 
-    def __init__(self, agent: int, uniforms=(), integers=()):
-        self.agent = agent
-        self.bernoulli = StubGenerator(uniforms=uniforms)
-        self.index = StubGenerator(integers=integers)
+    def __init__(self, uniforms, indices_from):
+        self._uniforms = [np.asarray(u, dtype=float) for u in uniforms]
+        self._indices_from = indices_from
+
+    def coins(self, p):
+        return self._uniforms.pop(0) < p
+
+    def indices(self, m):
+        return self._indices_from.indices(m)
 
 
 def mean_abs_inf(a: np.ndarray) -> float:
@@ -112,9 +118,10 @@ def estimate_vr_second_moments(problem, x, tau, draws, seed):
     Per-sample estimator values are tabulated once (the estimator is a
     deterministic function of the drawn index), so each draw reduces to a
     table lookup while the index draws still come from the streams under
-    test. Returns (stacked deviation from local grads at x, squared norm
-    of the mean deviation from local grads at xbar, squared norm of the
-    estimator mean).
+    test: each agent's ``draws`` indices in one block, equal to as many
+    scalar draws. Returns (stacked deviation from local grads at x,
+    squared norm of the mean deviation from local grads at xbar, squared
+    norm of the estimator mean), each averaged over the draws.
     """
     from gtvr import rng as gtvr_rng
     from gtvr.algorithms import vr_gradient_estimate
@@ -124,9 +131,9 @@ def estimate_vr_second_moments(problem, x, tau, draws, seed):
     xbar = x.mean(axis=0)
     g_x = [problem.local_full_grad(i, x[i - 1]) for i in range(1, n + 1)]
     g_tau = [problem.local_full_grad(i, tau[i - 1]) for i in range(1, n + 1)]
-    g_at_xbar = [problem.local_full_grad(i, xbar) for i in range(1, n + 1)]
-    v_tab = []
-    dev_sq = []
+    g_at_xbar = np.stack([problem.local_full_grad(i, xbar) for i in range(1, n + 1)])
+    picks = []
+    total_dev = 0.0
     for i in range(1, n + 1):
         tab = np.stack(
             [
@@ -134,17 +141,12 @@ def estimate_vr_second_moments(problem, x, tau, draws, seed):
                 for j in range(1, problem.m[i - 1] + 1)
             ]
         )
-        v_tab.append(tab)
-        dev_sq.append(np.sum((tab - g_x[i - 1]) ** 2, axis=1))
-    total_dev = 0.0
-    mean_dev_sq = 0.0
-    vbar_sq = 0.0
-    for _ in range(draws):
-        js = [gtvr_rng.draw_index(streams[i - 1].index, problem.m[i - 1]) for i in range(1, n + 1)]
-        picks = [v_tab[i - 1][js[i - 1] - 1] for i in range(1, n + 1)]
-        total_dev += sum(dev_sq[i - 1][js[i - 1] - 1] for i in range(1, n + 1))
-        mean_err = np.mean([p - g for p, g in zip(picks, g_at_xbar)], axis=0)
-        mean_dev_sq += float(mean_err @ mean_err)
-        vbar = np.mean(picks, axis=0)
-        vbar_sq += float(vbar @ vbar)
+        rows = gtvr_rng.draw_indices(streams[i - 1].index, problem.m[i - 1], draws) - 1
+        picks.append(tab[rows])
+        total_dev += float(np.sum((tab - g_x[i - 1]) ** 2, axis=1)[rows].sum())
+    picks = np.stack(picks)  # (n, draws, d)
+    mean_err = (picks - g_at_xbar[:, None, :]).mean(axis=0)
+    vbar = picks.mean(axis=0)
+    mean_dev_sq = float((mean_err * mean_err).sum(axis=1).sum())
+    vbar_sq = float((vbar * vbar).sum(axis=1).sum())
     return total_dev / draws, mean_dev_sq / draws, vbar_sq / draws

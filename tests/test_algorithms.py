@@ -11,7 +11,7 @@ from gtvr.algorithms import (
     vr_gradient_estimate,
 )
 from gtvr.problem import QuadraticProblem, make_logistic, make_quadratic
-from helpers import StubStreams, estimate_vr_second_moments, exact_stationary_quadratic
+from helpers import StubSwarmStreams, estimate_vr_second_moments, exact_stationary_quadratic
 
 
 @pytest.fixture(scope="module")
@@ -60,12 +60,7 @@ def test_refresh_makes_estimator_exact(setup5):
     cfg = RunConfig(algorithm="gtvr", eta=0.01, p=0.5, rounds=0, seed=1)
     swarm = init_swarm(prob, np.zeros((5, 4)), cfg, make_streams(cfg.seed, 5))
     # force every anchor refresh (uniform draw 0.0 < p) with real index draws
-    real = make_streams(1, 5)
-    stubs = [
-        StubStreams(i, uniforms=[0.0]) for i in range(1, 6)
-    ]
-    for stub, actual in zip(stubs, real):
-        stub.index = actual.index
+    stubs = StubSwarmStreams(uniforms=[[0.0] * 5], indices_from=make_streams(1, 5))
     run_round(swarm, prob, mixing, cfg, stubs)
     assert np.array_equal(swarm.v, swarm.estimator.g_tau)
     assert np.array_equal(swarm.estimator.tau, swarm.x)
@@ -78,10 +73,7 @@ def test_skip_branch_costs_two_evals(setup5):
     cfg = RunConfig(algorithm="gtvr", eta=0.01, p=0.5, rounds=0, seed=1)
     swarm = init_swarm(prob, np.zeros((5, 4)), cfg, make_streams(cfg.seed, 5))
     tau_before = swarm.estimator.tau.copy()
-    real = make_streams(1, 5)
-    stubs = [StubStreams(i, uniforms=[0.999999]) for i in range(1, 6)]
-    for stub, actual in zip(stubs, real):
-        stub.index = actual.index
+    stubs = StubSwarmStreams(uniforms=[[0.999999] * 5], indices_from=make_streams(1, 5))
     evals_before = swarm.grad_evals.copy()
     run_round(swarm, prob, mixing, cfg, stubs)
     assert np.array_equal(swarm.estimator.tau, tau_before)
@@ -294,3 +286,37 @@ def test_estimator_moment_bounds_monte_carlo():
         for i in range(3)
     )
     assert 0.5 * vbar_sq <= rhs
+
+
+def second_moments_by_scalar_draws(problem, x, tau, draws, seed):
+    """Loop reference for ``estimate_vr_second_moments``: one scalar index
+    draw per agent per round and one estimator evaluation per draw."""
+    streams = rng.make_swarm_streams(seed, problem.n)
+    agents = range(1, problem.n + 1)
+    xbar = x.mean(axis=0)
+    g_x = [problem.local_full_grad(i, x[i - 1]) for i in agents]
+    g_tau = [problem.local_full_grad(i, tau[i - 1]) for i in agents]
+    g_at_xbar = [problem.local_full_grad(i, xbar) for i in agents]
+    total_dev = mean_dev_sq = vbar_sq = 0.0
+    for _ in range(draws):
+        picks = []
+        for i in agents:
+            j = rng.draw_index(streams[i - 1].index, problem.m[i - 1])
+            picks.append(vr_gradient_estimate(problem, i, j, x[i - 1], tau[i - 1], g_tau[i - 1]))
+            total_dev += float(np.sum((picks[-1] - g_x[i - 1]) ** 2))
+        mean_err = np.mean([p - g for p, g in zip(picks, g_at_xbar)], axis=0)
+        mean_dev_sq += float(mean_err @ mean_err)
+        vbar = np.mean(picks, axis=0)
+        vbar_sq += float(vbar @ vbar)
+    return total_dev / draws, mean_dev_sq / draws, vbar_sq / draws
+
+
+def test_second_moment_helper_matches_scalar_draw_loop():
+    # same draws, sums taken in another order: a few thousand nonnegative
+    # float64 terms agree to far better than 1e-12 relative
+    prob = make_logistic(3, 11, 5, seed=2, lam1=1e-3)
+    data = np.random.default_rng(4)
+    x, tau = data.normal(size=(3, 5)), data.normal(size=(3, 5))
+    got = estimate_vr_second_moments(prob, x, tau, draws=3000, seed=9)
+    want = second_moments_by_scalar_draws(prob, x, tau, draws=3000, seed=9)
+    assert np.allclose(got, want, rtol=1e-12, atol=0.0)

@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -196,6 +200,31 @@ def test_theory_subcommand_complexity_block(capsys):
     data = json.loads(capsys.readouterr().out)
     assert data["iterations"] > 0
     assert data["communications"] == pytest.approx(data["iterations"] * 10, rel=1e-12)
+
+
+def test_theory_above_step_cap_prints_a_note_not_a_warning(tmp_path):
+    # run as a user would, with warnings shown, so a warning that escapes
+    # to stderr (and prints a source path and line) fails the check
+    pkg_root = str(Path(cli.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONWARNINGS="default")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [pkg_root, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [
+            sys.executable, "-m", "gtvr", "theory", "--rho", "0.3", "--p", "0.8", "--l", "2",
+            "--eta", "0.01", "--n", "5", "--samples", "100", "--neighbors", "2,2,2,2,2",
+            "--epsilon", "1e-3", "--f-gap", "1", "--r0", "0.5",
+        ],
+        capture_output=True,
+        text=True,
+        cwd=tmp_path,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert ".py:" not in proc.stderr
+    assert (
+        "note: step-size 0.01 exceeds the complexity-range cap 0.00788757; "
+        "estimates are extrapolations"
+    ) in proc.stdout.splitlines()
 
 
 def test_ingest_subcommand(tmp_path, capsys):

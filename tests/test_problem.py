@@ -196,9 +196,9 @@ def partitioned_logistic(rows=23, n=4):
     return raw, parts, LogisticProblem.from_partition(raw, parts, 2e-3)
 
 
-def uneven_quadratic(sizes=(7, 3, 11, 1)):
+def uneven_quadratic(sizes=(7, 3, 11, 1), d=5):
     data = np.random.default_rng(21)
-    return QuadraticProblem([data.normal(size=(m, 5)) for m in sizes], [data.normal(size=m) for m in sizes])
+    return QuadraticProblem([data.normal(size=(m, d)) for m in sizes], [data.normal(size=m) for m in sizes])
 
 
 def uneven_logistic_lists(sizes=(7, 3, 11, 1)):
@@ -261,3 +261,55 @@ def test_agents_share_one_stacked_feature_matrix():
         for block in (a, a_t):
             assert np.shares_memory(block.data, prob._rows.data)
             assert np.shares_memory(block.indices, prob._rows.indices)
+
+
+@pytest.mark.parametrize("name", sorted(BATCH_CASES))
+def test_component_grads_equal_per_agent_oracle(name):
+    prob = BATCH_CASES[name]()
+    rng = np.random.default_rng(9)
+    for scale in (1.0, 300.0):
+        for _ in range(25):
+            js = np.array([rng.integers(1, m + 1) for m in prob.m])
+            x = scale * rng.normal(size=(prob.n, prob.d))
+            got = prob.component_grads(js, x)
+            assert got.shape == (prob.n, prob.d)
+            for i in range(1, prob.n + 1):
+                assert np.array_equal(got[i - 1], prob.component_grad(i, int(js[i - 1]), x[i - 1]))
+
+
+@pytest.mark.parametrize("d", [1, 4, 7, 13, 30, 123])
+def test_quadratic_component_grads_bit_identical_across_dimensions(d):
+    prob = uneven_quadratic(sizes=(7, 20, 1, 13), d=d)
+    rng = np.random.default_rng(d)
+    for _ in range(40):
+        js = np.array([rng.integers(1, m + 1) for m in prob.m])
+        x = rng.normal(size=(prob.n, d))
+        got = prob.component_grads(js, x)
+        for i in range(1, prob.n + 1):
+            assert np.array_equal(got[i - 1], prob.component_grad(i, int(js[i - 1]), x[i - 1]))
+
+
+@pytest.mark.parametrize("name", ["quadratic_unequal", "logistic_lists_unequal"])
+def test_component_grads_validate_indices_and_shapes(name):
+    prob = BATCH_CASES[name]()
+    x = np.zeros((prob.n, prob.d))
+    ones = np.ones(prob.n, dtype=np.int64)
+    for agent in range(prob.n):
+        for j in (0, prob.m[agent] + 1):
+            js = ones.copy()
+            js[agent] = j
+            with pytest.raises(IndexError):
+                prob.component_grads(js, x)
+    with pytest.raises(ValueError):
+        prob.component_grads(ones[:-1], x)
+    with pytest.raises(ValueError):
+        prob.component_grads(ones, x[:, :-1])
+
+
+def test_quadratic_agents_are_views_of_one_stacked_array():
+    prob = uneven_quadratic()
+    assert prob._rows.shape == (sum(prob.m), prob.d)
+    for a, t, m in zip(prob._feats, prob._targets, prob.m):
+        assert a.shape == (m, prob.d) and t.shape == (m,)
+        assert np.shares_memory(a, prob._rows)
+        assert np.shares_memory(t, prob._target_rows)

@@ -8,7 +8,7 @@ import pytest
 import reference_engine as ref
 from gtvr import algorithms, graph, ingest, metrics
 from gtvr.algorithms import RunConfig, init_swarm, run_experiment, run_round
-from gtvr.problem import LogisticProblem, make_logistic, make_quadratic
+from gtvr.problem import LogisticProblem, QuadraticProblem, make_logistic, make_quadratic
 from gtvr.rng import make_swarm_streams
 from helpers import raw_from_rows
 
@@ -24,17 +24,33 @@ def unequal_logistic():
     return LogisticProblem.from_partition(raw, ingest.partition(raw, 6, seed=4), 1e-3)
 
 
+def unequal_quadratic():
+    """Four agents with m_i of 7, 20, 1 and 13: every stacked row offset differs."""
+    data = np.random.default_rng(13)
+    sizes = (7, 20, 1, 13)
+    return QuadraticProblem(
+        [data.normal(size=(m, 5)) for m in sizes], [data.normal(size=m) for m in sizes]
+    )
+
+
 PROBLEMS = {
     "quadratic": lambda: make_quadratic(5, 20, 4, seed=11, noise=0.5),
+    "quadratic_unequal": unequal_quadratic,
+    "quadratic_n1": lambda: make_quadratic(1, 9, 3, seed=5, noise=0.5),
     "logistic": lambda: make_logistic(6, 30, 12, seed=3, lam1=1e-3, density=0.4),
     "logistic_unequal": unequal_logistic,
+    "logistic_n1": lambda: make_logistic(1, 17, 6, seed=8, lam1=1e-3, density=0.4),
 }
 
 
 @pytest.fixture(scope="module", params=sorted(PROBLEMS))
 def instance(request):
     prob = PROBLEMS[request.param]()
-    mixing = graph.metropolis_weights(graph.build_topology("random", prob.n, p_edge=0.6, seed=2))
+    if prob.n == 1:
+        # a lone agent has no graph; its mixing step is the identity
+        mixing = graph.MixingMatrix(n=1, w=np.ones((1, 1)), rho=0.0)
+    else:
+        mixing = graph.metropolis_weights(graph.build_topology("random", prob.n, p_edge=0.6, seed=2))
     return prob, mixing
 
 

@@ -2,9 +2,22 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gtvr import rng
 from helpers import StubGenerator
+
+FIXED_SEED = settings(derandomize=True, max_examples=100, deadline=None, database=None)
+
+# small ranges, the full 31-bit range, and 2^k + 1, where about half of
+# the raw power-of-two draws are rejected
+INDEX_RANGES = st.one_of(
+    st.integers(1, 70),
+    st.integers(1, 2**31 - 1),
+    st.integers(0, 30).map(lambda k: 2**k + 1),
+)
+PROBABILITIES = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
 
 
 def test_same_seed_same_sequences():
@@ -84,3 +97,77 @@ def test_cross_stream_correlation_small():
 def test_agent_ids_are_one_based():
     with pytest.raises(ValueError):
         rng.make_agent_streams(0, 0)
+
+
+def same_state(a: np.random.Generator, b: np.random.Generator) -> bool:
+    """Equal Philox counter, key and buffered output."""
+    sa, sb = a.bit_generator.state, b.bit_generator.state
+    return all(np.array_equal(sa["state"][k], sb["state"][k]) for k in ("counter", "key")) and all(
+        np.array_equal(sa[k], sb[k]) for k in ("buffer", "buffer_pos", "has_uint32", "uinteger")
+    )
+
+
+@FIXED_SEED
+@given(m=INDEX_RANGES, size=st.integers(0, 300), seed=st.integers(0, 2**32 - 1))
+def test_draw_indices_equal_scalar_draws(m, size, seed):
+    block = rng.make_agent_streams(seed, 3).index
+    scalar = rng.make_agent_streams(seed, 3).index
+    got = rng.draw_indices(block, m, size)
+    assert got.dtype == np.int64 and got.shape == (size,)
+    assert got.tolist() == [rng.draw_index(scalar, m) for _ in range(size)]
+    assert same_state(block, scalar)
+    assert rng.draw_index(block, m) == rng.draw_index(scalar, m)
+
+
+@FIXED_SEED
+@given(p=PROBABILITIES, size=st.integers(0, 300), seed=st.integers(0, 2**32 - 1))
+def test_draw_bernoullis_equal_scalar_draws(p, size, seed):
+    block = rng.make_agent_streams(seed, 2).bernoulli
+    scalar = rng.make_agent_streams(seed, 2).bernoulli
+    got = rng.draw_bernoullis(block, p, size)
+    assert got.dtype == bool and got.shape == (size,)
+    assert got.astype(int).tolist() == [rng.draw_bernoulli(scalar, p) for _ in range(size)]
+    assert same_state(block, scalar)
+    assert rng.draw_bernoulli(block, p) == rng.draw_bernoulli(scalar, p)
+
+
+def test_block_draws_validate_like_scalar_draws():
+    stream = rng.make_agent_streams(0, 1).index
+    with pytest.raises(ValueError):
+        rng.draw_indices(stream, 0, 5)
+    for p in (0.0, 1.0):
+        with pytest.raises(ValueError):
+            rng.draw_bernoullis(stream, p, 5)
+
+
+@settings(FIXED_SEED, max_examples=15)
+@given(
+    m=st.lists(INDEX_RANGES, min_size=1, max_size=5),
+    p=PROBABILITIES,
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_swarm_buffer_hands_out_the_scalar_sequence(m, p, seed):
+    m = tuple(m)
+    buffered = rng.make_swarm_streams(seed, len(m))
+    scalar = rng.make_swarm_streams(seed, len(m))
+    # past two refills; coins stop early, as a DSGD run after GT-VR would
+    rounds = 2 * rng.DRAW_BLOCK + 37
+    for k in range(rounds):
+        if k < rng.DRAW_BLOCK + 5:
+            coins = buffered.coins(p)
+            assert coins.dtype == bool
+            assert coins.astype(int).tolist() == [rng.draw_bernoulli(s.bernoulli, p) for s in scalar]
+        js = buffered.indices(m)
+        assert js.dtype == np.int64
+        assert js.tolist() == [rng.draw_index(s.index, m_i) for s, m_i in zip(scalar, m)]
+
+
+def test_swarm_buffer_rejects_a_changed_index_range():
+    streams = rng.make_swarm_streams(4, 2)
+    streams.indices((5, 6))
+    with pytest.raises(ValueError, match="ranges"):
+        streams.indices((5, 7))
+    with pytest.raises(ValueError, match="one index range per agent"):
+        streams.indices((5,))
+    with pytest.raises(ValueError):
+        streams.coins(1.0)
