@@ -12,7 +12,6 @@ from .algorithms import (
     init_swarm,
     run_experiment,
     run_round,
-    vr_gradient_estimate,
 )
 from .graph import (
     MixingMatrix,

@@ -97,18 +97,6 @@ def _check_finite(swarm: SwarmState, k: int) -> None:
         raise DivergedError(f"gradient tracker diverged at iteration {k}")
 
 
-def vr_gradient_estimate(
-    problem: FiniteSumProblem,
-    i: int,
-    j: int,
-    x_i: np.ndarray,
-    tau_i: np.ndarray,
-    g_tau_i: np.ndarray,
-) -> np.ndarray:
-    """Anchored stochastic gradient of agent i at sample j (two evals)."""
-    return problem.component_grad(i, j, x_i) - problem.component_grad(i, j, tau_i) + g_tau_i
-
-
 # Local estimators. ``start(problem, x, streams)`` builds the estimator's
 # state at x1 and returns the first stacked estimate with its per-agent
 # oracle counts; ``step(problem, x, cfg, streams)`` returns the next

@@ -19,6 +19,7 @@ holds only for draws that go through the buffer.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isqrt
 from typing import Sequence
 
 import numpy as np
@@ -110,17 +111,27 @@ def draw_indices(stream: np.random.Generator, m: int, size: int) -> np.ndarray:
     """``size`` uniform indices in [1, m] as an int64 array, equal to
     ``size`` calls of ``draw_index`` and leaving the stream where they would.
 
-    Each chunk draws as many raw values as are still needed and keeps
-    those below m. A chunk cannot accept more values than are needed, so
-    no raw value beyond the last accepted one is consumed.
+    Each raw value costs the stream one 32-bit word, however the draws are
+    batched. A chunk over-draws enough raw values to almost surely hold
+    the accepted ones still needed; when the last one needed is not its
+    last raw value, the stream is rewound and only the raw values up to
+    that one are drawn again. A short chunk keeps all it accepted and the
+    next one draws on.
     """
     bound = _index_bound(m)
     out = np.empty(size, dtype=np.int64)
     filled = 0
     while filled < size:
-        raw = stream.integers(bound, size=size - filled)
-        kept = raw[raw < m]
-        out[filled : filled + kept.size] = kept
+        need = size - filled
+        # need / acceptance rate, plus about 4 standard deviations
+        count = (need + 4 * isqrt(need) + 4) * bound // m if m < bound else need
+        state = stream.bit_generator.state
+        raw = stream.integers(bound, size=count)
+        kept = np.flatnonzero(raw < m)[:need]
+        if kept.size == need and kept[-1] + 1 < count:
+            stream.bit_generator.state = state
+            stream.integers(bound, size=int(kept[-1]) + 1)
+        out[filled : filled + kept.size] = raw[kept]
         filled += kept.size
     return out + 1
 

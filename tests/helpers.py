@@ -124,7 +124,7 @@ def estimate_vr_second_moments(problem, x, tau, draws, seed):
     norm of the estimator mean), each averaged over the draws.
     """
     from gtvr import rng as gtvr_rng
-    from gtvr.algorithms import vr_gradient_estimate
+    from reference_engine import vr_gradient_estimate
 
     n = problem.n
     streams = gtvr_rng.make_swarm_streams(seed, n)

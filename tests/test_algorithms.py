@@ -8,10 +8,10 @@ from gtvr.algorithms import (
     init_swarm,
     run_experiment,
     run_round,
-    vr_gradient_estimate,
 )
 from gtvr.problem import QuadraticProblem, make_logistic, make_quadratic
 from helpers import StubSwarmStreams, estimate_vr_second_moments, exact_stationary_quadratic
+from reference_engine import vr_gradient_estimate
 
 
 @pytest.fixture(scope="module")

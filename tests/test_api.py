@@ -52,7 +52,6 @@ PUBLIC_NAMES = [
     "t_constant",
     "to_binary_labels",
     "verify_contraction",
-    "vr_gradient_estimate",
     "write_trace",
 ]
 

@@ -1,10 +1,17 @@
 import io
+import tempfile
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gtvr import ingest
 from helpers import raw_from_rows, same_bits, same_csr
+
+FIXED_SEED = settings(derandomize=True, max_examples=6, deadline=None, database=None)
 
 
 def parse(text, declared_d=None):
@@ -225,3 +232,234 @@ def test_take_head_cap():
     assert ingest.take_head(raw, 100).num_rows == 30
     with pytest.raises(ValueError):
         ingest.take_head(raw, 0)
+
+
+# -- the bulk parser of the plain subset against the line loop ----------
+
+
+def outcome(source):
+    """What parse_libsvm makes of a text, a path or a stream: the dataset or the error."""
+    try:
+        return ingest.parse_libsvm(io.StringIO(source) if isinstance(source, str) else source)
+    except (ingest.LibsvmFormatError, ValueError) as err:
+        return type(err), str(err)
+
+
+def loop_outcome(source):
+    """The same from the line loop alone; a file goes to it line by line, as a stream."""
+    with mock.patch.object(ingest, "_parse_plain", lambda text: None):
+        if isinstance(source, Path):
+            with open(source, "r") as fh:
+                return outcome(fh)
+        return outcome(source)
+
+
+def same_outcome(a, b):
+    if isinstance(a, ingest.RawDataset) and isinstance(b, ingest.RawDataset):
+        return same_bits(a.labels, b.labels) and same_csr(a.features, b.features)
+    return a == b
+
+
+DIGITS = st.text("0123456789", min_size=1, max_size=7)
+# [+-]?(\d+\.?\d*|\.\d+)
+NUMBERS = st.builds(
+    lambda sign, whole, frac, form: sign + (whole, whole + ".", f"{whole}.{frac}", "." + frac)[form],
+    st.sampled_from(["", "+", "-"]),
+    DIGITS,
+    DIGITS,
+    st.integers(0, 3),
+)
+SEPARATORS = st.sampled_from([" ", "  ", "\t", " \t "])
+
+
+@st.composite
+def plain_rows(draw):
+    """Rows of plain tokens; the first has at least two features."""
+    rows = []
+    for r in range(draw(st.integers(1, 6))):
+        idx = draw(
+            st.sets(st.integers(1, 40) | st.integers(1, 10**9 - 1), min_size=2 if r == 0 else 0, max_size=6)
+        )
+        rows.append([draw(NUMBERS)] + [f"{i}:{draw(NUMBERS)}" for i in sorted(idx)])
+    return draw(st.permutations(rows))
+
+
+def feature_mutation(make):
+    """Replace one feature token ``i:v`` of a two-feature row with make(i, v)."""
+
+    def mutate(rows, draw):
+        row = next(r for r in rows if len(r) >= 3)
+        k = draw(st.integers(1, len(row) - 1))
+        i, v = row[k].split(":")
+        row[k] = make(i, v)
+
+    return mutate
+
+
+def label_mutation(label):
+    def mutate(rows, draw):
+        rows[draw(st.integers(0, len(rows) - 1))][0] = label
+
+    return mutate
+
+
+def insert_line(line):
+    def mutate(rows, draw):
+        rows.insert(draw(st.integers(0, len(rows))), line)
+
+    return mutate
+
+
+def swap_features(rows, draw):
+    row = next(r for r in rows if len(r) >= 3)
+    row[1], row[2] = row[2], row[1]
+
+
+def repeat_feature(rows, draw):
+    row = next(r for r in rows if len(r) >= 3)
+    row.insert(2, row[1])
+
+
+def no_change(rows, draw):
+    pass
+
+
+# (name, mutation, whether the text stays plain; None where that depends on the draw)
+MUTATIONS = [
+    ("none", no_change, True),
+    ("signed_index", feature_mutation(lambda i, v: f"+{i}:{v}"), False),
+    ("negative_index", feature_mutation(lambda i, v: f"-{i}:{v}"), False),
+    ("zero_padded_index", feature_mutation(lambda i, v: f"00{i}:{v}"), None),
+    ("ten_digit_index", feature_mutation(lambda i, v: f"1234567890:{v}"), False),
+    ("zero_index", feature_mutation(lambda i, v: f"0:{v}"), False),
+    ("dotted_index", feature_mutation(lambda i, v: f"{i}.0:{v}"), False),
+    ("sixteen_digit_value", feature_mutation(lambda i, v: f"{i}:1234567890123456"), False),
+    ("fifteen_digit_value", feature_mutation(lambda i, v: f"{i}:-12345678901234.5"), True),
+    ("lone_dot", feature_mutation(lambda i, v: f"{i}:."), False),
+    ("trailing_dot", feature_mutation(lambda i, v: f"{i}:1."), True),
+    ("leading_dot", feature_mutation(lambda i, v: f"{i}:.5"), True),
+    ("minus_zero", feature_mutation(lambda i, v: f"{i}:-0"), True),
+    ("plus_leading_dot", feature_mutation(lambda i, v: f"{i}:+.5"), True),
+    ("lone_minus", feature_mutation(lambda i, v: f"{i}:-"), False),
+    ("exponent", feature_mutation(lambda i, v: f"{i}:1e5"), False),
+    ("two_dots", feature_mutation(lambda i, v: f"{i}:1.2.3"), False),
+    ("two_signs", feature_mutation(lambda i, v: f"{i}:+-1"), False),
+    ("two_colons", feature_mutation(lambda i, v: f"{i}:{v}:{v}"), False),
+    ("empty_value", feature_mutation(lambda i, v: f"{i}:"), False),
+    ("empty_index", feature_mutation(lambda i, v: f":{v}"), False),
+    ("no_colon", feature_mutation(lambda i, v: f"{i}"), False),
+    ("nan_value", feature_mutation(lambda i, v: f"{i}:nan"), False),
+    ("comment_in_token", feature_mutation(lambda i, v: f"{i}:{v}#note"), False),
+    ("arabic_digit", feature_mutation(lambda i, v: f"{i}:\u0661"), False),
+    ("nbsp_separator", feature_mutation(lambda i, v: f"{i}:{v}\u00a0{i}5:1"), False),
+    ("vertical_tab", feature_mutation(lambda i, v: f"{i}:{v}\x0b"), False),
+    ("label_trailing_dot", label_mutation("1."), True),
+    ("label_leading_dot", label_mutation(".5"), True),
+    ("label_minus_zero", label_mutation("-0"), True),
+    ("label_lone_dot", label_mutation("."), False),
+    ("label_lone_plus", label_mutation("+"), False),
+    ("label_exponent", label_mutation("1e5"), False),
+    ("label_sixteen_digits", label_mutation("1234567890123456"), False),
+    ("label_with_colon", label_mutation("1:1"), False),
+    ("blank_line", insert_line([]), True),
+    ("whitespace_line", insert_line(["\t"]), True),
+    ("label_only_line", insert_line(["-1"]), True),
+    ("comment_line", insert_line(["# comment"]), False),
+    ("crlf_line", insert_line(["+1", "1:1", "\r"]), False),
+    ("decreasing_indices", swap_features, False),
+    ("duplicate_index", repeat_feature, False),
+]
+
+
+@st.composite
+def mutated_texts(draw, mutate):
+    rows = draw(plain_rows())
+    mutate(rows, draw)
+    lines = [draw(st.sampled_from(["", " "])) + draw(SEPARATORS).join(row) for row in rows]
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n"]))
+
+
+@pytest.mark.parametrize("name,mutate,plain", MUTATIONS, ids=[m[0] for m in MUTATIONS])
+@FIXED_SEED
+@given(data=st.data(), block=st.sampled_from([1 << 17, 1, 16]))
+def test_bulk_parser_equals_the_line_loop(name, mutate, plain, data, block):
+    text = data.draw(mutated_texts(mutate))
+    # tiny blocks put every line, or a few, in its own block
+    with mock.patch.object(ingest, "_BULK_BLOCK", block), tempfile.TemporaryDirectory() as tmp:
+        if plain is not None:
+            assert (ingest._parse_plain(text) is not None) == plain, text
+        assert same_outcome(outcome(text), loop_outcome(text)), text
+        path = Path(tmp) / "data.libsvm"
+        path.write_text(text, encoding="utf-8", newline="")
+        assert same_outcome(outcome(path), loop_outcome(path)), text
+
+
+def test_stream_lines_split_elsewhere_than_newline_go_to_the_loop():
+    # with newline="\r" the whole text is one line, and its third token is no feature
+    stream = io.TextIOWrapper(io.BytesIO(b"+1 1:1\n-1 2:1\n"), newline="\r")
+    with pytest.raises(ingest.LibsvmFormatError, match="line 1, column 8: expected <index>:<value>, got '-1'"):
+        ingest.parse_libsvm(stream)
+
+
+def decimal_tokens(rng, count):
+    """Plain numbers: 1 to 15 digits, a dot anywhere or none, any sign."""
+    out = []
+    for _ in range(count):
+        digits = "".join(rng.choice(list("0123456789"), size=int(rng.integers(1, 16))))
+        dot = int(rng.integers(-1, len(digits) + 1))
+        body = digits if dot < 0 else digits[:dot] + "." + digits[dot:]
+        out.append(str(rng.choice(["", "+", "-"])) + body)
+    return out
+
+
+def test_bulk_values_equal_float_bit_for_bit(monkeypatch):
+    tokens = decimal_tokens(np.random.default_rng(8), 20_000)
+    lines = [
+        tokens[r] + "".join(f" {k}:{t}" for k, t in enumerate(tokens[r + 1 : r + 10], start=1))
+        for r in range(0, len(tokens), 10)
+    ]
+    monkeypatch.setattr(ingest, "_parse_lines", None)  # the bulk parser or nothing
+    raw = parse("\n".join(lines) + "\n")
+    want = np.array([float(t) for t in tokens])
+    assert same_bits(raw.labels, want[0::10].copy())
+    assert same_bits(raw.features.data, np.delete(want, np.s_[0::10]))
+
+
+def a9a_shaped_text(rows=2000, d=123, seed=0):
+    rng = np.random.default_rng(seed)
+    feats = [np.flatnonzero(rng.random(d) < 0.11) for _ in range(rows)]
+    feats[0] = np.append(feats[0][feats[0] < d - 1], d - 1)
+    labels = np.where(rng.random(rows) < 0.24, 1.0, -1.0)
+    lines = [
+        ("+1 " if y > 0 else "-1 ") + " ".join(f"{j + 1}:1" for j in f) for y, f in zip(labels, feats)
+    ]
+    expect = raw_from_rows([(f, np.ones(len(f))) for f in feats], labels, d)
+    return "\n".join(lines) + "\n", expect
+
+
+def test_a9a_shaped_text_takes_the_bulk_path(monkeypatch):
+    text, expect = a9a_shaped_text()
+
+    def no_loop(lines):
+        raise AssertionError("the line loop ran")
+
+    monkeypatch.setattr(ingest, "_parse_lines", no_loop)
+    raw = parse(text)
+    assert same_bits(raw.labels, expect.labels)
+    assert same_csr(raw.features, expect.features)
+
+
+def test_text_with_a_comment_parses_through_the_loop(monkeypatch):
+    text, expect = a9a_shaped_text(rows=50)
+    calls = []
+    loop = ingest._parse_lines
+
+    def spy(lines):
+        calls.append(len(lines))
+        return loop(lines)
+
+    monkeypatch.setattr(ingest, "_parse_lines", spy)
+    raw = parse("# generated\n" + text)
+    assert calls == [51]
+    assert same_bits(raw.labels, expect.labels)
+    assert same_csr(raw.features, expect.features)

@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -77,9 +78,8 @@ def test_index_uniformity_three_sigma():
     stream = rng.make_agent_streams(77, 3).index
     n = 1_000_000
     m = 7
-    counts = np.zeros(m, dtype=np.int64)
-    for _ in range(n):
-        counts[rng.draw_index(stream, m) - 1] += 1
+    # the same values as n calls of draw_index (test_draw_indices_equal_scalar_draws)
+    counts = np.bincount(rng.draw_indices(stream, m, n) - 1, minlength=m)
     p = 1.0 / m
     bound = 3.0 * math.sqrt(p * (1.0 - p) / n)
     assert np.abs(counts / n - p).max() <= bound
@@ -117,6 +117,19 @@ def test_draw_indices_equal_scalar_draws(m, size, seed):
     assert got.tolist() == [rng.draw_index(scalar, m) for _ in range(size)]
     assert same_state(block, scalar)
     assert rng.draw_index(block, m) == rng.draw_index(scalar, m)
+
+
+@FIXED_SEED
+@given(m=INDEX_RANGES, size=st.integers(1, 300), seed=st.integers(0, 2**32 - 1))
+def test_draw_indices_equal_scalar_draws_when_chunks_fall_short(m, size, seed):
+    # with no margin over the expected raw count, a chunk holds fewer
+    # accepted values than needed about half the time
+    block = rng.make_agent_streams(seed, 3).index
+    scalar = rng.make_agent_streams(seed, 3).index
+    with mock.patch.object(rng, "isqrt", lambda n: -1):
+        got = rng.draw_indices(block, m, size)
+    assert got.tolist() == [rng.draw_index(scalar, m) for _ in range(size)]
+    assert same_state(block, scalar)
 
 
 @FIXED_SEED
