@@ -71,10 +71,12 @@ def stationarity_metrics(
     if swarm.y is None:
         track = float("nan")
     else:
+        diff = swarm.y - grads
+        # stacked (1, d) @ (d, 1) products equal each row's diff @ diff bit
+        # for bit; the agents are then summed in order
         track = 0.0
-        for y_i, g_i in zip(swarm.y, grads):
-            diff = y_i - g_i
-            track += float(diff @ diff)
+        for sq in (diff[:, None, :] @ diff[:, :, None]).ravel().tolist():
+            track += sq
     return cost, stat, cons, track
 
 

@@ -24,14 +24,28 @@ if TYPE_CHECKING:
     from .ingest import RawDataset
 
 
-def sigmoid_pair(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(sigma(z), sigma(-z)) from a single exp(-|z|), overflow-free."""
-    z = np.asarray(z, dtype=float)
-    e = np.exp(-np.abs(z))
-    big = 1.0 / (1.0 + e)
-    small = e / (1.0 + e)
-    pos = z >= 0
-    return np.where(pos, big, small), np.where(pos, small, big)
+def _exp_terms(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """e = exp(-|z|) and 1 + e, from which sigma(z) and sigma(-z) follow
+    without overflow: one of them is 1 / (1 + e), the other e / (1 + e)."""
+    e = np.abs(z)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    return e, e + 1.0
+
+
+def _sigmoid_neg(z: np.ndarray, e: np.ndarray, one_e: np.ndarray) -> np.ndarray:
+    """sigma(-z): e / (1 + e) where z >= 0 and 1 / (1 + e) where z < 0.
+
+    The max against the 0/1 sign mask picks the numerator (e <= 1)
+    without a data-dependent select, which mispredicts per element on
+    mixed signs; the values equal the select's bit for bit.
+    """
+    return np.maximum(e, (z < 0).astype(float)) / one_e
+
+
+def _sigmoid_product(e: np.ndarray, one_e: np.ndarray) -> np.ndarray:
+    """sigma(z) sigma(-z), the same for z and -z, so no sign is needed."""
+    return (1.0 / one_e) * (e / one_e)
 
 
 def _sigmoid_pair_scalar(z: float) -> tuple[float, float]:
@@ -52,6 +66,8 @@ class FiniteSumProblem:
     n: int
     d: int
     m: tuple[int, ...]
+    _row_base: np.ndarray  # stacked row of agent i's sample j is _row_base[i - 1] + j
+    _m_array: np.ndarray  # m as an array
 
     @property
     def total_samples(self) -> int:
@@ -74,17 +90,19 @@ class FiniteSumProblem:
     def component_grads(self, js: np.ndarray, X: np.ndarray) -> np.ndarray:
         """One component gradient per agent, stacked (n, d): row i - 1 is
         ``component_grad(i, js[i - 1], X[i - 1])``."""
-        self._check_batch(js, X)
-        return np.stack(
-            [self.component_grad(i, j, X[i - 1]) for i, j in enumerate(js.tolist(), start=1)]
-        )
+        raise NotImplementedError
 
-    def _check_batch(self, js: np.ndarray, X: np.ndarray) -> None:
+    def _batch_rows(self, js: np.ndarray, X: np.ndarray) -> np.ndarray:
+        """Stacked 0-based rows of the sampled components, after one check
+        of the whole batch; subclasses hold ``_row_base`` and ``_m_array``."""
         if js.shape != (self.n,) or X.shape != (self.n, self.d):
             raise ValueError(
                 f"need one index and one ({self.d},) point per agent ({self.n}), "
                 f"got indices {js.shape} and points {X.shape}"
             )
+        if np.count_nonzero((js < 1) | (js > self._m_array)):
+            raise IndexError(f"sample indices {js.tolist()} outside [1, m_i] for m = {self.m}")
+        return self._row_base + js
 
     def component_grad_table(self, i: int, x: np.ndarray) -> np.ndarray:
         """All component gradients of agent i at x, stacked (m_i, d)."""
@@ -161,7 +179,10 @@ class LogisticProblem(FiniteSumProblem):
         """Keep all agents' rows as one CSR; agent i owns the next sizes[i-1] rows.
 
         The per-agent matrices and label vectors are views into the
-        stacked arrays, so the features are held once.
+        stacked arrays. The features are held a second time, feature-major,
+        as one buffer whose per-agent views are the transposed blocks
+        A_i^T: their products are dots over d long rows, where a transposed
+        view of the row-major arrays would scatter over m_i short columns.
         """
         if lam1 < 0:
             raise ValueError(f"regularization weight must be >= 0, got {lam1}")
@@ -179,11 +200,15 @@ class LogisticProblem(FiniteSumProblem):
         self._label_rows = labels
         offsets = np.concatenate(([0], np.cumsum(self.m))).tolist()
         self._bounds = list(zip(offsets[:-1], offsets[1:]))
-        blocks = [_row_block(rows, lo, hi) for lo, hi in self._bounds]
-        self._feats = [a for a, _ in blocks]
-        self._feats_t = [a_t for _, a_t in blocks]
+        self._feats, self._feats_t = _agent_blocks(rows, offsets)
         self._labels = [labels[lo:hi] for lo, hi in self._bounds]
-        self._max_row_sq = max(float(a.multiply(a).sum(axis=1).max()) for a in self._feats)
+        self._m_rows = np.empty(len(labels))
+        for (lo, hi), size in zip(self._bounds, self.m):
+            self._m_rows[lo:hi] = size
+        self._row_base = np.array(offsets[:-1]) - 1
+        self._m_array = np.array(self.m)
+        canonical = rows.has_canonical_format
+        self._max_row_sq = max(_max_row_square(a, canonical) for a in self._feats)
 
     @classmethod
     def from_partition(
@@ -227,13 +252,24 @@ class LogisticProblem(FiniteSumProblem):
         g[idx] += (-l * sig * sig_neg) * val
         return g
 
+    def component_grads(self, js: np.ndarray, X: np.ndarray) -> np.ndarray:
+        # component_grad's arithmetic row by row, after one batch check
+        rows = self._batch_rows(js, X)
+        grads = (2.0 * self.lam1) * X
+        indptr, indices, data = self._rows.indptr, self._rows.indices, self._rows.data
+        for g, x, r, l in zip(grads, X, rows.tolist(), self._label_rows[rows].tolist()):
+            lo, hi = indptr[r], indptr[r + 1]
+            idx = indices[lo:hi]
+            val = data[lo:hi]
+            sig, sig_neg = _sigmoid_pair_scalar(l * float(val @ x[idx]))
+            g[idx] += (-l * sig * sig_neg) * val
+        return grads
+
     def component_grad_table(self, i: int, x: np.ndarray) -> np.ndarray:
         self._check_indices(i)
         a = self._feats[i - 1]
         l = self._labels[i - 1]
-        z = l * (a @ x)
-        sig, sig_neg = sigmoid_pair(z)
-        coef = -l * sig * sig_neg
+        coef = -l * _sigmoid_product(*_exp_terms(l * (a @ x)))
         table = np.asarray(a.multiply(coef[:, None]).todense())
         table += (2.0 * self.lam1) * x
         return table
@@ -241,16 +277,14 @@ class LogisticProblem(FiniteSumProblem):
     def local_cost(self, i: int, x: np.ndarray) -> float:
         self._check_indices(i)
         z = self._labels[i - 1] * (self._feats[i - 1] @ x)
-        _, sig_neg = sigmoid_pair(z)
+        sig_neg = _sigmoid_neg(z, *_exp_terms(z))
         return float(sig_neg.mean()) + self.lam1 * float(x @ x)
 
     def local_full_grad(self, i: int, x: np.ndarray) -> np.ndarray:
         self._check_indices(i)
-        a = self._feats[i - 1]
         l = self._labels[i - 1]
-        z = l * (a @ x)
-        sig, sig_neg = sigmoid_pair(z)
-        coef = (-l * sig * sig_neg) / self.m[i - 1]
+        z = l * (self._feats[i - 1] @ x)
+        coef = (-l * _sigmoid_product(*_exp_terms(z))) / self.m[i - 1]
         return (self._feats_t[i - 1] @ coef) + (2.0 * self.lam1) * x
 
     def local_costs_and_grads(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -258,15 +292,16 @@ class LogisticProblem(FiniteSumProblem):
         # its slices; each slice sees the arithmetic of the per-agent oracles
         x = np.asarray(x, dtype=float)
         z = self._label_rows * (self._rows @ x)
-        sig, sig_neg = sigmoid_pair(z)
-        coef = -self._label_rows * sig * sig_neg
+        e, one_e = _exp_terms(z)
+        sig_neg = _sigmoid_neg(z, e, one_e)
+        coef = (-self._label_rows * _sigmoid_product(e, one_e)) / self._m_rows
         reg = self.lam1 * float(x @ x)
         reg_grad = (2.0 * self.lam1) * x
         costs = np.empty(self.n)
         grads = np.empty((self.n, self.d))
         for i, ((lo, hi), a_t) in enumerate(zip(self._bounds, self._feats_t)):
             costs[i] = float(sig_neg[lo:hi].mean()) + reg
-            grads[i] = (a_t @ (coef[lo:hi] / self.m[i])) + reg_grad
+            grads[i] = (a_t @ coef[lo:hi]) + reg_grad
         return costs, grads
 
     def lipschitz_estimate(self) -> float:
@@ -275,20 +310,73 @@ class LogisticProblem(FiniteSumProblem):
         return self._max_row_sq / 4.0 + 2.0 * self.lam1
 
 
-def _row_block(rows: sp.csr_matrix, lo: int, hi: int) -> tuple[sp.csr_matrix, sp.csc_matrix]:
-    """Rows lo..hi-1 of a CSR matrix and their transpose, sharing its arrays.
+def _csr_view(
+    shape: tuple[int, int], data: np.ndarray, indices: np.ndarray, indptr: np.ndarray
+) -> sp.csr_matrix:
+    """A CSR matrix over the given arrays, sharing them.
 
     scipy's constructors copy an index or data slice that is under half
-    of its base array (and ``.T`` goes through them), so both blocks are
-    made empty and then handed the views.
+    of its base array, so the matrix is made empty and then handed them.
     """
-    start, stop = rows.indptr[lo], rows.indptr[hi]
-    arrays = (rows.data[start:stop], rows.indices[start:stop], rows.indptr[lo : hi + 1] - start)
-    block = sp.csr_matrix((hi - lo, rows.shape[1]))
-    block_t = sp.csc_matrix((rows.shape[1], hi - lo))
-    for out in (block, block_t):
-        out.data, out.indices, out.indptr = arrays
-    return block, block_t
+    out = sp.csr_matrix(shape)
+    out.data, out.indices, out.indptr = data, indices, indptr
+    return out
+
+
+def _max_row_square(block: sp.csr_matrix, canonical: bool) -> float:
+    """The largest squared row norm of a block, equal to the one from
+    ``block.multiply(block)``. On a canonical block (sorted indices, no
+    repeats) that is the stored values squared, without multiply's merge;
+    otherwise multiply sums repeated entries before squaring."""
+    if not canonical:
+        return float(block.multiply(block).sum(axis=1).max())
+    squares = _csr_view(block.shape, block.data * block.data, block.indices, block.indptr)
+    return float(squares.sum(axis=1).max())
+
+
+def _agent_blocks(
+    rows: sp.csr_matrix, offsets: Sequence[int]
+) -> tuple[list[sp.csr_matrix], list[sp.csr_matrix]]:
+    """Each block of rows ``offsets[i]:offsets[i + 1]`` and its transpose.
+
+    The blocks are CSR views of ``rows``. The transposes, shape (d, m_i),
+    are CSR views of one feature-major buffer, which a single O(nnz)
+    CSR-to-CSC conversion builds for all blocks: entry (r, c) of block i
+    moves to column i * d + c of an (N, n d) matrix, so the CSC's columns
+    run through block 1's features, then block 2's, each listing its rows
+    in order. Block i's feature-major entries are then the run of the
+    buffer that its row-major entries occupy in ``rows``.
+    """
+    n, d = len(offsets) - 1, rows.shape[1]
+    starts = rows.indptr[list(offsets)].tolist()
+    spans = list(zip(offsets, offsets[1:], starts, starts[1:]))
+    wide = np.int64 if n * d > np.iinfo(np.int32).max else rows.indices.dtype
+    banded = rows.indices.astype(wide)
+    for i, (_, _, start, stop) in enumerate(spans):
+        banded[start:stop] += i * d
+    cols = sp.csr_matrix((rows.data, banded, rows.indptr), shape=(rows.shape[0], n * d)).tocsc()
+    del banded
+    blocks, blocks_t = [], []
+    for i, (lo, hi, start, stop) in enumerate(spans):
+        blocks.append(
+            _csr_view(
+                (hi - lo, d),
+                rows.data[start:stop],
+                rows.indices[start:stop],
+                rows.indptr[lo : hi + 1] - start,
+            )
+        )
+        local_rows = cols.indices[start:stop]
+        local_rows -= lo
+        blocks_t.append(
+            _csr_view(
+                (d, hi - lo),
+                cols.data[start:stop],
+                local_rows,
+                cols.indptr[i * d : (i + 1) * d + 1] - start,
+            )
+        )
+    return blocks, blocks_t
 
 
 class QuadraticProblem(FiniteSumProblem):
@@ -330,10 +418,7 @@ class QuadraticProblem(FiniteSumProblem):
         return r * a
 
     def component_grads(self, js: np.ndarray, X: np.ndarray) -> np.ndarray:
-        self._check_batch(js, X)
-        if np.count_nonzero((js < 1) | (js > self._m_array)):
-            raise IndexError(f"sample indices {js.tolist()} outside [1, m_i] for m = {self.m}")
-        rows = self._row_base + js
+        rows = self._batch_rows(js, X)
         a = self._rows.take(rows, axis=0)
         # stacked (1, d) @ (d, 1) products reproduce each row's a @ x bit
         # for bit; einsum and (a * X).sum(1) do not
@@ -387,6 +472,16 @@ def make_quadratic(
         feats.append(a)
         targets.append(t)
     return QuadraticProblem(feats, targets)
+
+
+def sigmoid_pair(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(sigma(z), sigma(-z)) from a single exp(-|z|), overflow-free."""
+    z = np.asarray(z, dtype=float)
+    e = np.exp(-np.abs(z))
+    big = 1.0 / (1.0 + e)
+    small = e / (1.0 + e)
+    pos = z >= 0
+    return np.where(pos, big, small), np.where(pos, small, big)
 
 
 def make_logistic(

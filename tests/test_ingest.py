@@ -425,6 +425,23 @@ def test_bulk_values_equal_float_bit_for_bit(monkeypatch):
     assert same_bits(raw.features.data, np.delete(want, np.s_[0::10]))
 
 
+@pytest.mark.parametrize("block", [1 << 16, 200])
+def test_mixed_length_decimals_equal_the_line_loop(block):
+    # mostly short values with a few long ones, so the leading digit
+    # columns are reached by only some of the numbers in a block
+    rng = np.random.default_rng(12)
+    lines = []
+    for _ in range(400):
+        idx = np.sort(rng.choice(300, size=int(rng.integers(1, 12)), replace=False)) + 1
+        places = np.where(rng.random(idx.size) < 0.1, rng.integers(9, 13, idx.size), rng.integers(0, 3, idx.size))
+        vals = [f"{v:.{p}f}" for v, p in zip(rng.normal(scale=50.0, size=idx.size), places)]
+        lines.append(f"{rng.choice(['+1', '-1', '0.5'])} " + " ".join(f"{i}:{v}" for i, v in zip(idx, vals)))
+    text = "\n".join(lines) + "\n"
+    with mock.patch.object(ingest, "_BULK_BLOCK", block):
+        assert ingest._parse_plain(text) is not None
+        assert same_outcome(outcome(text), loop_outcome(text))
+
+
 def a9a_shaped_text(rows=2000, d=123, seed=0):
     rng = np.random.default_rng(seed)
     feats = [np.flatnonzero(rng.random(d) < 0.11) for _ in range(rows)]

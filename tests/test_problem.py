@@ -1,10 +1,23 @@
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gtvr import ingest
-from gtvr.problem import LogisticProblem, QuadraticProblem, make_logistic, make_quadratic
-from helpers import central_diff_grad, least_squares_solution, raw_from_rows, rel_err
+from gtvr.problem import (
+    LogisticProblem,
+    QuadraticProblem,
+    _exp_terms,
+    _sigmoid_neg,
+    _sigmoid_product,
+    make_logistic,
+    make_quadratic,
+)
+from helpers import central_diff_grad, least_squares_solution, raw_from_rows, rel_err, same_bits, same_csr
+from reference_logistic import ReferenceLogistic
+from reference_logistic import sigmoid_pair as reference_sigmoid_pair
 
 
 def single_logistic(a_row, label, lam1=0.0):
@@ -101,6 +114,9 @@ def test_lipschitz_logistic_values():
     assert single_logistic(a, 1.0, lam1=0.0).lipschitz_estimate() == pytest.approx(1.0, abs=1e-15)
     with_reg = single_logistic(a, 1.0, lam1=5e-4).lipschitz_estimate()
     assert with_reg - 1.0 == pytest.approx(1e-3, abs=1e-15)
+    # a repeated entry stands for its sum: the row is (2, 0), not 1^2 + 1^2
+    repeated = sp.csr_matrix((np.array([1.0, 1.0]), np.array([0, 0]), np.array([0, 2])), shape=(1, 2))
+    assert LogisticProblem([repeated], [np.array([1.0])], 0.0).lipschitz_estimate() == 1.0
 
 
 def test_lipschitz_quadratic_unit_row():
@@ -248,7 +264,7 @@ def test_view_backed_agents_match_independent_copies():
         assert np.array_equal(prob.local_full_grad(i, x), single.local_full_grad(1, x))
 
 
-def test_agents_share_one_stacked_feature_matrix():
+def test_agents_share_stacked_row_and_feature_major_buffers():
     _, _, prob = partitioned_logistic(rows=40, n=5)
     x = np.ones(prob.d)
     prob.local_costs_and_grads(x)
@@ -256,11 +272,17 @@ def test_agents_share_one_stacked_feature_matrix():
         prob.local_full_grad(i, x)
         prob.component_grad_table(i, x)
     assert prob._rows.shape == (40, prob.d)
-    for a, a_t, labels in zip(prob._feats, prob._feats_t, prob._labels):
+    # the feature-major copy is one buffer of nnz entries, apart from the rows
+    data_buf, index_buf = prob._feats_t[0].data.base, prob._feats_t[0].indices.base
+    assert data_buf.size == index_buf.size == prob._rows.nnz
+    assert not np.shares_memory(data_buf, prob._rows.data)
+    for a, a_t, labels, m in zip(prob._feats, prob._feats_t, prob._labels, prob.m):
         assert np.shares_memory(labels, prob._label_rows)
-        for block in (a, a_t):
-            assert np.shares_memory(block.data, prob._rows.data)
-            assert np.shares_memory(block.indices, prob._rows.indices)
+        assert np.shares_memory(a.data, prob._rows.data)
+        assert np.shares_memory(a.indices, prob._rows.indices)
+        assert isinstance(a_t, sp.csr_matrix) and a_t.shape == (prob.d, m)
+        assert a_t.data.base is data_buf and a_t.indices.base is index_buf
+        assert same_csr(a_t, sp.csr_matrix(a.T))
 
 
 @pytest.mark.parametrize("name", sorted(BATCH_CASES))
@@ -313,3 +335,56 @@ def test_quadratic_agents_are_views_of_one_stacked_array():
         assert a.shape == (m, prob.d) and t.shape == (m,)
         assert np.shares_memory(a, prob._rows)
         assert np.shares_memory(t, prob._target_rows)
+
+
+# -- the logistic oracles against their earlier form, bit for bit --------
+
+ORACLE_SEED = settings(derandomize=True, max_examples=60, deadline=None, database=None)
+# mostly zeros, so rows and columns come out empty; values not only 0/1
+FEATURE_VALUES = st.sampled_from([0.0] * 6 + [1.0, -1.0, 2.5]) | st.floats(-4.0, 4.0, width=64)
+# exact zeros give z = 0 on a label of +1 and z = -0.0 on -1; the large
+# values give |z| > 750, where exp(-|z|) underflows to 0
+POINT_VALUES = st.sampled_from([0.0, -0.0, 760.0, -760.0, 1e4, -1e4, 0.5]) | st.floats(-30.0, 30.0)
+
+
+@st.composite
+def logistic_instances(draw):
+    n, d = draw(st.integers(1, 6)), draw(st.integers(1, 30))
+    feats, labels = [], []
+    for m in draw(st.lists(st.integers(1, 40), min_size=n, max_size=n)):
+        feats.append(sp.csr_matrix(draw(hnp.arrays(float, (m, d), elements=FEATURE_VALUES))))
+        labels.append(np.array(draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=m, max_size=m))))
+    prob = LogisticProblem(feats, labels, draw(st.sampled_from([0.0, 1e-3, 0.25])))
+    return prob, draw(hnp.arrays(float, d, elements=POINT_VALUES))
+
+
+def same_value(a, b):
+    return same_bits(np.atleast_1d(np.asarray(a, dtype=float)), np.atleast_1d(np.asarray(b, dtype=float)))
+
+
+@ORACLE_SEED
+@given(instance=logistic_instances())
+def test_logistic_oracles_equal_the_reference_bit_for_bit(instance):
+    prob, x = instance
+    ref = ReferenceLogistic(prob)
+    costs, grads = prob.local_costs_and_grads(x)
+    ref_costs, ref_grads = ref.local_costs_and_grads(x)
+    assert same_value(costs, ref_costs) and same_value(grads, ref_grads)
+    for i in range(1, prob.n + 1):
+        assert same_value(prob.local_cost(i, x), ref.local_cost(i, x))
+        assert same_value(prob.local_full_grad(i, x), ref.local_full_grad(i, x))
+        assert same_value(prob.component_grad_table(i, x), ref.component_grad_table(i, x))
+    # each agent's last sample, at the same point
+    assert same_value(
+        prob.component_grads(np.array(prob.m), np.tile(x, (prob.n, 1))),
+        [prob.component_grad(i, m, x) for i, m in enumerate(prob.m, start=1)],
+    )
+
+
+@ORACLE_SEED
+@given(z=hnp.arrays(float, st.integers(0, 50), elements=st.floats(allow_nan=False) | POINT_VALUES))
+def test_select_free_sigmoid_equals_the_where_pair(z):
+    sig, sig_neg = reference_sigmoid_pair(z)
+    e, one_e = _exp_terms(z)
+    assert same_value(_sigmoid_neg(z, e, one_e), sig_neg)
+    assert same_value(_sigmoid_product(e, one_e), sig * sig_neg)
