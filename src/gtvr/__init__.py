@@ -36,7 +36,7 @@ from .problem import (
     make_logistic,
     make_quadratic,
 )
-from .rng import AgentStreams, draw_bernoulli, draw_index, make_agent_streams, make_swarm_streams
+from .rng import make_swarm_streams
 from .theory import (
     TheoryReport,
     build_report,

@@ -10,7 +10,7 @@ D(x) = sum_i x_i' sum_j w_ij (x_i - x_j) whose decay certifies consensus.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import IO, TYPE_CHECKING, Sequence
 
@@ -21,9 +21,6 @@ from .problem import FiniteSumProblem, agent_average
 
 if TYPE_CHECKING:
     from .algorithms import SwarmState
-
-TRACE_HEADER = "k,cost,stat,cons,track,dbar,grad_evals,epoch,wall_ms"
-
 
 @dataclass
 class TraceRow:
@@ -80,17 +77,20 @@ def stationarity_metrics(
     return cost, stat, cons, track
 
 
-def _fmt(value: float) -> str:
-    return f"{value:.17g}"
+# (name, parser) per trace column, in TraceRow's field order
+_COLUMNS = [(f.name, int if f.type in (int, "int") else float) for f in fields(TraceRow)]
+TRACE_HEADER = ",".join(name for name, _ in _COLUMNS)
+# a row's CSV line, with the TraceRow as format argument 0: ints as str,
+# floats to 17 significant digits
+_ROW_FORMAT = ",".join(
+    f"{{0.{name}}}" if parse is int else f"{{0.{name}:.17g}}" for name, parse in _COLUMNS
+) + "\n"
 
 
 def _write_csv(rows: Sequence[TraceRow], fh: IO[str]) -> None:
     fh.write(TRACE_HEADER + "\n")
     for r in rows:
-        fh.write(
-            f"{r.k},{_fmt(r.cost)},{_fmt(r.stat)},{_fmt(r.cons)},{_fmt(r.track)},"
-            f"{_fmt(r.dbar)},{r.grad_evals},{_fmt(r.epoch)},{_fmt(r.wall_ms)}\n"
-        )
+        fh.write(_ROW_FORMAT.format(r))
 
 
 def _write_jsonl(rows: Sequence[TraceRow], fh: IO[str]) -> None:
@@ -137,19 +137,7 @@ def read_trace(source: str | Path | IO[str]) -> list[TraceRow]:
         if not line:
             continue
         f = line.split(",")
-        if len(f) != 9:
+        if len(f) != len(_COLUMNS):
             raise ValueError(f"malformed trace line: {line!r}")
-        rows.append(
-            TraceRow(
-                k=int(f[0]),
-                cost=float(f[1]),
-                stat=float(f[2]),
-                cons=float(f[3]),
-                track=float(f[4]),
-                dbar=float(f[5]),
-                grad_evals=int(f[6]),
-                epoch=float(f[7]),
-                wall_ms=float(f[8]),
-            )
-        )
+        rows.append(TraceRow(*(parse(cell) for (_, parse), cell in zip(_COLUMNS, f))))
     return rows

@@ -58,9 +58,11 @@ def _sigmoid_pair_scalar(z: float) -> tuple[float, float]:
 class FiniteSumProblem:
     """Shared surface of the per-instance objectives.
 
-    Subclasses provide component/local costs and gradients; this base
-    supplies the network-level average, a per-agent loop for the batched
-    oracles, and common bookkeeping.
+    Subclasses provide component/local costs and gradients and the batched
+    ``component_grads``; this base supplies the network-level average, the
+    one batch check of ``component_grads``, a per-agent loop for
+    ``local_costs_and_grads`` where a subclass has no stacked form, and
+    common bookkeeping.
     """
 
     n: int
@@ -474,16 +476,6 @@ def make_quadratic(
     return QuadraticProblem(feats, targets)
 
 
-def sigmoid_pair(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(sigma(z), sigma(-z)) from a single exp(-|z|), overflow-free."""
-    z = np.asarray(z, dtype=float)
-    e = np.exp(-np.abs(z))
-    big = 1.0 / (1.0 + e)
-    small = e / (1.0 + e)
-    pos = z >= 0
-    return np.where(pos, big, small), np.where(pos, small, big)
-
-
 def make_logistic(
     n: int,
     m: int,
@@ -510,7 +502,8 @@ def make_logistic(
         mask[empty, rng.integers(d, size=int(empty.sum()))] = True
         a = sp.csr_matrix(mask.astype(float))
         margin = a @ x_true
-        l = np.where(rng.random(size=m) < sigmoid_pair(margin_scale * margin)[0], 1.0, -1.0)
+        z = margin_scale * margin
+        l = np.where(rng.random(size=m) < _sigmoid_neg(-z, *_exp_terms(z)), 1.0, -1.0)
         feats.append(a)
         labels.append(l)
     return LogisticProblem(feats, labels, lam1)

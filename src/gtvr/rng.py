@@ -6,19 +6,18 @@ flips and one for uniform sample indices. Streams are derived from
 generator, so streams for distinct (agent, purpose) pairs never share
 state and a run is bit-reproducible from the master seed alone.
 
-The block draws ``draw_bernoullis`` and ``draw_indices`` return, value
-for value, what the same number of scalar draws would, and leave the
-stream in the same state. ``SwarmStreams`` draws the same way to hand
-the round engine one coin vector and one index vector per round, from
-per-agent buffers refilled ``DRAW_BLOCK`` values at a time. A buffered
-stream has been drawn ahead of what was handed out, so once a stream is
-buffered, nothing else may draw from it directly: the scalar sequence
-holds only for draws that go through the buffer.
+``SwarmStreams`` builds every agent's two streams and keeps them to
+itself: it hands the round engine one coin vector and one index vector
+per round, from per-agent buffers refilled ``DRAW_BLOCK`` values at a
+time. The scalar draws ``draw_bernoulli`` and ``draw_index`` define what
+those vectors hold and are the reference they are tested against; the
+block draw ``draw_indices`` fills the index buffers and returns, value
+for value, what as many ``draw_index`` calls would, leaving the stream
+in the same state.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import isqrt
 from typing import Sequence
 
@@ -46,27 +45,8 @@ def derived_generator(master_seed: int, agent_id: int, purpose: int) -> np.rando
     return np.random.Generator(np.random.Philox(seq))
 
 
-@dataclass
-class AgentStreams:
-    """The private random streams of a single agent (ids are 1-based)."""
-
-    agent: int
-    bernoulli: np.random.Generator
-    index: np.random.Generator
-
-
-def make_agent_streams(master_seed: int, agent_id: int) -> AgentStreams:
-    if agent_id < 1:
-        raise ValueError(f"agent ids are 1-based, got {agent_id}")
-    return AgentStreams(
-        agent=agent_id,
-        bernoulli=derived_generator(master_seed, agent_id, PURPOSE_BERNOULLI),
-        index=derived_generator(master_seed, agent_id, PURPOSE_INDEX),
-    )
-
-
 def make_swarm_streams(master_seed: int, n: int) -> SwarmStreams:
-    return SwarmStreams([make_agent_streams(master_seed, i) for i in range(1, n + 1)])
+    return SwarmStreams(master_seed, n)
 
 
 def _check_probability(p: float) -> None:
@@ -78,13 +58,6 @@ def draw_bernoulli(stream: np.random.Generator, p: float) -> int:
     """One Bernoulli(p) trial: 1 iff the next uniform [0,1) draw is below p."""
     _check_probability(p)
     return 1 if stream.random() < p else 0
-
-
-def draw_bernoullis(stream: np.random.Generator, p: float, size: int) -> np.ndarray:
-    """``size`` Bernoulli(p) trials as a bool array, equal to ``size``
-    calls of ``draw_bernoulli`` and leaving the stream where they would."""
-    _check_probability(p)
-    return stream.random(size) < p
 
 
 def _index_bound(m: int) -> int:
@@ -136,39 +109,32 @@ def draw_indices(stream: np.random.Generator, m: int, size: int) -> np.ndarray:
     return out + 1
 
 
-class SwarmStreams(Sequence[AgentStreams]):
-    """Every agent's streams, agent i at position i - 1, with the
-    per-round draws buffered.
+class SwarmStreams:
+    """Every agent's two streams, with the per-round draws buffered.
 
     ``coins`` and ``indices`` return one draw per agent per call: what
-    ``draw_bernoulli`` and ``draw_index`` on each agent's own stream would
-    return, in the same order. Each refills ``DRAW_BLOCK`` values per
-    agent when its buffer runs out, so a stream it has drawn from must not
-    be drawn from directly afterwards.
+    ``draw_bernoulli`` and ``draw_index`` on agent i's own streams,
+    ``derived_generator(master_seed, i, PURPOSE_BERNOULLI)`` and
+    ``derived_generator(master_seed, i, PURPOSE_INDEX)``, would return, in
+    the same order. Each refills ``DRAW_BLOCK`` values per agent when its
+    buffer runs out.
     """
 
-    def __init__(self, agents: Sequence[AgentStreams]) -> None:
-        self._agents = list(agents)
-        n = len(self._agents)
+    def __init__(self, master_seed: int, n: int) -> None:
+        agents = range(1, n + 1)
+        self._coin_streams = [derived_generator(master_seed, i, PURPOSE_BERNOULLI) for i in agents]
+        self._index_streams = [derived_generator(master_seed, i, PURPOSE_INDEX) for i in agents]
         self._uniforms = np.empty((0, n))
         self._next_uniform = 0
         self._indices = np.empty((0, n), dtype=np.int64)
         self._next_index = 0
         self._m: tuple[int, ...] | None = None
 
-    def __len__(self) -> int:
-        return len(self._agents)
-
-    def __getitem__(self, k):
-        return self._agents[k]
-
     def coins(self, p: float) -> np.ndarray:
         """Every agent's next Bernoulli(p) trial, as an (n,) bool array."""
         _check_probability(p)
         if self._next_uniform == len(self._uniforms):
-            self._uniforms = np.stack(
-                [s.bernoulli.random(DRAW_BLOCK) for s in self._agents], axis=1
-            )
+            self._uniforms = np.stack([s.random(DRAW_BLOCK) for s in self._coin_streams], axis=1)
             self._next_uniform = 0
         u = self._uniforms[self._next_uniform]
         self._next_uniform += 1
@@ -183,10 +149,9 @@ class SwarmStreams(Sequence[AgentStreams]):
         if m is not self._m:
             m = tuple(m)
             if m != self._m:
-                if len(m) != len(self._agents):
-                    raise ValueError(
-                        f"need one index range per agent ({len(self._agents)}), got {len(m)}"
-                    )
+                n = len(self._index_streams)
+                if len(m) != n:
+                    raise ValueError(f"need one index range per agent ({n}), got {len(m)}")
                 if self._next_index < len(self._indices):
                     raise ValueError(
                         f"index buffer holds draws for ranges {self._m}, asked for {m}"
@@ -194,7 +159,7 @@ class SwarmStreams(Sequence[AgentStreams]):
             self._m = m
         if self._next_index == len(self._indices):
             self._indices = np.stack(
-                [draw_indices(s.index, m_i, DRAW_BLOCK) for s, m_i in zip(self._agents, m)],
+                [draw_indices(s, m_i, DRAW_BLOCK) for s, m_i in zip(self._index_streams, m)],
                 axis=1,
             )
             self._next_index = 0

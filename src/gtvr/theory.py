@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import json
 import math
-import warnings
 from dataclasses import asdict, dataclass, field
 from typing import Sequence
 
@@ -170,13 +169,6 @@ def verify_contraction(
     return ok, nonneg_spectral_radius(c)
 
 
-def _extrapolation_note(eta: float, eta_tilde_value: float) -> str:
-    return (
-        f"step-size {eta} exceeds the complexity-range cap {eta_tilde_value:.6g}; "
-        "estimates are extrapolations"
-    )
-
-
 def complexity_estimate(
     eta: float,
     epsilon: float,
@@ -186,7 +178,6 @@ def complexity_estimate(
     total_samples: int,
     p: float,
     neighbor_counts: Sequence[int],
-    eta_tilde_value: float | None = None,
 ) -> tuple[float, float, float]:
     """(iterations, gradient evaluations, communication rounds) to reach
     a stationarity level epsilon.
@@ -205,8 +196,6 @@ def complexity_estimate(
         raise ValueError("cost gap and initial deviation must be non-negative")
     if len(neighbor_counts) != n:
         raise ValueError(f"expected {n} neighbor counts, got {len(neighbor_counts)}")
-    if eta_tilde_value is not None and eta > eta_tilde_value:
-        warnings.warn(_extrapolation_note(eta, eta_tilde_value), stacklevel=2)
     iterations = 9.0 / (eta * epsilon) * (f_gap + (10.0 / (9.0 * n)) * r0 / eta)
     grads = iterations * (p * total_samples + 2.0 * n)
     comms = iterations * float(sum(neighbor_counts))
@@ -345,10 +334,11 @@ def build_report(
         its, grads, comms = complexity_estimate(
             eta_eff, epsilon, f_gap, r0, n, total_samples, p_ref, neighbor_counts
         )
-        # the report carries the advisory itself, so CLI users see a note
-        # rather than a warning pointing into this module
         if eta_eff > report.eta_tilde:
-            report.notes.append(_extrapolation_note(eta_eff, report.eta_tilde))
+            report.notes.append(
+                f"step-size {eta_eff} exceeds the complexity-range cap {report.eta_tilde:.6g}; "
+                "estimates are extrapolations"
+            )
         report.iterations = its
         report.gradient_evals = grads
         report.communications = comms

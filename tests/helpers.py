@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 import scipy.sparse as sp
 
 from gtvr.ingest import RawDataset
 from gtvr.problem import FiniteSumProblem, QuadraticProblem
+from gtvr.rng import PURPOSE_BERNOULLI, PURPOSE_INDEX, derived_generator
 
 
 def central_diff_grad(fn, x: np.ndarray, h: float = 1e-6) -> np.ndarray:
@@ -88,6 +91,26 @@ class StubGenerator:
         return self._integers.pop(0)
 
 
+class ScalarStreams(NamedTuple):
+    """One agent's coin and index generators, drawn one value at a time."""
+
+    bernoulli: np.random.Generator
+    index: np.random.Generator
+
+
+def scalar_streams(seed: int, n: int) -> list[ScalarStreams]:
+    """Agent i's streams at position i - 1, built from the documented spawn
+    keys (i, PURPOSE_BERNOULLI) and (i, PURPOSE_INDEX): the streams that
+    ``make_swarm_streams(seed, n)`` buffers, for scalar reference draws
+    with ``draw_bernoulli`` and ``draw_index``."""
+    return [
+        ScalarStreams(
+            derived_generator(seed, i, PURPOSE_BERNOULLI), derived_generator(seed, i, PURPOSE_INDEX)
+        )
+        for i in range(1, n + 1)
+    ]
+
+
 class StubSwarmStreams:
     """SwarmStreams replacement: each round's coins come from one scripted
     vector of uniform draws, its indices from real swarm streams."""
@@ -127,7 +150,7 @@ def estimate_vr_second_moments(problem, x, tau, draws, seed):
     from reference_engine import vr_gradient_estimate
 
     n = problem.n
-    streams = gtvr_rng.make_swarm_streams(seed, n)
+    streams = scalar_streams(seed, n)
     xbar = x.mean(axis=0)
     g_x = [problem.local_full_grad(i, x[i - 1]) for i in range(1, n + 1)]
     g_tau = [problem.local_full_grad(i, tau[i - 1]) for i in range(1, n + 1)]

@@ -6,8 +6,11 @@ thread pool (agents are updated in order). Differential tests run both
 engines on the same seeds and require identical traces and state.
 The metric pass is the per-agent one that batched
 ``local_costs_and_grads`` replaced, also kept verbatim. Only the shared
-primitives (mixing, draws, per-agent oracles, the trace row and the
-consensus gap) come from the package under test.
+primitives (mixing, scalar draws, per-agent oracles, the trace row and
+the consensus gap) come from the package under test. Each agent's
+streams are its own generators from ``helpers.scalar_streams``, built
+from the documented spawn keys, so the reference shares no stream object
+with the engine it checks.
 """
 
 from __future__ import annotations
@@ -22,7 +25,8 @@ from gtvr.algorithms import DIVERGENCE_NORM_CAP, DivergedError, RunConfig
 from gtvr.graph import MixingMatrix, mix
 from gtvr.metrics import TraceRow, consensus_gap_D
 from gtvr.problem import FiniteSumProblem
-from gtvr.rng import AgentStreams, draw_bernoulli, draw_index, make_swarm_streams
+from gtvr.rng import draw_bernoulli, draw_index
+from helpers import ScalarStreams, scalar_streams
 
 
 @dataclass
@@ -136,7 +140,7 @@ def gtvr_round(
     problem: FiniteSumProblem,
     mixing: MixingMatrix,
     cfg: RunConfig,
-    streams: Sequence[AgentStreams],
+    streams: Sequence[ScalarStreams],
 ) -> SwarmState:
     """One synchronous iteration of the tracked variance-reduced method."""
     x_new = mix(mixing, swarm.x - cfg.eta * swarm.y)
@@ -181,7 +185,7 @@ def dsgd_round(
     problem: FiniteSumProblem,
     mixing: MixingMatrix,
     cfg: RunConfig,
-    streams: Sequence[AgentStreams],
+    streams: Sequence[ScalarStreams],
 ) -> SwarmState:
     """Adapt-then-combine stochastic gradient step, one eval per agent."""
 
@@ -203,7 +207,7 @@ def init_dsgt(
     problem: FiniteSumProblem,
     x1: np.ndarray,
     cfg: RunConfig,
-    streams: Sequence[AgentStreams],
+    streams: Sequence[ScalarStreams],
 ) -> SwarmState:
     """Tracker seeded with one stochastic gradient per agent, so every
     iteration including the first costs exactly one evaluation."""
@@ -228,7 +232,7 @@ def dsgt_round(
     problem: FiniteSumProblem,
     mixing: MixingMatrix,
     cfg: RunConfig,
-    streams: Sequence[AgentStreams],
+    streams: Sequence[ScalarStreams],
 ) -> SwarmState:
     """Stochastic gradient tracking without variance reduction."""
     x_new = mix(mixing, swarm.x - cfg.eta * swarm.y)
@@ -273,7 +277,7 @@ def gt_saga_round(
     problem: FiniteSumProblem,
     mixing: MixingMatrix,
     cfg: RunConfig,
-    streams: Sequence[AgentStreams],
+    streams: Sequence[ScalarStreams],
 ) -> SwarmState:
     """Table-based variance reduction with gradient tracking."""
     x_new = mix(mixing, swarm.x - cfg.eta * swarm.y)
@@ -313,7 +317,7 @@ def init_swarm(
     problem: FiniteSumProblem,
     x1: np.ndarray,
     cfg: RunConfig,
-    streams: Sequence[AgentStreams],
+    streams: Sequence[ScalarStreams],
 ) -> SwarmState:
     if cfg.algorithm == "gtvr":
         return init_gtvr(problem, x1, cfg)
@@ -335,7 +339,7 @@ def run_experiment(
         raise ValueError(f"mixing matrix is for {mixing.n} agents, problem has {problem.n}")
     if x1 is None:
         x1 = np.zeros((problem.n, problem.d))
-    streams = make_swarm_streams(cfg.seed, problem.n)
+    streams = scalar_streams(cfg.seed, problem.n)
     swarm = init_swarm(problem, x1, cfg, streams)
     round_fn = ROUND_FNS[cfg.algorithm]
 

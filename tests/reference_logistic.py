@@ -4,7 +4,8 @@ Here the sigmoid pair selects with ``np.where`` on the sign of z, and
 each agent's transpose A_i^T is a CSC view of its row block's arrays,
 so ``A_i^T coef`` scatters over the m_i sample columns. The current
 ``LogisticProblem`` uses a branch-free sigmoid and a feature-major copy;
-its local oracles must equal these bit for bit.
+its local oracles, and the labels ``make_logistic`` draws, must equal
+these bit for bit.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from gtvr.problem import LogisticProblem
+from gtvr.rng import PURPOSE_DATA, derived_generator
 
 
 def sigmoid_pair(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -23,6 +25,23 @@ def sigmoid_pair(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     small = e / (1.0 + e)
     pos = z >= 0
     return np.where(pos, big, small), np.where(pos, small, big)
+
+
+def make_logistic_labels(
+    n: int, m: int, d: int, seed: int, density: float, margin_scale: float
+) -> np.ndarray:
+    """The labels ``make_logistic`` draws, stacked, with the class
+    probability sigma(margin_scale * a'x_true) taken from ``sigmoid_pair``."""
+    rng = derived_generator(seed, 0, PURPOSE_DATA)
+    x_true = rng.normal(size=d) / np.sqrt(max(density * d, 1.0))
+    labels = []
+    for _ in range(n):
+        mask = rng.random(size=(m, d)) < density
+        empty = ~mask.any(axis=1)
+        mask[empty, rng.integers(d, size=int(empty.sum()))] = True
+        margin = sp.csr_matrix(mask.astype(float)) @ x_true
+        labels.append(np.where(rng.random(size=m) < sigmoid_pair(margin_scale * margin)[0], 1.0, -1.0))
+    return np.concatenate(labels)
 
 
 def _row_block(rows: sp.csr_matrix, lo: int, hi: int) -> tuple[sp.csr_matrix, sp.csc_matrix]:

@@ -10,7 +10,12 @@ from gtvr.algorithms import (
     run_round,
 )
 from gtvr.problem import QuadraticProblem, make_logistic, make_quadratic
-from helpers import StubSwarmStreams, estimate_vr_second_moments, exact_stationary_quadratic
+from helpers import (
+    StubSwarmStreams,
+    estimate_vr_second_moments,
+    exact_stationary_quadratic,
+    scalar_streams,
+)
 from reference_engine import vr_gradient_estimate
 
 
@@ -291,7 +296,7 @@ def test_estimator_moment_bounds_monte_carlo():
 def second_moments_by_scalar_draws(problem, x, tau, draws, seed):
     """Loop reference for ``estimate_vr_second_moments``: one scalar index
     draw per agent per round and one estimator evaluation per draw."""
-    streams = rng.make_swarm_streams(seed, problem.n)
+    streams = scalar_streams(seed, problem.n)
     agents = range(1, problem.n + 1)
     xbar = x.mean(axis=0)
     g_x = [problem.local_full_grad(i, x[i - 1]) for i in agents]

@@ -1,16 +1,18 @@
-"""Pins the public surface of ``import gtvr``.
+"""Pins the public surface of ``import gtvr``, and runs README's library
+example against it.
 
 Adding or removing an exported name should be a deliberate change that
 updates this list too.
 """
 
+import re
 import types
+from pathlib import Path
 
 import gtvr
 
 PUBLIC_NAMES = [
     "ALGORITHMS",
-    "AgentStreams",
     "DivergedError",
     "FiniteSumProblem",
     "LibsvmFormatError",
@@ -27,14 +29,11 @@ PUBLIC_NAMES = [
     "build_topology",
     "complexity_estimate",
     "consensus_gap_D",
-    "draw_bernoulli",
-    "draw_index",
     "epsilon3",
     "eta_bar",
     "eta_tilde",
     "init_swarm",
     "lmi_matrix",
-    "make_agent_streams",
     "make_logistic",
     "make_quadratic",
     "make_swarm_streams",
@@ -66,3 +65,11 @@ def test_public_names_are_pinned():
     )
     assert exported == PUBLIC_NAMES
 
+
+def test_readme_library_example_runs(capsys):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("## Library example", 1)[1]
+    code = re.search(r"```python\n(.*?)```", section, re.DOTALL).group(1)
+    exec(compile(code, "README.md", "exec"), {})
+    stat = float(capsys.readouterr().out)
+    assert 0.0 <= stat < 1e-4

@@ -151,12 +151,19 @@ def test_trace_roundtrip_bit_exact():
 
 
 def test_trace_header_and_line_counts():
+    assert metrics.TRACE_HEADER == "k,cost,stat,cons,track,dbar,grad_evals,epoch,wall_ms"
     buf = io.StringIO()
     metrics.write_trace([], buf)
     assert buf.getvalue() == metrics.TRACE_HEADER + "\n"
     buf = io.StringIO()
     metrics.write_trace(rows_fixture(), buf)
-    assert len(buf.getvalue().splitlines()) == 4
+    lines = buf.getvalue().splitlines()
+    assert len(lines) == 4
+    # ints as str, floats to 17 significant digits
+    assert lines[2] == (
+        "1,0.10000000000000001,0.00050000000000000001,0.20000000000000001,nan,"
+        "0.40000000000000002,10,0.5,1.25"
+    )
 
 
 def test_trace_nan_track_roundtrip():
@@ -186,3 +193,9 @@ def test_trace_jsonl_mirror():
 def test_read_trace_rejects_bad_header():
     with pytest.raises(ValueError, match="header"):
         metrics.read_trace(io.StringIO("a,b,c\n"))
+
+
+def test_read_trace_rejects_a_line_of_the_wrong_width():
+    for cells in ("1,2,3", "0,0,0,0,0,0,0,0,0,0"):
+        with pytest.raises(ValueError, match="malformed"):
+            metrics.read_trace(io.StringIO(metrics.TRACE_HEADER + "\n" + cells + "\n"))

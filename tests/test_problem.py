@@ -16,7 +16,7 @@ from gtvr.problem import (
     make_quadratic,
 )
 from helpers import central_diff_grad, least_squares_solution, raw_from_rows, rel_err, same_bits, same_csr
-from reference_logistic import ReferenceLogistic
+from reference_logistic import ReferenceLogistic, make_logistic_labels
 from reference_logistic import sigmoid_pair as reference_sigmoid_pair
 
 
@@ -387,4 +387,14 @@ def test_select_free_sigmoid_equals_the_where_pair(z):
     sig, sig_neg = reference_sigmoid_pair(z)
     e, one_e = _exp_terms(z)
     assert same_value(_sigmoid_neg(z, e, one_e), sig_neg)
+    assert same_value(_sigmoid_neg(-z, e, one_e), sig)
     assert same_value(_sigmoid_product(e, one_e), sig * sig_neg)
+
+
+@pytest.mark.parametrize("seed", [0, 3, 17])
+@pytest.mark.parametrize("density, margin_scale", [(0.3, 2.0), (0.6, 1e3), (0.05, 0.1)])
+def test_make_logistic_labels_equal_the_where_pair_labels(seed, density, margin_scale):
+    # a margin scale of 1e3 puts many margins past |z| = 745, where exp(-|z|) underflows
+    prob = make_logistic(3, 40, 9, seed=seed, density=density, margin_scale=margin_scale)
+    want = make_logistic_labels(3, 40, 9, seed, density, margin_scale)
+    assert same_bits(prob._label_rows, want)

@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 from gtvr import algorithms, graph, ingest, rng
 from gtvr.algorithms import RunConfig, init_swarm, run_round
 from gtvr.problem import LogisticProblem, QuadraticProblem
-from helpers import dense_deviation_norm, raw_from_rows, same_bits, same_csr
+from helpers import dense_deviation_norm, raw_from_rows, same_bits, same_csr, scalar_streams
 
 ROUNDS = 12
 
@@ -78,9 +78,8 @@ def test_round_invariants(instance):
     swarm = init_swarm(prob, x1, cfg, streams)
     init_evals = {"gtvr": m, "dsgd": 0, "dsgt": 1, "gtsaga": m}[cfg.algorithm]
     assert np.array_equal(swarm.grad_evals, np.broadcast_to(init_evals, n))
-    coins = [rng.derived_generator(cfg.seed, i, rng.PURPOSE_BERNOULLI) for i in range(1, n + 1)]
-    # DSGD's sampled indices, replayed from a second copy of its streams
-    replay = rng.make_swarm_streams(cfg.seed, n)
+    # GT-VR's coins and DSGD's sampled indices, replayed one draw at a time
+    replay = scalar_streams(cfg.seed, n)
 
     for k in range(1, ROUNDS + 1):
         xbar = swarm.x.mean(axis=0)
@@ -102,7 +101,7 @@ def test_round_invariants(instance):
         if tracked:
             assert np.abs(swarm.y.mean(axis=0) - swarm.v.mean(axis=0)).max() <= 1e-9
         if cfg.algorithm == "gtvr":
-            refreshed = np.array([c.random() < cfg.p for c in coins])
+            refreshed = np.array([rng.draw_bernoulli(s.bernoulli, cfg.p) for s in replay])
             expected = 2 + refreshed * m
         else:
             expected = np.ones(n, dtype=np.int64)

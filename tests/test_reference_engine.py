@@ -10,7 +10,7 @@ from gtvr import algorithms, graph, ingest, metrics
 from gtvr.algorithms import RunConfig, init_swarm, run_experiment, run_round
 from gtvr.problem import LogisticProblem, QuadraticProblem, make_logistic, make_quadratic
 from gtvr.rng import make_swarm_streams
-from helpers import raw_from_rows
+from helpers import raw_from_rows, scalar_streams
 
 
 def unequal_logistic():
@@ -75,7 +75,7 @@ def test_final_state_matches_reference_engine(instance, algo, seed):
     cfg = RunConfig(algorithm=algo, eta=0.05, p=0.3, seed=seed)
     x1 = np.random.default_rng(seed).normal(size=(prob.n, prob.d))
     streams = make_swarm_streams(seed, prob.n)
-    ref_streams = make_swarm_streams(seed, prob.n)
+    ref_streams = scalar_streams(seed, prob.n)
     swarm = init_swarm(prob, x1, cfg, streams)
     expected = ref.init_swarm(prob, x1, cfg, ref_streams)
     for _ in range(150):

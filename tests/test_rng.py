@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gtvr import rng
-from helpers import StubGenerator
+from helpers import StubGenerator, scalar_streams
 
 FIXED_SEED = settings(derandomize=True, max_examples=100, deadline=None, database=None)
 
@@ -22,8 +22,8 @@ PROBABILITIES = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
 
 
 def test_same_seed_same_sequences():
-    a = rng.make_agent_streams(123, 4)
-    b = rng.make_agent_streams(123, 4)
+    a = scalar_streams(123, 4)[3]
+    b = scalar_streams(123, 4)[3]
     assert [rng.draw_bernoulli(a.bernoulli, 0.4) for _ in range(10_000)] == [
         rng.draw_bernoulli(b.bernoulli, 0.4) for _ in range(10_000)
     ]
@@ -49,25 +49,25 @@ def test_bernoulli_threshold_rule():
 
 
 def test_bernoulli_rejects_degenerate_probabilities():
-    stream = rng.make_agent_streams(0, 1).bernoulli
+    stream = scalar_streams(0, 1)[0].bernoulli
     for p in (0.0, 1.0, -0.1, 1.5):
         with pytest.raises(ValueError):
             rng.draw_bernoulli(stream, p)
 
 
 def test_index_rejects_empty_range():
-    stream = rng.make_agent_streams(0, 1).index
+    stream = scalar_streams(0, 1)[0].index
     with pytest.raises(ValueError):
         rng.draw_index(stream, 0)
 
 
 def test_index_m1_always_one():
-    stream = rng.make_agent_streams(5, 2).index
+    stream = scalar_streams(5, 2)[1].index
     assert all(rng.draw_index(stream, 1) == 1 for _ in range(100))
 
 
 def test_bernoulli_empirical_mean():
-    stream = rng.make_agent_streams(2024, 1).bernoulli
+    stream = scalar_streams(2024, 1)[0].bernoulli
     n = 1_000_000
     hits = sum(rng.draw_bernoulli(stream, 0.3) for _ in range(n))
     # binomial standard error sqrt(p (1-p) / n), three sigma
@@ -75,7 +75,7 @@ def test_bernoulli_empirical_mean():
 
 
 def test_index_uniformity_three_sigma():
-    stream = rng.make_agent_streams(77, 3).index
+    stream = scalar_streams(77, 3)[2].index
     n = 1_000_000
     m = 7
     # the same values as n calls of draw_index (test_draw_indices_equal_scalar_draws)
@@ -86,17 +86,12 @@ def test_index_uniformity_three_sigma():
 
 
 def test_cross_stream_correlation_small():
-    streams = rng.make_agent_streams(31337, 6)
+    streams = scalar_streams(31337, 6)[5]
     n = 100_000
     flips = np.array([rng.draw_bernoulli(streams.bernoulli, 0.5) for _ in range(n)], dtype=float)
     idx = np.array([rng.draw_index(streams.index, 1000) for _ in range(n)], dtype=float)
     corr = np.corrcoef(flips, idx)[0, 1]
     assert abs(corr) < 0.01
-
-
-def test_agent_ids_are_one_based():
-    with pytest.raises(ValueError):
-        rng.make_agent_streams(0, 0)
 
 
 def same_state(a: np.random.Generator, b: np.random.Generator) -> bool:
@@ -110,8 +105,8 @@ def same_state(a: np.random.Generator, b: np.random.Generator) -> bool:
 @FIXED_SEED
 @given(m=INDEX_RANGES, size=st.integers(0, 300), seed=st.integers(0, 2**32 - 1))
 def test_draw_indices_equal_scalar_draws(m, size, seed):
-    block = rng.make_agent_streams(seed, 3).index
-    scalar = rng.make_agent_streams(seed, 3).index
+    block = scalar_streams(seed, 3)[2].index
+    scalar = scalar_streams(seed, 3)[2].index
     got = rng.draw_indices(block, m, size)
     assert got.dtype == np.int64 and got.shape == (size,)
     assert got.tolist() == [rng.draw_index(scalar, m) for _ in range(size)]
@@ -124,33 +119,18 @@ def test_draw_indices_equal_scalar_draws(m, size, seed):
 def test_draw_indices_equal_scalar_draws_when_chunks_fall_short(m, size, seed):
     # with no margin over the expected raw count, a chunk holds fewer
     # accepted values than needed about half the time
-    block = rng.make_agent_streams(seed, 3).index
-    scalar = rng.make_agent_streams(seed, 3).index
+    block = scalar_streams(seed, 3)[2].index
+    scalar = scalar_streams(seed, 3)[2].index
     with mock.patch.object(rng, "isqrt", lambda n: -1):
         got = rng.draw_indices(block, m, size)
     assert got.tolist() == [rng.draw_index(scalar, m) for _ in range(size)]
     assert same_state(block, scalar)
 
 
-@FIXED_SEED
-@given(p=PROBABILITIES, size=st.integers(0, 300), seed=st.integers(0, 2**32 - 1))
-def test_draw_bernoullis_equal_scalar_draws(p, size, seed):
-    block = rng.make_agent_streams(seed, 2).bernoulli
-    scalar = rng.make_agent_streams(seed, 2).bernoulli
-    got = rng.draw_bernoullis(block, p, size)
-    assert got.dtype == bool and got.shape == (size,)
-    assert got.astype(int).tolist() == [rng.draw_bernoulli(scalar, p) for _ in range(size)]
-    assert same_state(block, scalar)
-    assert rng.draw_bernoulli(block, p) == rng.draw_bernoulli(scalar, p)
-
-
 def test_block_draws_validate_like_scalar_draws():
-    stream = rng.make_agent_streams(0, 1).index
+    stream = scalar_streams(0, 1)[0].index
     with pytest.raises(ValueError):
         rng.draw_indices(stream, 0, 5)
-    for p in (0.0, 1.0):
-        with pytest.raises(ValueError):
-            rng.draw_bernoullis(stream, p, 5)
 
 
 @settings(FIXED_SEED, max_examples=15)
@@ -162,7 +142,7 @@ def test_block_draws_validate_like_scalar_draws():
 def test_swarm_buffer_hands_out_the_scalar_sequence(m, p, seed):
     m = tuple(m)
     buffered = rng.make_swarm_streams(seed, len(m))
-    scalar = rng.make_swarm_streams(seed, len(m))
+    scalar = scalar_streams(seed, len(m))
     # past two refills; coins stop early, as a DSGD run after GT-VR would
     rounds = 2 * rng.DRAW_BLOCK + 37
     for k in range(rounds):

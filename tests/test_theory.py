@@ -263,11 +263,6 @@ def test_complexity_ring_communications():
     assert grads == pytest.approx(its * (0.3 * 400 + 2 * n), rel=1e-15)
 
 
-def test_complexity_warns_above_step_cap():
-    with pytest.warns(UserWarning, match="exceeds"):
-        theory.complexity_estimate(0.5, 1e-3, 1.0, 0.1, 4, 40, 0.5, [2] * 4, eta_tilde_value=0.01)
-
-
 def test_build_report_admissible():
     rep = theory.build_report(0.4, 2.0, 0.95, n=6, total_samples=600, eta=None)
     assert rep.contraction_ok is True
