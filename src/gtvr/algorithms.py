@@ -49,8 +49,8 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}, expected one of {ALGORITHMS}")
-        if not self.eta > 0:
-            raise ValueError(f"step-size must be positive, got {self.eta}")
+        if not 0 < self.eta < np.inf:
+            raise ValueError(f"step-size must be positive and finite, got {self.eta}")
         if not 0.0 < self.p < 1.0:
             raise ValueError(f"refresh probability must lie in (0, 1), got {self.p}")
         if self.rounds < 0:

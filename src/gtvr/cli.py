@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import logging
+import math
 import os
 import sys
 from dataclasses import dataclass, fields, replace
@@ -151,8 +152,8 @@ def _validate_config(cfg: ExperimentConfig, source: str) -> None:
             raise ValueError(
                 f"unknown partition scheme {cfg.scheme!r}, expected one of {ingest.PARTITION_SCHEMES}"
             )
-        if cfg.lambda1 < 0:
-            raise ValueError(f"lambda1 must be >= 0, got {cfg.lambda1}")
+        if not 0 <= cfg.lambda1 < math.inf:
+            raise ValueError(f"lambda1 must be finite and >= 0, got {cfg.lambda1}")
         if cfg.max_samples < 0:
             raise ValueError(f"max_samples must be >= 0, got {cfg.max_samples}")
         if not 0 <= cfg.seed < 2**64:

@@ -58,11 +58,10 @@ def _sigmoid_pair_scalar(z: float) -> tuple[float, float]:
 class FiniteSumProblem:
     """Shared surface of the per-instance objectives.
 
-    Subclasses provide component/local costs and gradients and the batched
-    ``component_grads``; this base supplies the network-level average, the
-    one batch check of ``component_grads``, a per-agent loop for
-    ``local_costs_and_grads`` where a subclass has no stacked form, and
-    common bookkeeping.
+    Subclasses provide the oracles the engine and the metric pass call;
+    this base supplies the network-level average, the one batch check of
+    ``component_grads``, and common bookkeeping. The per-sample and
+    per-agent cost references live in ``tests/reference_problem.py``.
     """
 
     n: int
@@ -75,23 +74,13 @@ class FiniteSumProblem:
     def total_samples(self) -> int:
         return sum(self.m)
 
-    def _check_indices(self, i: int, j: int | None = None) -> None:
+    def _check_indices(self, i: int) -> None:
         if not 1 <= i <= self.n:
             raise IndexError(f"agent index {i} out of range [1, {self.n}]")
-        if j is not None and not 1 <= j <= self.m[i - 1]:
-            raise IndexError(
-                f"sample index {j} out of range [1, {self.m[i - 1]}] for agent {i}"
-            )
-
-    def component_cost(self, i: int, j: int, x: np.ndarray) -> float:
-        raise NotImplementedError
-
-    def component_grad(self, i: int, j: int, x: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
 
     def component_grads(self, js: np.ndarray, X: np.ndarray) -> np.ndarray:
         """One component gradient per agent, stacked (n, d): row i - 1 is
-        ``component_grad(i, js[i - 1], X[i - 1])``."""
+        the gradient of agent i's sample ``js[i - 1]`` at ``X[i - 1]``."""
         raise NotImplementedError
 
     def _batch_rows(self, js: np.ndarray, X: np.ndarray) -> np.ndarray:
@@ -110,9 +99,6 @@ class FiniteSumProblem:
         """All component gradients of agent i at x, stacked (m_i, d)."""
         raise NotImplementedError
 
-    def local_cost(self, i: int, x: np.ndarray) -> float:
-        raise NotImplementedError
-
     def local_full_grad(self, i: int, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
@@ -123,13 +109,9 @@ class FiniteSumProblem:
         """Every agent's local cost and full local gradient at one point x.
 
         Returns the n costs and the stacked (n, d) gradients, agent i in
-        row i - 1, equal to ``local_cost(i, x)`` and ``local_full_grad(i, x)``.
+        row i - 1; the gradients equal ``local_full_grad(i, x)``.
         """
-        x = np.asarray(x, dtype=float)
-        agents = range(1, self.n + 1)
-        costs = np.array([self.local_cost(i, x) for i in agents])
-        grads = np.array([self.local_full_grad(i, x) for i in agents])
-        return costs, grads
+        raise NotImplementedError
 
     def global_cost_and_grad(self, x: np.ndarray) -> tuple[float, np.ndarray]:
         """Cost and gradient of the network average f at a single point x."""
@@ -186,8 +168,8 @@ class LogisticProblem(FiniteSumProblem):
         A_i^T: their products are dots over d long rows, where a transposed
         view of the row-major arrays would scatter over m_i short columns.
         """
-        if lam1 < 0:
-            raise ValueError(f"regularization weight must be >= 0, got {lam1}")
+        if not 0 <= lam1 < math.inf:
+            raise ValueError(f"regularization weight must be finite and >= 0, got {lam1}")
         if min(sizes) < 1:
             raise ValueError("feature rows and labels must match and be non-empty")
         if not np.isin(labels, (-1.0, 1.0)).all():
@@ -233,29 +215,8 @@ class LogisticProblem(FiniteSumProblem):
         prob._hold(csr[order], labels, [len(idx) for idx in parts], lam1)
         return prob
 
-    def component_cost(self, i: int, j: int, x: np.ndarray) -> float:
-        self._check_indices(i, j)
-        a = self._feats[i - 1]
-        lo, hi = a.indptr[j - 1], a.indptr[j]
-        z = self._labels[i - 1][j - 1] * float(a.data[lo:hi] @ x[a.indices[lo:hi]])
-        _, sig_neg = _sigmoid_pair_scalar(z)
-        return sig_neg + self.lam1 * float(x @ x)
-
-    def component_grad(self, i: int, j: int, x: np.ndarray) -> np.ndarray:
-        self._check_indices(i, j)
-        a = self._feats[i - 1]
-        lo, hi = a.indptr[j - 1], a.indptr[j]
-        idx = a.indices[lo:hi]
-        val = a.data[lo:hi]
-        l = self._labels[i - 1][j - 1]
-        z = l * float(val @ x[idx])
-        sig, sig_neg = _sigmoid_pair_scalar(z)
-        g = (2.0 * self.lam1) * x
-        g[idx] += (-l * sig * sig_neg) * val
-        return g
-
     def component_grads(self, js: np.ndarray, X: np.ndarray) -> np.ndarray:
-        # component_grad's arithmetic row by row, after one batch check
+        # the per-sample reference's arithmetic row by row, after one batch check
         rows = self._batch_rows(js, X)
         grads = (2.0 * self.lam1) * X
         indptr, indices, data = self._rows.indptr, self._rows.indices, self._rows.data
@@ -275,12 +236,6 @@ class LogisticProblem(FiniteSumProblem):
         table = np.asarray(a.multiply(coef[:, None]).todense())
         table += (2.0 * self.lam1) * x
         return table
-
-    def local_cost(self, i: int, x: np.ndarray) -> float:
-        self._check_indices(i)
-        z = self._labels[i - 1] * (self._feats[i - 1] @ x)
-        sig_neg = _sigmoid_neg(z, *_exp_terms(z))
-        return float(sig_neg.mean()) + self.lam1 * float(x @ x)
 
     def local_full_grad(self, i: int, x: np.ndarray) -> np.ndarray:
         self._check_indices(i)
@@ -389,11 +344,11 @@ class QuadraticProblem(FiniteSumProblem):
             raise ValueError("need one feature matrix and target vector per agent")
         feats = [np.asarray(a, dtype=float) for a in features]
         targets = [np.asarray(t, dtype=float) for t in targets]
+        for a, t in zip(feats, targets):
+            if a.ndim != 2 or a.shape[1] != feats[0].shape[1] or t.shape != a.shape[:1] or not a.size:
+                raise ValueError("inconsistent quadratic instance data")
         self.n = len(feats)
         self.d = feats[0].shape[1]
-        for a, t in zip(feats, targets):
-            if a.ndim != 2 or a.shape[1] != self.d or a.shape[0] != t.shape[0] or not a.size:
-                raise ValueError("inconsistent quadratic instance data")
         self.m = tuple(a.shape[0] for a in feats)
         # all agents' rows stacked once; agent i owns the next m_i rows, and
         # the per-agent arrays are views of them
@@ -407,17 +362,6 @@ class QuadraticProblem(FiniteSumProblem):
         # stacked row of agent i's sample j is _row_base[i - 1] + j
         self._row_base = np.array(offsets[:-1]) - 1
         self._m_array = np.array(self.m)
-
-    def component_cost(self, i: int, j: int, x: np.ndarray) -> float:
-        self._check_indices(i, j)
-        r = float(self._feats[i - 1][j - 1] @ x) - self._targets[i - 1][j - 1]
-        return 0.5 * r * r
-
-    def component_grad(self, i: int, j: int, x: np.ndarray) -> np.ndarray:
-        self._check_indices(i, j)
-        a = self._feats[i - 1][j - 1]
-        r = float(a @ x) - self._targets[i - 1][j - 1]
-        return r * a
 
     def component_grads(self, js: np.ndarray, X: np.ndarray) -> np.ndarray:
         rows = self._batch_rows(js, X)
@@ -433,16 +377,23 @@ class QuadraticProblem(FiniteSumProblem):
         r = a @ x - self._targets[i - 1]
         return r[:, None] * a
 
-    def local_cost(self, i: int, x: np.ndarray) -> float:
-        self._check_indices(i)
-        r = self._feats[i - 1] @ x - self._targets[i - 1]
-        return 0.5 * float(r @ r) / self.m[i - 1]
-
     def local_full_grad(self, i: int, x: np.ndarray) -> np.ndarray:
         self._check_indices(i)
         a = self._feats[i - 1]
         r = a @ x - self._targets[i - 1]
         return (a.T @ r) / self.m[i - 1]
+
+    def local_costs_and_grads(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # one residual per agent, shared by its cost and gradient; these are
+        # the per-agent oracle's expressions, for equal and unequal m_i alike
+        x = np.asarray(x, dtype=float)
+        costs = np.empty(self.n)
+        grads = np.empty((self.n, self.d))
+        for i, (a, t, m) in enumerate(zip(self._feats, self._targets, self.m)):
+            r = a @ x - t
+            costs[i] = 0.5 * float(r @ r) / m
+            grads[i] = (a.T @ r) / m
+        return costs, grads
 
     def lipschitz_estimate(self) -> float:
         return float((self._rows * self._rows).sum(axis=1).max())

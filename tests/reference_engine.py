@@ -5,12 +5,13 @@ and pluggable local estimators, kept verbatim apart from the per-round
 thread pool (agents are updated in order). Differential tests run both
 engines on the same seeds and require identical traces and state.
 The metric pass is the per-agent one that batched
-``local_costs_and_grads`` replaced, also kept verbatim. Only the shared
-primitives (mixing, scalar draws, per-agent oracles, the trace row and
-the consensus gap) come from the package under test. Each agent's
-streams are its own generators from ``helpers.scalar_streams``, built
-from the documented spawn keys, so the reference shares no stream object
-with the engine it checks.
+``local_costs_and_grads`` replaced, also kept verbatim. The per-sample
+gradient and the per-agent cost come from ``reference_problem``. Only
+the shared primitives (mixing, scalar draws, the local full gradient and
+component table, the trace row and the consensus gap) come from the
+package under test. Each agent's streams are its own generators from
+``helpers.scalar_streams``, built from the documented spawn keys, so the
+reference shares no stream object with the engine it checks.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from gtvr.metrics import TraceRow, consensus_gap_D
 from gtvr.problem import FiniteSumProblem
 from gtvr.rng import draw_bernoulli, draw_index
 from helpers import ScalarStreams, scalar_streams
+from reference_problem import component_grad, local_cost
 
 
 @dataclass
@@ -73,7 +75,7 @@ def global_cost_and_grad(problem: FiniteSumProblem, x: np.ndarray) -> tuple[floa
     cost = 0.0
     grad = np.zeros(problem.d)
     for i in range(1, problem.n + 1):
-        cost += problem.local_cost(i, x)
+        cost += local_cost(problem, i, x)
         grad += problem.local_full_grad(i, x)
     return cost / problem.n, grad / problem.n
 
@@ -116,7 +118,7 @@ def vr_gradient_estimate(
     g_tau_i: np.ndarray,
 ) -> np.ndarray:
     """Anchored stochastic gradient of agent i at sample j (two evals)."""
-    return problem.component_grad(i, j, x_i) - problem.component_grad(i, j, tau_i) + g_tau_i
+    return component_grad(problem, i, j, x_i) - component_grad(problem, i, j, tau_i) + g_tau_i
 
 
 def init_gtvr(problem: FiniteSumProblem, x1: np.ndarray, cfg: RunConfig) -> SwarmState:
@@ -192,7 +194,7 @@ def dsgd_round(
     def update(i: int) -> tuple:
         idx = i - 1
         j = draw_index(streams[idx].index, problem.m[idx])
-        return (problem.component_grad(i, j, swarm.x[idx]),)
+        return (component_grad(problem, i, j, swarm.x[idx]),)
 
     grads = np.stack([r[0] for r in _map_agents(update, problem.n)])
     swarm.x = mix(mixing, swarm.x - cfg.eta * grads)
@@ -214,7 +216,7 @@ def init_dsgt(
     x = _as_stacked(problem, x1)
     g = np.stack(
         [
-            problem.component_grad(i, draw_index(streams[i - 1].index, problem.m[i - 1]), x[i - 1])
+            component_grad(problem, i, draw_index(streams[i - 1].index, problem.m[i - 1]), x[i - 1])
             for i in range(1, problem.n + 1)
         ]
     )
@@ -240,7 +242,7 @@ def dsgt_round(
     def update(i: int) -> tuple:
         idx = i - 1
         j = draw_index(streams[idx].index, problem.m[idx])
-        return (problem.component_grad(i, j, x_new[idx]),)
+        return (component_grad(problem, i, j, x_new[idx]),)
 
     g_new = np.stack([r[0] for r in _map_agents(update, problem.n)])
     swarm.y = mix(mixing, swarm.y + g_new - swarm.g_last)
@@ -285,7 +287,7 @@ def gt_saga_round(
     def update(i: int) -> tuple:
         idx = i - 1
         j = draw_index(streams[idx].index, problem.m[idx])
-        fresh = problem.component_grad(i, j, x_new[idx])
+        fresh = component_grad(problem, i, j, x_new[idx])
         table = swarm.tables[idx]
         old = table[j - 1].copy()
         v_i = fresh - old + swarm.table_mean[idx]

@@ -1,0 +1,71 @@
+"""The per-sample and per-agent cost oracles of both problem classes.
+
+``gtvr.problem`` keeps only the oracles the engine and the metric pass
+call: the batched ``component_grads``, the component table, the local
+full gradient and ``local_costs_and_grads``. These are the scalar oracles
+those are checked against, with the arithmetic and index checks they had
+as methods, reading the problem's per-agent views (``_feats``,
+``_targets``, ``_labels``).
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from gtvr.problem import (
+    FiniteSumProblem,
+    QuadraticProblem,
+    _exp_terms,
+    _sigmoid_neg,
+    _sigmoid_pair_scalar,
+)
+
+
+def _check_indices(prob: FiniteSumProblem, i: int, j: int | None = None) -> None:
+    if not 1 <= i <= prob.n:
+        raise IndexError(f"agent index {i} out of range [1, {prob.n}]")
+    if j is not None and not 1 <= j <= prob.m[i - 1]:
+        raise IndexError(f"sample index {j} out of range [1, {prob.m[i - 1]}] for agent {i}")
+
+
+def component_cost(prob: FiniteSumProblem, i: int, j: int, x: np.ndarray) -> float:
+    """f_ij(x), the cost of agent i's sample j."""
+    _check_indices(prob, i, j)
+    if isinstance(prob, QuadraticProblem):
+        r = float(prob._feats[i - 1][j - 1] @ x) - prob._targets[i - 1][j - 1]
+        return 0.5 * r * r
+    a = prob._feats[i - 1]
+    lo, hi = a.indptr[j - 1], a.indptr[j]
+    z = prob._labels[i - 1][j - 1] * float(a.data[lo:hi] @ x[a.indices[lo:hi]])
+    _, sig_neg = _sigmoid_pair_scalar(z)
+    return sig_neg + prob.lam1 * float(x @ x)
+
+
+def component_grad(prob: FiniteSumProblem, i: int, j: int, x: np.ndarray) -> np.ndarray:
+    """The gradient of f_ij at x."""
+    _check_indices(prob, i, j)
+    if isinstance(prob, QuadraticProblem):
+        a = prob._feats[i - 1][j - 1]
+        r = float(a @ x) - prob._targets[i - 1][j - 1]
+        return r * a
+    a = prob._feats[i - 1]
+    lo, hi = a.indptr[j - 1], a.indptr[j]
+    idx = a.indices[lo:hi]
+    val = a.data[lo:hi]
+    l = prob._labels[i - 1][j - 1]
+    z = l * float(val @ x[idx])
+    sig, sig_neg = _sigmoid_pair_scalar(z)
+    g = (2.0 * prob.lam1) * x
+    g[idx] += (-l * sig * sig_neg) * val
+    return g
+
+
+def local_cost(prob: FiniteSumProblem, i: int, x: np.ndarray) -> float:
+    """f_i(x), agent i's mean component cost."""
+    _check_indices(prob, i)
+    if isinstance(prob, QuadraticProblem):
+        r = prob._feats[i - 1] @ x - prob._targets[i - 1]
+        return 0.5 * float(r @ r) / prob.m[i - 1]
+    z = prob._labels[i - 1] * (prob._feats[i - 1] @ x)
+    sig_neg = _sigmoid_neg(z, *_exp_terms(z))
+    return float(sig_neg.mean()) + prob.lam1 * float(x @ x)

@@ -17,6 +17,7 @@ from helpers import (
     scalar_streams,
 )
 from reference_engine import vr_gradient_estimate
+from reference_problem import component_grad
 
 
 @pytest.fixture(scope="module")
@@ -123,7 +124,7 @@ def test_dsgd_reduces_to_centralized_gd_on_shared_data():
     x_manual = np.zeros(2)
     for _ in range(25):
         run_round(swarm, prob, mixing, cfg, streams)
-        x_manual = x_manual - cfg.eta * prob.component_grad(1, 1, x_manual)
+        x_manual = x_manual - cfg.eta * component_grad(prob, 1, 1, x_manual)
         assert np.abs(swarm.x - x_manual).max() <= 1e-12
 
 
@@ -138,12 +139,12 @@ def test_dsgt_with_single_samples_equals_deterministic_tracking(setup5):
     swarm = init_swarm(prob, np.zeros((5, 3)), cfg, streams)
 
     x = np.zeros((5, 3))
-    g = np.stack([prob.component_grad(i, 1, x[i - 1]) for i in range(1, 6)])
+    g = np.stack([component_grad(prob, i, 1, x[i - 1]) for i in range(1, 6)])
     y = g.copy()
     for _ in range(50):
         run_round(swarm, prob, mixing, cfg, streams)
         x_new = graph.mix(mixing, x - cfg.eta * y)
-        g_new = np.stack([prob.component_grad(i, 1, x_new[i - 1]) for i in range(1, 6)])
+        g_new = np.stack([component_grad(prob, i, 1, x_new[i - 1]) for i in range(1, 6)])
         y = graph.mix(mixing, y + g_new - g)
         x, g = x_new, g_new
         assert np.array_equal(swarm.x, x)
@@ -252,8 +253,9 @@ def test_divergence_reports_iteration(setup5):
 def test_run_config_validation():
     with pytest.raises(ValueError):
         RunConfig(algorithm="nope")
-    with pytest.raises(ValueError):
-        RunConfig(eta=0.0)
+    for eta in (0.0, np.nan, np.inf):
+        with pytest.raises(ValueError):
+            RunConfig(eta=eta)
     with pytest.raises(ValueError):
         RunConfig(p=1.0)
     with pytest.raises(ValueError):

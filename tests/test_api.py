@@ -1,13 +1,15 @@
-"""Pins the public surface of ``import gtvr``, and runs README's library
-example against it.
+"""Pins the public surface of ``import gtvr`` and of its two problem
+classes, and runs README's library example against it.
 
-Adding or removing an exported name should be a deliberate change that
-updates this list too.
+Adding or removing an exported name or a problem method should be a
+deliberate change that updates these lists too.
 """
 
 import re
 import types
 from pathlib import Path
+
+import pytest
 
 import gtvr
 
@@ -54,6 +56,22 @@ PUBLIC_NAMES = [
     "write_trace",
 ]
 
+# the oracles the engine and the metric pass call; the per-sample and
+# per-agent cost references live in tests/reference_problem.py
+PROBLEM_ORACLES = [
+    "component_grad_table",
+    "component_grads",
+    "global_cost_and_grad",
+    "lipschitz_estimate",
+    "local_costs_and_grads",
+    "local_full_grad",
+    "total_samples",
+]
+PROBLEM_SURFACE = {
+    "QuadraticProblem": PROBLEM_ORACLES,
+    "LogisticProblem": sorted(PROBLEM_ORACLES + ["from_partition"]),
+}
+
 
 def test_public_names_are_pinned():
     # submodules become attributes as they are imported, so they are not
@@ -64,6 +82,12 @@ def test_public_names_are_pinned():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     )
     assert exported == PUBLIC_NAMES
+
+
+@pytest.mark.parametrize("name", sorted(PROBLEM_SURFACE))
+def test_problem_methods_are_pinned(name):
+    cls = getattr(gtvr, name)
+    assert sorted(attr for attr in dir(cls) if not attr.startswith("_")) == PROBLEM_SURFACE[name]
 
 
 def test_readme_library_example_runs(capsys):

@@ -78,6 +78,18 @@ def test_invalid_parameter_rejected(tmp_path, capsys):
     assert "(0, 1)" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key, value", [("lambda1", "nan"), ("lambda1", "inf"), ("eta", "inf")])
+def test_non_finite_parameter_rejected_as_bad_config(tmp_path, capsys, key, value):
+    data = make_libsvm_file(tmp_path, rows=4, d=3)
+    params = {"eta": "0.05", "lambda1": "5e-4", key: value}
+    text = f"dataset = {data}\nn = 2\nrounds = 5\n" + "".join(f"{k} = {v}\n" for k, v in params.items())
+    cfg = write_config(tmp_path, text)
+    assert cli.main(["run", "--config", str(cfg), "--output", str(tmp_path / "t.csv")]) == 2
+    err = capsys.readouterr().err
+    assert "diverged" not in err
+    assert ("step-size" if key == "eta" else key) in err
+
+
 def test_zero_workers_rejected(tmp_path, capsys):
     cfg = write_config(tmp_path, QUAD_CONFIG.format(rounds=1) + "workers = 0\n")
     assert cli.main(["run", "--config", str(cfg)]) != 0

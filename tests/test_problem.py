@@ -18,6 +18,7 @@ from gtvr.problem import (
 from helpers import central_diff_grad, least_squares_solution, raw_from_rows, rel_err, same_bits, same_csr
 from reference_logistic import ReferenceLogistic, make_logistic_labels
 from reference_logistic import sigmoid_pair as reference_sigmoid_pair
+from reference_problem import component_cost, component_grad, local_cost
 
 
 def single_logistic(a_row, label, lam1=0.0):
@@ -26,7 +27,7 @@ def single_logistic(a_row, label, lam1=0.0):
 
 def test_quadratic_component_grad_zero_at_component_minimizer():
     prob = QuadraticProblem([np.array([[1.0, 0.0]])], [np.array([0.0])])
-    assert np.array_equal(prob.component_grad(1, 1, np.zeros(2)), np.zeros(2))
+    assert np.array_equal(component_grad(prob, 1, 1, np.zeros(2)), np.zeros(2))
 
 
 def test_logistic_grad_at_origin_is_quarter_row():
@@ -35,15 +36,15 @@ def test_logistic_grad_at_origin_is_quarter_row():
     for label in (-1.0, 1.0):
         prob = single_logistic(a, label)
         expected = -(label / 4.0) * a
-        assert np.array_equal(prob.component_grad(1, 1, np.zeros(3)), expected)
+        assert np.array_equal(component_grad(prob, 1, 1, np.zeros(3)), expected)
 
 
 def test_logistic_component_grad_with_regularizer():
     a = np.array([1.0, 3.0])
     prob = single_logistic(a, 1.0, lam1=0.01)
     x = np.array([0.4, -0.2])
-    got = prob.component_grad(1, 1, x)
-    fd = central_diff_grad(lambda z: prob.component_cost(1, 1, z), x)
+    got = component_grad(prob, 1, 1, x)
+    fd = central_diff_grad(lambda z: component_cost(prob, 1, 1, z), x)
     assert rel_err(got, fd) <= 1e-6
 
 
@@ -58,8 +59,8 @@ def test_component_grads_match_finite_differences(kind):
         i = int(rng.integers(1, prob.n + 1))
         j = int(rng.integers(1, prob.m[i - 1] + 1))
         x = rng.normal(size=prob.d)
-        got = prob.component_grad(i, j, x)
-        fd = central_diff_grad(lambda z: prob.component_cost(i, j, z), x)
+        got = component_grad(prob, i, j, x)
+        fd = central_diff_grad(lambda z: component_cost(prob, i, j, z), x)
         assert rel_err(got, fd) <= 1e-6
 
 
@@ -68,14 +69,14 @@ def test_local_full_grad_is_component_average():
     rng = np.random.default_rng(0)
     for i in (1, 2):
         x = rng.normal(size=prob.d)
-        mean = np.mean([prob.component_grad(i, j, x) for j in range(1, prob.m[i - 1] + 1)], axis=0)
+        mean = np.mean([component_grad(prob, i, j, x) for j in range(1, prob.m[i - 1] + 1)], axis=0)
         assert np.abs(prob.local_full_grad(i, x) - mean).max() <= 1e-12
 
 
 def test_single_sample_agent_local_equals_component():
     prob = QuadraticProblem([np.array([[1.0, 2.0]])], [np.array([0.3])])
     x = np.array([0.1, -0.7])
-    assert np.allclose(prob.local_full_grad(1, x), prob.component_grad(1, 1, x), atol=1e-15)
+    assert np.allclose(prob.local_full_grad(1, x), component_grad(prob, 1, 1, x), atol=1e-15)
 
 
 def test_symmetric_targets_cancel_at_origin():
@@ -88,7 +89,7 @@ def test_global_reduces_to_local_for_single_agent():
     prob = make_quadratic(1, 10, 4, seed=3)
     x = np.arange(4, dtype=float)
     cost, grad = prob.global_cost_and_grad(x)
-    assert cost == pytest.approx(prob.local_cost(1, x), abs=1e-15)
+    assert cost == pytest.approx(local_cost(prob, 1, x), abs=1e-15)
     assert np.allclose(grad, prob.local_full_grad(1, x), atol=1e-15)
 
 
@@ -137,21 +138,21 @@ def test_component_smoothness_bound(kind):
         j = int(rng.integers(1, prob.m[i - 1] + 1))
         x = rng.normal(size=prob.d)
         y = rng.normal(size=prob.d)
-        lhs = np.linalg.norm(prob.component_grad(i, j, x) - prob.component_grad(i, j, y))
+        lhs = np.linalg.norm(component_grad(prob, i, j, x) - component_grad(prob, i, j, y))
         assert lhs <= lip * np.linalg.norm(x - y) * (1.0 + 1e-9)
 
 
 def test_logistic_stable_for_large_iterates():
     prob = make_logistic(2, 6, 5, seed=1, lam1=5e-4)
     x = np.full(prob.d, 1e3 / np.sqrt(prob.d))
-    cost = prob.local_cost(1, x)
+    cost = local_cost(prob, 1, x)
     grad = prob.local_full_grad(1, x)
     assert np.isfinite(cost)
     assert np.isfinite(grad).all()
     # single huge inner product, the worst case for the exp evaluation
     one = single_logistic(np.array([700.0]), -1.0)
-    assert np.isfinite(one.component_cost(1, 1, np.array([1.0])))
-    assert np.isfinite(one.component_grad(1, 1, np.array([1.0]))).all()
+    assert np.isfinite(component_cost(one, 1, 1, np.array([1.0])))
+    assert np.isfinite(component_grad(one, 1, 1, np.array([1.0]))).all()
 
 
 def test_component_grad_table_matches_scalar_calls():
@@ -159,15 +160,15 @@ def test_component_grad_table_matches_scalar_calls():
         x = np.random.default_rng(3).normal(size=prob.d)
         table = prob.component_grad_table(1, x)
         for j in range(1, prob.m[0] + 1):
-            assert np.abs(table[j - 1] - prob.component_grad(1, j, x)).max() <= 1e-12
+            assert np.abs(table[j - 1] - component_grad(prob, 1, j, x)).max() <= 1e-12
 
 
 def test_index_validation():
     prob = make_quadratic(2, 5, 3, seed=0)
     with pytest.raises(IndexError):
-        prob.component_grad(0, 1, np.zeros(3))
+        component_grad(prob, 0, 1, np.zeros(3))
     with pytest.raises(IndexError):
-        prob.component_grad(1, 6, np.zeros(3))
+        component_grad(prob, 1, 6, np.zeros(3))
     with pytest.raises(IndexError):
         prob.local_full_grad(3, np.zeros(3))
 
@@ -185,8 +186,9 @@ def test_logistic_rejects_malformed_agents():
         LogisticProblem([rows], [np.ones(2)], 0.0)
     with pytest.raises(ValueError, match="dimension"):
         LogisticProblem([rows, sp.csr_matrix(np.eye(2))], [np.ones(3), np.ones(2)], 0.0)
-    with pytest.raises(ValueError, match="regularization"):
-        LogisticProblem([rows], [np.ones(3)], -1.0)
+    for lam1 in (-1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="regularization"):
+            LogisticProblem([rows], [np.ones(3)], lam1)
     for bad in (np.nan, np.inf, -np.inf):
         with pytest.raises(ValueError, match="finite"):
             LogisticProblem([sp.csr_matrix(np.diag([1.0, bad, 2.0]))], [np.ones(3)], 0.0)
@@ -194,6 +196,22 @@ def test_logistic_rejects_malformed_agents():
         raw.features.data[3] = bad
         with pytest.raises(ValueError, match="finite"):
             LogisticProblem.from_partition(raw, ingest.partition(raw, 2, seed=0), 0.0)
+
+
+def test_quadratic_rejects_malformed_agents():
+    a, t = np.ones((3, 2)), np.zeros(3)
+    cases = [
+        ([np.ones(3)], [t]),  # 1-D features: no width to read
+        ([a, np.ones(3)], [t, t]),
+        ([a, np.ones((3, 4))], [t, t]),
+        ([a], [np.zeros(2)]),
+        ([np.ones((0, 2))], [np.zeros(0)]),
+    ]
+    for feats, targets in cases:
+        with pytest.raises(ValueError, match="inconsistent"):
+            QuadraticProblem(feats, targets)
+    with pytest.raises(ValueError, match="finite"):
+        QuadraticProblem([a], [np.array([0.0, np.nan, 0.0])])
 
 
 def random_raw(rows, d, seed):
@@ -244,7 +262,7 @@ def test_local_costs_and_grads_equal_per_agent_oracles(name):
         costs, grads = prob.local_costs_and_grads(x)
         assert costs.shape == (prob.n,) and grads.shape == (prob.n, prob.d)
         for i in range(1, prob.n + 1):
-            assert costs[i - 1] == prob.local_cost(i, x)
+            assert costs[i - 1] == local_cost(prob, i, x)
             assert np.array_equal(grads[i - 1], prob.local_full_grad(i, x))
 
 
@@ -257,10 +275,10 @@ def test_view_backed_agents_match_independent_copies():
     for i, single in enumerate(singles, start=1):
         assert single.m[0] == prob.m[i - 1]
         for j in range(1, prob.m[i - 1] + 1):
-            assert prob.component_cost(i, j, x) == single.component_cost(1, j, x)
-            assert np.array_equal(prob.component_grad(i, j, x), single.component_grad(1, j, x))
+            assert component_cost(prob, i, j, x) == component_cost(single, 1, j, x)
+            assert np.array_equal(component_grad(prob, i, j, x), component_grad(single, 1, j, x))
         assert np.array_equal(prob.component_grad_table(i, x), single.component_grad_table(1, x))
-        assert prob.local_cost(i, x) == single.local_cost(1, x)
+        assert local_cost(prob, i, x) == local_cost(single, 1, x)
         assert np.array_equal(prob.local_full_grad(i, x), single.local_full_grad(1, x))
 
 
@@ -296,7 +314,7 @@ def test_component_grads_equal_per_agent_oracle(name):
             got = prob.component_grads(js, x)
             assert got.shape == (prob.n, prob.d)
             for i in range(1, prob.n + 1):
-                assert np.array_equal(got[i - 1], prob.component_grad(i, int(js[i - 1]), x[i - 1]))
+                assert np.array_equal(got[i - 1], component_grad(prob, i, int(js[i - 1]), x[i - 1]))
 
 
 @pytest.mark.parametrize("d", [1, 4, 7, 13, 30, 123])
@@ -308,7 +326,7 @@ def test_quadratic_component_grads_bit_identical_across_dimensions(d):
         x = rng.normal(size=(prob.n, d))
         got = prob.component_grads(js, x)
         for i in range(1, prob.n + 1):
-            assert np.array_equal(got[i - 1], prob.component_grad(i, int(js[i - 1]), x[i - 1]))
+            assert np.array_equal(got[i - 1], component_grad(prob, i, int(js[i - 1]), x[i - 1]))
 
 
 @pytest.mark.parametrize("name", ["quadratic_unequal", "logistic_lists_unequal"])
@@ -371,13 +389,13 @@ def test_logistic_oracles_equal_the_reference_bit_for_bit(instance):
     ref_costs, ref_grads = ref.local_costs_and_grads(x)
     assert same_value(costs, ref_costs) and same_value(grads, ref_grads)
     for i in range(1, prob.n + 1):
-        assert same_value(prob.local_cost(i, x), ref.local_cost(i, x))
+        assert same_value(local_cost(prob, i, x), ref.local_cost(i, x))
         assert same_value(prob.local_full_grad(i, x), ref.local_full_grad(i, x))
         assert same_value(prob.component_grad_table(i, x), ref.component_grad_table(i, x))
     # each agent's last sample, at the same point
     assert same_value(
         prob.component_grads(np.array(prob.m), np.tile(x, (prob.n, 1))),
-        [prob.component_grad(i, m, x) for i, m in enumerate(prob.m, start=1)],
+        [component_grad(prob, i, m, x) for i, m in enumerate(prob.m, start=1)],
     )
 
 

@@ -12,19 +12,25 @@ doubly stochastic and contract deviations from the mean by ρ < 1.
 
 Ingest: serializing a dataset to LIBSVM text and parsing it back gives
 the same CSR arrays, labels and dimension, bit for bit.
+
+Theory: inside the admissible region (rho^2 < 1/3, P above its lower
+bound, eta up to eta_bar) the contraction certificate holds, d(C) is at
+most 3 rho^2, and the complexity cap eta_tilde does not exceed eta_bar.
 """
 
 import io
+import math
 
 import numpy as np
 import scipy.sparse as sp
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from gtvr import algorithms, graph, ingest, rng
+from gtvr import algorithms, graph, ingest, rng, theory
 from gtvr.algorithms import RunConfig, init_swarm, run_round
 from gtvr.problem import LogisticProblem, QuadraticProblem
 from helpers import dense_deviation_norm, raw_from_rows, same_bits, same_csr, scalar_streams
+from reference_problem import component_grad
 
 ROUNDS = 12
 
@@ -89,7 +95,7 @@ def test_round_invariants(instance):
         else:
             step = np.mean(
                 [
-                    prob.component_grad(i, rng.draw_index(replay[i - 1].index, prob.m[i - 1]), swarm.x[i - 1])
+                    component_grad(prob, i, rng.draw_index(replay[i - 1].index, prob.m[i - 1]), swarm.x[i - 1])
                     for i in range(1, n + 1)
                 ],
                 axis=0,
@@ -163,3 +169,32 @@ def test_libsvm_round_trip(raw):
     assert back.d == raw.d
     assert same_bits(back.labels, raw.labels)
     assert same_csr(back.features, raw.features)
+
+
+@st.composite
+def admissible_parameters(draw):
+    """(rho, P, L, eta) inside the region the certificate is proven for.
+
+    The window (p_lower(rho), 1) is about 13.5 rho^3 wide, so rho starts
+    at 1e-4, where the window still holds many doubles; eta starts at
+    1e-6 eta_bar and reaches eta_bar itself.
+    """
+    rho = draw(st.floats(1e-4, 1.0 / math.sqrt(3.0), exclude_max=True))
+    assume(rho**2 < 1.0 / 3.0)
+    p_low = theory.p_lower_bound(rho)
+    p = p_low + draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)) * (1.0 - p_low)
+    assume(p_low < p < 1.0)
+    lip = draw(st.floats(1e-3, 1e3))
+    eta = draw(st.floats(1e-6, 1.0)) * theory.eta_bar(lip, rho, p)
+    return rho, p, lip, eta
+
+
+@FIXED_SEED
+@given(admissible_parameters())
+def test_contraction_certificate_holds_in_admissible_region(params):
+    rho, p, lip, eta = params
+    c, _, _ = theory.lmi_matrix(eta, rho, p, lip)
+    ok, d_c = theory.verify_contraction(c, rho, theory.epsilon3(rho, p), eta)
+    assert ok, params
+    assert d_c <= 3.0 * rho**2 + 1e-12, params
+    assert theory.eta_tilde(lip, rho, p) <= theory.eta_bar(lip, rho, p)
