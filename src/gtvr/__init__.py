@@ -36,7 +36,6 @@ from .problem import (
     make_logistic,
     make_quadratic,
 )
-from .rng import make_swarm_streams
 from .theory import (
     TheoryReport,
     build_report,

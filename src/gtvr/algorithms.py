@@ -23,7 +23,7 @@ import numpy as np
 from .graph import MixingMatrix, mix
 from .metrics import TraceRow, consensus_gap_D, stationarity_metrics
 from .problem import FiniteSumProblem
-from .rng import SwarmStreams, make_swarm_streams
+from .rng import SwarmStreams
 
 ALGORITHMS = ("gtvr", "dsgd", "dsgt", "gtsaga")
 
@@ -66,7 +66,8 @@ class SwarmState:
     Rounds read ``x``/``y``/``v`` as the start-of-round snapshot and swap
     in fresh arrays at the barrier. ``y``/``v`` are None for the
     untracked DSGD. The estimator owns whatever else the local gradient
-    estimate needs (GT-VR's anchors, GT-SAGA's tables).
+    estimate needs (GT-VR's anchors, GT-SAGA's tables); ``streams`` hands
+    it the round's coins and indices.
     """
 
     k: int
@@ -76,6 +77,7 @@ class SwarmState:
     v: np.ndarray | None = None
     mix_count: int = 0
     estimator: object = None
+    streams: SwarmStreams | None = None
 
 
 def _as_stacked(problem: FiniteSumProblem, x1: np.ndarray) -> np.ndarray:
@@ -99,7 +101,7 @@ def _check_finite(swarm: SwarmState, k: int) -> None:
 
 # Local estimators. ``start(problem, x, streams)`` builds the estimator's
 # state at x1 and returns the first stacked estimate with its per-agent
-# oracle counts; ``step(problem, x, cfg, streams)`` returns the next
+# oracle counts; ``step(problem, x, streams)`` returns the next
 # estimate at x and the counts it spent. Each step takes the round's
 # coins and indices for all agents at once and calls the batched oracle.
 
@@ -112,10 +114,10 @@ class _StochasticGradient:
     """
 
     def start(self, problem, x, streams):
-        return self.step(problem, x, None, streams)
+        return self.step(problem, x, streams)
 
-    def step(self, problem, x, cfg, streams):
-        return problem.component_grads(streams.indices(problem.m), x), 1
+    def step(self, problem, x, streams):
+        return problem.component_grads(streams.indices(), x), 1
 
 
 class _AnchoredGradient:
@@ -132,13 +134,13 @@ class _AnchoredGradient:
         self._m = np.array(problem.m)
         return self.g_tau.copy(), self._m.copy()
 
-    def step(self, problem, x, cfg, streams):
-        refresh = streams.coins(cfg.p)
+    def step(self, problem, x, streams):
+        refresh = streams.coins()
         # refreshes stay per agent: a batched pass measured no faster
         for idx in refresh.nonzero()[0].tolist():
             self.tau[idx] = x[idx]
             self.g_tau[idx] = problem.local_full_grad(idx + 1, x[idx])
-        js = streams.indices(problem.m)
+        js = streams.indices()
         v = problem.component_grads(js, x) - problem.component_grads(js, self.tau) + self.g_tau
         return v, 2 + refresh * self._m
 
@@ -165,8 +167,8 @@ class _GradientTable:
         self._m_column = m[:, None]
         return self.table_mean.copy(), m
 
-    def step(self, problem, x, cfg, streams):
-        js = streams.indices(problem.m)
+    def step(self, problem, x, streams):
+        js = streams.indices()
         rows = self._row_base + js
         fresh = problem.component_grads(js, x)
         delta = fresh - self._table.take(rows, axis=0)
@@ -186,17 +188,16 @@ _ESTIMATORS = {
 }
 
 
-def init_swarm(
-    problem: FiniteSumProblem,
-    x1: np.ndarray,
-    cfg: RunConfig,
-    streams: SwarmStreams,
-) -> SwarmState:
-    """Start state at x1. Tracked algorithms seed tracker and estimate
-    with the estimator's first value; DSGD starts with neither."""
+def init_swarm(problem: FiniteSumProblem, x1: np.ndarray, cfg: RunConfig) -> SwarmState:
+    """Start state at x1, with the run's streams built from cfg.seed, the
+    m_i and cfg.p. Tracked algorithms seed tracker and estimate with the
+    estimator's first value; DSGD starts with neither."""
     x = _as_stacked(problem, x1)
     estimator = _ESTIMATORS[cfg.algorithm]()
-    swarm = SwarmState(k=0, x=x, grad_evals=np.zeros(problem.n, np.int64), estimator=estimator)
+    streams = SwarmStreams(cfg.seed, problem.m, cfg.p)
+    swarm = SwarmState(
+        k=0, x=x, grad_evals=np.zeros(problem.n, np.int64), estimator=estimator, streams=streams
+    )
     if cfg.algorithm != "dsgd":
         v, evals = estimator.start(problem, x, streams)
         swarm.y, swarm.v = v.copy(), v
@@ -209,7 +210,6 @@ def run_round(
     problem: FiniteSumProblem,
     mixing: MixingMatrix,
     cfg: RunConfig,
-    streams: SwarmStreams,
 ) -> SwarmState:
     """One synchronous iteration, all agents in one stacked step.
 
@@ -218,12 +218,12 @@ def run_round(
     x gives x+ = W(x - eta v), one exchange.
     """
     if swarm.y is None:
-        v, evals = swarm.estimator.step(problem, swarm.x, cfg, streams)
+        v, evals = swarm.estimator.step(problem, swarm.x, swarm.streams)
         swarm.x = mix(mixing, swarm.x - cfg.eta * v)
         swarm.mix_count += 1
     else:
         x_new = mix(mixing, swarm.x - cfg.eta * swarm.y)
-        v, evals = swarm.estimator.step(problem, x_new, cfg, streams)
+        v, evals = swarm.estimator.step(problem, x_new, swarm.streams)
         swarm.y = mix(mixing, swarm.y + v - swarm.v)
         swarm.x, swarm.v = x_new, v
         swarm.mix_count += 2
@@ -249,8 +249,7 @@ def run_experiment(
         raise ValueError(f"mixing matrix is for {mixing.n} agents, problem has {problem.n}")
     if x1 is None:
         x1 = np.zeros((problem.n, problem.d))
-    streams = make_swarm_streams(cfg.seed, problem.n)
-    swarm = init_swarm(problem, x1, cfg, streams)
+    swarm = init_swarm(problem, x1, cfg)
 
     start = time.perf_counter()
 
@@ -272,7 +271,7 @@ def run_experiment(
 
     rows = [record()]
     for k in range(1, cfg.rounds + 1):
-        run_round(swarm, problem, mixing, cfg, streams)
+        run_round(swarm, problem, mixing, cfg)
         if k % cfg.cadence == 0 or k == cfg.rounds:
             rows.append(record())
     return rows

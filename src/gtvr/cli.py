@@ -10,6 +10,7 @@ experiment settings themselves sit outside the proven region.
 from __future__ import annotations
 
 import argparse
+import itertools
 import logging
 import math
 import os
@@ -158,6 +159,11 @@ def _validate_config(cfg: ExperimentConfig, source: str) -> None:
             raise ValueError(f"max_samples must be >= 0, got {cfg.max_samples}")
         if not 0 <= cfg.seed < 2**64:
             raise ValueError(f"seed must be an unsigned 64-bit integer, got {cfg.seed}")
+        for key in ("quad_m", "quad_d"):
+            if getattr(cfg, key) < 1:
+                raise ValueError(f"{key} must be >= 1, got {getattr(cfg, key)}")
+        if not 0 <= cfg.quad_noise < math.inf:
+            raise ValueError(f"quad_noise must be finite and >= 0, got {cfg.quad_noise}")
     except ValueError as exc:
         raise ValueError(f"{source}: {exc}") from exc
 
@@ -234,26 +240,36 @@ def cmd_sweep(ns: argparse.Namespace) -> int:
     etas = [float(v) for v in ns.eta.split(",")] if ns.eta else [base.eta]
     ps = [float(v) for v in ns.p.split(",")] if ns.p else [base.p]
     seeds = [int(v) for v in ns.seeds.split(",")] if ns.seeds else [base.seed]
+    # trace file -> grid point (seed, eta, p), in grid order; built before
+    # any point runs so that no trace overwrites another
+    points: dict[str, tuple[int, float, float]] = {}
+    for seed, eta, p in itertools.product(seeds, etas, ps):
+        name = f"{base.algorithm}_{base.dataset_token()}_eta{eta:g}_p{p:g}_{seed}.csv"
+        if name in points:
+            seed0, eta0, p0 = points[name]
+            raise ValueError(
+                f"sweep points eta={eta0!r} p={p0!r} seed={seed0} and eta={eta!r} p={p!r} "
+                f"seed={seed} would both write {name}"
+            )
+        points[name] = (seed, eta, p)
     out_dir = Path(ns.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for seed in seeds:
-        prob = mixing = None
-        for eta in etas:
-            for p in ps:
-                name = f"{base.algorithm}_{base.dataset_token()}_eta{eta:g}_p{p:g}_{seed}.csv"
-                cfg = replace(base, eta=eta, p=p, seed=seed, output=str(out_dir / name))
-                _validate_config(cfg, source)
-                if prob is None:
-                    # the data, its partition and the graph depend on the seed, not on eta or p
-                    prob = prepare_problem(cfg)
-                    mixing = build_mixing(cfg)
-                warn_outside_theory(cfg, mixing, prob)
-                rows = algorithms.run_experiment(prob, mixing, cfg.run_config())
-                metrics.write_trace(rows, cfg.output_path())
-                print(
-                    f"eta={eta:g} p={p:g} seed={seed}: cost {rows[-1].cost:.6g}, "
-                    f"stationarity {rows[-1].stat:.3e} -> {cfg.output_path()}"
-                )
+    prob = mixing = prepared_seed = None
+    for name, (seed, eta, p) in points.items():
+        cfg = replace(base, eta=eta, p=p, seed=seed, output=str(out_dir / name))
+        _validate_config(cfg, source)
+        if seed != prepared_seed:
+            # the data, its partition and the graph depend on the seed, not on eta or p
+            prob = prepare_problem(cfg)
+            mixing = build_mixing(cfg)
+            prepared_seed = seed
+        warn_outside_theory(cfg, mixing, prob)
+        rows = algorithms.run_experiment(prob, mixing, cfg.run_config())
+        metrics.write_trace(rows, cfg.output_path())
+        print(
+            f"eta={eta:g} p={p:g} seed={seed}: cost {rows[-1].cost:.6g}, "
+            f"stationarity {rows[-1].stat:.3e} -> {cfg.output_path()}"
+        )
     return 0
 
 

@@ -17,7 +17,7 @@ from typing import IO, TYPE_CHECKING, Sequence
 import numpy as np
 
 from .graph import MixingMatrix
-from .problem import FiniteSumProblem, agent_average
+from .problem import FiniteSumProblem
 
 if TYPE_CHECKING:
     from .algorithms import SwarmState
@@ -47,6 +47,16 @@ def consensus_gap_D(mixing: MixingMatrix, stacked: np.ndarray) -> float:  # noqa
             f"expected a stacked ({mixing.n}, d) matrix, got shape {stacked.shape}"
         )
     return float(np.sum(stacked * (stacked - mixing.w @ stacked)))
+
+
+def agent_average(costs: np.ndarray, grads: np.ndarray) -> tuple[float, np.ndarray]:
+    """Mean of per-agent costs and stacked gradients, summed in agent order."""
+    cost = 0.0
+    grad = np.zeros(grads.shape[1])
+    for c, g in zip(costs, grads):
+        cost += float(c)
+        grad += g
+    return cost / len(costs), grad / len(costs)
 
 
 def stationarity_metrics(

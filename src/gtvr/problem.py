@@ -59,9 +59,9 @@ class FiniteSumProblem:
     """Shared surface of the per-instance objectives.
 
     Subclasses provide the oracles the engine and the metric pass call;
-    this base supplies the network-level average, the one batch check of
-    ``component_grads``, and common bookkeeping. The per-sample and
-    per-agent cost references live in ``tests/reference_problem.py``.
+    this base supplies the one batch check of ``component_grads`` and
+    common bookkeeping. The per-sample and per-agent cost references
+    live in ``tests/reference_problem.py``.
     """
 
     n: int
@@ -112,20 +112,6 @@ class FiniteSumProblem:
         row i - 1; the gradients equal ``local_full_grad(i, x)``.
         """
         raise NotImplementedError
-
-    def global_cost_and_grad(self, x: np.ndarray) -> tuple[float, np.ndarray]:
-        """Cost and gradient of the network average f at a single point x."""
-        return agent_average(*self.local_costs_and_grads(x))
-
-
-def agent_average(costs: np.ndarray, grads: np.ndarray) -> tuple[float, np.ndarray]:
-    """Mean of per-agent costs and stacked gradients, summed in agent order."""
-    cost = 0.0
-    grad = np.zeros(grads.shape[1])
-    for c, g in zip(costs, grads):
-        cost += float(c)
-        grad += g
-    return cost / len(costs), grad / len(costs)
 
 
 class LogisticProblem(FiniteSumProblem):
@@ -405,7 +391,6 @@ def make_quadratic(
     d: int,
     seed: int = 0,
     noise: float = 0.5,
-    normalize_rows: bool = True,
 ) -> QuadraticProblem:
     """Random least-squares instance with a planted solution.
 
@@ -419,8 +404,7 @@ def make_quadratic(
     targets = []
     for _ in range(n):
         a = rng.normal(size=(m, d))
-        if normalize_rows:
-            a /= np.linalg.norm(a, axis=1, keepdims=True)
+        a /= np.linalg.norm(a, axis=1, keepdims=True)
         t = a @ x_star + noise * rng.normal(size=m)
         feats.append(a)
         targets.append(t)

@@ -6,14 +6,15 @@ flips and one for uniform sample indices. Streams are derived from
 generator, so streams for distinct (agent, purpose) pairs never share
 state and a run is bit-reproducible from the master seed alone.
 
-``SwarmStreams`` builds every agent's two streams and keeps them to
-itself: it hands the round engine one coin vector and one index vector
-per round, from per-agent buffers refilled ``DRAW_BLOCK`` values at a
-time. The scalar draws ``draw_bernoulli`` and ``draw_index`` define what
-those vectors hold and are the reference they are tested against; the
-block draw ``draw_indices`` fills the index buffers and returns, value
-for value, what as many ``draw_index`` calls would, leaving the stream
-in the same state.
+``SwarmStreams`` is built once per run from the seed, every agent's
+sample count m_i and the refresh probability P, and keeps every agent's
+two streams to itself: it hands the round engine one coin vector and
+one index vector per round, from per-agent buffers refilled
+``DRAW_BLOCK`` values at a time. A coin is 1 iff the next uniform [0, 1)
+draw is below P; an index is the next draw from the smallest
+power-of-two range covering m_i that falls inside it, plus 1. The block
+draw ``draw_indices`` fills the index buffers and returns those indices
+in bulk, leaving the stream where one draw at a time would.
 """
 
 from __future__ import annotations
@@ -45,44 +46,14 @@ def derived_generator(master_seed: int, agent_id: int, purpose: int) -> np.rando
     return np.random.Generator(np.random.Philox(seq))
 
 
-def make_swarm_streams(master_seed: int, n: int) -> SwarmStreams:
-    return SwarmStreams(master_seed, n)
-
-
-def _check_probability(p: float) -> None:
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"Bernoulli probability must lie in (0, 1), got {p}")
-
-
-def draw_bernoulli(stream: np.random.Generator, p: float) -> int:
-    """One Bernoulli(p) trial: 1 iff the next uniform [0,1) draw is below p."""
-    _check_probability(p)
-    return 1 if stream.random() < p else 0
-
-
-def _index_bound(m: int) -> int:
-    if m < 1:
-        raise ValueError(f"index range must be >= 1, got {m}")
-    return 1 << (m - 1).bit_length()
-
-
-def draw_index(stream: np.random.Generator, m: int) -> int:
-    """Uniform sample index in [1, m].
-
-    Draws from the smallest power-of-two range covering m and rejects
-    out-of-range values, so every index is exactly equally likely (no
-    modulo bias).
-    """
-    bound = _index_bound(m)
-    while True:
-        r = int(stream.integers(bound))
-        if r < m:
-            return r + 1
-
-
 def draw_indices(stream: np.random.Generator, m: int, size: int) -> np.ndarray:
     """``size`` uniform indices in [1, m] as an int64 array, equal to
-    ``size`` calls of ``draw_index`` and leaving the stream where they would.
+    ``size`` draws of one index at a time and leaving the stream where
+    they would.
+
+    One index draws raw values from the smallest power-of-two range
+    covering m and rejects those outside it, so every index is exactly
+    equally likely (no modulo bias).
 
     Each raw value costs the stream one 32-bit word, however the draws are
     batched. A chunk over-draws enough raw values to almost surely hold
@@ -91,7 +62,9 @@ def draw_indices(stream: np.random.Generator, m: int, size: int) -> np.ndarray:
     that one are drawn again. A short chunk keeps all it accepted and the
     next one draws on.
     """
-    bound = _index_bound(m)
+    if m < 1:
+        raise ValueError(f"index range must be >= 1, got {m}")
+    bound = 1 << (m - 1).bit_length()
     out = np.empty(size, dtype=np.int64)
     filled = 0
     while filled < size:
@@ -110,56 +83,42 @@ def draw_indices(stream: np.random.Generator, m: int, size: int) -> np.ndarray:
 
 
 class SwarmStreams:
-    """Every agent's two streams, with the per-round draws buffered.
+    """Every agent's two streams for one run, with the per-round draws buffered.
 
-    ``coins`` and ``indices`` return one draw per agent per call: what
-    ``draw_bernoulli`` and ``draw_index`` on agent i's own streams,
-    ``derived_generator(master_seed, i, PURPOSE_BERNOULLI)`` and
-    ``derived_generator(master_seed, i, PURPOSE_INDEX)``, would return, in
-    the same order. Each refills ``DRAW_BLOCK`` values per agent when its
-    buffer runs out.
+    ``coins`` and ``indices`` return one draw per agent per call, agent i
+    drawing from its own streams ``derived_generator(master_seed, i,
+    PURPOSE_BERNOULLI)`` and ``derived_generator(master_seed, i,
+    PURPOSE_INDEX)``: a Bernoulli(p) coin and a uniform index in [1, m_i].
+    Each refills ``DRAW_BLOCK`` values per agent when its buffer runs out.
     """
 
-    def __init__(self, master_seed: int, n: int) -> None:
-        agents = range(1, n + 1)
+    def __init__(self, master_seed: int, m: Sequence[int], p: float) -> None:
+        if not 0.0 < p < 1.0:
+            raise ValueError(f"Bernoulli probability must lie in (0, 1), got {p}")
+        self._m = tuple(m)
+        self._p = p
+        agents = range(1, len(self._m) + 1)
         self._coin_streams = [derived_generator(master_seed, i, PURPOSE_BERNOULLI) for i in agents]
         self._index_streams = [derived_generator(master_seed, i, PURPOSE_INDEX) for i in agents]
-        self._uniforms = np.empty((0, n))
-        self._next_uniform = 0
-        self._indices = np.empty((0, n), dtype=np.int64)
+        self._coins = np.empty((0, len(self._m)), dtype=bool)
+        self._next_coin = 0
+        self._indices = np.empty((0, len(self._m)), dtype=np.int64)
         self._next_index = 0
-        self._m: tuple[int, ...] | None = None
 
-    def coins(self, p: float) -> np.ndarray:
+    def coins(self) -> np.ndarray:
         """Every agent's next Bernoulli(p) trial, as an (n,) bool array."""
-        _check_probability(p)
-        if self._next_uniform == len(self._uniforms):
-            self._uniforms = np.stack([s.random(DRAW_BLOCK) for s in self._coin_streams], axis=1)
-            self._next_uniform = 0
-        u = self._uniforms[self._next_uniform]
-        self._next_uniform += 1
-        return u < p
+        if self._next_coin == len(self._coins):
+            self._coins = np.stack([s.random(DRAW_BLOCK) for s in self._coin_streams], axis=1) < self._p
+            self._next_coin = 0
+        c = self._coins[self._next_coin]
+        self._next_coin += 1
+        return c
 
-    def indices(self, m: Sequence[int]) -> np.ndarray:
-        """Every agent's next uniform index in [1, m_i], as an (n,) int64 array.
-
-        The buffer holds indices for one m; asking for another m while
-        some are left raises, since the rejected raw values are gone.
-        """
-        if m is not self._m:
-            m = tuple(m)
-            if m != self._m:
-                n = len(self._index_streams)
-                if len(m) != n:
-                    raise ValueError(f"need one index range per agent ({n}), got {len(m)}")
-                if self._next_index < len(self._indices):
-                    raise ValueError(
-                        f"index buffer holds draws for ranges {self._m}, asked for {m}"
-                    )
-            self._m = m
+    def indices(self) -> np.ndarray:
+        """Every agent's next uniform index in [1, m_i], as an (n,) int64 array."""
         if self._next_index == len(self._indices):
             self._indices = np.stack(
-                [draw_indices(s, m_i, DRAW_BLOCK) for s, m_i in zip(self._index_streams, m)],
+                [draw_indices(s, m_i, DRAW_BLOCK) for s, m_i in zip(self._index_streams, self._m)],
                 axis=1,
             )
             self._next_index = 0

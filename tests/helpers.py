@@ -8,6 +8,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from gtvr.ingest import RawDataset
+from gtvr.metrics import agent_average
 from gtvr.problem import FiniteSumProblem, QuadraticProblem
 from gtvr.rng import PURPOSE_BERNOULLI, PURPOSE_INDEX, derived_generator
 
@@ -64,6 +65,11 @@ def brute_force_consensus_gap(w: np.ndarray, x: np.ndarray) -> float:
     return total
 
 
+def global_cost_and_grad(prob: FiniteSumProblem, x: np.ndarray) -> tuple[float, np.ndarray]:
+    """Cost and gradient of the network average f at a single point x."""
+    return agent_average(*prob.local_costs_and_grads(x))
+
+
 def least_squares_solution(problem: QuadraticProblem) -> np.ndarray:
     """Exact minimizer of the quadratic finite sum via normal equations."""
     h = np.zeros((problem.d, problem.d))
@@ -101,8 +107,8 @@ class ScalarStreams(NamedTuple):
 def scalar_streams(seed: int, n: int) -> list[ScalarStreams]:
     """Agent i's streams at position i - 1, built from the documented spawn
     keys (i, PURPOSE_BERNOULLI) and (i, PURPOSE_INDEX): the streams that
-    ``make_swarm_streams(seed, n)`` buffers, for scalar reference draws
-    with ``draw_bernoulli`` and ``draw_index``."""
+    ``SwarmStreams(seed, m, p)`` buffers for n agents, for scalar reference
+    draws with ``reference_rng.draw_bernoulli`` and ``draw_index``."""
     return [
         ScalarStreams(
             derived_generator(seed, i, PURPOSE_BERNOULLI), derived_generator(seed, i, PURPOSE_INDEX)
@@ -113,17 +119,18 @@ def scalar_streams(seed: int, n: int) -> list[ScalarStreams]:
 
 class StubSwarmStreams:
     """SwarmStreams replacement: each round's coins come from one scripted
-    vector of uniform draws, its indices from real swarm streams."""
+    vector of uniform draws against p, its indices from real swarm streams."""
 
-    def __init__(self, uniforms, indices_from):
+    def __init__(self, uniforms, p, indices_from):
         self._uniforms = [np.asarray(u, dtype=float) for u in uniforms]
+        self._p = p
         self._indices_from = indices_from
 
-    def coins(self, p):
-        return self._uniforms.pop(0) < p
+    def coins(self):
+        return self._uniforms.pop(0) < self._p
 
-    def indices(self, m):
-        return self._indices_from.indices(m)
+    def indices(self):
+        return self._indices_from.indices()
 
 
 def mean_abs_inf(a: np.ndarray) -> float:

@@ -6,10 +6,10 @@ thread pool (agents are updated in order). Differential tests run both
 engines on the same seeds and require identical traces and state.
 The metric pass is the per-agent one that batched
 ``local_costs_and_grads`` replaced, also kept verbatim. The per-sample
-gradient and the per-agent cost come from ``reference_problem``. Only
-the shared primitives (mixing, scalar draws, the local full gradient and
-component table, the trace row and the consensus gap) come from the
-package under test. Each agent's streams are its own generators from
+gradient and the per-agent cost come from ``reference_problem`` and the
+scalar draws from ``reference_rng``. Only the shared primitives (mixing,
+the local full gradient and component table, the trace row and the
+consensus gap) come from the package under test. Each agent's streams are its own generators from
 ``helpers.scalar_streams``, built from the documented spawn keys, so the
 reference shares no stream object with the engine it checks.
 """
@@ -26,9 +26,9 @@ from gtvr.algorithms import DIVERGENCE_NORM_CAP, DivergedError, RunConfig
 from gtvr.graph import MixingMatrix, mix
 from gtvr.metrics import TraceRow, consensus_gap_D
 from gtvr.problem import FiniteSumProblem
-from gtvr.rng import draw_bernoulli, draw_index
 from helpers import ScalarStreams, scalar_streams
 from reference_problem import component_grad, local_cost
+from reference_rng import draw_bernoulli, draw_index
 
 
 @dataclass

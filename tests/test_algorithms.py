@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gtvr import algorithms, graph, metrics, rng
+from gtvr import algorithms, graph, metrics
 from gtvr.algorithms import (
     DivergedError,
     RunConfig,
@@ -10,14 +10,17 @@ from gtvr.algorithms import (
     run_round,
 )
 from gtvr.problem import QuadraticProblem, make_logistic, make_quadratic
+from gtvr.rng import SwarmStreams
 from helpers import (
     StubSwarmStreams,
     estimate_vr_second_moments,
     exact_stationary_quadratic,
+    global_cost_and_grad,
     scalar_streams,
 )
 from reference_engine import vr_gradient_estimate
 from reference_problem import component_grad
+from reference_rng import draw_index
 
 
 @pytest.fixture(scope="module")
@@ -28,15 +31,11 @@ def setup5():
     return prob, mixing
 
 
-def make_streams(seed, n):
-    return rng.make_swarm_streams(seed, n)
-
-
 def test_init_gtvr_state(setup5):
     prob, mixing = setup5
     x1 = np.zeros((5, 4))
     cfg = RunConfig(algorithm="gtvr", eta=0.01, p=0.5, rounds=0, seed=0)
-    swarm = init_swarm(prob, x1, cfg, make_streams(cfg.seed, 5))
+    swarm = init_swarm(prob, x1, cfg)
     est = swarm.estimator
     for i in range(1, 6):
         g = prob.local_full_grad(i, x1[i - 1])
@@ -64,10 +63,12 @@ def test_vr_estimate_hand_example():
 def test_refresh_makes_estimator_exact(setup5):
     prob, mixing = setup5
     cfg = RunConfig(algorithm="gtvr", eta=0.01, p=0.5, rounds=0, seed=1)
-    swarm = init_swarm(prob, np.zeros((5, 4)), cfg, make_streams(cfg.seed, 5))
+    swarm = init_swarm(prob, np.zeros((5, 4)), cfg)
     # force every anchor refresh (uniform draw 0.0 < p) with real index draws
-    stubs = StubSwarmStreams(uniforms=[[0.0] * 5], indices_from=make_streams(1, 5))
-    run_round(swarm, prob, mixing, cfg, stubs)
+    swarm.streams = StubSwarmStreams(
+        uniforms=[[0.0] * 5], p=cfg.p, indices_from=SwarmStreams(1, prob.m, cfg.p)
+    )
+    run_round(swarm, prob, mixing, cfg)
     assert np.array_equal(swarm.v, swarm.estimator.g_tau)
     assert np.array_equal(swarm.estimator.tau, swarm.x)
     # and every counter moved by m_i + 2
@@ -77,11 +78,13 @@ def test_refresh_makes_estimator_exact(setup5):
 def test_skip_branch_costs_two_evals(setup5):
     prob, mixing = setup5
     cfg = RunConfig(algorithm="gtvr", eta=0.01, p=0.5, rounds=0, seed=1)
-    swarm = init_swarm(prob, np.zeros((5, 4)), cfg, make_streams(cfg.seed, 5))
+    swarm = init_swarm(prob, np.zeros((5, 4)), cfg)
     tau_before = swarm.estimator.tau.copy()
-    stubs = StubSwarmStreams(uniforms=[[0.999999] * 5], indices_from=make_streams(1, 5))
+    swarm.streams = StubSwarmStreams(
+        uniforms=[[0.999999] * 5], p=cfg.p, indices_from=SwarmStreams(1, prob.m, cfg.p)
+    )
     evals_before = swarm.grad_evals.copy()
-    run_round(swarm, prob, mixing, cfg, stubs)
+    run_round(swarm, prob, mixing, cfg)
     assert np.array_equal(swarm.estimator.tau, tau_before)
     assert np.array_equal(swarm.grad_evals - evals_before, np.full(5, 2))
 
@@ -89,11 +92,10 @@ def test_skip_branch_costs_two_evals(setup5):
 def test_anchor_gradient_cache_stays_coherent(setup5):
     prob, mixing = setup5
     cfg = RunConfig(algorithm="gtvr", eta=0.01, p=0.3, rounds=0, seed=21)
-    streams = make_streams(cfg.seed, 5)
-    swarm = init_swarm(prob, np.zeros((5, 4)), cfg, streams)
+    swarm = init_swarm(prob, np.zeros((5, 4)), cfg)
     est = swarm.estimator
     for _ in range(60):
-        run_round(swarm, prob, mixing, cfg, streams)
+        run_round(swarm, prob, mixing, cfg)
         for i in range(1, 6):
             assert np.array_equal(est.g_tau[i - 1], prob.local_full_grad(i, est.tau[i - 1]))
 
@@ -102,12 +104,11 @@ def test_anchor_gradient_cache_stays_coherent(setup5):
 def test_mean_state_identity_and_mean_recursion(setup5, algo):
     prob, mixing = setup5
     cfg = RunConfig(algorithm=algo, eta=0.02, p=0.4, rounds=0, seed=3)
-    streams = make_streams(cfg.seed, 5)
-    swarm = algorithms.init_swarm(prob, np.zeros((5, 4)), cfg, streams)
+    swarm = algorithms.init_swarm(prob, np.zeros((5, 4)), cfg)
     for _ in range(300):
         xbar = swarm.x.mean(axis=0)
         ybar = swarm.y.mean(axis=0)
-        run_round(swarm, prob, mixing, cfg, streams)
+        run_round(swarm, prob, mixing, cfg)
         assert np.abs(swarm.y.mean(axis=0) - swarm.v.mean(axis=0)).max() <= 1e-9
         assert np.abs(swarm.x.mean(axis=0) - (xbar - cfg.eta * ybar)).max() <= 1e-12
 
@@ -119,11 +120,10 @@ def test_dsgd_reduces_to_centralized_gd_on_shared_data():
     prob = QuadraticProblem([a] * 3, [t] * 3)
     mixing = graph.metropolis_weights(graph.build_topology("complete", 3))
     cfg = RunConfig(algorithm="dsgd", eta=0.05, p=0.5, rounds=0, seed=5)
-    streams = make_streams(cfg.seed, 3)
-    swarm = init_swarm(prob, np.zeros((3, 2)), cfg, streams)
+    swarm = init_swarm(prob, np.zeros((3, 2)), cfg)
     x_manual = np.zeros(2)
     for _ in range(25):
-        run_round(swarm, prob, mixing, cfg, streams)
+        run_round(swarm, prob, mixing, cfg)
         x_manual = x_manual - cfg.eta * component_grad(prob, 1, 1, x_manual)
         assert np.abs(swarm.x - x_manual).max() <= 1e-12
 
@@ -135,14 +135,13 @@ def test_dsgt_with_single_samples_equals_deterministic_tracking(setup5):
     targets = [rng_data.normal(size=1) for _ in range(5)]
     prob = QuadraticProblem(feats, targets)
     cfg = RunConfig(algorithm="dsgt", eta=0.03, p=0.5, rounds=0, seed=8)
-    streams = make_streams(cfg.seed, 5)
-    swarm = init_swarm(prob, np.zeros((5, 3)), cfg, streams)
+    swarm = init_swarm(prob, np.zeros((5, 3)), cfg)
 
     x = np.zeros((5, 3))
     g = np.stack([component_grad(prob, i, 1, x[i - 1]) for i in range(1, 6)])
     y = g.copy()
     for _ in range(50):
-        run_round(swarm, prob, mixing, cfg, streams)
+        run_round(swarm, prob, mixing, cfg)
         x_new = graph.mix(mixing, x - cfg.eta * y)
         g_new = np.stack([component_grad(prob, i, 1, x_new[i - 1]) for i in range(1, 6)])
         y = graph.mix(mixing, y + g_new - g)
@@ -155,27 +154,25 @@ def test_baseline_accounting_is_exact(setup5):
     prob, mixing = setup5
     for algo, init_cost in (("dsgd", 0), ("dsgt", 1), ("gtsaga", None)):
         cfg = RunConfig(algorithm=algo, eta=0.01, p=0.5, rounds=0, seed=2)
-        streams = make_streams(cfg.seed, 5)
-        swarm = init_swarm(prob, np.zeros((5, 4)), cfg, streams)
+        swarm = init_swarm(prob, np.zeros((5, 4)), cfg)
         if init_cost is None:
             assert np.array_equal(swarm.grad_evals, np.array(prob.m))
         else:
             assert np.array_equal(swarm.grad_evals, np.full(5, init_cost))
         start = swarm.grad_evals.copy()
         for k in range(1, 51):
-            run_round(swarm, prob, mixing, cfg, streams)
+            run_round(swarm, prob, mixing, cfg)
             assert np.array_equal(swarm.grad_evals - start, np.full(5, k))
 
 
 def test_gtsaga_frozen_table_gives_full_gradient(setup5):
     prob, mixing = setup5
     cfg = RunConfig(algorithm="gtsaga", eta=0.01, p=0.5, rounds=0, seed=4)
-    streams = make_streams(cfg.seed, 5)
     x_star_stack = exact_stationary_quadratic(prob)
-    swarm = init_swarm(prob, x_star_stack, cfg, streams)
+    swarm = init_swarm(prob, x_star_stack, cfg)
     # zero trackers make the next iterate equal the stationary stack again
     swarm.y = np.zeros_like(swarm.y)
-    run_round(swarm, prob, mixing, cfg, streams)
+    run_round(swarm, prob, mixing, cfg)
     for i in range(1, 6):
         full = prob.local_full_grad(i, x_star_stack[i - 1])
         assert np.abs(swarm.v[i - 1] - full).max() <= 1e-12
@@ -184,10 +181,9 @@ def test_gtsaga_frozen_table_gives_full_gradient(setup5):
 def test_gtsaga_running_mean_matches_table(setup5):
     prob, mixing = setup5
     cfg = RunConfig(algorithm="gtsaga", eta=0.005, p=0.5, rounds=0, seed=6)
-    streams = make_streams(cfg.seed, 5)
-    swarm = init_swarm(prob, np.zeros((5, 4)), cfg, streams)
+    swarm = init_swarm(prob, np.zeros((5, 4)), cfg)
     for _ in range(1000):
-        run_round(swarm, prob, mixing, cfg, streams)
+        run_round(swarm, prob, mixing, cfg)
     est = swarm.estimator
     for i in range(5):
         assert np.abs(est.table_mean[i] - est.tables[i].mean(axis=0)).max() <= 1e-10
@@ -196,16 +192,15 @@ def test_gtsaga_running_mean_matches_table(setup5):
 def test_gtvr_two_exchanges_per_round(setup5):
     prob, mixing = setup5
     cfg = RunConfig(algorithm="gtvr", eta=0.01, p=0.5, rounds=0, seed=7)
-    streams = make_streams(cfg.seed, 5)
-    swarm = init_swarm(prob, np.zeros((5, 4)), cfg, streams)
+    swarm = init_swarm(prob, np.zeros((5, 4)), cfg)
     for k in range(1, 21):
-        run_round(swarm, prob, mixing, cfg, streams)
+        run_round(swarm, prob, mixing, cfg)
         assert swarm.mix_count == 2 * k
     # the plain stochastic baseline needs only the one x-exchange
     cfg2 = RunConfig(algorithm="dsgd", eta=0.01, p=0.5)
-    swarm2 = init_swarm(prob, np.zeros((5, 4)), cfg2, streams)
+    swarm2 = init_swarm(prob, np.zeros((5, 4)), cfg2)
     for k in range(1, 21):
-        run_round(swarm2, prob, mixing, cfg2, streams)
+        run_round(swarm2, prob, mixing, cfg2)
         assert swarm2.mix_count == k
 
 
@@ -266,7 +261,7 @@ def test_init_rejects_bad_shape(setup5):
     prob, _ = setup5
     cfg = RunConfig(algorithm="gtvr", eta=0.01, p=0.5)
     with pytest.raises(ValueError, match="shape"):
-        init_swarm(prob, np.zeros((4, 4)), cfg, make_streams(cfg.seed, 4))
+        init_swarm(prob, np.zeros((4, 4)), cfg)
 
 
 def test_estimator_moment_bounds_monte_carlo():
@@ -287,7 +282,7 @@ def test_estimator_moment_bounds_monte_carlo():
         for i in range(3)
     ) / 3.0
     assert mean_dev <= per_agent
-    _, g = prob.global_cost_and_grad(xbar)
+    _, g = global_cost_and_grad(prob, xbar)
     rhs = float(g @ g) + (2.0 * lip**2 / 3.0) * sum(
         3.0 * float((x[i] - xbar) @ (x[i] - xbar)) + 2.0 * float((tau[i] - xbar) @ (tau[i] - xbar))
         for i in range(3)
@@ -308,7 +303,7 @@ def second_moments_by_scalar_draws(problem, x, tau, draws, seed):
     for _ in range(draws):
         picks = []
         for i in agents:
-            j = rng.draw_index(streams[i - 1].index, problem.m[i - 1])
+            j = draw_index(streams[i - 1].index, problem.m[i - 1])
             picks.append(vr_gradient_estimate(problem, i, j, x[i - 1], tau[i - 1], g_tau[i - 1]))
             total_dev += float(np.sum((picks[-1] - g_x[i - 1]) ** 2))
         mean_err = np.mean([p - g for p, g in zip(picks, g_at_xbar)], axis=0)

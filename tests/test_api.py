@@ -38,7 +38,6 @@ PUBLIC_NAMES = [
     "lmi_matrix",
     "make_logistic",
     "make_quadratic",
-    "make_swarm_streams",
     "metropolis_weights",
     "mix",
     "nonneg_spectral_radius",
@@ -56,12 +55,13 @@ PUBLIC_NAMES = [
     "write_trace",
 ]
 
-# the oracles the engine and the metric pass call; the per-sample and
-# per-agent cost references live in tests/reference_problem.py
+# the oracles and sizes the engine, the metric pass and the CLI use; the
+# per-sample and per-agent cost references live in
+# tests/reference_problem.py, the network-average cost and gradient in
+# helpers.global_cost_and_grad
 PROBLEM_ORACLES = [
     "component_grad_table",
     "component_grads",
-    "global_cost_and_grad",
     "lipschitz_estimate",
     "local_costs_and_grads",
     "local_full_grad",

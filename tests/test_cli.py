@@ -90,6 +90,24 @@ def test_non_finite_parameter_rejected_as_bad_config(tmp_path, capsys, key, valu
     assert ("step-size" if key == "eta" else key) in err
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("quad_noise", "nan"),
+        ("quad_noise", "inf"),
+        ("quad_noise", "-1"),
+        ("quad_m", "0"),
+        ("quad_d", "-2"),
+    ],
+)
+def test_bad_quadratic_parameter_rejected_as_bad_config(tmp_path, capsys, key, value):
+    cfg = write_config(tmp_path, QUAD_CONFIG.format(rounds=5) + f"{key} = {value}\n")
+    assert cli.main(["run", "--config", str(cfg), "--output", str(tmp_path / "t.csv")]) == 2
+    err = capsys.readouterr().err
+    assert key in err and str(cfg) in err
+    assert not (tmp_path / "t.csv").exists()
+
+
 def test_zero_workers_rejected(tmp_path, capsys):
     cfg = write_config(tmp_path, QUAD_CONFIG.format(rounds=1) + "workers = 0\n")
     assert cli.main(["run", "--config", str(cfg)]) != 0
@@ -299,6 +317,25 @@ def test_sweep_writes_grid(tmp_path, capsys):
     files = sorted(p.name for p in out_dir.glob("*.csv"))
     assert len(files) == 8
     assert any("eta0.005" in f and "p0.6" in f and "_2" in f for f in files)
+
+
+@pytest.mark.parametrize(
+    "flag, values, clash",
+    [
+        ("--eta", "0.1,0.1000001", "eta=0.1 p=0.5 seed=42 and eta=0.1000001 p=0.5"),
+        ("--eta", "0.02,0.01,0.02", "eta=0.02 p=0.5 seed=42 and eta=0.02 p=0.5"),
+        ("--p", "0.3,0.3000001", "eta=0.01 p=0.3 seed=42 and eta=0.01 p=0.3000001"),
+    ],
+)
+def test_sweep_rejects_grid_points_that_share_a_trace_file(tmp_path, capsys, flag, values, clash):
+    cfg = write_config(tmp_path, QUAD_CONFIG.format(rounds=5))
+    out_dir = tmp_path / "sweep"
+    code = cli.main(["sweep", "--config", str(cfg), flag, values, "--out-dir", str(out_dir)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert clash in err
+    # no grid point ran
+    assert not list(out_dir.glob("*.csv"))
 
 
 def write_toy_libsvm(path, rows=23, d=6, seed=3):

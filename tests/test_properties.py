@@ -26,11 +26,12 @@ import scipy.sparse as sp
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from gtvr import algorithms, graph, ingest, rng, theory
+from gtvr import algorithms, graph, ingest, theory
 from gtvr.algorithms import RunConfig, init_swarm, run_round
 from gtvr.problem import LogisticProblem, QuadraticProblem
 from helpers import dense_deviation_norm, raw_from_rows, same_bits, same_csr, scalar_streams
 from reference_problem import component_grad
+from reference_rng import draw_bernoulli, draw_index
 
 ROUNDS = 12
 
@@ -80,8 +81,7 @@ def test_round_invariants(instance):
     prob, mixing, cfg, x1 = instance
     n, m = prob.n, np.array(prob.m)
     tracked = cfg.algorithm != "dsgd"
-    streams = rng.make_swarm_streams(cfg.seed, n)
-    swarm = init_swarm(prob, x1, cfg, streams)
+    swarm = init_swarm(prob, x1, cfg)
     init_evals = {"gtvr": m, "dsgd": 0, "dsgt": 1, "gtsaga": m}[cfg.algorithm]
     assert np.array_equal(swarm.grad_evals, np.broadcast_to(init_evals, n))
     # GT-VR's coins and DSGD's sampled indices, replayed one draw at a time
@@ -95,19 +95,19 @@ def test_round_invariants(instance):
         else:
             step = np.mean(
                 [
-                    component_grad(prob, i, rng.draw_index(replay[i - 1].index, prob.m[i - 1]), swarm.x[i - 1])
+                    component_grad(prob, i, draw_index(replay[i - 1].index, prob.m[i - 1]), swarm.x[i - 1])
                     for i in range(1, n + 1)
                 ],
                 axis=0,
             )
-        run_round(swarm, prob, mixing, cfg, streams)
+        run_round(swarm, prob, mixing, cfg)
 
         scale = 1.0 + float(np.abs(swarm.x).max())
         assert np.abs(swarm.x.mean(axis=0) - (xbar - cfg.eta * step)).max() <= 1e-12 * scale
         if tracked:
             assert np.abs(swarm.y.mean(axis=0) - swarm.v.mean(axis=0)).max() <= 1e-9
         if cfg.algorithm == "gtvr":
-            refreshed = np.array([rng.draw_bernoulli(s.bernoulli, cfg.p) for s in replay])
+            refreshed = np.array([draw_bernoulli(s.bernoulli, cfg.p) for s in replay])
             expected = 2 + refreshed * m
         else:
             expected = np.ones(n, dtype=np.int64)

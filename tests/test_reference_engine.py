@@ -9,7 +9,6 @@ import reference_engine as ref
 from gtvr import algorithms, graph, ingest, metrics
 from gtvr.algorithms import RunConfig, init_swarm, run_experiment, run_round
 from gtvr.problem import LogisticProblem, QuadraticProblem, make_logistic, make_quadratic
-from gtvr.rng import make_swarm_streams
 from helpers import raw_from_rows, scalar_streams
 
 
@@ -74,12 +73,11 @@ def test_final_state_matches_reference_engine(instance, algo, seed):
     prob, mixing = instance
     cfg = RunConfig(algorithm=algo, eta=0.05, p=0.3, seed=seed)
     x1 = np.random.default_rng(seed).normal(size=(prob.n, prob.d))
-    streams = make_swarm_streams(seed, prob.n)
     ref_streams = scalar_streams(seed, prob.n)
-    swarm = init_swarm(prob, x1, cfg, streams)
+    swarm = init_swarm(prob, x1, cfg)
     expected = ref.init_swarm(prob, x1, cfg, ref_streams)
     for _ in range(150):
-        run_round(swarm, prob, mixing, cfg, streams)
+        run_round(swarm, prob, mixing, cfg)
         ref.ROUND_FNS[algo](expected, prob, mixing, cfg, ref_streams)
     assert swarm.k == expected.k == 150
     assert np.array_equal(swarm.x, expected.x)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from gtvr import rng
 from helpers import StubGenerator, scalar_streams
+from reference_rng import draw_bernoulli, draw_index
 
 FIXED_SEED = settings(derandomize=True, max_examples=100, deadline=None, database=None)
 
@@ -24,11 +25,11 @@ PROBABILITIES = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
 def test_same_seed_same_sequences():
     a = scalar_streams(123, 4)[3]
     b = scalar_streams(123, 4)[3]
-    assert [rng.draw_bernoulli(a.bernoulli, 0.4) for _ in range(10_000)] == [
-        rng.draw_bernoulli(b.bernoulli, 0.4) for _ in range(10_000)
+    assert [draw_bernoulli(a.bernoulli, 0.4) for _ in range(10_000)] == [
+        draw_bernoulli(b.bernoulli, 0.4) for _ in range(10_000)
     ]
-    assert [rng.draw_index(a.index, 13) for _ in range(10_000)] == [
-        rng.draw_index(b.index, 13) for _ in range(10_000)
+    assert [draw_index(a.index, 13) for _ in range(10_000)] == [
+        draw_index(b.index, 13) for _ in range(10_000)
     ]
 
 
@@ -44,32 +45,32 @@ def test_distinct_agents_and_purposes_give_distinct_streams():
 
 def test_bernoulli_threshold_rule():
     # draw of 0.999 sits above any small probability
-    assert rng.draw_bernoulli(StubGenerator(uniforms=[0.999]), 1e-12) == 0
-    assert rng.draw_bernoulli(StubGenerator(uniforms=[0.2999]), 0.3) == 1
+    assert draw_bernoulli(StubGenerator(uniforms=[0.999]), 1e-12) == 0
+    assert draw_bernoulli(StubGenerator(uniforms=[0.2999]), 0.3) == 1
 
 
 def test_bernoulli_rejects_degenerate_probabilities():
     stream = scalar_streams(0, 1)[0].bernoulli
     for p in (0.0, 1.0, -0.1, 1.5):
         with pytest.raises(ValueError):
-            rng.draw_bernoulli(stream, p)
+            draw_bernoulli(stream, p)
 
 
 def test_index_rejects_empty_range():
     stream = scalar_streams(0, 1)[0].index
     with pytest.raises(ValueError):
-        rng.draw_index(stream, 0)
+        draw_index(stream, 0)
 
 
 def test_index_m1_always_one():
     stream = scalar_streams(5, 2)[1].index
-    assert all(rng.draw_index(stream, 1) == 1 for _ in range(100))
+    assert all(draw_index(stream, 1) == 1 for _ in range(100))
 
 
 def test_bernoulli_empirical_mean():
     stream = scalar_streams(2024, 1)[0].bernoulli
     n = 1_000_000
-    hits = sum(rng.draw_bernoulli(stream, 0.3) for _ in range(n))
+    hits = sum(draw_bernoulli(stream, 0.3) for _ in range(n))
     # binomial standard error sqrt(p (1-p) / n), three sigma
     assert abs(hits / n - 0.3) <= 3.0 * math.sqrt(0.3 * 0.7 / n)
 
@@ -88,8 +89,8 @@ def test_index_uniformity_three_sigma():
 def test_cross_stream_correlation_small():
     streams = scalar_streams(31337, 6)[5]
     n = 100_000
-    flips = np.array([rng.draw_bernoulli(streams.bernoulli, 0.5) for _ in range(n)], dtype=float)
-    idx = np.array([rng.draw_index(streams.index, 1000) for _ in range(n)], dtype=float)
+    flips = np.array([draw_bernoulli(streams.bernoulli, 0.5) for _ in range(n)], dtype=float)
+    idx = np.array([draw_index(streams.index, 1000) for _ in range(n)], dtype=float)
     corr = np.corrcoef(flips, idx)[0, 1]
     assert abs(corr) < 0.01
 
@@ -109,9 +110,9 @@ def test_draw_indices_equal_scalar_draws(m, size, seed):
     scalar = scalar_streams(seed, 3)[2].index
     got = rng.draw_indices(block, m, size)
     assert got.dtype == np.int64 and got.shape == (size,)
-    assert got.tolist() == [rng.draw_index(scalar, m) for _ in range(size)]
+    assert got.tolist() == [draw_index(scalar, m) for _ in range(size)]
     assert same_state(block, scalar)
-    assert rng.draw_index(block, m) == rng.draw_index(scalar, m)
+    assert draw_index(block, m) == draw_index(scalar, m)
 
 
 @FIXED_SEED
@@ -123,7 +124,7 @@ def test_draw_indices_equal_scalar_draws_when_chunks_fall_short(m, size, seed):
     scalar = scalar_streams(seed, 3)[2].index
     with mock.patch.object(rng, "isqrt", lambda n: -1):
         got = rng.draw_indices(block, m, size)
-    assert got.tolist() == [rng.draw_index(scalar, m) for _ in range(size)]
+    assert got.tolist() == [draw_index(scalar, m) for _ in range(size)]
     assert same_state(block, scalar)
 
 
@@ -140,27 +141,21 @@ def test_block_draws_validate_like_scalar_draws():
     seed=st.integers(0, 2**32 - 1),
 )
 def test_swarm_buffer_hands_out_the_scalar_sequence(m, p, seed):
-    m = tuple(m)
-    buffered = rng.make_swarm_streams(seed, len(m))
+    buffered = rng.SwarmStreams(seed, m, p)
     scalar = scalar_streams(seed, len(m))
     # past two refills; coins stop early, as a DSGD run after GT-VR would
     rounds = 2 * rng.DRAW_BLOCK + 37
     for k in range(rounds):
         if k < rng.DRAW_BLOCK + 5:
-            coins = buffered.coins(p)
+            coins = buffered.coins()
             assert coins.dtype == bool
-            assert coins.astype(int).tolist() == [rng.draw_bernoulli(s.bernoulli, p) for s in scalar]
-        js = buffered.indices(m)
+            assert coins.astype(int).tolist() == [draw_bernoulli(s.bernoulli, p) for s in scalar]
+        js = buffered.indices()
         assert js.dtype == np.int64
-        assert js.tolist() == [rng.draw_index(s.index, m_i) for s, m_i in zip(scalar, m)]
+        assert js.tolist() == [draw_index(s.index, m_i) for s, m_i in zip(scalar, m)]
 
 
-def test_swarm_buffer_rejects_a_changed_index_range():
-    streams = rng.make_swarm_streams(4, 2)
-    streams.indices((5, 6))
-    with pytest.raises(ValueError, match="ranges"):
-        streams.indices((5, 7))
-    with pytest.raises(ValueError, match="one index range per agent"):
-        streams.indices((5,))
-    with pytest.raises(ValueError):
-        streams.coins(1.0)
+def test_swarm_buffer_rejects_a_degenerate_probability():
+    for p in (0.0, 1.0):
+        with pytest.raises(ValueError):
+            rng.SwarmStreams(4, (5, 6), p)
