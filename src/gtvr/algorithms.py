@@ -131,8 +131,7 @@ class _AnchoredGradient:
     def start(self, problem, x, streams):
         self.tau = x.copy()
         self.g_tau = np.stack([problem.local_full_grad(i, x[i - 1]) for i in range(1, problem.n + 1)])
-        self._m = np.array(problem.m)
-        return self.g_tau.copy(), self._m.copy()
+        return self.g_tau.copy(), problem.layout.sizes
 
     def step(self, problem, x, streams):
         refresh = streams.coins()
@@ -142,7 +141,7 @@ class _AnchoredGradient:
             self.g_tau[idx] = problem.local_full_grad(idx + 1, x[idx])
         js = streams.indices()
         v = problem.component_grads(js, x) - problem.component_grads(js, self.tau) + self.g_tau
-        return v, 2 + refresh * self._m
+        return v, 2 + refresh * problem.layout.sizes
 
 
 class _GradientTable:
@@ -153,23 +152,20 @@ class _GradientTable:
     """
 
     def start(self, problem, x, streams):
-        m = np.array(problem.m)
-        ends = np.cumsum(m)
-        # one stacked (sum m_i, d) table, filled agent by agent so only one
-        # agent's table is ever held twice; agent i's rows are ``tables[i - 1]``
-        self._table = np.empty((int(ends[-1]), problem.d))
-        self.tables = np.split(self._table, ends[:-1])
+        # one (sum m_i, d) table in the problem's row layout, filled agent by
+        # agent so only one agent's table is ever held twice; agent i's rows
+        # are ``tables[i - 1]``
+        self._table = np.empty((problem.total_samples, problem.d))
+        self.tables = problem.layout.views(self._table)
         for i, table in enumerate(self.tables, start=1):
             table[...] = problem.component_grad_table(i, x[i - 1])
         self.table_mean = np.stack([t.mean(axis=0) for t in self.tables])
-        # stacked row of agent i's sample j is _row_base[i - 1] + j
-        self._row_base = ends - m - 1
-        self._m_column = m[:, None]
-        return self.table_mean.copy(), m
+        self._m_column = problem.layout.sizes[:, None]
+        return self.table_mean.copy(), problem.layout.sizes
 
     def step(self, problem, x, streams):
         js = streams.indices()
-        rows = self._row_base + js
+        rows = problem.layout.base + js
         fresh = problem.component_grads(js, x)
         delta = fresh - self._table.take(rows, axis=0)
         v = delta + self.table_mean

@@ -149,6 +149,8 @@ def _validate_config(cfg: ExperimentConfig, source: str) -> None:
             raise ValueError(
                 f"unknown topology {cfg.topology!r}, expected one of {graph.TOPOLOGY_KINDS}"
             )
+        if cfg.topology == "random" and not 0 < cfg.p_edge <= 1:
+            raise ValueError(f"p_edge must lie in (0, 1] for a random topology, got {cfg.p_edge}")
         if cfg.scheme not in ingest.PARTITION_SCHEMES:
             raise ValueError(
                 f"unknown partition scheme {cfg.scheme!r}, expected one of {ingest.PARTITION_SCHEMES}"
@@ -240,34 +242,33 @@ def cmd_sweep(ns: argparse.Namespace) -> int:
     etas = [float(v) for v in ns.eta.split(",")] if ns.eta else [base.eta]
     ps = [float(v) for v in ns.p.split(",")] if ns.p else [base.p]
     seeds = [int(v) for v in ns.seeds.split(",")] if ns.seeds else [base.seed]
-    # trace file -> grid point (seed, eta, p), in grid order; built before
-    # any point runs so that no trace overwrites another
-    points: dict[str, tuple[int, float, float]] = {}
+    out_dir = Path(ns.out_dir)
+    # trace file -> validated config of its grid point, in grid order; built
+    # before any point runs so that no point fails or overwrites another late
+    points: dict[str, ExperimentConfig] = {}
     for seed, eta, p in itertools.product(seeds, etas, ps):
         name = f"{base.algorithm}_{base.dataset_token()}_eta{eta:g}_p{p:g}_{seed}.csv"
         if name in points:
-            seed0, eta0, p0 = points[name]
+            first = points[name]
             raise ValueError(
-                f"sweep points eta={eta0!r} p={p0!r} seed={seed0} and eta={eta!r} p={p!r} "
-                f"seed={seed} would both write {name}"
+                f"sweep points eta={first.eta!r} p={first.p!r} seed={first.seed} and "
+                f"eta={eta!r} p={p!r} seed={seed} would both write {name}"
             )
-        points[name] = (seed, eta, p)
-    out_dir = Path(ns.out_dir)
+        points[name] = replace(base, eta=eta, p=p, seed=seed, output=str(out_dir / name))
+        _validate_config(points[name], source)
     out_dir.mkdir(parents=True, exist_ok=True)
     prob = mixing = prepared_seed = None
-    for name, (seed, eta, p) in points.items():
-        cfg = replace(base, eta=eta, p=p, seed=seed, output=str(out_dir / name))
-        _validate_config(cfg, source)
-        if seed != prepared_seed:
+    for cfg in points.values():
+        if cfg.seed != prepared_seed:
             # the data, its partition and the graph depend on the seed, not on eta or p
             prob = prepare_problem(cfg)
             mixing = build_mixing(cfg)
-            prepared_seed = seed
+            prepared_seed = cfg.seed
         warn_outside_theory(cfg, mixing, prob)
         rows = algorithms.run_experiment(prob, mixing, cfg.run_config())
         metrics.write_trace(rows, cfg.output_path())
         print(
-            f"eta={eta:g} p={p:g} seed={seed}: cost {rows[-1].cost:.6g}, "
+            f"eta={cfg.eta:g} p={cfg.p:g} seed={cfg.seed}: cost {rows[-1].cost:.6g}, "
             f"stationarity {rows[-1].stat:.3e} -> {cfg.output_path()}"
         )
     return 0

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rng import PURPOSE_TOPOLOGY
+from .rng import PURPOSE_TOPOLOGY, derived_generator
 
 TOPOLOGY_KINDS = ("ring", "path", "complete", "random")
 
@@ -90,9 +90,7 @@ def build_topology(
     elif kind == "random":
         if not 0.0 < p_edge <= 1.0:
             raise ValueError(f"p_edge must lie in (0, 1], got {p_edge}")
-        rng = np.random.Generator(
-            np.random.Philox(np.random.SeedSequence(seed, spawn_key=(0, PURPOSE_TOPOLOGY)))
-        )
+        rng = derived_generator(seed, 0, PURPOSE_TOPOLOGY)
         edges = set()
         for i in range(1, n + 1):
             for j in range(i + 1, n + 1):

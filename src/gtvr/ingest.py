@@ -366,11 +366,6 @@ def to_binary_labels(raw: RawDataset) -> RawDataset:
     return RawDataset(raw.features, np.where(raw.labels == positive, 1.0, -1.0))
 
 
-def _balanced_sizes(total: int, n: int) -> list[int]:
-    base, extra = divmod(total, n)
-    return [base + 1] * extra + [base] * (n - extra)
-
-
 def partition(
     raw: RawDataset,
     n: int,
@@ -391,15 +386,11 @@ def partition(
     elif scheme == "round_robin":
         return [np.arange(i, total, n, dtype=np.int64) for i in range(n)]
     elif scheme == "shuffled":
-        order = derived_generator(seed, 0, PURPOSE_PARTITION).permutation(total)
+        order = derived_generator(seed, 0, PURPOSE_PARTITION).permutation(total).astype(np.int64)
     else:
         raise ValueError(f"unknown partition scheme {scheme!r}, expected one of {PARTITION_SCHEMES}")
-    out = []
-    start = 0
-    for size in _balanced_sizes(total, n):
-        out.append(np.asarray(order[start : start + size], dtype=np.int64))
-        start += size
-    return out
+    # the first total % n agents take one sample more
+    return np.array_split(order, n)
 
 
 def take_head(raw: RawDataset, max_samples: int) -> RawDataset:

@@ -11,9 +11,8 @@ Agent ids and sample indices are 1-based throughout the public surface
 
 from __future__ import annotations
 
-import itertools
 import math
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -55,20 +54,44 @@ def _sigmoid_pair_scalar(z: float) -> tuple[float, float]:
     return (big, small) if z >= 0 else (small, big)
 
 
+class RowLayout(NamedTuple):
+    """How the agents share arrays stacked over all samples: agent i owns
+    rows ``offsets[i - 1]:offsets[i]`` (n + 1 offsets, from 0 to sum m_i),
+    so its sample j is stacked row ``base[i - 1] + j``; ``sizes`` holds m."""
+
+    offsets: tuple[int, ...]
+    base: np.ndarray
+    sizes: np.ndarray
+
+    def views(self, stacked: np.ndarray) -> list:
+        """Each agent's rows of ``stacked``, as views of it."""
+        return [stacked[lo:hi] for lo, hi in zip(self.offsets, self.offsets[1:])]
+
+
 class FiniteSumProblem:
     """Shared surface of the per-instance objectives.
 
     Subclasses provide the oracles the engine and the metric pass call;
-    this base supplies the one batch check of ``component_grads`` and
-    common bookkeeping. The per-sample and per-agent cost references
+    this base holds the sizes and the row ``layout`` that both instances
+    and the estimators share, and the one batch check of
+    ``component_grads``. The per-sample and per-agent cost references
     live in ``tests/reference_problem.py``.
     """
 
     n: int
     d: int
     m: tuple[int, ...]
-    _row_base: np.ndarray  # stacked row of agent i's sample j is _row_base[i - 1] + j
-    _m_array: np.ndarray  # m as an array
+    layout: RowLayout
+
+    def _set_layout(self, sizes: Sequence[int], d: int) -> None:
+        """Hold n, d and m for agents that own the next sizes[i - 1]
+        stacked rows each, and the layout of those rows."""
+        self.n = len(sizes)
+        self.d = int(d)
+        self.m = tuple(int(size) for size in sizes)
+        m = np.array(self.m)
+        offsets = np.concatenate(([0], np.cumsum(m)))
+        self.layout = RowLayout(tuple(offsets.tolist()), offsets[:-1] - 1, m)
 
     @property
     def total_samples(self) -> int:
@@ -85,15 +108,15 @@ class FiniteSumProblem:
 
     def _batch_rows(self, js: np.ndarray, X: np.ndarray) -> np.ndarray:
         """Stacked 0-based rows of the sampled components, after one check
-        of the whole batch; subclasses hold ``_row_base`` and ``_m_array``."""
+        of the whole batch."""
         if js.shape != (self.n,) or X.shape != (self.n, self.d):
             raise ValueError(
                 f"need one index and one ({self.d},) point per agent ({self.n}), "
                 f"got indices {js.shape} and points {X.shape}"
             )
-        if np.count_nonzero((js < 1) | (js > self._m_array)):
+        if np.count_nonzero((js < 1) | (js > self.layout.sizes)):
             raise IndexError(f"sample indices {js.tolist()} outside [1, m_i] for m = {self.m}")
-        return self._row_base + js
+        return self.layout.base + js
 
     def component_grad_table(self, i: int, x: np.ndarray) -> np.ndarray:
         """All component gradients of agent i at x, stacked (m_i, d)."""
@@ -136,12 +159,8 @@ class LogisticProblem(FiniteSumProblem):
                 raise ValueError("all agents must share the feature dimension")
             if a.shape[0] != l.shape[0]:
                 raise ValueError("feature rows and labels must match and be non-empty")
-        self._hold(
-            sp.vstack(feats, format="csr"),
-            np.concatenate(labels),
-            [a.shape[0] for a in feats],
-            lam1,
-        )
+        sizes = [a.shape[0] for a in feats]
+        self._hold(sp.vstack(feats, format="csr"), np.concatenate(labels), sizes, lam1)
 
     def _hold(
         self, rows: sp.csr_matrix, labels: np.ndarray, sizes: Sequence[int], lam1: float
@@ -149,10 +168,10 @@ class LogisticProblem(FiniteSumProblem):
         """Keep all agents' rows as one CSR; agent i owns the next sizes[i-1] rows.
 
         The per-agent matrices and label vectors are views into the
-        stacked arrays. The features are held a second time, feature-major,
-        as one buffer whose per-agent views are the transposed blocks
-        A_i^T: their products are dots over d long rows, where a transposed
-        view of the row-major arrays would scatter over m_i short columns.
+        stacked arrays. Each agent's features are held a second time,
+        feature-major, as the CSR transpose A_i^T: its products are dots
+        over d long rows, where a transposed view of the row-major arrays
+        would scatter over m_i short columns.
         """
         if not 0 <= lam1 < math.inf:
             raise ValueError(f"regularization weight must be finite and >= 0, got {lam1}")
@@ -162,23 +181,12 @@ class LogisticProblem(FiniteSumProblem):
             raise ValueError("labels must be exactly -1 or +1")
         if not np.isfinite(rows.data).all():
             raise ValueError("logistic features must be finite")
-        self.n = len(sizes)
-        self.d = int(rows.shape[1])
+        self._set_layout(sizes, rows.shape[1])
         self.lam1 = float(lam1)
-        self.m = tuple(int(size) for size in sizes)
         self._rows = rows
         self._label_rows = labels
-        offsets = np.concatenate(([0], np.cumsum(self.m))).tolist()
-        self._bounds = list(zip(offsets[:-1], offsets[1:]))
-        self._feats, self._feats_t = _agent_blocks(rows, offsets)
-        self._labels = [labels[lo:hi] for lo, hi in self._bounds]
-        self._m_rows = np.empty(len(labels))
-        for (lo, hi), size in zip(self._bounds, self.m):
-            self._m_rows[lo:hi] = size
-        self._row_base = np.array(offsets[:-1]) - 1
-        self._m_array = np.array(self.m)
-        canonical = rows.has_canonical_format
-        self._max_row_sq = max(_max_row_square(a, canonical) for a in self._feats)
+        self._feats, self._feats_t = _agent_blocks(rows, self.layout.offsets)
+        self._labels = self.layout.views(labels)
 
     @classmethod
     def from_partition(
@@ -237,20 +245,21 @@ class LogisticProblem(FiniteSumProblem):
         z = self._label_rows * (self._rows @ x)
         e, one_e = _exp_terms(z)
         sig_neg = _sigmoid_neg(z, e, one_e)
-        coef = (-self._label_rows * _sigmoid_product(e, one_e)) / self._m_rows
+        coef = -self._label_rows * _sigmoid_product(e, one_e)
         reg = self.lam1 * float(x @ x)
         reg_grad = (2.0 * self.lam1) * x
         costs = np.empty(self.n)
         grads = np.empty((self.n, self.d))
-        for i, ((lo, hi), a_t) in enumerate(zip(self._bounds, self._feats_t)):
-            costs[i] = float(sig_neg[lo:hi].mean()) + reg
-            grads[i] = (a_t @ coef[lo:hi]) + reg_grad
+        views = self.layout.views
+        for i, (s, c, a_t, m) in enumerate(zip(views(sig_neg), views(coef), self._feats_t, self.m)):
+            costs[i] = float(s.mean()) + reg
+            grads[i] = (a_t @ (c / m)) + reg_grad
         return costs, grads
 
     def lipschitz_estimate(self) -> float:
         # sigmoid-composition curvature is bounded by 1/4; conservative
         # but valid, which is all the step-size theory requires
-        return self._max_row_sq / 4.0 + 2.0 * self.lam1
+        return _max_row_square(self._rows) / 4.0 + 2.0 * self.lam1
 
 
 def _csr_view(
@@ -266,14 +275,14 @@ def _csr_view(
     return out
 
 
-def _max_row_square(block: sp.csr_matrix, canonical: bool) -> float:
-    """The largest squared row norm of a block, equal to the one from
-    ``block.multiply(block)``. On a canonical block (sorted indices, no
+def _max_row_square(rows: sp.csr_matrix) -> float:
+    """The largest squared row norm, equal to the one from
+    ``rows.multiply(rows)``. On canonical rows (sorted indices, no
     repeats) that is the stored values squared, without multiply's merge;
     otherwise multiply sums repeated entries before squaring."""
-    if not canonical:
-        return float(block.multiply(block).sum(axis=1).max())
-    squares = _csr_view(block.shape, block.data * block.data, block.indices, block.indptr)
+    if not rows.has_canonical_format:
+        return float(rows.multiply(rows).sum(axis=1).max())
+    squares = _csr_view(rows.shape, rows.data * rows.data, rows.indices, rows.indptr)
     return float(squares.sum(axis=1).max())
 
 
@@ -282,44 +291,16 @@ def _agent_blocks(
 ) -> tuple[list[sp.csr_matrix], list[sp.csr_matrix]]:
     """Each block of rows ``offsets[i]:offsets[i + 1]`` and its transpose.
 
-    The blocks are CSR views of ``rows``. The transposes, shape (d, m_i),
-    are CSR views of one feature-major buffer, which a single O(nnz)
-    CSR-to-CSC conversion builds for all blocks: entry (r, c) of block i
-    moves to column i * d + c of an (N, n d) matrix, so the CSC's columns
-    run through block 1's features, then block 2's, each listing its rows
-    in order. Block i's feature-major entries are then the run of the
-    buffer that its row-major entries occupy in ``rows``.
+    The blocks are CSR views of ``rows``; the transposes, shape (d, m_i),
+    are CSR copies, each listing a feature's entries in row order.
     """
-    n, d = len(offsets) - 1, rows.shape[1]
+    d = rows.shape[1]
     starts = rows.indptr[list(offsets)].tolist()
-    spans = list(zip(offsets, offsets[1:], starts, starts[1:]))
-    wide = np.int64 if n * d > np.iinfo(np.int32).max else rows.indices.dtype
-    banded = rows.indices.astype(wide)
-    for i, (_, _, start, stop) in enumerate(spans):
-        banded[start:stop] += i * d
-    cols = sp.csr_matrix((rows.data, banded, rows.indptr), shape=(rows.shape[0], n * d)).tocsc()
-    del banded
-    blocks, blocks_t = [], []
-    for i, (lo, hi, start, stop) in enumerate(spans):
-        blocks.append(
-            _csr_view(
-                (hi - lo, d),
-                rows.data[start:stop],
-                rows.indices[start:stop],
-                rows.indptr[lo : hi + 1] - start,
-            )
-        )
-        local_rows = cols.indices[start:stop]
-        local_rows -= lo
-        blocks_t.append(
-            _csr_view(
-                (d, hi - lo),
-                cols.data[start:stop],
-                local_rows,
-                cols.indptr[i * d : (i + 1) * d + 1] - start,
-            )
-        )
-    return blocks, blocks_t
+    blocks = [
+        _csr_view((hi - lo, d), rows.data[a:b], rows.indices[a:b], rows.indptr[lo : hi + 1] - a)
+        for lo, hi, a, b in zip(offsets, offsets[1:], starts, starts[1:])
+    ]
+    return blocks, [block.T.tocsr() for block in blocks]
 
 
 class QuadraticProblem(FiniteSumProblem):
@@ -333,21 +314,14 @@ class QuadraticProblem(FiniteSumProblem):
         for a, t in zip(feats, targets):
             if a.ndim != 2 or a.shape[1] != feats[0].shape[1] or t.shape != a.shape[:1] or not a.size:
                 raise ValueError("inconsistent quadratic instance data")
-        self.n = len(feats)
-        self.d = feats[0].shape[1]
-        self.m = tuple(a.shape[0] for a in feats)
-        # all agents' rows stacked once; agent i owns the next m_i rows, and
-        # the per-agent arrays are views of them
+        self._set_layout([a.shape[0] for a in feats], feats[0].shape[1])
+        # all agents' rows stacked once; the per-agent arrays are views of them
         self._rows = np.concatenate(feats)
         self._target_rows = np.concatenate(targets)
         if not (np.isfinite(self._rows).all() and np.isfinite(self._target_rows).all()):
             raise ValueError("quadratic instance data must be finite")
-        offsets = [0, *itertools.accumulate(self.m)]
-        self._feats = [self._rows[lo:hi] for lo, hi in zip(offsets, offsets[1:])]
-        self._targets = [self._target_rows[lo:hi] for lo, hi in zip(offsets, offsets[1:])]
-        # stacked row of agent i's sample j is _row_base[i - 1] + j
-        self._row_base = np.array(offsets[:-1]) - 1
-        self._m_array = np.array(self.m)
+        self._feats = self.layout.views(self._rows)
+        self._targets = self.layout.views(self._target_rows)
 
     def component_grads(self, js: np.ndarray, X: np.ndarray) -> np.ndarray:
         rows = self._batch_rows(js, X)

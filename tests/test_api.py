@@ -71,6 +71,9 @@ PROBLEM_SURFACE = {
     "QuadraticProblem": PROBLEM_ORACLES,
     "LogisticProblem": sorted(PROBLEM_ORACLES + ["from_partition"]),
 }
+# the public data an instance holds: its sizes and the row layout that
+# the engine reads for GT-SAGA's table and GT-VR's oracle counts
+PROBLEM_DATA = ["d", "layout", "m", "n"]
 
 
 def test_public_names_are_pinned():
@@ -88,6 +91,16 @@ def test_public_names_are_pinned():
 def test_problem_methods_are_pinned(name):
     cls = getattr(gtvr, name)
     assert sorted(attr for attr in dir(cls) if not attr.startswith("_")) == PROBLEM_SURFACE[name]
+
+
+@pytest.mark.parametrize(
+    "instance, extra",
+    [(lambda: gtvr.make_quadratic(2, 3, 2), []), (lambda: gtvr.make_logistic(2, 3, 2), ["lam1"])],
+    ids=["quadratic", "logistic"],
+)
+def test_problem_data_is_pinned(instance, extra):
+    public = sorted(name for name in vars(instance()) if not name.startswith("_"))
+    assert public == sorted(PROBLEM_DATA + extra)
 
 
 def test_readme_library_example_runs(capsys):

@@ -98,9 +98,14 @@ def test_non_finite_parameter_rejected_as_bad_config(tmp_path, capsys, key, valu
         ("quad_noise", "-1"),
         ("quad_m", "0"),
         ("quad_d", "-2"),
+        # QUAD_CONFIG's topology is random
+        ("p_edge", "nan"),
+        ("p_edge", "0"),
+        ("p_edge", "1.5"),
     ],
 )
 def test_bad_quadratic_parameter_rejected_as_bad_config(tmp_path, capsys, key, value):
+    # a key given twice takes its last value
     cfg = write_config(tmp_path, QUAD_CONFIG.format(rounds=5) + f"{key} = {value}\n")
     assert cli.main(["run", "--config", str(cfg), "--output", str(tmp_path / "t.csv")]) == 2
     err = capsys.readouterr().err
@@ -335,6 +340,16 @@ def test_sweep_rejects_grid_points_that_share_a_trace_file(tmp_path, capsys, fla
     err = capsys.readouterr().err
     assert clash in err
     # no grid point ran
+    assert not list(out_dir.glob("*.csv"))
+
+
+def test_sweep_validates_every_grid_point_before_running_any(tmp_path, capsys):
+    cfg = write_config(tmp_path, QUAD_CONFIG.format(rounds=5))
+    out_dir = tmp_path / "sweep"
+    code = cli.main(["sweep", "--config", str(cfg), "--p", "0.3,1.5", "--out-dir", str(out_dir)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "(0, 1)" in err and str(cfg) in err
     assert not list(out_dir.glob("*.csv"))
 
 

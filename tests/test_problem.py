@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gtvr import ingest
+from gtvr.algorithms import RunConfig, init_swarm
 from gtvr.problem import (
     LogisticProblem,
     QuadraticProblem,
@@ -291,24 +292,35 @@ def test_view_backed_agents_match_independent_copies():
 
 
 def test_agents_share_stacked_row_and_feature_major_buffers():
-    _, _, prob = partitioned_logistic(rows=40, n=5)
-    x = np.ones(prob.d)
-    prob.local_costs_and_grads(x)
-    for i in range(1, prob.n + 1):
-        prob.local_full_grad(i, x)
-        prob.component_grad_table(i, x)
-    assert prob._rows.shape == (40, prob.d)
-    # the feature-major copy is one buffer of nnz entries, apart from the rows
-    data_buf, index_buf = prob._feats_t[0].data.base, prob._feats_t[0].indices.base
-    assert data_buf.size == index_buf.size == prob._rows.nnz
-    assert not np.shares_memory(data_buf, prob._rows.data)
-    for a, a_t, labels, m in zip(prob._feats, prob._feats_t, prob._labels, prob.m):
-        assert np.shares_memory(labels, prob._label_rows)
-        assert np.shares_memory(a.data, prob._rows.data)
-        assert np.shares_memory(a.indices, prob._rows.indices)
-        assert isinstance(a_t, sp.csr_matrix) and a_t.shape == (prob.d, m)
-        assert a_t.data.base is data_buf and a_t.indices.base is index_buf
-        assert same_csr(a_t, sp.csr_matrix(a.T))
+    # unequal m_i and a single agent; every per-agent view shares its
+    # stacked array and has m_i rows
+    logistic = [partitioned_logistic(rows=40, n=5)[2], uneven_logistic_lists(sizes=(9,))]
+    quadratic = [uneven_quadratic(), uneven_quadratic(sizes=(9,))]
+    for prob in logistic:
+        x = np.ones(prob.d)
+        prob.local_costs_and_grads(x)
+        for i in range(1, prob.n + 1):
+            prob.local_full_grad(i, x)
+            prob.component_grad_table(i, x)
+        assert prob._rows.shape == (sum(prob.m), prob.d)
+        assert len(prob._feats) == len(prob._feats_t) == len(prob._labels) == prob.n
+        for a, a_t, labels, m in zip(prob._feats, prob._feats_t, prob._labels, prob.m):
+            assert a.shape == (m, prob.d) and labels.shape == (m,)
+            assert np.shares_memory(labels, prob._label_rows)
+            assert np.shares_memory(a.data, prob._rows.data)
+            assert np.shares_memory(a.indices, prob._rows.indices)
+            assert isinstance(a_t, sp.csr_matrix) and a_t.shape == (prob.d, m)
+            assert same_csr(a_t, sp.csr_matrix(a.T))
+    for prob in quadratic:
+        assert len(prob._feats) == len(prob._targets) == prob.n
+        for a, t, m in zip(prob._feats, prob._targets, prob.m):
+            assert a.shape == (m, prob.d) and t.shape == (m,)
+            assert np.shares_memory(a, prob._rows) and np.shares_memory(t, prob._target_rows)
+    for prob in logistic + quadratic:
+        est = init_swarm(prob, np.zeros((prob.n, prob.d)), RunConfig(algorithm="gtsaga")).estimator
+        assert len(est.tables) == prob.n
+        for table, m in zip(est.tables, prob.m):
+            assert table.shape == (m, prob.d) and np.shares_memory(table, est._table)
 
 
 @pytest.mark.parametrize("name", sorted(BATCH_CASES))
