@@ -10,13 +10,15 @@ D(x) = sum_i x_i' sum_j w_ij (x_i - x_j) whose decay certifies consensus.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import IO, TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .graph import MixingMatrix
+# bound here, so that tracing graph.mix counts only the engine's exchanges
+from .graph import MixingMatrix, mix
 from .problem import FiniteSumProblem
 
 if TYPE_CHECKING:
@@ -42,11 +44,7 @@ def consensus_gap_D(mixing: MixingMatrix, stacked: np.ndarray) -> float:  # noqa
     non-negative for symmetric W and zero exactly at consensus.
     """
     stacked = np.asarray(stacked, dtype=float)
-    if stacked.ndim != 2 or stacked.shape[0] != mixing.n:
-        raise ValueError(
-            f"expected a stacked ({mixing.n}, d) matrix, got shape {stacked.shape}"
-        )
-    return float(np.sum(stacked * (stacked - mixing.w @ stacked)))
+    return float(np.sum(stacked * (stacked - mix(mixing, stacked))))
 
 
 def agent_average(costs: np.ndarray, grads: np.ndarray) -> tuple[float, np.ndarray]:
@@ -104,8 +102,19 @@ def _write_csv(rows: Sequence[TraceRow], fh: IO[str]) -> None:
 
 
 def _write_jsonl(rows: Sequence[TraceRow], fh: IO[str]) -> None:
+    # JSON has no NaN or infinity: a non-finite value (DSGD's track) is null
     for r in rows:
-        fh.write(json.dumps(asdict(r)) + "\n")
+        row = {k: v if not isinstance(v, float) or math.isfinite(v) else None for k, v in asdict(r).items()}
+        fh.write(json.dumps(row, allow_nan=False) + "\n")
+
+
+def _write_to(sink: str | Path | IO[str], write, rows: Sequence[TraceRow]) -> None:
+    """``write(rows, fh)`` to an open stream, or to a new file at a path."""
+    if isinstance(sink, (str, Path)):
+        with open(sink, "w") as fh:
+            write(rows, fh)
+    else:
+        write(rows, sink)
 
 
 def write_trace(
@@ -116,22 +125,14 @@ def write_trace(
     """Write rows as CSV (17 significant digits, bit round-trippable).
 
     An optional JSON-lines mirror carries one object per row with the
-    same keys as the CSV header.
+    same keys as the CSV header, and null for a non-finite value.
     """
     ks = [row.k for row in rows]
     if ks != sorted(ks):
         raise ValueError("trace rows must be ordered by iteration")
-    if isinstance(sink, (str, Path)):
-        with open(sink, "w") as fh:
-            _write_csv(rows, fh)
-    else:
-        _write_csv(rows, sink)
+    _write_to(sink, _write_csv, rows)
     if jsonl_sink is not None:
-        if isinstance(jsonl_sink, (str, Path)):
-            with open(jsonl_sink, "w") as fh:
-                _write_jsonl(rows, fh)
-        else:
-            _write_jsonl(rows, jsonl_sink)
+        _write_to(jsonl_sink, _write_jsonl, rows)
 
 
 def read_trace(source: str | Path | IO[str]) -> list[TraceRow]:

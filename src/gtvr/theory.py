@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Sequence
 
 import numpy as np
@@ -240,25 +240,12 @@ class TheoryReport:
                 return f"{val:.12g}"
             return str(val)
 
-        pairs = [
-            ("rho", self.rho),
-            ("L", self.L),
-            ("P", self.P),
-            ("n", self.n),
-            ("M", self.M),
-            ("p_lower", self.p_lower),
-            ("eps3", self.eps3),
-            ("T", self.T),
-            ("eta_bar", self.eta_bar),
-            ("eta_tilde", self.eta_tilde),
-            ("eta", self.eta),
-            ("contraction_ok", self.contraction_ok),
-            ("dC", self.dC),
-            ("3*rho^2", 3.0 * self.rho**2),
-            ("iterations", self.iterations),
-            ("gradient_evals", self.gradient_evals),
-            ("communications", self.communications),
-        ]
+        pairs = []
+        for f in fields(self):
+            if f.name not in ("C", "C4", "C4pp", "notes"):
+                pairs.append((f.name, getattr(self, f.name)))
+            if f.name == "dC":
+                pairs.append(("3*rho^2", 3.0 * self.rho**2))
         width = max(len(name) for name, _ in pairs)
         lines = [f"{name:<{width}}  {show(val)}" for name, val in pairs]
         if self.C is not None:
@@ -292,8 +279,17 @@ def build_report(
     Every quantity that is well-defined for the inputs is filled in; the
     rest stay None with an explanatory note, because experiment configs
     (including the reference ones) routinely run outside the admissible
-    parameter region.
+    parameter region. Inputs that no setup can have (P outside (0, 1), a
+    negative or non-finite rho, n or M below 1) raise ValueError.
     """
+    if not 0.0 < p < 1.0:
+        raise ValueError(f"refresh probability P must lie in (0, 1), got {p}")
+    if not 0.0 <= rho < math.inf:
+        raise ValueError(f"network radius rho must be finite and >= 0, got {rho}")
+    if n < 1:
+        raise ValueError(f"agent count n must be >= 1, got {n}")
+    if total_samples < 1:
+        raise ValueError(f"total sample count M must be >= 1, got {total_samples}")
     report = TheoryReport(rho=rho, L=lipschitz, P=p, n=n, M=total_samples, eta=eta)
     if rho <= 1e-12:
         report.notes.append("network mixes in one round (rho ~ 0); admissibility bounds degenerate")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import NamedTuple
 
 import numpy as np
@@ -107,7 +108,7 @@ class ScalarStreams(NamedTuple):
 def scalar_streams(seed: int, n: int) -> list[ScalarStreams]:
     """Agent i's streams at position i - 1, built from the documented spawn
     keys (i, PURPOSE_BERNOULLI) and (i, PURPOSE_INDEX): the streams that
-    ``SwarmStreams(seed, m, p)`` buffers for n agents, for scalar reference
+    ``SwarmStreams(seed, m, p)`` draws from for n agents, for scalar reference
     draws with ``reference_rng.draw_bernoulli`` and ``draw_index``."""
     return [
         ScalarStreams(
@@ -148,10 +149,11 @@ def estimate_vr_second_moments(problem, x, tau, draws, seed):
     Per-sample estimator values are tabulated once (the estimator is a
     deterministic function of the drawn index), so each draw reduces to a
     table lookup while the index draws still come from the streams under
-    test: each agent's ``draws`` indices in one block, equal to as many
-    scalar draws. Returns (stacked deviation from local grads at x,
-    squared norm of the mean deviation from local grads at xbar, squared
-    norm of the estimator mean), each averaged over the draws.
+    test: each agent's first ``draws`` values of ``uniform_indices``, the
+    sequence as many scalar draws give. Returns (stacked deviation from
+    local grads at x, squared norm of the mean deviation from local grads
+    at xbar, squared norm of the estimator mean), each averaged over the
+    draws.
     """
     from gtvr import rng as gtvr_rng
     from reference_engine import vr_gradient_estimate
@@ -171,7 +173,8 @@ def estimate_vr_second_moments(problem, x, tau, draws, seed):
                 for j in range(1, problem.m[i - 1] + 1)
             ]
         )
-        rows = gtvr_rng.draw_indices(streams[i - 1].index, problem.m[i - 1], draws) - 1
+        indices = gtvr_rng.uniform_indices(streams[i - 1].index, problem.m[i - 1])
+        rows = np.fromiter(islice(indices, draws), np.int64, draws) - 1
         picks.append(tab[rows])
         total_dev += float(np.sum((tab - g_x[i - 1]) ** 2, axis=1)[rows].sum())
     picks = np.stack(picks)  # (n, draws, d)

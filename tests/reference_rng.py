@@ -1,8 +1,8 @@
 """The scalar draws that define what ``gtvr.rng.SwarmStreams`` hands out.
 
-``SwarmStreams`` buffers each agent's coins and indices in blocks; these
+``SwarmStreams`` draws each agent's coins and indices in blocks; these
 draw one value at a time from one generator, and the block draws are
-tested against them value for value and stream state for stream state.
+tested against them value for value.
 """
 
 from __future__ import annotations

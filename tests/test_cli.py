@@ -173,6 +173,24 @@ def test_jsonl_mirror(tmp_path):
     assert lines[-1]["cost"] == rows[-1].cost
 
 
+def test_jsonl_mirror_of_an_untracked_run_is_strict_json(tmp_path):
+    dsgd = QUAD_CONFIG.format(rounds=20).replace("algorithm = gtvr", "algorithm = dsgd")
+    cfg = write_config(tmp_path, dsgd)
+    out = tmp_path / "t.csv"
+    mirror = tmp_path / "t.jsonl"
+    assert cli.main(
+        ["run", "--config", str(cfg), "--output", str(out), "--jsonl", str(mirror), "--no-timing"]
+    ) == 0
+
+    def reject(constant):
+        raise ValueError(f"not JSON: {constant}")
+
+    lines = [json.loads(l, parse_constant=reject) for l in mirror.read_text().splitlines()]
+    assert len(lines) == len(metrics.read_trace(out))
+    assert all(line["track"] is None for line in lines)
+    assert ",nan," in out.read_text()
+
+
 def make_libsvm_file(tmp_path, rows=40, d=12, seed=3):
     rng = np.random.default_rng(seed)
     lines = []
@@ -235,6 +253,24 @@ def test_theory_subcommand_complexity_block(capsys):
     data = json.loads(capsys.readouterr().out)
     assert data["iterations"] > 0
     assert data["communications"] == pytest.approx(data["iterations"] * 10, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "args, name",
+    [
+        (["--rho", "0.4", "--p", "1.5", "--l", "1"], "P"),
+        (["--rho", "0.4", "--p", "1.0", "--l", "1"], "P"),
+        (["--rho", "0.4", "--p", "nan", "--l", "1"], "P"),
+        (["--rho", "-0.5", "--p", "0.95", "--l", "1"], "rho"),
+        (["--rho", "0.4", "--p", "0.95", "--l", "1", "--n", "0"], "n"),
+        (["--rho", "0.4", "--p", "0.95", "--l", "1", "--samples", "-5"], "M"),
+    ],
+)
+def test_theory_rejects_an_invalid_input(args, name, capsys):
+    assert cli.main(["theory", *args]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f" {name} must" in captured.err
 
 
 def test_theory_above_step_cap_prints_a_note_not_a_warning(tmp_path):

@@ -1,5 +1,5 @@
 import math
-from unittest import mock
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -79,8 +79,9 @@ def test_index_uniformity_three_sigma():
     stream = scalar_streams(77, 3)[2].index
     n = 1_000_000
     m = 7
-    # the same values as n calls of draw_index (test_draw_indices_equal_scalar_draws)
-    counts = np.bincount(rng.draw_indices(stream, m, n) - 1, minlength=m)
+    # the same values as n calls of draw_index (test_uniform_indices_equal_scalar_draws)
+    drawn = np.fromiter(islice(rng.uniform_indices(stream, m), n), np.int64, n)
+    counts = np.bincount(drawn - 1, minlength=m)
     p = 1.0 / m
     bound = 3.0 * math.sqrt(p * (1.0 - p) / n)
     assert np.abs(counts / n - p).max() <= bound
@@ -95,43 +96,20 @@ def test_cross_stream_correlation_small():
     assert abs(corr) < 0.01
 
 
-def same_state(a: np.random.Generator, b: np.random.Generator) -> bool:
-    """Equal Philox counter, key and buffered output."""
-    sa, sb = a.bit_generator.state, b.bit_generator.state
-    return all(np.array_equal(sa["state"][k], sb["state"][k]) for k in ("counter", "key")) and all(
-        np.array_equal(sa[k], sb[k]) for k in ("buffer", "buffer_pos", "has_uint32", "uinteger")
-    )
-
-
 @FIXED_SEED
 @given(m=INDEX_RANGES, size=st.integers(0, 300), seed=st.integers(0, 2**32 - 1))
-def test_draw_indices_equal_scalar_draws(m, size, seed):
-    block = scalar_streams(seed, 3)[2].index
+def test_uniform_indices_equal_scalar_draws(m, size, seed):
+    # past three blocks of raw draws, and for 2^k + 1 past about six
+    count = 3 * rng.DRAW_BLOCK + size
+    drawn = rng.uniform_indices(scalar_streams(seed, 3)[2].index, m)
     scalar = scalar_streams(seed, 3)[2].index
-    got = rng.draw_indices(block, m, size)
-    assert got.dtype == np.int64 and got.shape == (size,)
-    assert got.tolist() == [draw_index(scalar, m) for _ in range(size)]
-    assert same_state(block, scalar)
-    assert draw_index(block, m) == draw_index(scalar, m)
+    assert list(islice(drawn, count)) == [draw_index(scalar, m) for _ in range(count)]
 
 
-@FIXED_SEED
-@given(m=INDEX_RANGES, size=st.integers(1, 300), seed=st.integers(0, 2**32 - 1))
-def test_draw_indices_equal_scalar_draws_when_chunks_fall_short(m, size, seed):
-    # with no margin over the expected raw count, a chunk holds fewer
-    # accepted values than needed about half the time
-    block = scalar_streams(seed, 3)[2].index
-    scalar = scalar_streams(seed, 3)[2].index
-    with mock.patch.object(rng, "isqrt", lambda n: -1):
-        got = rng.draw_indices(block, m, size)
-    assert got.tolist() == [draw_index(scalar, m) for _ in range(size)]
-    assert same_state(block, scalar)
-
-
-def test_block_draws_validate_like_scalar_draws():
-    stream = scalar_streams(0, 1)[0].index
-    with pytest.raises(ValueError):
-        rng.draw_indices(stream, 0, 5)
+def test_swarm_streams_reject_an_empty_index_range():
+    for m in ((5, 0, 6), (-1,), (3, 3, -2)):
+        with pytest.raises(ValueError, match="index range"):
+            rng.SwarmStreams(4, m, 0.5)
 
 
 @settings(FIXED_SEED, max_examples=15)

@@ -290,3 +290,62 @@ def test_build_report_degenerate_radius():
     rep2 = theory.build_report(0.9, 1.0, 0.5, n=4, total_samples=100)
     assert rep2.eta_bar is None
     assert any("1/3" in note for note in rep2.notes)
+
+
+def test_report_text_pinned():
+    rep = theory.build_report(
+        0.3, 2.0, 0.8, n=5, total_samples=100, eta=0.01,
+        neighbor_counts=[2] * 5, epsilon=1e-3, f_gap=1.0, r0=0.5,
+    )
+    assert rep.to_text() == "\n".join(
+        [
+            "rho             0.3",
+            "L               2",
+            "P               0.8",
+            "n               5",
+            "M               100",
+            "p_lower         0.880687397709",
+            "eps3            2.51898527005",
+            "T               142.21113657",
+            "eta_bar         0.00788757391008",
+            "eta_tilde       0.00788757391008",
+            "eta             0.01",
+            "contraction_ok  yes",
+            "dC              0.207292098388",
+            "3*rho^2         0.27",
+            "iterations      10900000",
+            "gradient_evals  1133974631.75",
+            "communications  109000000",
+            "C:",
+            "   1.975704746e-01   9.228088773e+00   1.417600000e+00",
+            "   1.800000000e-05   1.800000000e-01   0.000000000e+00",
+            "   1.692618658e-05   2.554320786e-01   1.350000000e-01",
+            "baseline gradient complexity: O(v^2 / eps^2), v not computed",
+            "note: P = 0.8 is not above the admissible bound 0.880687; "
+            "step-size bounds computed at reference P = 0.940344",
+            "note: step-size 0.01 exceeds the complexity-range cap 0.00788757; "
+            "estimates are extrapolations",
+        ]
+    )
+
+
+@pytest.mark.parametrize(
+    "key, value, name",
+    [
+        ("p", 1.5, "P"),
+        ("p", 1.0, "P"),
+        ("p", 0.0, "P"),
+        ("p", math.nan, "P"),
+        ("rho", -0.5, "rho"),
+        ("rho", math.nan, "rho"),
+        ("rho", math.inf, "rho"),
+        ("n", 0, "n"),
+        ("total_samples", 0, "M"),
+        ("total_samples", -5, "M"),
+    ],
+)
+def test_build_report_rejects_invalid_inputs(key, value, name):
+    args = dict(rho=0.4, lipschitz=1.0, p=0.95, n=4, total_samples=100)
+    args[key] = value
+    with pytest.raises(ValueError, match=rf"\b{name} must"):
+        theory.build_report(**args)
