@@ -25,8 +25,6 @@ from .metrics import TraceRow, consensus_gap_D, stationarity_metrics
 from .problem import FiniteSumProblem
 from .rng import SwarmStreams
 
-ALGORITHMS = ("gtvr", "dsgd", "dsgt", "gtsaga")
-
 DIVERGENCE_NORM_CAP = 1e12
 
 
@@ -90,10 +88,10 @@ def _as_stacked(problem: FiniteSumProblem, x1: np.ndarray) -> np.ndarray:
 
 
 def _check_finite(swarm: SwarmState, k: int) -> None:
-    x = swarm.x
     # a NaN or infinite entry makes its row norm NaN or infinite, so one
-    # comparison covers both guards
-    if not (np.sqrt((x * x).sum(axis=1)) <= DIVERGENCE_NORM_CAP).all():
+    # comparison covers both guards; hypot forms the norm without squaring,
+    # so an entry too large to square reads as diverged, with no warning
+    if not (np.hypot.reduce(swarm.x, axis=1) <= DIVERGENCE_NORM_CAP).all():
         raise DivergedError(f"iterate diverged at iteration {k}")
     if swarm.y is not None and not np.isfinite(swarm.y).all():
         raise DivergedError(f"gradient tracker diverged at iteration {k}")
@@ -182,6 +180,7 @@ _ESTIMATORS = {
     "dsgt": _StochasticGradient,
     "gtsaga": _GradientTable,
 }
+ALGORITHMS = tuple(_ESTIMATORS)
 
 
 def init_swarm(problem: FiniteSumProblem, x1: np.ndarray, cfg: RunConfig) -> SwarmState:
@@ -250,7 +249,7 @@ def run_experiment(
     start = time.perf_counter()
 
     def record() -> TraceRow:
-        cost, stat, cons, track = stationarity_metrics(problem, swarm)
+        cost, stat, cons, track = stationarity_metrics(problem, swarm.x, swarm.y)
         wall = (time.perf_counter() - start) * 1e3 if cfg.timing else 0.0
         evals = int(swarm.grad_evals.sum())
         return TraceRow(

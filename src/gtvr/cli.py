@@ -141,16 +141,9 @@ def _coerce(key: str, raw: str, kind: str, source: str) -> object:
 def _validate_config(cfg: ExperimentConfig, source: str) -> None:
     try:
         cfg.run_config()
-        if cfg.n < 2:
-            raise ValueError(f"need at least 2 agents, got n = {cfg.n}")
+        graph.check_topology(cfg.topology, cfg.n, cfg.p_edge)
         if cfg.workers < 1:
             raise ValueError(f"worker count must be >= 1, got {cfg.workers}")
-        if cfg.topology not in graph.TOPOLOGY_KINDS:
-            raise ValueError(
-                f"unknown topology {cfg.topology!r}, expected one of {graph.TOPOLOGY_KINDS}"
-            )
-        if cfg.topology == "random" and not 0 < cfg.p_edge <= 1:
-            raise ValueError(f"p_edge must lie in (0, 1] for a random topology, got {cfg.p_edge}")
         if cfg.scheme not in ingest.PARTITION_SCHEMES:
             raise ValueError(
                 f"unknown partition scheme {cfg.scheme!r}, expected one of {ingest.PARTITION_SCHEMES}"

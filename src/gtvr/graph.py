@@ -66,6 +66,17 @@ def _ring_edges(n: int) -> set[tuple[int, int]]:
     return {_normalize_edge(i, i % n + 1) for i in range(1, n + 1)}
 
 
+def check_topology(kind: str, n: int, p_edge: float) -> None:
+    """Raise ValueError unless ``build_topology(kind, n, p_edge)`` can
+    build a graph; ``p_edge`` is read only for a random topology."""
+    if n < 2:
+        raise ValueError(f"need at least 2 agents, got n = {n}")
+    if kind not in TOPOLOGY_KINDS:
+        raise ValueError(f"unknown topology kind {kind!r}, expected one of {TOPOLOGY_KINDS}")
+    if kind == "random" and not 0.0 < p_edge <= 1.0:
+        raise ValueError(f"p_edge must lie in (0, 1] for a random topology, got {p_edge}")
+
+
 def build_topology(
     kind: str,
     n: int,
@@ -79,17 +90,14 @@ def build_topology(
     returned graph is always connected. Deterministic for fixed
     (kind, n, seed).
     """
-    if n < 2:
-        raise ValueError(f"need at least 2 agents, got {n}")
+    check_topology(kind, n, p_edge)
     if kind == "ring":
         edges = _ring_edges(n)
     elif kind == "path":
         edges = {(i, i + 1) for i in range(1, n)}
     elif kind == "complete":
         edges = {(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)}
-    elif kind == "random":
-        if not 0.0 < p_edge <= 1.0:
-            raise ValueError(f"p_edge must lie in (0, 1], got {p_edge}")
+    else:  # random
         rng = derived_generator(seed, 0, PURPOSE_TOPOLOGY)
         edges = set()
         for i in range(1, n + 1):
@@ -98,8 +106,6 @@ def build_topology(
                     edges.add((i, j))
         if not _is_connected(n, frozenset(edges)):
             edges |= _ring_edges(n)
-    else:
-        raise ValueError(f"unknown topology kind {kind!r}, expected one of {TOPOLOGY_KINDS}")
     topo = Topology(n=n, edges=frozenset(edges))
     assert _is_connected(topo.n, topo.edges)
     return topo

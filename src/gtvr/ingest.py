@@ -353,17 +353,11 @@ def to_binary_labels(raw: RawDataset) -> RawDataset:
             f"need exactly two distinct label values, found {distinct.tolist()}"
         )
     key = tuple(distinct.tolist())
-    mappings = {
-        (-1.0, 1.0): {-1.0: -1.0, 1.0: 1.0},
-        (0.0, 1.0): {0.0: -1.0, 1.0: 1.0},
-        (1.0, 2.0): {1.0: 1.0, 2.0: -1.0},
-    }
-    if key not in mappings:
+    if key not in ((-1.0, 1.0), (0.0, 1.0), (1.0, 2.0)):
         raise ValueError(f"no {{-1,+1}} convention for label values {list(key)}")
-    mapping = mappings[key]
-    log.info("label mapping: %s", {k: mapping[k] for k in key})
-    positive = next(k for k in key if mapping[k] == 1.0)
-    return RawDataset(raw.features, np.where(raw.labels == positive, 1.0, -1.0))
+    # 1 is the positive class in every supported convention
+    log.info("label mapping: %s", {k: 1.0 if k == 1.0 else -1.0 for k in key})
+    return RawDataset(raw.features, np.where(raw.labels == 1.0, 1.0, -1.0))
 
 
 def partition(

@@ -13,7 +13,7 @@ import json
 import math
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
-from typing import IO, TYPE_CHECKING, Sequence
+from typing import IO, Sequence
 
 import numpy as np
 
@@ -21,8 +21,6 @@ import numpy as np
 from .graph import MixingMatrix, mix
 from .problem import FiniteSumProblem
 
-if TYPE_CHECKING:
-    from .algorithms import SwarmState
 
 @dataclass
 class TraceRow:
@@ -59,24 +57,25 @@ def agent_average(costs: np.ndarray, grads: np.ndarray) -> tuple[float, np.ndarr
 
 def stationarity_metrics(
     problem: FiniteSumProblem,
-    swarm: "SwarmState",
+    x: np.ndarray,
+    y: np.ndarray | None,
 ) -> tuple[float, float, float, float]:
-    """(cost, stat, cons, track) at the current mean iterate.
+    """(cost, stat, cons, track) at the mean of the stacked iterates x.
 
     ``track`` compares each tracker y_i to the local gradient at xbar,
     i.e. to the stacked gradient the tracking analysis bounds; it is NaN
-    for algorithms that carry no tracker. Read-only on the swarm.
+    when y is None (DSGD carries no tracker). Reads x and y only.
     """
-    xbar = swarm.x.mean(axis=0)
+    xbar = x.mean(axis=0)
     costs, grads = problem.local_costs_and_grads(xbar)
     cost, grad = agent_average(costs, grads)
     stat = float(grad @ grad)
-    dev = swarm.x - xbar
+    dev = x - xbar
     cons = float(np.sum(dev * dev))
-    if swarm.y is None:
+    if y is None:
         track = float("nan")
     else:
-        diff = swarm.y - grads
+        diff = y - grads
         # stacked (1, d) @ (d, 1) products equal each row's diff @ diff bit
         # for bit; the agents are then summed in order
         track = 0.0

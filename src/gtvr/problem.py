@@ -26,9 +26,7 @@ if TYPE_CHECKING:
 def _exp_terms(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """e = exp(-|z|) and 1 + e, from which sigma(z) and sigma(-z) follow
     without overflow: one of them is 1 / (1 + e), the other e / (1 + e)."""
-    e = np.abs(z)
-    np.negative(e, out=e)
-    np.exp(e, out=e)
+    e = np.exp(-np.abs(z))
     return e, e + 1.0
 
 
@@ -259,7 +257,7 @@ class LogisticProblem(FiniteSumProblem):
     def lipschitz_estimate(self) -> float:
         # sigmoid-composition curvature is bounded by 1/4; conservative
         # but valid, which is all the step-size theory requires
-        return _max_row_square(self._rows) / 4.0 + 2.0 * self.lam1
+        return float(self._rows.multiply(self._rows).sum(axis=1).max()) / 4.0 + 2.0 * self.lam1
 
 
 def _csr_view(
@@ -273,17 +271,6 @@ def _csr_view(
     out = sp.csr_matrix(shape)
     out.data, out.indices, out.indptr = data, indices, indptr
     return out
-
-
-def _max_row_square(rows: sp.csr_matrix) -> float:
-    """The largest squared row norm, equal to the one from
-    ``rows.multiply(rows)``. On canonical rows (sorted indices, no
-    repeats) that is the stored values squared, without multiply's merge;
-    otherwise multiply sums repeated entries before squaring."""
-    if not rows.has_canonical_format:
-        return float(rows.multiply(rows).sum(axis=1).max())
-    squares = _csr_view(rows.shape, rows.data * rows.data, rows.indices, rows.indptr)
-    return float(squares.sum(axis=1).max())
 
 
 def _agent_blocks(

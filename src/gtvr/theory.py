@@ -36,15 +36,9 @@ def _check_rho(rho: float) -> None:
         raise ValueError(f"need rho^2 < 1/3, got rho = {rho}")
 
 
-def _check_rho_p(rho: float, p: float) -> None:
-    _check_rho(rho)
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"refresh probability must lie in (0, 1), got {p}")
-    if p <= p_lower_bound(rho):
-        raise ValueError(
-            f"refresh probability {p} is not above the admissible bound "
-            f"{p_lower_bound(rho):.6f} for rho = {rho}"
-        )
+def _check_positive(name: str, value: float) -> None:
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
 def epsilon3(rho: float, p: float) -> float:
@@ -54,7 +48,14 @@ def epsilon3(rho: float, p: float) -> float:
     holding with equality; the denominator is positive exactly when p
     exceeds the admissible lower bound.
     """
-    _check_rho_p(rho, p)
+    _check_rho(rho)
+    if not 0.0 < p < 1.0:
+        raise ValueError(f"refresh probability must lie in (0, 1), got {p}")
+    if p <= p_lower_bound(rho):
+        raise ValueError(
+            f"refresh probability {p} is not above the admissible bound "
+            f"{p_lower_bound(rho):.6f} for rho = {rho}"
+        )
     num = 3.0 * rho**2 * p + (1.0 - p) * (1.0 + 1.0 / rho) / 3.0
     den = 3.0 * rho**2 - (1.0 - p) * ((2.0 / 9.0) * (1.0 + 1.0 / rho) + 1.0 + rho)
     if not den > 0.0:
@@ -75,9 +76,7 @@ def t_constant(lipschitz: float, rho: float, p: float, eps3: float) -> float:
 
 def eta_bar(lipschitz: float, rho: float, p: float) -> float:
     """Largest step-size for which the convergence guarantee holds."""
-    if not lipschitz > 0.0:
-        raise ValueError(f"smoothness constant must be positive, got {lipschitz}")
-    _check_rho_p(rho, p)
+    _check_positive("smoothness constant L", lipschitz)
     eps = epsilon3(rho, p)
     big_t = t_constant(lipschitz, rho, p, eps)
     term1 = (1.0 - 3.0 * rho**2) / (
@@ -87,7 +86,10 @@ def eta_bar(lipschitz: float, rho: float, p: float) -> float:
     )
     term2 = 1.0 / (6.0 * lipschitz)
     term3 = math.sqrt((1.0 - (4.0 / 3.0 + (8.0 / 9.0) * p) * rho**2) / (2.0 * big_t))
-    return min(term1, term2, term3)
+    bound = min(term1, term2, term3)
+    if not bound > 0.0:
+        raise FloatingPointError(f"eta_bar underflows to 0 at L = {lipschitz}")
+    return bound
 
 
 def eta_tilde(lipschitz: float, rho: float, p: float) -> float:
@@ -159,14 +161,11 @@ def verify_contraction(
     d(C), from the eigenvalues of C, alongside. When the admissibility
     conditions hold, both the inequality and d(C) <= 3 rho^2 hold.
     """
-    c = np.asarray(c, dtype=float)
-    if (c < 0.0).any():
-        raise ValueError("contraction matrix must be non-negative")
+    d_c = nonneg_spectral_radius(c)
     eps = np.array([1.0 / (2.0 * eta**2), 1.0, eps3])
-    lhs = c @ eps
+    lhs = np.asarray(c, dtype=float) @ eps
     rhs = 3.0 * rho**2 * eps
-    ok = bool(np.all(lhs <= rhs * (1.0 + 1e-12)))
-    return ok, nonneg_spectral_radius(c)
+    return bool(np.all(lhs <= rhs * (1.0 + 1e-12))), d_c
 
 
 def complexity_estimate(
@@ -188,12 +187,11 @@ def complexity_estimate(
     endpoint. Estimates are returned unrounded so they scale exactly
     linearly in 1/epsilon.
     """
-    if not epsilon > 0.0:
-        raise ValueError(f"accuracy must be positive, got {epsilon}")
-    if not eta > 0.0:
-        raise ValueError(f"step-size must be positive, got {eta}")
-    if f_gap < 0.0 or r0 < 0.0:
-        raise ValueError("cost gap and initial deviation must be non-negative")
+    _check_positive("accuracy epsilon", epsilon)
+    _check_positive("step-size eta", eta)
+    for name, value in (("cost gap f_gap", f_gap), ("initial deviation r0", r0)):
+        if not 0.0 <= value < math.inf:
+            raise ValueError(f"{name} must be finite and >= 0, got {value}")
     if len(neighbor_counts) != n:
         raise ValueError(f"expected {n} neighbor counts, got {len(neighbor_counts)}")
     iterations = 9.0 / (eta * epsilon) * (f_gap + (10.0 / (9.0 * n)) * r0 / eta)
@@ -245,7 +243,7 @@ class TheoryReport:
             if f.name not in ("C", "C4", "C4pp", "notes"):
                 pairs.append((f.name, getattr(self, f.name)))
             if f.name == "dC":
-                pairs.append(("3*rho^2", 3.0 * self.rho**2))
+                pairs.append(("3*rho^2", 3.0 * (self.rho * self.rho)))
         width = max(len(name) for name, _ in pairs)
         lines = [f"{name:<{width}}  {show(val)}" for name, val in pairs]
         if self.C is not None:
@@ -279,13 +277,20 @@ def build_report(
     Every quantity that is well-defined for the inputs is filled in; the
     rest stay None with an explanatory note, because experiment configs
     (including the reference ones) routinely run outside the admissible
-    parameter region. Inputs that no setup can have (P outside (0, 1), a
-    negative or non-finite rho, n or M below 1) raise ValueError.
+    parameter region, or where a bound leaves double precision. Inputs
+    that no setup can have (P outside (0, 1), a negative or non-finite
+    rho or L, a non-positive or non-finite eta, n or M below 1) raise
+    ValueError.
     """
     if not 0.0 < p < 1.0:
         raise ValueError(f"refresh probability P must lie in (0, 1), got {p}")
     if not 0.0 <= rho < math.inf:
         raise ValueError(f"network radius rho must be finite and >= 0, got {rho}")
+    # a flat objective (L = 0) is a setup: only the bounds that divide by L reject it
+    if not 0.0 <= lipschitz < math.inf:
+        raise ValueError(f"smoothness constant L must be finite and >= 0, got {lipschitz}")
+    if eta is not None:
+        _check_positive("step-size eta", eta)
     if n < 1:
         raise ValueError(f"agent count n must be >= 1, got {n}")
     if total_samples < 1:
@@ -294,8 +299,9 @@ def build_report(
     if rho <= 1e-12:
         report.notes.append("network mixes in one round (rho ~ 0); admissibility bounds degenerate")
         return report
-    if not rho**2 < 1.0 / 3.0:
-        report.notes.append(f"rho^2 = {rho**2:.6g} >= 1/3: outside the proven region")
+    # rho * rho equals rho**2 but turns inf, not OverflowError, past 1e154
+    if not rho * rho < 1.0 / 3.0:
+        report.notes.append(f"rho^2 = {rho * rho:.6g} >= 1/3: outside the proven region")
         return report
     report.p_lower = p_lower_bound(rho)
     p_ref = p
@@ -309,33 +315,32 @@ def build_report(
         # interval (p_lower, 1) too narrow to represent in doubles
         report.notes.append("admissible probability window is numerically empty")
         return report
-    report.eps3 = epsilon3(rho, p_ref)
-    report.T = t_constant(lipschitz, rho, p_ref, report.eps3)
-    report.eta_bar = eta_bar(lipschitz, rho, p_ref)
-    report.eta_tilde = eta_tilde(lipschitz, rho, p_ref)
-    eta_eff = eta if eta is not None else report.eta_bar
-    if eta_eff * lipschitz <= 1.0 / 6.0:
-        c, c4, c4pp = lmi_matrix(eta_eff, rho, p_ref, lipschitz)
-        report.C = c.tolist()
-        report.C4 = c4
-        report.C4pp = c4pp
-        ok, d_c = verify_contraction(c, rho, report.eps3, eta_eff)
-        report.contraction_ok = ok
-        report.dC = d_c
-    else:
-        report.notes.append(
-            f"eta * L = {eta_eff * lipschitz:.6g} > 1/6: contraction matrix undefined"
-        )
-    if None not in (epsilon, f_gap, r0) and neighbor_counts is not None:
-        its, grads, comms = complexity_estimate(
-            eta_eff, epsilon, f_gap, r0, n, total_samples, p_ref, neighbor_counts
-        )
-        if eta_eff > report.eta_tilde:
+    try:
+        report.eps3 = epsilon3(rho, p_ref)
+        report.T = t_constant(lipschitz, rho, p_ref, report.eps3)
+        report.eta_bar = eta_bar(lipschitz, rho, p_ref)
+        report.eta_tilde = eta_tilde(lipschitz, rho, p_ref)
+        eta_eff = eta if eta is not None else report.eta_bar
+        if eta_eff * lipschitz <= 1.0 / 6.0:
+            c, report.C4, report.C4pp = lmi_matrix(eta_eff, rho, p_ref, lipschitz)
+            report.C = c.tolist()
+            report.contraction_ok, report.dC = verify_contraction(c, rho, report.eps3, eta_eff)
+        else:
             report.notes.append(
-                f"step-size {eta_eff} exceeds the complexity-range cap {report.eta_tilde:.6g}; "
-                "estimates are extrapolations"
+                f"eta * L = {eta_eff * lipschitz:.6g} > 1/6: contraction matrix undefined"
             )
-        report.iterations = its
-        report.gradient_evals = grads
-        report.communications = comms
+        if None not in (epsilon, f_gap, r0) and neighbor_counts is not None:
+            report.iterations, report.gradient_evals, report.communications = complexity_estimate(
+                eta_eff, epsilon, f_gap, r0, n, total_samples, p_ref, neighbor_counts
+            )
+            if eta_eff > report.eta_tilde:
+                report.notes.append(
+                    f"step-size {eta_eff} exceeds the complexity-range cap {report.eta_tilde:.6g}; "
+                    "estimates are extrapolations"
+                )
+    except ArithmeticError:
+        # a square, product or reciprocal of L or eta left double precision:
+        # what is filled in stands, the rest cannot be computed
+        at_eta = "" if eta is None else f", eta = {eta:.6g}"
+        report.notes.append(f"the bounds leave double precision at L = {lipschitz:.6g}{at_eta}")
     return report

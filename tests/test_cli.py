@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -102,6 +103,8 @@ def test_non_finite_parameter_rejected_as_bad_config(tmp_path, capsys, key, valu
         ("p_edge", "nan"),
         ("p_edge", "0"),
         ("p_edge", "1.5"),
+        ("n", "1"),
+        ("topology", "star"),
     ],
 )
 def test_bad_quadratic_parameter_rejected_as_bad_config(tmp_path, capsys, key, value):
@@ -264,6 +267,29 @@ def test_theory_subcommand_complexity_block(capsys):
         (["--rho", "-0.5", "--p", "0.95", "--l", "1"], "rho"),
         (["--rho", "0.4", "--p", "0.95", "--l", "1", "--n", "0"], "n"),
         (["--rho", "0.4", "--p", "0.95", "--l", "1", "--samples", "-5"], "M"),
+        (["--rho", "0.4", "--p", "0.95", "--l", "2", "--eta", "nan"], "eta"),
+        (["--rho", "0.4", "--p", "0.95", "--l", "2", "--eta", "inf"], "eta"),
+        (["--rho", "0.4", "--p", "0.95", "--l", "2", "--eta", "0"], "eta"),
+        (["--rho", "0.4", "--p", "0.95", "--l", "2", "--eta", "-1"], "eta"),
+        (["--rho", "0.4", "--p", "0.95", "--l", "inf"], "L"),
+        (["--rho", "0.4", "--p", "0.95", "--l", "nan"], "L"),
+        (["--rho", "0.4", "--p", "0.95", "--l", "0"], "L"),
+        (["--rho", "0.4", "--p", "0.95", "--l", "-3"], "L"),
+        (
+            ["--rho", "0.4", "--p", "0.95", "--l", "2", "--epsilon", "0.1", "--f-gap", "nan",
+             "--r0", "1", "--n", "4", "--neighbors", "2,2,2,2"],
+            "f_gap",
+        ),
+        (
+            ["--rho", "0.4", "--p", "0.95", "--l", "2", "--epsilon", "0.1", "--f-gap", "1",
+             "--r0", "nan", "--n", "4", "--neighbors", "2,2,2,2"],
+            "r0",
+        ),
+        (
+            ["--rho", "0.4", "--p", "0.95", "--l", "2", "--epsilon", "nan", "--f-gap", "1",
+             "--r0", "1", "--n", "4", "--neighbors", "2,2,2,2"],
+            "epsilon",
+        ),
     ],
 )
 def test_theory_rejects_an_invalid_input(args, name, capsys):
@@ -273,22 +299,67 @@ def test_theory_rejects_an_invalid_input(args, name, capsys):
     assert f" {name} must" in captured.err
 
 
-def test_theory_above_step_cap_prints_a_note_not_a_warning(tmp_path):
-    # run as a user would, with warnings shown, so a warning that escapes
-    # to stderr (and prints a source path and line) fails the check
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["--l", "1e150"],
+        ["--l", "1e100"],
+        ["--l", "1e-200"],
+        ["--l", "1e200"],
+        ["--l", "1.7e308", "--eta", "1e-308"],
+        ["--l", "1e154", "--eta", "1e-155"],
+        ["--l", "2", "--eta", "1e-170"],
+        ["--l", "2", "--eta", "1e300"],
+        ["--l", "2", "--eta", "5e-324", "--epsilon", "5e-324", "--f-gap", "1e308",
+         "--r0", "1e308", "--n", "2", "--neighbors", "1,1"],
+        ["--l", "1e-300", "--eta", "1e-10", "--epsilon", "1e-300", "--f-gap", "1",
+         "--r0", "1", "--n", "2", "--neighbors", "1,1"],
+        ["--l", "2", "--rho", "1e300"],
+    ],
+)
+def test_theory_extreme_finite_inputs_never_raise(args, capsys):
+    # a finite input either names what is wrong (exit 2) or prints the
+    # report with a note, such as one saying a bound left double precision
+    full = ["theory", "--p", "0.95", *args]
+    if "--rho" not in args:
+        full += ["--rho", "0.4"]
+    code = cli.main(full)
+    captured = capsys.readouterr()
+    assert code in (0, 2)
+    if code == 2:
+        assert re.search(r" (eta|L|rho|P|n|M|epsilon|f_gap|r0) must", captured.err)
+    else:
+        assert "\nnote: " in captured.out
+
+
+def run_with_warnings_shown(tmp_path, *args):
+    """``python -m gtvr *args`` as a user would run it, with warnings
+    shown, so a warning that escapes to stderr prints a source path."""
     pkg_root = str(Path(cli.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONWARNINGS="default")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [pkg_root, env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [
-            sys.executable, "-m", "gtvr", "theory", "--rho", "0.3", "--p", "0.8", "--l", "2",
-            "--eta", "0.01", "--n", "5", "--samples", "100", "--neighbors", "2,2,2,2,2",
-            "--epsilon", "1e-3", "--f-gap", "1", "--r0", "0.5",
-        ],
-        capture_output=True,
-        text=True,
-        cwd=tmp_path,
-        env=env,
+    return subprocess.run(
+        [sys.executable, "-m", "gtvr", *args], capture_output=True, text=True, cwd=tmp_path, env=env
+    )
+
+
+def test_divergence_prints_its_error_and_no_numpy_warning(tmp_path):
+    # an overflow in the divergence check surfaces as the error, not as a warning
+    cfg = write_config(
+        tmp_path, "dataset = synthetic:quadratic\nrounds = 5\nn = 4\nalgorithm = dsgd\neta = 1e200\n"
+    )
+    proc = run_with_warnings_shown(tmp_path, "run", "--config", str(cfg), "--output", "t.csv")
+    assert proc.returncode == 1, proc.stderr
+    assert "error: iterate diverged at iteration 1" in proc.stderr.splitlines()
+    assert ".py:" not in proc.stderr
+
+
+def test_theory_above_step_cap_prints_a_note_not_a_warning(tmp_path):
+    proc = run_with_warnings_shown(
+        tmp_path,
+        "theory", "--rho", "0.3", "--p", "0.8", "--l", "2", "--eta", "0.01", "--n", "5",
+        "--samples", "100", "--neighbors", "2,2,2,2,2", "--epsilon", "1e-3", "--f-gap", "1",
+        "--r0", "0.5",
     )
     assert proc.returncode == 0, proc.stderr
     assert ".py:" not in proc.stderr

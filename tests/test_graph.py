@@ -40,6 +40,36 @@ def test_unknown_kind_rejected():
         graph.build_topology("torus", 5)
 
 
+@pytest.mark.parametrize(
+    "kind, n, p_edge",
+    [
+        ("ring", 1, 0.5),
+        ("random", 1, 0.5),
+        ("torus", 5, 0.5),
+        ("random", 5, 0.0),
+        ("random", 5, float("nan")),
+        ("random", 5, 1.5),
+    ],
+)
+def test_check_topology_rejects_what_build_topology_rejects(kind, n, p_edge):
+    with pytest.raises(ValueError) as built:
+        graph.build_topology(kind, n, p_edge=p_edge)
+    with pytest.raises(ValueError) as checked:
+        graph.check_topology(kind, n, p_edge)
+    assert str(checked.value) == str(built.value)
+
+
+@pytest.mark.parametrize(
+    "kind, p_edge",
+    # p_edge is read only for a random topology
+    [(kind, p) for kind in ("ring", "path", "complete") for p in (0.0, float("nan"), 1.5, -1.0)]
+    + [("random", 0.5), ("random", 1.0)],
+)
+def test_check_topology_accepts_what_build_topology_builds(kind, p_edge):
+    graph.check_topology(kind, 4, p_edge)
+    assert graph.build_topology(kind, 4, p_edge=p_edge).n == 4
+
+
 def test_random_topology_deterministic_and_connected():
     a = graph.build_topology("random", 9, p_edge=0.15, seed=7)
     b = graph.build_topology("random", 9, p_edge=0.15, seed=7)

@@ -157,18 +157,26 @@ def test_serialize_parse_roundtrip():
     assert same_csr(back.features, raw.features)
 
 
-def test_binary_label_mappings():
+def test_binary_label_mappings(caplog):
     base = random_dataset(2, rows=6)
+    caplog.set_level("INFO", logger="gtvr.ingest")
 
-    keep = ingest.RawDataset(base.features, np.array([-1.0, 1.0, 1.0, -1.0, 1.0, -1.0]))
-    assert ingest.to_binary_labels(keep).labels.tolist() == keep.labels.tolist()
-    assert ingest.to_binary_labels(keep).features is base.features
+    def mapped(labels, log_line):
+        caplog.clear()
+        out = ingest.to_binary_labels(ingest.RawDataset(base.features, np.array(labels)))
+        assert [r.getMessage() for r in caplog.records] == [log_line]
+        return out
 
-    zero_one = ingest.RawDataset(base.features, np.array([0.0, 1.0, 1.0, 0.0, 0.0, 1.0]))
-    assert ingest.to_binary_labels(zero_one).labels.tolist() == [-1.0, 1.0, 1.0, -1.0, -1.0, 1.0]
+    keep = [-1.0, 1.0, 1.0, -1.0, 1.0, -1.0]
+    out = mapped(keep, "label mapping: {-1.0: -1.0, 1.0: 1.0}")
+    assert out.labels.tolist() == keep
+    assert out.features is base.features
 
-    one_two = ingest.RawDataset(base.features, np.array([1.0, 2.0, 2.0, 1.0, 1.0, 2.0]))
-    assert ingest.to_binary_labels(one_two).labels.tolist() == [1.0, -1.0, -1.0, 1.0, 1.0, -1.0]
+    zero_one = mapped([0.0, 1.0, 1.0, 0.0, 0.0, 1.0], "label mapping: {0.0: -1.0, 1.0: 1.0}")
+    assert zero_one.labels.tolist() == [-1.0, 1.0, 1.0, -1.0, -1.0, 1.0]
+
+    one_two = mapped([1.0, 2.0, 2.0, 1.0, 1.0, 2.0], "label mapping: {1.0: 1.0, 2.0: -1.0}")
+    assert one_two.labels.tolist() == [1.0, -1.0, -1.0, 1.0, 1.0, -1.0]
 
 
 def test_binary_label_errors():

@@ -86,7 +86,7 @@ def test_stationarity_metrics_at_stationary_point(ring5):
     x = exact_stationary_quadratic(prob)
     y = np.stack([prob.local_full_grad(i, x[i - 1]) for i in range(1, 6)])
     swarm = algorithms.SwarmState(k=0, x=x, y=y, grad_evals=np.zeros(5, np.int64))
-    cost, stat, cons, track = metrics.stationarity_metrics(prob, swarm)
+    cost, stat, cons, track = metrics.stationarity_metrics(prob, swarm.x, swarm.y)
     assert stat <= 1e-20
     assert cons <= 1e-30  # averaging identical rows can leave 1-ulp dust
     assert track <= 1e-20  # trackers hold the exact local gradients at xbar
@@ -97,7 +97,7 @@ def test_stationarity_metrics_single_agent():
     x = np.array([[0.3, -0.4, 1.0]])
     y = np.array([[1.0, 2.0, 3.0]])
     swarm = algorithms.SwarmState(k=0, x=x, y=y, grad_evals=np.zeros(1, np.int64))
-    _, _, cons, track = metrics.stationarity_metrics(prob, swarm)
+    _, _, cons, track = metrics.stationarity_metrics(prob, swarm.x, swarm.y)
     assert cons == 0.0
     diff = y[0] - prob.local_full_grad(1, x[0])
     assert track == pytest.approx(float(diff @ diff), abs=1e-15)
@@ -113,7 +113,7 @@ def test_stationarity_metrics_read_only(ring5):
         grad_evals=np.zeros(5, np.int64),
     )
     before = (swarm.x.tobytes(), swarm.y.tobytes())
-    metrics.stationarity_metrics(prob, swarm)
+    metrics.stationarity_metrics(prob, swarm.x, swarm.y)
     assert (swarm.x.tobytes(), swarm.y.tobytes()) == before
 
 

@@ -342,6 +342,15 @@ def test_report_text_pinned():
         ("n", 0, "n"),
         ("total_samples", 0, "M"),
         ("total_samples", -5, "M"),
+        ("eta", math.nan, "eta"),
+        ("eta", math.inf, "eta"),
+        ("eta", 0.0, "eta"),
+        ("eta", -1.0, "eta"),
+        ("lipschitz", math.nan, "L"),
+        ("lipschitz", math.inf, "L"),
+        ("lipschitz", -math.inf, "L"),
+        ("lipschitz", 0.0, "L"),
+        ("lipschitz", -2.0, "L"),
     ],
 )
 def test_build_report_rejects_invalid_inputs(key, value, name):
@@ -349,3 +358,11 @@ def test_build_report_rejects_invalid_inputs(key, value, name):
     args[key] = value
     with pytest.raises(ValueError, match=rf"\b{name} must"):
         theory.build_report(**args)
+
+
+def test_build_report_takes_a_flat_objective_outside_the_proven_region():
+    # L = 0 comes from all-zero features with lambda1 = 0; no bound is
+    # computed for rho^2 >= 1/3, so nothing divides by L and a run goes on
+    report = theory.build_report(rho=0.9, lipschitz=0.0, p=0.5, n=4, total_samples=100)
+    assert report.eta_bar is None
+    assert report.notes == ["rho^2 = 0.81 >= 1/3: outside the proven region"]
