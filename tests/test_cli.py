@@ -517,6 +517,40 @@ def test_sweep_builds_problem_once_per_seed(tmp_path, monkeypatch, dataset):
                 ]
 
 
+def test_sweep_stops_at_the_first_diverged_point_in_grid_order(tmp_path):
+    # the points before the diverged one are written and reported, the
+    # diverged point prints its advisories and its error, and no later
+    # point runs
+    cfg = write_config(
+        tmp_path,
+        "dataset = synthetic:quadratic\nn = 4\ntopology = ring\nalgorithm = gtvr\n"
+        "p = 0.5\nrounds = 200\nseed = 42\n",
+    )
+    proc = run_with_warnings_shown(
+        tmp_path, "sweep", "--config", str(cfg), "--eta", "0.01,1000000,0.02", "--out-dir", "out"
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "eta=0.01 p=0.5 seed=42: cost 0.360211, stationarity 1.025e-01 "
+        "-> out/gtvr_quadratic_eta0.01_p0.5_42.csv"
+    ]
+    below = "WARNING refresh probability 0.5 is below the admissible bound 0.85 (advisory only)"
+    reference_p = (
+        "INFO theory: P = 0.5 is not above the admissible bound 0.85; "
+        "step-size bounds computed at reference P = 0.925"
+    )
+    assert proc.stderr.splitlines() == [
+        below,
+        reference_p,
+        below,
+        "WARNING step-size 1e+06 exceeds the guaranteed range bound 0.0387097 (advisory only)",
+        reference_p,
+        "INFO theory: eta * L = 1e+06 > 1/6: contraction matrix undefined",
+        "error: iterate diverged at iteration 3",
+    ]
+    assert sorted(f.name for f in (tmp_path / "out").iterdir()) == ["gtvr_quadratic_eta0.01_p0.5_42.csv"]
+
+
 def test_divergence_exits_nonzero(tmp_path, capsys):
     cfg = write_config(
         tmp_path, QUAD_CONFIG.format(rounds=500).replace("eta = 0.01", "eta = 1000000.0")
