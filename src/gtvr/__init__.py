@@ -25,7 +25,6 @@ from .ingest import (
     RawDataset,
     parse_libsvm,
     partition,
-    serialize_libsvm,
     to_binary_labels,
 )
 from .metrics import TraceRow, consensus_gap_D, read_trace, stationarity_metrics, write_trace

@@ -11,12 +11,18 @@ where the anchor tau_i is refreshed to the current iterate by a
 Bernoulli(P) coin each round, so a full local gradient pass costs
 P * m_i per round in expectation and the per-round oracle budget is
 P * m_i + 2 component evaluations per agent.
+
+Runs of one problem and graph that differ only in eta and P advance as
+one batch of R replicas (``run_experiments``): the stacked state gains a
+leading replica axis, every replica draws the coins and indices its own
+run would, and one round of the skeleton moves them all.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from typing import Sequence
 
 import numpy as np
 
@@ -29,7 +35,15 @@ DIVERGENCE_NORM_CAP = 1e12
 
 
 class DivergedError(RuntimeError):
-    """An iterate became non-finite or exceeded the norm guard."""
+    """An iterate became non-finite or exceeded the norm guard.
+
+    ``replica`` is the lowest replica of the batch that diverged at that
+    iteration; a single run is replica 0.
+    """
+
+    def __init__(self, message: str, replica: int = 0) -> None:
+        super().__init__(message)
+        self.replica = replica
 
 
 @dataclass
@@ -59,7 +73,8 @@ class RunConfig:
 
 @dataclass
 class SwarmState:
-    """Stacked per-agent state; row i-1 belongs to agent i.
+    """Stacked per-agent state of R replicas, replica-major: row r*n + i - 1
+    belongs to replica r's agent i (a single run is R = 1).
 
     Rounds read ``x``/``y``/``v`` as the start-of-round snapshot and swap
     in fresh arrays at the barrier. ``y``/``v`` are None for the
@@ -78,30 +93,42 @@ class SwarmState:
     streams: SwarmStreams | None = None
 
 
-def _as_stacked(problem: FiniteSumProblem, x1: np.ndarray) -> np.ndarray:
+def _as_stacked(problem: FiniteSumProblem, x1: np.ndarray, replicas: int) -> np.ndarray:
+    """x1, checked, as a fresh array with one copy per replica."""
     x1 = np.asarray(x1, dtype=float)
     if x1.shape != (problem.n, problem.d):
         raise ValueError(
             f"initial iterate must have shape ({problem.n}, {problem.d}), got {x1.shape}"
         )
-    return x1.copy()
+    return np.tile(x1, (replicas, 1))
 
 
-def _check_finite(swarm: SwarmState, k: int) -> None:
+def _check_finite(swarm: SwarmState, k: int, n: int) -> None:
     # a NaN or infinite entry makes its row norm NaN or infinite, so one
     # comparison covers both guards; hypot forms the norm without squaring,
     # so an entry too large to square reads as diverged, with no warning
-    if not (np.hypot.reduce(swarm.x, axis=1) <= DIVERGENCE_NORM_CAP).all():
-        raise DivergedError(f"iterate diverged at iteration {k}")
-    if swarm.y is not None and not np.isfinite(swarm.y).all():
-        raise DivergedError(f"gradient tracker diverged at iteration {k}")
+    x_ok = np.hypot.reduce(swarm.x, axis=1) <= DIVERGENCE_NORM_CAP
+    if x_ok.all() and (swarm.y is None or np.isfinite(swarm.y).all()):
+        return
+    # the lowest replica with a bad row, with the message its own run raises
+    x_bad = ~x_ok.reshape(-1, n).all(axis=1)
+    y_bad = x_bad if swarm.y is None else ~np.isfinite(swarm.y.reshape(len(x_bad), -1)).all(axis=1)
+    replica = int((x_bad | y_bad).argmax())
+    state = "iterate" if x_bad[replica] else "gradient tracker"
+    raise DivergedError(f"{state} diverged at iteration {k}", replica)
 
 
 # Local estimators. ``start(problem, x, streams)`` builds the estimator's
-# state at x1 and returns the first stacked estimate with its per-agent
-# oracle counts; ``step(problem, x, streams)`` returns the next
-# estimate at x and the counts it spent. Each step takes the round's
-# coins and indices for all agents at once and calls the batched oracle.
+# state at x, which is x1 once per replica, and returns the first stacked
+# estimate with its per-row oracle counts; ``step(problem, x, streams)``
+# returns the next estimate at x and the counts it spent. Each step takes
+# the round's coins and indices for all rows at once and calls the
+# batched oracle.
+
+
+def _per_replica(values: np.ndarray, replicas: int) -> np.ndarray:
+    """Per-agent ``values``, stacked once for each replica."""
+    return np.tile(values, (replicas,) + (1,) * (values.ndim - 1))
 
 
 class _StochasticGradient:
@@ -122,24 +149,28 @@ class _AnchoredGradient:
     """GT-VR's loopless-SVRG estimator around the anchor ``tau``.
 
     Starts anchored at x1 with ``g_tau`` the full local gradients there,
-    which costs one pass over every sample; afterwards a Bernoulli(P)
-    coin moves agent i's anchor to its current iterate (m_i evals).
+    which costs one pass over every sample (made once and shared by the
+    replicas); afterwards a Bernoulli(P) coin moves each row's anchor to
+    its current iterate (m_i evals).
     """
 
     def start(self, problem, x, streams):
+        replicas = len(x) // problem.n
         self.tau = x.copy()
-        self.g_tau = np.stack([problem.local_full_grad(i, x[i - 1]) for i in range(1, problem.n + 1)])
-        return self.g_tau.copy(), problem.layout.sizes
+        g = np.stack([problem.local_full_grad(i, x[i - 1]) for i in range(1, problem.n + 1)])
+        self.g_tau = _per_replica(g, replicas)
+        self._sizes = _per_replica(problem.layout.sizes, replicas)
+        return self.g_tau.copy(), self._sizes
 
     def step(self, problem, x, streams):
         refresh = streams.coins()
-        # refreshes stay per agent: a batched pass measured no faster
-        for idx in refresh.nonzero()[0].tolist():
-            self.tau[idx] = x[idx]
-            self.g_tau[idx] = problem.local_full_grad(idx + 1, x[idx])
+        # refreshes stay per row: a batched pass measured no faster
+        for row in refresh.nonzero()[0].tolist():
+            self.tau[row] = x[row]
+            self.g_tau[row] = problem.local_full_grad(row % problem.n + 1, x[row])
         js = streams.indices()
         v = problem.component_grads(js, x) - problem.component_grads(js, self.tau) + self.g_tau
-        return v, 2 + refresh * problem.layout.sizes
+        return v, 2 + refresh * self._sizes
 
 
 class _GradientTable:
@@ -150,20 +181,29 @@ class _GradientTable:
     """
 
     def start(self, problem, x, streams):
-        # one (sum m_i, d) table in the problem's row layout, filled agent by
-        # agent so only one agent's table is ever held twice; agent i's rows
-        # are ``tables[i - 1]``
-        self._table = np.empty((problem.total_samples, problem.d))
-        self.tables = problem.layout.views(self._table)
-        for i, table in enumerate(self.tables, start=1):
+        # one (sum m_i, d) block per replica in the problem's row layout;
+        # the first is filled agent by agent, so only one agent's table is
+        # ever held twice, and copied into the others. Row r*n + i - 1 of
+        # the state owns ``tables[r*n + i - 1]``
+        replicas, total = len(x) // problem.n, problem.total_samples
+        self._table = np.empty((replicas * total, problem.d))
+        starts = range(0, len(self._table), total)
+        blocks = [self._table[lo : lo + total] for lo in starts]
+        self.tables = [table for block in blocks for table in problem.layout.views(block)]
+        for i, table in enumerate(self.tables[: problem.n], start=1):
             table[...] = problem.component_grad_table(i, x[i - 1])
-        self.table_mean = np.stack([t.mean(axis=0) for t in self.tables])
-        self._m_column = problem.layout.sizes[:, None]
-        return self.table_mean.copy(), problem.layout.sizes
+        for block in blocks[1:]:
+            block[...] = blocks[0]
+        mean = np.stack([t.mean(axis=0) for t in self.tables[: problem.n]])
+        self.table_mean = _per_replica(mean, replicas)
+        self._base = (np.array(starts)[:, None] + problem.layout.base).ravel()
+        sizes = _per_replica(problem.layout.sizes, replicas)
+        self._m_column = sizes[:, None]
+        return self.table_mean.copy(), sizes
 
     def step(self, problem, x, streams):
         js = streams.indices()
-        rows = problem.layout.base + js
+        rows = self._base + js
         fresh = problem.component_grads(js, x)
         delta = fresh - self._table.take(rows, axis=0)
         v = delta + self.table_mean
@@ -183,15 +223,36 @@ _ESTIMATORS = {
 ALGORITHMS = tuple(_ESTIMATORS)
 
 
-def init_swarm(problem: FiniteSumProblem, x1: np.ndarray, cfg: RunConfig) -> SwarmState:
-    """Start state at x1, with the run's streams built from cfg.seed, the
-    m_i and cfg.p. Tracked algorithms seed tracker and estimate with the
-    estimator's first value; DSGD starts with neither."""
-    x = _as_stacked(problem, x1)
+def _batch(cfg: RunConfig | Sequence[RunConfig]) -> list[RunConfig]:
+    """The configs of a batch, checked to differ in nothing but eta and p."""
+    cfgs = [cfg] if isinstance(cfg, RunConfig) else list(cfg)
+    if not cfgs:
+        raise ValueError("a batch needs at least one run config")
+    shared = [f.name for f in fields(RunConfig) if f.name not in ("eta", "p")]
+    for other in cfgs[1:]:
+        differ = [name for name in shared if getattr(other, name) != getattr(cfgs[0], name)]
+        if differ:
+            raise ValueError(
+                f"the runs of a batch may differ only in eta and p, got different {', '.join(differ)}"
+            )
+    return cfgs
+
+
+def init_swarm(
+    problem: FiniteSumProblem, x1: np.ndarray, cfg: RunConfig | Sequence[RunConfig]
+) -> SwarmState:
+    """Start state at x1 for one run, or for a batch of R runs (replica r
+    from ``cfg[r]``) that differ only in eta and p, with the streams built
+    from the seed, the m_i and the values of p. Tracked algorithms seed
+    tracker and estimate with the estimator's first value; DSGD starts
+    with neither."""
+    cfgs = _batch(cfg)
+    cfg = cfgs[0]
+    x = _as_stacked(problem, x1, len(cfgs))
     estimator = _ESTIMATORS[cfg.algorithm]()
-    streams = SwarmStreams(cfg.seed, problem.m, cfg.p)
+    streams = SwarmStreams(cfg.seed, problem.m, [c.p for c in cfgs])
     swarm = SwarmState(
-        k=0, x=x, grad_evals=np.zeros(problem.n, np.int64), estimator=estimator, streams=streams
+        k=0, x=x, grad_evals=np.zeros(len(x), np.int64), estimator=estimator, streams=streams
     )
     if cfg.algorithm != "dsgd":
         v, evals = estimator.start(problem, x, streams)
@@ -206,7 +267,19 @@ def run_round(
     mixing: MixingMatrix,
     cfg: RunConfig,
 ) -> SwarmState:
-    """One synchronous iteration, all agents in one stacked step.
+    """One synchronous iteration of a single run, all agents in one
+    stacked step, with step-size cfg.eta."""
+    return _round(swarm, problem, mixing, cfg.eta)
+
+
+def _round(
+    swarm: SwarmState,
+    problem: FiniteSumProblem,
+    mixing: MixingMatrix,
+    eta: float | np.ndarray,
+) -> SwarmState:
+    """One synchronous iteration, all replicas' agents in one stacked step;
+    ``eta`` is one step-size or a column of one per row.
 
     Tracked: x+ = W(x - eta y), then each agent forms v+ at x+ and
     y+ = W(y + v+ - v), two exchanges. Untracked (DSGD): the estimate at
@@ -214,17 +287,17 @@ def run_round(
     """
     if swarm.y is None:
         v, evals = swarm.estimator.step(problem, swarm.x, swarm.streams)
-        swarm.x = mix(mixing, swarm.x - cfg.eta * v)
+        swarm.x = mix(mixing, swarm.x - eta * v)
         swarm.mix_count += 1
     else:
-        x_new = mix(mixing, swarm.x - cfg.eta * swarm.y)
+        x_new = mix(mixing, swarm.x - eta * swarm.y)
         v, evals = swarm.estimator.step(problem, x_new, swarm.streams)
         swarm.y = mix(mixing, swarm.y + v - swarm.v)
         swarm.x, swarm.v = x_new, v
         swarm.mix_count += 2
     swarm.grad_evals += evals
     swarm.k += 1
-    _check_finite(swarm, swarm.k)
+    _check_finite(swarm, swarm.k, problem.n)
     return swarm
 
 
@@ -240,33 +313,62 @@ def run_experiment(
     streams. Metric passes evaluate full gradients but never touch the
     oracle counters.
     """
+    return run_experiments(problem, mixing, [cfg], x1)[0]
+
+
+def run_experiments(
+    problem: FiniteSumProblem,
+    mixing: MixingMatrix,
+    cfgs: Sequence[RunConfig],
+    x1: np.ndarray | None = None,
+) -> list[list[TraceRow]]:
+    """``run_experiment`` for runs that differ only in eta and p, as one batch.
+
+    The R runs share one seed, hence their draws, and advance in one
+    stacked round per iteration. Trace r equals run_experiment(problem,
+    mixing, cfgs[r], x1), except that ``wall_ms`` counts from the start of
+    the batch. A divergence raises for the lowest replica that diverged
+    in that iteration, with the message its own run would raise, and
+    names it in ``DivergedError.replica``.
+    """
     if mixing.n != problem.n:
         raise ValueError(f"mixing matrix is for {mixing.n} agents, problem has {problem.n}")
     if x1 is None:
         x1 = np.zeros((problem.n, problem.d))
-    swarm = init_swarm(problem, x1, cfg)
+    swarm = init_swarm(problem, x1, cfgs)
+    cfg = cfgs[0]
+    n = problem.n
+    eta = np.repeat([c.eta for c in cfgs], n)[:, None]
+    blocks = [slice(lo, lo + n) for lo in range(0, len(swarm.x), n)]
+    traces: list[list[TraceRow]] = [[] for _ in blocks]
 
     start = time.perf_counter()
 
-    def record() -> TraceRow:
-        cost, stat, cons, track = stationarity_metrics(problem, swarm.x, swarm.y)
-        wall = (time.perf_counter() - start) * 1e3 if cfg.timing else 0.0
-        evals = int(swarm.grad_evals.sum())
-        return TraceRow(
-            k=swarm.k,
-            cost=cost,
-            stat=stat,
-            cons=cons,
-            track=track,
-            dbar=consensus_gap_D(mixing, swarm.x),
-            grad_evals=evals,
-            epoch=evals / problem.total_samples,
-            wall_ms=wall,
-        )
+    def record() -> None:
+        for block, rows in zip(blocks, traces):
+            x = swarm.x[block]
+            cost, stat, cons, track = stationarity_metrics(
+                problem, x, None if swarm.y is None else swarm.y[block]
+            )
+            wall = (time.perf_counter() - start) * 1e3 if cfg.timing else 0.0
+            evals = int(swarm.grad_evals[block].sum())
+            rows.append(
+                TraceRow(
+                    k=swarm.k,
+                    cost=cost,
+                    stat=stat,
+                    cons=cons,
+                    track=track,
+                    dbar=consensus_gap_D(mixing, x),
+                    grad_evals=evals,
+                    epoch=evals / problem.total_samples,
+                    wall_ms=wall,
+                )
+            )
 
-    rows = [record()]
+    record()
     for k in range(1, cfg.rounds + 1):
-        run_round(swarm, problem, mixing, cfg)
+        _round(swarm, problem, mixing, eta)
         if k % cfg.cadence == 0 or k == cfg.rounds:
-            rows.append(record())
-    return rows
+            record()
+    return traces

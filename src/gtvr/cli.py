@@ -250,21 +250,41 @@ def cmd_sweep(ns: argparse.Namespace) -> int:
         points[name] = replace(base, eta=eta, p=p, seed=seed, output=str(out_dir / name))
         _validate_config(points[name], source)
     out_dir.mkdir(parents=True, exist_ok=True)
-    prob = mixing = prepared_seed = None
-    for cfg in points.values():
-        if cfg.seed != prepared_seed:
-            # the data, its partition and the graph depend on the seed, not on eta or p
-            prob = prepare_problem(cfg)
-            mixing = build_mixing(cfg)
-            prepared_seed = cfg.seed
-        warn_outside_theory(cfg, mixing, prob)
-        rows = algorithms.run_experiment(prob, mixing, cfg.run_config())
-        metrics.write_trace(rows, cfg.output_path())
-        print(
-            f"eta={cfg.eta:g} p={cfg.p:g} seed={cfg.seed}: cost {rows[-1].cost:.6g}, "
-            f"stationarity {rows[-1].stat:.3e} -> {cfg.output_path()}"
-        )
+    for _, group in itertools.groupby(points.values(), key=lambda c: c.seed):
+        group = list(group)
+        # the data, its partition and the graph depend on the seed, not on eta or p
+        prob = prepare_problem(group[0])
+        mixing = build_mixing(group[0])
+        traces, error = _run_points(prob, mixing, group)
+        for cfg, rows in zip(group, traces):
+            warn_outside_theory(cfg, mixing, prob)
+            metrics.write_trace(rows, cfg.output_path())
+            print(
+                f"eta={cfg.eta:g} p={cfg.p:g} seed={cfg.seed}: cost {rows[-1].cost:.6g}, "
+                f"stationarity {rows[-1].stat:.3e} -> {cfg.output_path()}"
+            )
+        if error is not None:
+            warn_outside_theory(group[len(traces)], mixing, prob)
+            raise error
     return 0
+
+
+def _run_points(
+    prob: problem.FiniteSumProblem, mixing: graph.MixingMatrix, cfgs: list[ExperimentConfig]
+) -> tuple[list[list[metrics.TraceRow]], algorithms.DivergedError | None]:
+    """The traces of the grid points of one seed up to the first, in grid
+    order, that diverges, and that point's error (None if none does).
+
+    The points run as one batch. When one diverges, the points before it
+    run again as a smaller batch: one of them may diverge later.
+    """
+    error = None
+    while cfgs:
+        try:
+            return algorithms.run_experiments(prob, mixing, [c.run_config() for c in cfgs]), error
+        except algorithms.DivergedError as exc:
+            cfgs, error = cfgs[: exc.replica], exc
+    return [], error
 
 
 def cmd_theory(ns: argparse.Namespace) -> int:

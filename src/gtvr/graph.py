@@ -134,14 +134,19 @@ def _deviation_spectral_norm(w: np.ndarray) -> float:
 
 
 def mix(mixing: MixingMatrix, stacked: np.ndarray) -> np.ndarray:
-    """One communication round: row i of the result is sum_r w_ir * row r.
+    """One communication round of each of R replicas stacked replica-major,
+    (R*n, d): row i of replica r's block becomes sum_j w_ij * row j of it.
 
     Preserves column means exactly up to rounding because W is doubly
     stochastic, and contracts deviation from the mean by at least rho.
     """
     stacked = np.asarray(stacked, dtype=float)
-    if stacked.ndim != 2 or stacked.shape[0] != mixing.n:
+    n = mixing.n
+    if stacked.ndim != 2 or not stacked.shape[0] or stacked.shape[0] % n:
         raise ValueError(
-            f"expected a stacked ({mixing.n}, d) matrix, got shape {stacked.shape}"
+            f"expected a stacked (R * {n}, d) matrix, got shape {stacked.shape}"
         )
-    return mixing.w @ stacked
+    if len(stacked) == n:
+        return mixing.w @ stacked
+    # one product per replica block, each equal bit for bit to w @ block
+    return (mixing.w @ stacked.reshape(-1, n, stacked.shape[1])).reshape(stacked.shape)

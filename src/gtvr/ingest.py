@@ -325,22 +325,6 @@ def _field_integers(digits: np.ndarray, ends: np.ndarray, lengths: np.ndarray) -
     return out
 
 
-def serialize_libsvm(raw: RawDataset, sink: str | Path | IO[str]) -> None:
-    """Re-emit a dataset in LIBSVM text form (lossless for 64-bit values)."""
-    if isinstance(sink, (str, Path)):
-        with open(sink, "w") as fh:
-            serialize_libsvm(raw, fh)
-            return
-    indptr = raw.features.indptr.tolist()
-    indices = raw.features.indices.tolist()
-    data = raw.features.data.tolist()
-    for r, label in enumerate(raw.labels.tolist()):
-        parts = [f"{label:.17g}"]
-        lo, hi = indptr[r], indptr[r + 1]
-        parts.extend(f"{i + 1}:{v:.17g}" for i, v in zip(indices[lo:hi], data[lo:hi]))
-        sink.write(" ".join(parts) + "\n")
-
-
 def to_binary_labels(raw: RawDataset) -> RawDataset:
     """Map the two observed label values onto {-1, +1}.
 

@@ -100,21 +100,25 @@ class FiniteSumProblem:
             raise IndexError(f"agent index {i} out of range [1, {self.n}]")
 
     def component_grads(self, js: np.ndarray, X: np.ndarray) -> np.ndarray:
-        """One component gradient per agent, stacked (n, d): row i - 1 is
-        the gradient of agent i's sample ``js[i - 1]`` at ``X[i - 1]``."""
+        """One component gradient per agent and replica, stacked (R*n, d):
+        row r*n + i - 1 is the gradient of agent i's sample
+        ``js[r*n + i - 1]`` at ``X[r*n + i - 1]`` (a single run is R = 1)."""
         raise NotImplementedError
 
     def _batch_rows(self, js: np.ndarray, X: np.ndarray) -> np.ndarray:
         """Stacked 0-based rows of the sampled components, after one check
         of the whole batch."""
-        if js.shape != (self.n,) or X.shape != (self.n, self.d):
+        if js.ndim != 1 or not js.size or js.size % self.n or X.shape != (js.size, self.d):
             raise ValueError(
-                f"need one index and one ({self.d},) point per agent ({self.n}), "
-                f"got indices {js.shape} and points {X.shape}"
+                f"need one index and one ({self.d},) point per agent ({self.n}) of each "
+                f"replica, got indices {js.shape} and points {X.shape}"
             )
-        if np.count_nonzero((js < 1) | (js > self.layout.sizes)):
+        # R replicas' indices as an (R, n) view; one replica's as they are,
+        # since the (1, n) broadcast would add about 2 us to each call
+        per_agent = js if js.size == self.n else js.reshape(-1, self.n)
+        if np.count_nonzero((per_agent < 1) | (per_agent > self.layout.sizes)):
             raise IndexError(f"sample indices {js.tolist()} outside [1, m_i] for m = {self.m}")
-        return self.layout.base + js
+        return (self.layout.base + per_agent).ravel()
 
     def component_grad_table(self, i: int, x: np.ndarray) -> np.ndarray:
         """All component gradients of agent i at x, stacked (m_i, d)."""

@@ -7,10 +7,12 @@ generator, so streams for distinct (agent, purpose) pairs never share
 state and a run is bit-reproducible from the master seed alone.
 
 ``SwarmStreams``, built once per run from the seed, every agent's sample
-count m_i and the refresh probability P, keeps those streams to itself
-and hands the round engine one coin vector and one index vector per
-round. A coin is 1 iff the next uniform [0, 1) draw is below P; an index
-is uniform in [1, m_i] (``uniform_indices``).
+count m_i and the refresh probability P of each of the R runs it serves,
+keeps those streams to itself and hands the round engine one coin vector
+and one index vector per round. A coin is 1 iff the next uniform [0, 1)
+draw is below P; an index is uniform in [1, m_i] (``uniform_indices``).
+The R runs share the seed, so each uniform and each index serves them
+all, and each run sees the coins and indices it would draw on its own.
 """
 
 from __future__ import annotations
@@ -59,22 +61,26 @@ def uniform_indices(stream: np.random.Generator, m: int) -> Iterator[int]:
 
 
 def _rows(refill: Callable[[], np.ndarray]) -> Iterator[np.ndarray]:
-    """The rows of one ``(DRAW_BLOCK, n)`` block from ``refill`` after another."""
+    """The rows of one ``(DRAW_BLOCK, R*n)`` block from ``refill`` after another."""
     while True:
         yield from refill()
 
 
 class SwarmStreams:
-    """Every agent's two streams for one run, drawn in blocks.
+    """Every agent's two streams for R runs of one seed, drawn in blocks.
 
-    ``coins`` and ``indices`` return one draw per agent per call, agent i
-    drawing from its own streams ``derived_generator(master_seed, i,
-    PURPOSE_BERNOULLI)`` and ``derived_generator(master_seed, i,
-    PURPOSE_INDEX)``: a Bernoulli(p) coin and a uniform index in [1, m_i].
+    ``coins`` and ``indices`` return one draw per run and agent per call,
+    run r's agent i at position r*n + i - 1. Agent i draws from its own
+    streams ``derived_generator(master_seed, i, PURPOSE_BERNOULLI)`` and
+    ``derived_generator(master_seed, i, PURPOSE_INDEX)``: one uniform that
+    gives run r a Bernoulli(p[r]) coin, and one uniform index in [1, m_i]
+    that every run shares. ``p`` is one probability for a single run or
+    the R runs' probabilities.
     """
 
-    def __init__(self, master_seed: int, m: Sequence[int], p: float) -> None:
-        if not 0.0 < p < 1.0:
+    def __init__(self, master_seed: int, m: Sequence[int], p: float | Sequence[float]) -> None:
+        ps = np.asarray(p, dtype=float).reshape(-1, 1)
+        if not (ps.size and ((0.0 < ps) & (ps < 1.0)).all()):
             raise ValueError(f"Bernoulli probability must lie in (0, 1), got {p}")
         if any(m_i < 1 for m_i in m):
             raise ValueError(f"index ranges must be >= 1, got m = {tuple(m)}")
@@ -84,17 +90,27 @@ class SwarmStreams:
             uniform_indices(derived_generator(master_seed, i, PURPOSE_INDEX), m_i)
             for i, m_i in zip(agents, m)
         ]
-        self._coins = _rows(lambda: np.stack([s.random(DRAW_BLOCK) for s in coin_streams], axis=1) < p)
+        runs = len(ps)
+        # each row of a block: agent i's uniform against run r's p at r*n + i - 1
+        self._coins = _rows(
+            lambda: (np.stack([s.random(DRAW_BLOCK) for s in coin_streams], axis=1)[:, None] < ps)
+            .reshape(DRAW_BLOCK, -1)
+        )
         self._indices = _rows(
-            lambda: np.stack(
-                [np.fromiter(islice(g, DRAW_BLOCK), np.int64, DRAW_BLOCK) for g in index_draws], axis=1
+            lambda: np.tile(
+                np.stack(
+                    [np.fromiter(islice(g, DRAW_BLOCK), np.int64, DRAW_BLOCK) for g in index_draws],
+                    axis=1,
+                ),
+                (1, runs),
             )
         )
 
     def coins(self) -> np.ndarray:
-        """Every agent's next Bernoulli(p) trial, as an (n,) bool array."""
+        """Every run's and agent's next Bernoulli(p) trial, as an (R*n,) bool array."""
         return next(self._coins)
 
     def indices(self) -> np.ndarray:
-        """Every agent's next uniform index in [1, m_i], as an (n,) int64 array."""
+        """Every agent's next uniform index in [1, m_i], once per run, as an
+        (R*n,) int64 array."""
         return next(self._indices)

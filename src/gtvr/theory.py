@@ -194,6 +194,9 @@ def complexity_estimate(
             raise ValueError(f"{name} must be finite and >= 0, got {value}")
     if len(neighbor_counts) != n:
         raise ValueError(f"expected {n} neighbor counts, got {len(neighbor_counts)}")
+    # every agent of a connected network of n >= 2 agents has a neighbor
+    if min(neighbor_counts) < 1:
+        raise ValueError(f"neighbor counts must be >= 1, got {list(neighbor_counts)}")
     iterations = 9.0 / (eta * epsilon) * (f_gap + (10.0 / (9.0 * n)) * r0 / eta)
     grads = iterations * (p * total_samples + 2.0 * n)
     comms = iterations * float(sum(neighbor_counts))
@@ -330,9 +333,16 @@ def build_report(
                 f"eta * L = {eta_eff * lipschitz:.6g} > 1/6: contraction matrix undefined"
             )
         if None not in (epsilon, f_gap, r0) and neighbor_counts is not None:
-            report.iterations, report.gradient_evals, report.communications = complexity_estimate(
+            estimates = complexity_estimate(
                 eta_eff, epsilon, f_gap, r0, n, total_samples, p_ref, neighbor_counts
             )
+            if not all(math.isfinite(value) for value in estimates):
+                report.notes.append(
+                    f"the complexity estimates leave double precision at eta = {eta_eff:.6g}, "
+                    f"epsilon = {epsilon:.6g}"
+                )
+                return report
+            report.iterations, report.gradient_evals, report.communications = estimates
             if eta_eff > report.eta_tilde:
                 report.notes.append(
                     f"step-size {eta_eff} exceeds the complexity-range cap {report.eta_tilde:.6g}; "

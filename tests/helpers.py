@@ -1,9 +1,11 @@
-"""Shared test utilities: independent oracles and stub random streams."""
+"""Shared test utilities: independent oracles, stub random streams and a
+LIBSVM writer for round-trip checks."""
 
 from __future__ import annotations
 
 from itertools import islice
-from typing import NamedTuple
+from pathlib import Path
+from typing import IO, NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -22,6 +24,22 @@ def central_diff_grad(fn, x: np.ndarray, h: float = 1e-6) -> np.ndarray:
         step[i] = h
         g[i] = (fn(x + step) - fn(x - step)) / (2.0 * h)
     return g
+
+
+def serialize_libsvm(raw: RawDataset, sink: str | Path | IO[str]) -> None:
+    """Re-emit a dataset in LIBSVM text form (lossless for 64-bit values)."""
+    if isinstance(sink, (str, Path)):
+        with open(sink, "w") as fh:
+            serialize_libsvm(raw, fh)
+            return
+    indptr = raw.features.indptr.tolist()
+    indices = raw.features.indices.tolist()
+    data = raw.features.data.tolist()
+    for r, label in enumerate(raw.labels.tolist()):
+        parts = [f"{label:.17g}"]
+        lo, hi = indptr[r], indptr[r + 1]
+        parts.extend(f"{i + 1}:{v:.17g}" for i, v in zip(indices[lo:hi], data[lo:hi]))
+        sink.write(" ".join(parts) + "\n")
 
 
 def rel_err(a: np.ndarray, b: np.ndarray) -> float:

@@ -27,6 +27,7 @@ from helpers import (
     raw_from_rows,
     same_bits,
     same_csr,
+    serialize_libsvm,
 )
 
 EPS_DUST = 1e-13  # additive allowance for float rounding of the Frobenius norms
@@ -387,10 +388,10 @@ def test_c09_parser_fidelity_fixture(tmp_path):
         rows.append((idx, rng.normal(size=nnz) * 10.0 ** rng.integers(-6, 7)))
     raw = raw_from_rows(rows, labels, 400)
     fixture = tmp_path / "fixture.libsvm"
-    ingest.serialize_libsvm(raw, fixture)
+    serialize_libsvm(raw, fixture)
     back = ingest.parse_libsvm(fixture, declared_d=400)
     again = tmp_path / "again.libsvm"
-    ingest.serialize_libsvm(back, again)
+    serialize_libsvm(back, again)
     elapsed = time.perf_counter() - start
     ok = (
         same_csr(back.features, raw.features)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from gtvr.algorithms import (
     RunConfig,
     init_swarm,
     run_experiment,
+    run_experiments,
     run_round,
 )
 from gtvr.problem import QuadraticProblem, make_logistic, make_quadratic
@@ -243,6 +246,32 @@ def test_divergence_reports_iteration(setup5):
     cfg = RunConfig(algorithm="gtvr", eta=1e6, p=0.5, rounds=500, seed=1)
     with pytest.raises(DivergedError, match=r"iteration \d+"):
         run_experiment(prob, mixing, cfg)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("algorithm", "dsgt"), ("seed", 2), ("rounds", 11), ("cadence", 3), ("timing", False)],
+)
+def test_batch_rejects_runs_that_differ_beyond_eta_and_p(setup5, field, value):
+    prob, mixing = setup5
+    base = RunConfig(algorithm="gtvr", eta=0.01, p=0.5, rounds=10, seed=1, cadence=5)
+    mixed = [base, replace(base, eta=0.02, p=0.3), replace(base, **{field: value})]
+    with pytest.raises(ValueError, match=f"differ only in eta and p, got different {field}"):
+        run_experiments(prob, mixing, mixed)
+    with pytest.raises(ValueError, match="at least one"):
+        run_experiments(prob, mixing, [])
+
+
+def test_batch_divergence_names_the_lowest_diverged_replica(setup5):
+    prob, mixing = setup5
+    base = RunConfig(algorithm="gtvr", eta=0.01, p=0.5, rounds=200, seed=1, cadence=50)
+    cfgs = [base, replace(base, eta=1e6), replace(base, eta=2e6), replace(base, eta=0.02)]
+    with pytest.raises(DivergedError) as batch:
+        run_experiments(prob, mixing, cfgs)
+    assert batch.value.replica == 1
+    with pytest.raises(DivergedError) as alone:
+        run_experiment(prob, mixing, cfgs[1])
+    assert str(batch.value) == str(alone.value)
 
 
 def test_run_config_validation():

@@ -47,7 +47,6 @@ PUBLIC_NAMES = [
     "read_trace",
     "run_experiment",
     "run_round",
-    "serialize_libsvm",
     "stationarity_metrics",
     "t_constant",
     "to_binary_labels",

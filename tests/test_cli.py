@@ -290,6 +290,16 @@ def test_theory_subcommand_complexity_block(capsys):
              "--r0", "1", "--n", "4", "--neighbors", "2,2,2,2"],
             "epsilon",
         ),
+        (
+            ["--rho", "0.4", "--p", "0.95", "--l", "2", "--epsilon", "0.1", "--f-gap", "1",
+             "--r0", "1", "--n", "2", "--neighbors=-1,-1"],
+            "neighbor counts",
+        ),
+        (
+            ["--rho", "0.4", "--p", "0.95", "--l", "2", "--epsilon", "0.1", "--f-gap", "1",
+             "--r0", "1", "--n", "2", "--neighbors", "0,0"],
+            "neighbor counts",
+        ),
     ],
 )
 def test_theory_rejects_an_invalid_input(args, name, capsys):
@@ -315,6 +325,8 @@ def test_theory_rejects_an_invalid_input(args, name, capsys):
         ["--l", "1e-300", "--eta", "1e-10", "--epsilon", "1e-300", "--f-gap", "1",
          "--r0", "1", "--n", "2", "--neighbors", "1,1"],
         ["--l", "2", "--rho", "1e300"],
+        ["--l", "2", "--eta", "1e-10", "--epsilon", "1e-10", "--f-gap", "1", "--r0", "1e308",
+         "--n", "2", "--neighbors", "1,1"],
     ],
 )
 def test_theory_extreme_finite_inputs_never_raise(args, capsys):
@@ -517,15 +529,17 @@ def test_sweep_builds_problem_once_per_seed(tmp_path, monkeypatch, dataset):
                 ]
 
 
+RING4_CONFIG = (
+    "dataset = synthetic:quadratic\nn = 4\ntopology = ring\nalgorithm = gtvr\n"
+    "p = 0.5\nrounds = 200\nseed = 42\n"
+)
+
+
 def test_sweep_stops_at_the_first_diverged_point_in_grid_order(tmp_path):
     # the points before the diverged one are written and reported, the
     # diverged point prints its advisories and its error, and no later
     # point runs
-    cfg = write_config(
-        tmp_path,
-        "dataset = synthetic:quadratic\nn = 4\ntopology = ring\nalgorithm = gtvr\n"
-        "p = 0.5\nrounds = 200\nseed = 42\n",
-    )
+    cfg = write_config(tmp_path, RING4_CONFIG)
     proc = run_with_warnings_shown(
         tmp_path, "sweep", "--config", str(cfg), "--eta", "0.01,1000000,0.02", "--out-dir", "out"
     )
@@ -549,6 +563,22 @@ def test_sweep_stops_at_the_first_diverged_point_in_grid_order(tmp_path):
         "error: iterate diverged at iteration 3",
     ]
     assert sorted(f.name for f in (tmp_path / "out").iterdir()) == ["gtvr_quadratic_eta0.01_p0.5_42.csv"]
+
+
+def test_sweep_stops_at_a_point_that_diverges_later_than_a_point_after_it(tmp_path, capsys):
+    # eta=6 diverges at iteration 120 and eta=1e6 at iteration 3; grid
+    # order decides, so the sweep stops with eta=6's error
+    cfg = write_config(tmp_path, RING4_CONFIG)
+    out_dir = tmp_path / "out"
+    code = cli.main(["sweep", "--config", str(cfg), "--eta", "0.01,6,1000000", "--out-dir", str(out_dir)])
+    assert code == 1
+    captured = capsys.readouterr()
+    first = out_dir / "gtvr_quadratic_eta0.01_p0.5_42.csv"
+    assert captured.out.splitlines() == [
+        f"eta=0.01 p=0.5 seed=42: cost 0.360211, stationarity 1.025e-01 -> {first}"
+    ]
+    assert captured.err.splitlines() == ["error: iterate diverged at iteration 120"]
+    assert list(out_dir.iterdir()) == [first]
 
 
 def test_divergence_exits_nonzero(tmp_path, capsys):

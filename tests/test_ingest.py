@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gtvr import ingest
-from helpers import raw_from_rows, same_bits, same_csr
+from helpers import raw_from_rows, same_bits, same_csr, serialize_libsvm
 
 FIXED_SEED = settings(derandomize=True, max_examples=6, deadline=None, database=None)
 
@@ -149,7 +149,7 @@ def random_dataset(seed, rows=60, d=25):
 def test_serialize_parse_roundtrip():
     raw = random_dataset(5)
     buf = io.StringIO()
-    ingest.serialize_libsvm(raw, buf)
+    serialize_libsvm(raw, buf)
     back = ingest.parse_libsvm(io.StringIO(buf.getvalue()), declared_d=raw.d)
     assert back.num_rows == raw.num_rows
     assert back.d == raw.d

@@ -366,6 +366,25 @@ def test_component_grads_validate_indices_and_shapes(name):
         prob.component_grads(ones, x[:, :-1])
 
 
+@pytest.mark.parametrize("name", ["quadratic_unequal", "logistic_lists_unequal"])
+def test_component_grads_of_stacked_replicas_equal_each_replica_alone(name):
+    prob = BATCH_CASES[name]()
+    rng = np.random.default_rng(4)
+    replicas = 3
+    js = np.concatenate([[rng.integers(1, m + 1) for m in prob.m] for _ in range(replicas)])
+    x = rng.normal(size=(replicas * prob.n, prob.d))
+    got = prob.component_grads(js, x)
+    blocks = [slice(r * prob.n, (r + 1) * prob.n) for r in range(replicas)]
+    assert np.array_equal(got, np.concatenate([prob.component_grads(js[b], x[b]) for b in blocks]))
+    # the last replica's agents are checked against their own m_i
+    bad = js.copy()
+    bad[-1] = prob.m[-1] + 1
+    with pytest.raises(IndexError):
+        prob.component_grads(bad, x)
+    with pytest.raises(ValueError):
+        prob.component_grads(js, x[:-1])
+
+
 def test_quadratic_agents_are_views_of_one_stacked_array():
     prob = uneven_quadratic()
     assert prob._rows.shape == (sum(prob.m), prob.d)

@@ -8,7 +8,9 @@ coins replayed from each agent's Philox stream; 1 per agent for the
 baselines), and the exchange count is 2 per round (1 for DSGD).
 
 Mixing: Metropolis weights on a random connected graph are symmetric,
-doubly stochastic and contract deviations from the mean by ρ < 1.
+doubly stochastic and contract deviations from the mean by ρ < 1, and
+mixing R replicas stacked replica-major equals mixing each on its own,
+bit for bit.
 
 Ingest: serializing a dataset to LIBSVM text and parsing it back gives
 the same CSR arrays, labels and dimension, bit for bit.
@@ -29,7 +31,14 @@ from hypothesis import strategies as st
 from gtvr import algorithms, graph, ingest, theory
 from gtvr.algorithms import RunConfig, init_swarm, run_round
 from gtvr.problem import LogisticProblem, QuadraticProblem
-from helpers import dense_deviation_norm, raw_from_rows, same_bits, same_csr, scalar_streams
+from helpers import (
+    dense_deviation_norm,
+    raw_from_rows,
+    same_bits,
+    same_csr,
+    scalar_streams,
+    serialize_libsvm,
+)
 from reference_problem import component_grad
 from reference_rng import draw_bernoulli, draw_index
 
@@ -148,6 +157,15 @@ def test_metropolis_weights_doubly_stochastic_and_contracting(topo, seed):
 _FINITE = st.floats(allow_nan=False, allow_infinity=False)
 
 
+@FIXED_SEED
+@given(connected_topologies(), st.integers(1, 8), st.integers(1, 129), st.integers(0, 2**32 - 1))
+def test_mix_of_stacked_replicas_equals_each_replica_mixed_alone(topo, replicas, d, seed):
+    mixing = graph.metropolis_weights(topo)
+    blocks = np.random.default_rng(seed).normal(size=(replicas, topo.n, d))
+    mixed = graph.mix(mixing, blocks.reshape(replicas * topo.n, d))
+    assert same_bits(mixed, np.concatenate([mixing.w @ block for block in blocks]))
+
+
 @st.composite
 def libsvm_datasets(draw):
     d = draw(st.integers(1, 40))
@@ -164,7 +182,7 @@ def libsvm_datasets(draw):
 @given(libsvm_datasets())
 def test_libsvm_round_trip(raw):
     buf = io.StringIO()
-    ingest.serialize_libsvm(raw, buf)
+    serialize_libsvm(raw, buf)
     back = ingest.parse_libsvm(io.StringIO(buf.getvalue()), declared_d=raw.d)
     assert back.d == raw.d
     assert same_bits(back.labels, raw.labels)

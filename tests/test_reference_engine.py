@@ -1,4 +1,5 @@
-"""Differential check of the round engine and metric pass against the reference oracle."""
+"""Differential checks of the round engine and metric pass: against the
+reference oracle, and a batch of runs against each run on its own."""
 
 import io
 
@@ -7,9 +8,9 @@ import pytest
 
 import reference_engine as ref
 from gtvr import algorithms, graph, ingest, metrics
-from gtvr.algorithms import RunConfig, init_swarm, run_experiment, run_round
+from gtvr.algorithms import RunConfig, init_swarm, run_experiment, run_experiments, run_round
 from gtvr.problem import LogisticProblem, QuadraticProblem, make_logistic, make_quadratic
-from helpers import raw_from_rows, scalar_streams
+from helpers import raw_from_rows, same_bits, scalar_streams
 
 
 def unequal_logistic():
@@ -96,3 +97,40 @@ def test_final_state_matches_reference_engine(instance, algo, seed):
         assert all(np.array_equal(a, b) for a, b in zip(est.tables, expected.tables))
     elif algo == "dsgt":
         assert np.array_equal(swarm.v, expected.g_last)
+
+
+# (eta, p) per replica: equal and differing step-sizes and probabilities
+BATCH_POINTS = [(0.05, 0.3), (0.02, 0.3), (0.05, 0.6), (0.02, 0.6)]
+BATCH_ROUNDS = 150
+
+
+@pytest.mark.parametrize("algo", algorithms.ALGORITHMS)
+def test_batch_equals_each_run_on_its_own(instance, algo):
+    # the traces (timing aside), and the final x, y, v, counters and
+    # exchanges of every replica
+    prob, mixing = instance
+    n = prob.n
+    cfgs = [
+        RunConfig(algorithm=algo, eta=eta, p=p, rounds=BATCH_ROUNDS, seed=29, cadence=7, timing=False)
+        for eta, p in BATCH_POINTS
+    ]
+    x1 = np.random.default_rng(5).normal(size=(n, prob.d))
+    traces = run_experiments(prob, mixing, cfgs, x1)
+    assert [dump(rows) for rows in traces] == [dump(run_experiment(prob, mixing, c, x1)) for c in cfgs]
+
+    batch = init_swarm(prob, x1, cfgs)
+    eta = np.repeat([c.eta for c in cfgs], n)[:, None]
+    for _ in range(BATCH_ROUNDS):
+        algorithms._round(batch, prob, mixing, eta)
+    for r, cfg in enumerate(cfgs):
+        swarm = init_swarm(prob, x1, cfg)
+        for _ in range(BATCH_ROUNDS):
+            run_round(swarm, prob, mixing, cfg)
+        rows = slice(r * n, (r + 1) * n)
+        assert same_bits(batch.x[rows], swarm.x)
+        if algo == "dsgd":
+            assert batch.y is batch.v is swarm.y is swarm.v is None
+        else:
+            assert same_bits(batch.y[rows], swarm.y) and same_bits(batch.v[rows], swarm.v)
+        assert np.array_equal(batch.grad_evals[rows], swarm.grad_evals)
+        assert (batch.k, batch.mix_count) == (swarm.k, swarm.mix_count)

@@ -134,6 +134,21 @@ def test_swarm_buffer_hands_out_the_scalar_sequence(m, p, seed):
 
 
 def test_swarm_buffer_rejects_a_degenerate_probability():
-    for p in (0.0, 1.0):
+    for p in (0.0, 1.0, (0.5, 1.0), ()):
         with pytest.raises(ValueError):
             rng.SwarmStreams(4, (5, 6), p)
+
+
+@settings(FIXED_SEED, max_examples=15)
+@given(
+    m=st.lists(INDEX_RANGES, min_size=1, max_size=5),
+    ps=st.lists(PROBABILITIES, min_size=1, max_size=4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_swarm_streams_of_several_runs_hand_each_run_its_own_draws(m, ps, seed):
+    batch = rng.SwarmStreams(seed, m, ps)
+    alone = [rng.SwarmStreams(seed, m, p) for p in ps]
+    # past one refill
+    for _ in range(rng.DRAW_BLOCK + 37):
+        assert batch.coins().tolist() == [c for s in alone for c in s.coins().tolist()]
+        assert batch.indices().tolist() == [j for s in alone for j in s.indices().tolist()]

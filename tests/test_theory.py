@@ -351,10 +351,16 @@ def test_report_text_pinned():
         ("lipschitz", -math.inf, "L"),
         ("lipschitz", 0.0, "L"),
         ("lipschitz", -2.0, "L"),
+        ("neighbor_counts", [0, 0, 0, 0], "neighbor counts"),
+        ("neighbor_counts", [-1, -1, -1, -1], "neighbor counts"),
+        ("neighbor_counts", [2, 2, 0, 2], "neighbor counts"),
     ],
 )
 def test_build_report_rejects_invalid_inputs(key, value, name):
-    args = dict(rho=0.4, lipschitz=1.0, p=0.95, n=4, total_samples=100)
+    args = dict(
+        rho=0.4, lipschitz=1.0, p=0.95, n=4, total_samples=100,
+        epsilon=0.1, f_gap=1.0, r0=1.0, neighbor_counts=[2, 2, 2, 2],
+    )
     args[key] = value
     with pytest.raises(ValueError, match=rf"\b{name} must"):
         theory.build_report(**args)
@@ -366,3 +372,15 @@ def test_build_report_takes_a_flat_objective_outside_the_proven_region():
     report = theory.build_report(rho=0.9, lipschitz=0.0, p=0.5, n=4, total_samples=100)
     assert report.eta_bar is None
     assert report.notes == ["rho^2 = 0.81 >= 1/3: outside the proven region"]
+
+
+def test_build_report_leaves_overflowing_estimates_unset_with_a_note():
+    report = theory.build_report(
+        rho=0.4, lipschitz=2.0, p=0.95, n=2, total_samples=1, eta=1e-10,
+        neighbor_counts=[1, 1], epsilon=1e-10, f_gap=1.0, r0=1e308,
+    )
+    assert (report.iterations, report.gradient_evals, report.communications) == (None, None, None)
+    assert report.notes == [
+        "the complexity estimates leave double precision at eta = 1e-10, epsilon = 1e-10"
+    ]
+    assert "inf" not in report.to_text()
