@@ -17,6 +17,7 @@ import os
 import sys
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
+from typing import Callable
 
 from . import algorithms, graph, ingest, metrics, problem, theory
 
@@ -191,10 +192,10 @@ def build_mixing(cfg: ExperimentConfig) -> graph.MixingMatrix:
     return graph.metropolis_weights(topo)
 
 
-def warn_outside_theory(cfg: ExperimentConfig, mixing: graph.MixingMatrix, prob) -> None:
-    report = theory.build_report(
-        mixing.rho, prob.lipschitz_estimate(), cfg.p, cfg.n, prob.total_samples, eta=cfg.eta
-    )
+def warn_outside_theory(
+    cfg: ExperimentConfig, mixing: graph.MixingMatrix, lipschitz: float, total_samples: int
+) -> None:
+    report = theory.build_report(mixing.rho, lipschitz, cfg.p, cfg.n, total_samples, eta=cfg.eta)
     if report.p_lower is not None and cfg.p <= report.p_lower:
         log.warning(
             "refresh probability %g is below the admissible bound %.6g (advisory only)",
@@ -216,7 +217,7 @@ def cmd_run(ns: argparse.Namespace) -> int:
     cfg = load_experiment_config(ns.config, overrides)
     prob = prepare_problem(cfg)
     mixing = build_mixing(cfg)
-    warn_outside_theory(cfg, mixing, prob)
+    warn_outside_theory(cfg, mixing, prob.lipschitz_estimate(), prob.total_samples)
     rows = algorithms.run_experiment(prob, mixing, cfg.run_config(timing=not ns.no_timing))
     out = cfg.output_path()
     metrics.write_trace(rows, out, jsonl_sink=ns.jsonl)
@@ -232,9 +233,9 @@ def cmd_run(ns: argparse.Namespace) -> int:
 def cmd_sweep(ns: argparse.Namespace) -> int:
     source = str(Path(ns.config))
     base = load_experiment_config(source)
-    etas = [float(v) for v in ns.eta.split(",")] if ns.eta else [base.eta]
-    ps = [float(v) for v in ns.p.split(",")] if ns.p else [base.p]
-    seeds = [int(v) for v in ns.seeds.split(",")] if ns.seeds else [base.seed]
+    etas = ns.eta or [base.eta]
+    ps = ns.p or [base.p]
+    seeds = ns.seeds or [base.seed]
     out_dir = Path(ns.out_dir)
     # trace file -> validated config of its grid point, in grid order; built
     # before any point runs so that no point fails or overwrites another late
@@ -255,16 +256,17 @@ def cmd_sweep(ns: argparse.Namespace) -> int:
         # the data, its partition and the graph depend on the seed, not on eta or p
         prob = prepare_problem(group[0])
         mixing = build_mixing(group[0])
+        lipschitz = prob.lipschitz_estimate()
         traces, error = _run_points(prob, mixing, group)
         for cfg, rows in zip(group, traces):
-            warn_outside_theory(cfg, mixing, prob)
+            warn_outside_theory(cfg, mixing, lipschitz, prob.total_samples)
             metrics.write_trace(rows, cfg.output_path())
             print(
                 f"eta={cfg.eta:g} p={cfg.p:g} seed={cfg.seed}: cost {rows[-1].cost:.6g}, "
                 f"stationarity {rows[-1].stat:.3e} -> {cfg.output_path()}"
             )
         if error is not None:
-            warn_outside_theory(group[len(traces)], mixing, prob)
+            warn_outside_theory(group[len(traces)], mixing, lipschitz, prob.total_samples)
             raise error
     return 0
 
@@ -288,9 +290,6 @@ def _run_points(
 
 
 def cmd_theory(ns: argparse.Namespace) -> int:
-    neighbor_counts = None
-    if ns.neighbors:
-        neighbor_counts = [int(v) for v in ns.neighbors.split(",")]
     report = theory.build_report(
         ns.rho,
         ns.l,
@@ -298,7 +297,7 @@ def cmd_theory(ns: argparse.Namespace) -> int:
         n=ns.n,
         total_samples=ns.samples,
         eta=ns.eta,
-        neighbor_counts=neighbor_counts,
+        neighbor_counts=ns.neighbors,
         epsilon=ns.epsilon,
         f_gap=ns.f_gap,
         r0=ns.r0,
@@ -316,6 +315,26 @@ def cmd_ingest(ns: argparse.Namespace) -> int:
     print(f"rows={mapped.num_rows} features={mapped.d} positive={pos} negative={mapped.num_rows - pos}")
     print(f"agents={ns.agents} scheme={ns.scheme} sizes={sizes}")
     return 0
+
+
+def _comma_list(kind: type) -> Callable[[str], list]:
+    """An argparse type: one or more comma-separated values, each parsed
+    by ``kind``; argparse names the flag when one does not parse."""
+
+    def parse(text: str) -> list:
+        if not text.strip():
+            raise argparse.ArgumentTypeError("expected at least one comma-separated value, got none")
+        values = []
+        for item in text.split(","):
+            try:
+                values.append(kind(item))
+            except ValueError:
+                raise argparse.ArgumentTypeError(
+                    f"cannot parse {item!r} in {text!r} as {kind.__name__}"
+                ) from None
+        return values
+
+    return parse
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -337,9 +356,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sweep = sub.add_parser("sweep", help="grid over step-sizes, probabilities, seeds")
     sweep.add_argument("--config", required=True)
-    sweep.add_argument("--eta", default=None, help="comma-separated step-sizes")
-    sweep.add_argument("--p", default=None, help="comma-separated refresh probabilities")
-    sweep.add_argument("--seeds", default=None, help="comma-separated seeds")
+    sweep.add_argument("--eta", type=_comma_list(float), help="comma-separated step-sizes")
+    sweep.add_argument("--p", type=_comma_list(float), help="comma-separated refresh probabilities")
+    sweep.add_argument("--seeds", type=_comma_list(int), help="comma-separated seeds")
     sweep.add_argument("--out-dir", default=".", help="directory for trace files")
     sweep.set_defaults(fn=cmd_sweep)
 
@@ -350,7 +369,7 @@ def _build_parser() -> argparse.ArgumentParser:
     theo.add_argument("--eta", type=float, default=None)
     theo.add_argument("--n", type=int, default=1)
     theo.add_argument("--samples", type=int, default=1, help="total sample count M")
-    theo.add_argument("--neighbors", default=None, help="comma-separated neighbor counts")
+    theo.add_argument("--neighbors", type=_comma_list(int), help="comma-separated neighbor counts")
     theo.add_argument("--epsilon", type=float, default=None, help="target stationarity")
     theo.add_argument("--f-gap", dest="f_gap", type=float, default=None)
     theo.add_argument("--r0", type=float, default=None)

@@ -12,6 +12,7 @@ Agent ids and sample indices are 1-based throughout the public surface
 from __future__ import annotations
 
 import math
+from functools import cached_property
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 import numpy as np
@@ -71,8 +72,9 @@ class FiniteSumProblem:
 
     Subclasses provide the oracles the engine and the metric pass call;
     this base holds the sizes and the row ``layout`` that both instances
-    and the estimators share, and the one batch check of
-    ``component_grads``. The per-sample and per-agent cost references
+    and the estimators share, the one batch check of ``component_grads``
+    and ``component_grad_diffs``, and that of ``local_full_grads``, with
+    its per-agent loop. The per-sample and per-agent cost references
     live in ``tests/reference_problem.py``.
     """
 
@@ -105,13 +107,25 @@ class FiniteSumProblem:
         ``js[r*n + i - 1]`` at ``X[r*n + i - 1]`` (a single run is R = 1)."""
         raise NotImplementedError
 
-    def _batch_rows(self, js: np.ndarray, X: np.ndarray) -> np.ndarray:
+    def component_grad_diffs(self, js: np.ndarray, X: np.ndarray, T: np.ndarray) -> np.ndarray:
+        """The same draws' gradients at two points, differenced: equal bit
+        for bit to ``component_grads(js, X) - component_grads(js, T)``."""
+        raise NotImplementedError
+
+    def _batch_rows(self, js: np.ndarray, X: np.ndarray, T: np.ndarray | None = None) -> np.ndarray:
         """Stacked 0-based rows of the sampled components, after one check
-        of the whole batch."""
-        if js.ndim != 1 or not js.size or js.size % self.n or X.shape != (js.size, self.d):
+        of the whole batch (and of the second points ``T``, if given)."""
+        if (
+            js.ndim != 1
+            or not js.size
+            or js.size % self.n
+            or X.shape != (js.size, self.d)
+            or (T is not None and T.shape != X.shape)
+        ):
+            second = "" if T is None else f" and {T.shape}"
             raise ValueError(
                 f"need one index and one ({self.d},) point per agent ({self.n}) of each "
-                f"replica, got indices {js.shape} and points {X.shape}"
+                f"replica, got indices {js.shape} and points {X.shape}{second}"
             )
         # R replicas' indices as an (R, n) view; one replica's as they are,
         # since the (1, n) broadcast would add about 2 us to each call
@@ -126,6 +140,29 @@ class FiniteSumProblem:
 
     def local_full_grad(self, i: int, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
+
+    def local_full_grads(self, agents: np.ndarray, X: np.ndarray) -> np.ndarray:
+        """The full local gradients of the 1-based ``agents[j]`` at ``X[j]``,
+        stacked (k, d), each equal to ``local_full_grad(agents[j], X[j])``;
+        an empty selection gives (0, d)."""
+        self._check_agents(agents, X)
+        out = np.empty((len(agents), self.d))
+        for row, (i, x) in enumerate(zip(agents.tolist(), X)):
+            out[row] = self.local_full_grad(i, x)
+        return out
+
+    def _check_agents(self, agents: np.ndarray, X: np.ndarray) -> None:
+        """One check of a whole ``local_full_grads`` batch."""
+        if agents.ndim != 1 or X.shape != (agents.size, self.d):
+            raise ValueError(
+                f"need one ({self.d},) point per selected agent, "
+                f"got agents {agents.shape} and points {X.shape}"
+            )
+        # a batch has at most one agent per state row, and on lists that
+        # short Python's min and max beat numpy's fixed cost per call
+        ids = agents.tolist()
+        if ids and (min(ids) < 1 or max(ids) > self.n):
+            raise IndexError(f"agent indices {ids} out of range [1, {self.n}]")
 
     def lipschitz_estimate(self) -> float:
         raise NotImplementedError
@@ -224,6 +261,23 @@ class LogisticProblem(FiniteSumProblem):
             g[idx] += (-l * sig * sig_neg) * val
         return grads
 
+    def component_grad_diffs(self, js: np.ndarray, X: np.ndarray, T: np.ndarray) -> np.ndarray:
+        # component_grads' arithmetic at both points, each row and label sliced once
+        rows = self._batch_rows(js, X, T)
+        grads_x = (2.0 * self.lam1) * X
+        grads_t = (2.0 * self.lam1) * T
+        indptr, indices, data = self._rows.indptr, self._rows.indices, self._rows.data
+        labels = self._label_rows[rows].tolist()
+        for gx, gt, x, t, r, l in zip(grads_x, grads_t, X, T, rows.tolist(), labels):
+            lo, hi = indptr[r], indptr[r + 1]
+            idx = indices[lo:hi]
+            val = data[lo:hi]
+            sig, sig_neg = _sigmoid_pair_scalar(l * float(val @ x[idx]))
+            gx[idx] += (-l * sig * sig_neg) * val
+            sig, sig_neg = _sigmoid_pair_scalar(l * float(val @ t[idx]))
+            gt[idx] += (-l * sig * sig_neg) * val
+        return grads_x - grads_t
+
     def component_grad_table(self, i: int, x: np.ndarray) -> np.ndarray:
         self._check_indices(i)
         a = self._feats[i - 1]
@@ -314,6 +368,28 @@ class QuadraticProblem(FiniteSumProblem):
         self._feats = self.layout.views(self._rows)
         self._targets = self.layout.views(self._target_rows)
 
+    @cached_property
+    def _refresh_groups(self) -> tuple[np.ndarray, np.ndarray, list]:
+        """The agents grouped by m_i for the batched refresh: each group's
+        rows as one (k, m_i, d) block with its (k, m_i) targets, and agent
+        i as entry ``slot[i]`` of group ``group[i]`` (index 0 unused).
+        Built on first use, so that set-up and the runs that never refresh
+        an anchor do not pay for it."""
+        group = np.zeros(self.n + 1, np.intp)
+        slot = np.zeros(self.n + 1, np.intp)
+        groups = []
+        for g, m in enumerate(np.unique(self.layout.sizes).tolist()):
+            members = np.flatnonzero(self.layout.sizes == m)
+            group[members + 1] = g
+            slot[members + 1] = np.arange(len(members))
+            if len(members) == self.n:  # one size: views of the stacked rows
+                a, t = self._rows, self._target_rows
+            else:
+                a = np.concatenate([self._feats[i] for i in members])
+                t = np.concatenate([self._targets[i] for i in members])
+            groups.append((a.reshape(-1, m, self.d), t.reshape(-1, m), m))
+        return group, slot, groups
+
     def component_grads(self, js: np.ndarray, X: np.ndarray) -> np.ndarray:
         rows = self._batch_rows(js, X)
         a = self._rows.take(rows, axis=0)
@@ -321,6 +397,14 @@ class QuadraticProblem(FiniteSumProblem):
         # for bit; einsum and (a * X).sum(1) do not
         r = (a[:, None, :] @ X[:, :, None])[:, 0, 0] - self._target_rows.take(rows)
         return r[:, None] * a
+
+    def component_grad_diffs(self, js: np.ndarray, X: np.ndarray, T: np.ndarray) -> np.ndarray:
+        rows = self._batch_rows(js, X, T)
+        a = self._rows.take(rows, axis=0)
+        t = self._target_rows.take(rows)
+        r_x = (a[:, None, :] @ X[:, :, None])[:, 0, 0] - t
+        r_t = (a[:, None, :] @ T[:, :, None])[:, 0, 0] - t
+        return r_x[:, None] * a - r_t[:, None] * a
 
     def component_grad_table(self, i: int, x: np.ndarray) -> np.ndarray:
         self._check_indices(i)
@@ -333,6 +417,28 @@ class QuadraticProblem(FiniteSumProblem):
         a = self._feats[i - 1]
         r = a @ x - self._targets[i - 1]
         return (a.T @ r) / self.m[i - 1]
+
+    def local_full_grads(self, agents: np.ndarray, X: np.ndarray) -> np.ndarray:
+        self._check_agents(agents, X)
+        group_of, slot_of, groups = self._refresh_groups
+        slot = slot_of[agents]
+        if len(groups) == 1:
+            return self._group_full_grads(groups[0], slot, X)
+        out = np.empty((len(agents), self.d))
+        for g, group in enumerate(groups):
+            picked = group_of[agents] == g
+            out[picked] = self._group_full_grads(group, slot[picked], X[picked])
+        return out
+
+    @staticmethod
+    def _group_full_grads(group: tuple, slot: np.ndarray, X: np.ndarray) -> np.ndarray:
+        """The full local gradients of a group's entries ``slot`` at X, by
+        stacked (m_i, d) @ (d, 1) and (d, m_i) @ (m_i, 1) products: the
+        gemv calls of local_full_grad, item by item."""
+        a, t, m = group
+        a_k = a.take(slot, axis=0)
+        r = (a_k @ X[:, :, None])[:, :, 0] - t.take(slot, axis=0)
+        return (a_k.transpose(0, 2, 1) @ r[:, :, None])[:, :, 0] / m
 
     def local_costs_and_grads(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         # one residual per agent, shared by its cost and gradient; these are

@@ -207,6 +207,37 @@ def test_gtvr_two_exchanges_per_round(setup5):
         assert swarm2.mix_count == k
 
 
+@pytest.mark.parametrize("p, replicas", [(0.05, 1), (0.5, 1), (0.5, 4), (0.95, 4)])
+def test_gtvr_step_makes_two_oracle_calls_per_round(setup5, monkeypatch, p, replicas):
+    # one batched refresh and one paired difference, whether no row, some
+    # rows or every row refreshes; the per-agent and single-point oracles
+    # are not called
+    prob, mixing = setup5
+    calls = {name: 0 for name in ("local_full_grads", "component_grad_diffs", "local_full_grad", "component_grads")}
+    for name in calls:
+        real = getattr(QuadraticProblem, name)
+
+        def counted(self, *args, _real=real, _name=name):
+            calls[_name] += 1
+            return _real(self, *args)
+
+        monkeypatch.setattr(QuadraticProblem, name, counted)
+    cfgs = [RunConfig(algorithm="gtvr", eta=0.01 * (r + 1), p=p, seed=3) for r in range(replicas)]
+    swarm = init_swarm(prob, np.zeros((5, 4)), cfgs)
+    assert calls == {"local_full_grads": 1, "component_grad_diffs": 0, "local_full_grad": 0, "component_grads": 0}
+    eta = np.repeat([c.eta for c in cfgs], prob.n)[:, None]
+    refreshed = set()
+    for k in range(1, 41):
+        before = swarm.grad_evals.copy()
+        algorithms._round(swarm, prob, mixing, eta)
+        refreshed.add(int(np.count_nonzero(swarm.grad_evals - before > 2)))
+        assert calls["local_full_grads"] == 1 + k and calls["component_grad_diffs"] == k
+    assert calls["local_full_grad"] == 0 and calls["component_grads"] == 0
+    # the rounds include refreshing no row (low P) or every row (high P)
+    assert 0 in refreshed or replicas * prob.n in refreshed
+    assert len(refreshed) > 1
+
+
 def test_run_experiment_zero_rounds_single_row(setup5):
     prob, mixing = setup5
     cfg = RunConfig(algorithm="gtvr", eta=0.01, p=0.5, rounds=0, seed=1)

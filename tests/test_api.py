@@ -59,11 +59,13 @@ PUBLIC_NAMES = [
 # tests/reference_problem.py, the network-average cost and gradient in
 # helpers.global_cost_and_grad
 PROBLEM_ORACLES = [
+    "component_grad_diffs",
     "component_grad_table",
     "component_grads",
     "lipschitz_estimate",
     "local_costs_and_grads",
     "local_full_grad",
+    "local_full_grads",
     "total_samples",
 ]
 PROBLEM_SURFACE = {

@@ -588,3 +588,46 @@ def test_divergence_exits_nonzero(tmp_path, capsys):
     code = cli.main(["run", "--config", str(cfg), "--output", str(tmp_path / "d.csv")])
     assert code == 1
     assert "diverged" in capsys.readouterr().err
+
+
+def test_sweep_estimates_the_smoothness_constant_once_per_seed(tmp_path, monkeypatch, capsys):
+    estimates = []
+    real = cli.problem.QuadraticProblem.lipschitz_estimate
+
+    def counted(self):
+        estimates.append(self)
+        return real(self)
+
+    monkeypatch.setattr(cli.problem.QuadraticProblem, "lipschitz_estimate", counted)
+    cfg = write_config(tmp_path, QUAD_CONFIG.format(rounds=10))
+    argv = ["sweep", "--config", str(cfg), "--eta", "0.01,0.005", "--p", "0.4,0.6", "--seeds", "1,2,3"]
+    assert cli.main(argv + ["--out-dir", str(tmp_path / "sweep")]) == 0
+    assert len(estimates) == 3 and len({id(prob) for prob in estimates}) == 3
+    assert len(capsys.readouterr().out.splitlines()) == 12
+
+
+@pytest.mark.parametrize(
+    "command, flag, value, message",
+    [
+        ("sweep", "--eta", "0.1,abc", "cannot parse 'abc' in '0.1,abc' as float"),
+        ("sweep", "--p", "0.3,,0.5", "cannot parse '' in '0.3,,0.5' as float"),
+        ("sweep", "--seeds", "1,x", "cannot parse 'x' in '1,x' as int"),
+        ("sweep", "--eta", "", "expected at least one comma-separated value, got none"),
+        ("sweep", "--p", " ", "expected at least one comma-separated value, got none"),
+        ("sweep", "--seeds", "", "expected at least one comma-separated value, got none"),
+        ("theory", "--neighbors", "1,x", "cannot parse 'x' in '1,x' as int"),
+        ("theory", "--neighbors", "", "expected at least one comma-separated value, got none"),
+    ],
+)
+def test_a_bad_list_value_names_its_flag(tmp_path, command, flag, value, message):
+    if command == "sweep":
+        cfg = write_config(tmp_path, QUAD_CONFIG.format(rounds=5))
+        args = ["sweep", "--config", str(cfg), "--out-dir", "out"]
+    else:
+        args = ["theory", "--rho", "0.4", "--p", "0.95", "--l", "2", "--n", "2"]
+    proc = run_with_warnings_shown(tmp_path, *args, f"{flag}={value}")
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert f"gtvr {command}: error: argument {flag}: {message}" in proc.stderr.splitlines()
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "out").exists()

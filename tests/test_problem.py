@@ -455,3 +455,107 @@ def test_make_logistic_labels_equal_the_where_pair_labels(seed, density, margin_
     prob = make_logistic(3, 40, 9, seed=seed, density=density, margin_scale=margin_scale)
     want = make_logistic_labels(3, 40, 9, seed, density, margin_scale)
     assert same_bits(prob._label_rows, want)
+
+
+# -- the two oracles of GT-VR's step: batched refresh, paired difference --
+
+REFRESH_SEED = settings(derandomize=True, max_examples=40, deadline=None, database=None)
+
+
+@st.composite
+def refresh_batches(draw):
+    """A problem with unequal m_i (some of them 1) and a refresh batch over
+    R replicas: any subset of the R*n rows, so agents repeat for R > 1,
+    from none of them to all of them."""
+    d = draw(st.sampled_from([1, 4, 7, 13, 30, 123]))
+    sizes = draw(st.lists(st.sampled_from([1, 1, 2, 5, 20, 33]), min_size=1, max_size=5))
+    seed = draw(st.integers(0, 2**32 - 1))
+    data = np.random.default_rng(seed)
+    if draw(st.booleans()):
+        prob = QuadraticProblem([data.normal(size=(m, d)) for m in sizes], [data.normal(size=m) for m in sizes])
+    else:
+        feats = [sp.csr_matrix((data.random(size=(m, d)) < 0.4) * data.normal(size=(m, d))) for m in sizes]
+        labels = [np.where(data.random(m) < 0.5, 1.0, -1.0) for m in sizes]
+        prob = LogisticProblem(feats, labels, 1e-3)
+    replicas = draw(st.integers(1, 3))
+    rows = np.flatnonzero(draw(st.lists(st.booleans(), min_size=replicas * prob.n, max_size=replicas * prob.n)))
+    scale = draw(st.sampled_from([1.0, 300.0]))
+    return prob, rows % prob.n + 1, scale * data.normal(size=(len(rows), d))
+
+
+@REFRESH_SEED
+@given(batch=refresh_batches())
+def test_local_full_grads_equal_the_per_agent_oracle_bit_for_bit(batch):
+    prob, agents, X = batch
+    got = prob.local_full_grads(agents, X)
+    assert got.shape == (len(agents), prob.d)
+    for row, (i, x) in enumerate(zip(agents.tolist(), X)):
+        assert same_bits(got[row], prob.local_full_grad(i, x))
+
+
+@pytest.mark.parametrize("name", sorted(BATCH_CASES))
+def test_local_full_grads_of_none_and_of_every_agent(name):
+    prob = BATCH_CASES[name]()
+    x = np.random.default_rng(8).normal(size=(prob.n, prob.d))
+    assert prob.local_full_grads(np.arange(0), x[:0]).shape == (0, prob.d)
+    everyone = prob.local_full_grads(np.arange(1, prob.n + 1), x)
+    assert same_bits(everyone, np.stack([prob.local_full_grad(i, x[i - 1]) for i in range(1, prob.n + 1)]))
+
+
+@pytest.mark.parametrize("name", ["quadratic_unequal", "logistic_lists_unequal"])
+def test_local_full_grads_validate_agents_and_shapes(name):
+    prob = BATCH_CASES[name]()
+    x = np.zeros((2, prob.d))
+    for bad in (0, prob.n + 1, -1):
+        with pytest.raises(IndexError):
+            prob.local_full_grads(np.array([1, bad]), x)
+    with pytest.raises(ValueError):
+        prob.local_full_grads(np.array([1, 2]), x[:1])
+    with pytest.raises(ValueError):
+        prob.local_full_grads(np.array([1, 2]), x[:, :-1])
+    with pytest.raises(ValueError):
+        prob.local_full_grads(np.array([[1, 2]]), x)
+
+
+def test_quadratic_refresh_groups_are_views_when_every_agent_has_one_size():
+    prob = make_quadratic(5, 20, 4, seed=11)
+    _, slot, [(a, t, m)] = prob._refresh_groups
+    assert a.shape == (5, 20, 4) and t.shape == (5, 20) and m == 20
+    assert np.shares_memory(a, prob._rows) and np.shares_memory(t, prob._target_rows)
+    assert slot[1:].tolist() == [0, 1, 2, 3, 4]
+    group, slot, groups = uneven_quadratic(sizes=(7, 3, 7, 3, 1))._refresh_groups
+    assert [m for _, _, m in groups] == [1, 3, 7]
+    assert group[1:].tolist() == [2, 1, 2, 1, 0] and slot[1:].tolist() == [0, 0, 1, 1, 0]
+
+
+@pytest.mark.parametrize("name", sorted(BATCH_CASES))
+def test_component_grad_diffs_equal_the_difference_of_two_calls(name):
+    prob = BATCH_CASES[name]()
+    rng = np.random.default_rng(10)
+    for replicas in (1, 3):
+        for scale in (1.0, 300.0):
+            for _ in range(10):
+                js = np.concatenate([[rng.integers(1, m + 1) for m in prob.m] for _ in range(replicas)])
+                x, t = scale * rng.normal(size=(2, replicas * prob.n, prob.d))
+                want = prob.component_grads(js, x) - prob.component_grads(js, t)
+                assert same_bits(prob.component_grad_diffs(js, x, t), want)
+
+
+@pytest.mark.parametrize("name", ["quadratic_unequal", "logistic_lists_unequal"])
+def test_component_grad_diffs_validate_like_component_grads(name):
+    prob = BATCH_CASES[name]()
+    x = np.zeros((prob.n, prob.d))
+    ones = np.ones(prob.n, dtype=np.int64)
+    for agent in range(prob.n):
+        for j in (0, prob.m[agent] + 1):
+            js = ones.copy()
+            js[agent] = j
+            with pytest.raises(IndexError):
+                prob.component_grads(js, x)
+            with pytest.raises(IndexError):
+                prob.component_grad_diffs(js, x, x)
+    for t in (x[:-1], x[:, :-1], np.zeros((2 * prob.n, prob.d))):
+        with pytest.raises(ValueError):
+            prob.component_grad_diffs(ones, x, t)
+    with pytest.raises(ValueError):
+        prob.component_grad_diffs(ones[:-1], x, x)
