@@ -12,7 +12,6 @@ Agent ids and sample indices are 1-based throughout the public surface
 from __future__ import annotations
 
 import math
-from functools import cached_property
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 import numpy as np
@@ -72,10 +71,10 @@ class FiniteSumProblem:
 
     Subclasses provide the oracles the engine and the metric pass call;
     this base holds the sizes and the row ``layout`` that both instances
-    and the estimators share, the one batch check of ``component_grads``
-    and ``component_grad_diffs``, and that of ``local_full_grads``, with
-    its per-agent loop. The per-sample and per-agent cost references
-    live in ``tests/reference_problem.py``.
+    and the estimators share, the one batch check of ``component_grads``,
+    the default ``component_grad_diffs`` (two ``component_grads`` calls),
+    and ``local_full_grads``' check and per-agent loop. The per-sample
+    and per-agent cost references live in ``tests/reference_problem.py``.
     """
 
     n: int
@@ -110,7 +109,7 @@ class FiniteSumProblem:
     def component_grad_diffs(self, js: np.ndarray, X: np.ndarray, T: np.ndarray) -> np.ndarray:
         """The same draws' gradients at two points, differenced: equal bit
         for bit to ``component_grads(js, X) - component_grads(js, T)``."""
-        raise NotImplementedError
+        return self.component_grads(js, X) - self.component_grads(js, T)
 
     def _batch_rows(self, js: np.ndarray, X: np.ndarray, T: np.ndarray | None = None) -> np.ndarray:
         """Stacked 0-based rows of the sampled components, after one check
@@ -261,23 +260,6 @@ class LogisticProblem(FiniteSumProblem):
             g[idx] += (-l * sig * sig_neg) * val
         return grads
 
-    def component_grad_diffs(self, js: np.ndarray, X: np.ndarray, T: np.ndarray) -> np.ndarray:
-        # component_grads' arithmetic at both points, each row and label sliced once
-        rows = self._batch_rows(js, X, T)
-        grads_x = (2.0 * self.lam1) * X
-        grads_t = (2.0 * self.lam1) * T
-        indptr, indices, data = self._rows.indptr, self._rows.indices, self._rows.data
-        labels = self._label_rows[rows].tolist()
-        for gx, gt, x, t, r, l in zip(grads_x, grads_t, X, T, rows.tolist(), labels):
-            lo, hi = indptr[r], indptr[r + 1]
-            idx = indices[lo:hi]
-            val = data[lo:hi]
-            sig, sig_neg = _sigmoid_pair_scalar(l * float(val @ x[idx]))
-            gx[idx] += (-l * sig * sig_neg) * val
-            sig, sig_neg = _sigmoid_pair_scalar(l * float(val @ t[idx]))
-            gt[idx] += (-l * sig * sig_neg) * val
-        return grads_x - grads_t
-
     def component_grad_table(self, i: int, x: np.ndarray) -> np.ndarray:
         self._check_indices(i)
         a = self._feats[i - 1]
@@ -367,28 +349,12 @@ class QuadraticProblem(FiniteSumProblem):
             raise ValueError("quadratic instance data must be finite")
         self._feats = self.layout.views(self._rows)
         self._targets = self.layout.views(self._target_rows)
-
-    @cached_property
-    def _refresh_groups(self) -> tuple[np.ndarray, np.ndarray, list]:
-        """The agents grouped by m_i for the batched refresh: each group's
-        rows as one (k, m_i, d) block with its (k, m_i) targets, and agent
-        i as entry ``slot[i]`` of group ``group[i]`` (index 0 unused).
-        Built on first use, so that set-up and the runs that never refresh
-        an anchor do not pay for it."""
-        group = np.zeros(self.n + 1, np.intp)
-        slot = np.zeros(self.n + 1, np.intp)
-        groups = []
-        for g, m in enumerate(np.unique(self.layout.sizes).tolist()):
-            members = np.flatnonzero(self.layout.sizes == m)
-            group[members + 1] = g
-            slot[members + 1] = np.arange(len(members))
-            if len(members) == self.n:  # one size: views of the stacked rows
-                a, t = self._rows, self._target_rows
-            else:
-                a = np.concatenate([self._feats[i] for i in members])
-                t = np.concatenate([self._targets[i] for i in members])
-            groups.append((a.reshape(-1, m, self.d), t.reshape(-1, m), m))
-        return group, slot, groups
+        # with one m_i, the stacked rows as (n, m, d) blocks, agent i's at
+        # entry i - 1: the batched refresh's operands, as views
+        self._blocks = None
+        if len(set(self.m)) == 1:
+            m = self.m[0]
+            self._blocks = (self._rows.reshape(self.n, m, self.d), self._target_rows.reshape(self.n, m))
 
     def component_grads(self, js: np.ndarray, X: np.ndarray) -> np.ndarray:
         rows = self._batch_rows(js, X)
@@ -419,26 +385,16 @@ class QuadraticProblem(FiniteSumProblem):
         return (a.T @ r) / self.m[i - 1]
 
     def local_full_grads(self, agents: np.ndarray, X: np.ndarray) -> np.ndarray:
+        if self._blocks is None:  # unequal m_i: the per-agent loop
+            return super().local_full_grads(agents, X)
         self._check_agents(agents, X)
-        group_of, slot_of, groups = self._refresh_groups
-        slot = slot_of[agents]
-        if len(groups) == 1:
-            return self._group_full_grads(groups[0], slot, X)
-        out = np.empty((len(agents), self.d))
-        for g, group in enumerate(groups):
-            picked = group_of[agents] == g
-            out[picked] = self._group_full_grads(group, slot[picked], X[picked])
-        return out
-
-    @staticmethod
-    def _group_full_grads(group: tuple, slot: np.ndarray, X: np.ndarray) -> np.ndarray:
-        """The full local gradients of a group's entries ``slot`` at X, by
-        stacked (m_i, d) @ (d, 1) and (d, m_i) @ (m_i, 1) products: the
-        gemv calls of local_full_grad, item by item."""
-        a, t, m = group
-        a_k = a.take(slot, axis=0)
-        r = (a_k @ X[:, :, None])[:, :, 0] - t.take(slot, axis=0)
-        return (a_k.transpose(0, 2, 1) @ r[:, :, None])[:, :, 0] / m
+        feats, targets = self._blocks
+        slot = agents - 1
+        a = feats.take(slot, axis=0)
+        # stacked (m, d) @ (d, 1) and (d, m) @ (m, 1) products: the gemv
+        # calls of local_full_grad, item by item
+        r = (a @ X[:, :, None])[:, :, 0] - targets.take(slot, axis=0)
+        return (a.transpose(0, 2, 1) @ r[:, :, None])[:, :, 0] / self.m[0]
 
     def local_costs_and_grads(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         # one residual per agent, shared by its cost and gradient; these are

@@ -464,11 +464,13 @@ REFRESH_SEED = settings(derandomize=True, max_examples=40, deadline=None, databa
 
 @st.composite
 def refresh_batches(draw):
-    """A problem with unequal m_i (some of them 1) and a refresh batch over
-    R replicas: any subset of the R*n rows, so agents repeat for R > 1,
-    from none of them to all of them."""
+    """A problem with one m_i or unequal m_i (some of them 1) and a refresh
+    batch over R replicas: any subset of the R*n rows, so agents repeat for
+    R > 1, from none of them to all of them."""
     d = draw(st.sampled_from([1, 4, 7, 13, 30, 123]))
     sizes = draw(st.lists(st.sampled_from([1, 1, 2, 5, 20, 33]), min_size=1, max_size=5))
+    if draw(st.booleans()):
+        sizes = [sizes[0]] * len(sizes)
     seed = draw(st.integers(0, 2**32 - 1))
     data = np.random.default_rng(seed)
     if draw(st.booleans()):
@@ -502,7 +504,7 @@ def test_local_full_grads_of_none_and_of_every_agent(name):
     assert same_bits(everyone, np.stack([prob.local_full_grad(i, x[i - 1]) for i in range(1, prob.n + 1)]))
 
 
-@pytest.mark.parametrize("name", ["quadratic_unequal", "logistic_lists_unequal"])
+@pytest.mark.parametrize("name", ["quadratic", "quadratic_unequal", "logistic_lists_unequal"])
 def test_local_full_grads_validate_agents_and_shapes(name):
     prob = BATCH_CASES[name]()
     x = np.zeros((2, prob.d))
@@ -515,17 +517,6 @@ def test_local_full_grads_validate_agents_and_shapes(name):
         prob.local_full_grads(np.array([1, 2]), x[:, :-1])
     with pytest.raises(ValueError):
         prob.local_full_grads(np.array([[1, 2]]), x)
-
-
-def test_quadratic_refresh_groups_are_views_when_every_agent_has_one_size():
-    prob = make_quadratic(5, 20, 4, seed=11)
-    _, slot, [(a, t, m)] = prob._refresh_groups
-    assert a.shape == (5, 20, 4) and t.shape == (5, 20) and m == 20
-    assert np.shares_memory(a, prob._rows) and np.shares_memory(t, prob._target_rows)
-    assert slot[1:].tolist() == [0, 1, 2, 3, 4]
-    group, slot, groups = uneven_quadratic(sizes=(7, 3, 7, 3, 1))._refresh_groups
-    assert [m for _, _, m in groups] == [1, 3, 7]
-    assert group[1:].tolist() == [2, 1, 2, 1, 0] and slot[1:].tolist() == [0, 0, 1, 1, 0]
 
 
 @pytest.mark.parametrize("name", sorted(BATCH_CASES))
@@ -555,7 +546,7 @@ def test_component_grad_diffs_validate_like_component_grads(name):
             with pytest.raises(IndexError):
                 prob.component_grad_diffs(js, x, x)
     for t in (x[:-1], x[:, :-1], np.zeros((2 * prob.n, prob.d))):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="one index and one"):
             prob.component_grad_diffs(ones, x, t)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="one index and one"):
         prob.component_grad_diffs(ones[:-1], x, x)
