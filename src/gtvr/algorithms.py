@@ -78,9 +78,10 @@ class SwarmState:
 
     Rounds read ``x``/``y``/``v`` as the start-of-round snapshot and swap
     in fresh arrays at the barrier. ``y``/``v`` are None for the
-    untracked DSGD. The estimator owns whatever else the local gradient
-    estimate needs (GT-VR's anchors, GT-SAGA's tables); ``streams`` hands
-    it the round's coins and indices.
+    untracked DSGD. ``eta`` is the column of each row's step-size. The
+    estimator owns whatever else the local gradient estimate needs
+    (GT-VR's anchors, GT-SAGA's tables); ``streams`` hands it the round's
+    coins and indices.
     """
 
     k: int
@@ -89,6 +90,7 @@ class SwarmState:
     y: np.ndarray | None = None
     v: np.ndarray | None = None
     mix_count: int = 0
+    eta: np.ndarray | None = None
     estimator: object = None
     streams: SwarmStreams | None = None
 
@@ -244,17 +246,18 @@ def init_swarm(
     problem: FiniteSumProblem, x1: np.ndarray, cfg: RunConfig | Sequence[RunConfig]
 ) -> SwarmState:
     """Start state at x1 for one run, or for a batch of R runs (replica r
-    from ``cfg[r]``) that differ only in eta and p, with the streams built
-    from the seed, the m_i and the values of p. Tracked algorithms seed
-    tracker and estimate with the estimator's first value; DSGD starts
-    with neither."""
+    from ``cfg[r]``) that differ only in eta and p, with each row's eta
+    and the streams built from the seed, the m_i and the values of p.
+    Tracked algorithms seed tracker and estimate with the estimator's
+    first value; DSGD starts with neither."""
     cfgs = _batch(cfg)
     cfg = cfgs[0]
     x = _as_stacked(problem, x1, len(cfgs))
     estimator = _ESTIMATORS[cfg.algorithm]()
     streams = SwarmStreams(cfg.seed, problem.m, [c.p for c in cfgs])
+    eta = np.repeat([c.eta for c in cfgs], problem.n)[:, None]
     swarm = SwarmState(
-        k=0, x=x, grad_evals=np.zeros(len(x), np.int64), estimator=estimator, streams=streams
+        k=0, x=x, grad_evals=np.zeros(len(x), np.int64), eta=eta, estimator=estimator, streams=streams
     )
     if cfg.algorithm != "dsgd":
         v, evals = estimator.start(problem, x, streams)
@@ -263,25 +266,9 @@ def init_swarm(
     return swarm
 
 
-def run_round(
-    swarm: SwarmState,
-    problem: FiniteSumProblem,
-    mixing: MixingMatrix,
-    cfg: RunConfig,
-) -> SwarmState:
-    """One synchronous iteration of a single run, all agents in one
-    stacked step, with step-size cfg.eta."""
-    return _round(swarm, problem, mixing, cfg.eta)
-
-
-def _round(
-    swarm: SwarmState,
-    problem: FiniteSumProblem,
-    mixing: MixingMatrix,
-    eta: float | np.ndarray,
-) -> SwarmState:
-    """One synchronous iteration, all replicas' agents in one stacked step;
-    ``eta`` is one step-size or a column of one per row.
+def run_round(swarm: SwarmState, problem: FiniteSumProblem, mixing: MixingMatrix) -> SwarmState:
+    """One synchronous iteration, all replicas' agents in one stacked step,
+    each row with its step-size ``swarm.eta``.
 
     Tracked: x+ = W(x - eta y), then each agent forms v+ at x+ and
     y+ = W(y + v+ - v), two exchanges. Untracked (DSGD): the estimate at
@@ -289,10 +276,10 @@ def _round(
     """
     if swarm.y is None:
         v, evals = swarm.estimator.step(problem, swarm.x, swarm.streams)
-        swarm.x = mix(mixing, swarm.x - eta * v)
+        swarm.x = mix(mixing, swarm.x - swarm.eta * v)
         swarm.mix_count += 1
     else:
-        x_new = mix(mixing, swarm.x - eta * swarm.y)
+        x_new = mix(mixing, swarm.x - swarm.eta * swarm.y)
         v, evals = swarm.estimator.step(problem, x_new, swarm.streams)
         swarm.y = mix(mixing, swarm.y + v - swarm.v)
         swarm.x, swarm.v = x_new, v
@@ -329,9 +316,10 @@ def run_experiments(
     The R runs share one seed, hence their draws, and advance in one
     stacked round per iteration. Trace r equals run_experiment(problem,
     mixing, cfgs[r], x1), except that ``wall_ms`` counts from the start of
-    the batch. A divergence raises for the lowest replica that diverged
-    in that iteration, with the message its own run would raise, and
-    names it in ``DivergedError.replica``.
+    the batch, read once per record for every replica. A divergence raises
+    for the lowest replica that diverged in that iteration, with the
+    message its own run would raise, and names it in
+    ``DivergedError.replica``.
     """
     if mixing.n != problem.n:
         raise ValueError(f"mixing matrix is for {mixing.n} agents, problem has {problem.n}")
@@ -340,19 +328,19 @@ def run_experiments(
     swarm = init_swarm(problem, x1, cfgs)
     cfg = cfgs[0]
     n = problem.n
-    eta = np.repeat([c.eta for c in cfgs], n)[:, None]
     blocks = [slice(lo, lo + n) for lo in range(0, len(swarm.x), n)]
     traces: list[list[TraceRow]] = [[] for _ in blocks]
 
     start = time.perf_counter()
 
     def record() -> None:
+        # one clock reading per record, shared by every replica
+        wall = (time.perf_counter() - start) * 1e3 if cfg.timing else 0.0
         for block, rows in zip(blocks, traces):
             x = swarm.x[block]
             cost, stat, cons, track = stationarity_metrics(
                 problem, x, None if swarm.y is None else swarm.y[block]
             )
-            wall = (time.perf_counter() - start) * 1e3 if cfg.timing else 0.0
             evals = int(swarm.grad_evals[block].sum())
             rows.append(
                 TraceRow(
@@ -370,7 +358,7 @@ def run_experiments(
 
     record()
     for k in range(1, cfg.rounds + 1):
-        _round(swarm, problem, mixing, eta)
+        run_round(swarm, problem, mixing)
         if k % cfg.cadence == 0 or k == cfg.rounds:
             record()
     return traces

@@ -151,8 +151,9 @@ def _validate_config(cfg: ExperimentConfig, source: str) -> None:
             )
         if not 0 <= cfg.lambda1 < math.inf:
             raise ValueError(f"lambda1 must be finite and >= 0, got {cfg.lambda1}")
-        if cfg.max_samples < 0:
-            raise ValueError(f"max_samples must be >= 0, got {cfg.max_samples}")
+        for key in ("max_samples", "declared_d"):
+            if getattr(cfg, key) < 0:
+                raise ValueError(f"{key} must be >= 0, got {getattr(cfg, key)}")
         if not 0 <= cfg.seed < 2**64:
             raise ValueError(f"seed must be an unsigned 64-bit integer, got {cfg.seed}")
         for key in ("quad_m", "quad_d"):

@@ -73,8 +73,8 @@ class FiniteSumProblem:
     this base holds the sizes and the row ``layout`` that both instances
     and the estimators share, the one batch check of ``component_grads``,
     the default ``component_grad_diffs`` (two ``component_grads`` calls),
-    and ``local_full_grads``' check and per-agent loop. The per-sample
-    and per-agent cost references live in ``tests/reference_problem.py``.
+    and the one check of a ``local_full_grads`` batch. The per-sample and
+    per-agent references live in ``tests/reference_problem.py``.
     """
 
     n: int
@@ -137,18 +137,10 @@ class FiniteSumProblem:
         """All component gradients of agent i at x, stacked (m_i, d)."""
         raise NotImplementedError
 
-    def local_full_grad(self, i: int, x: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
     def local_full_grads(self, agents: np.ndarray, X: np.ndarray) -> np.ndarray:
         """The full local gradients of the 1-based ``agents[j]`` at ``X[j]``,
-        stacked (k, d), each equal to ``local_full_grad(agents[j], X[j])``;
-        an empty selection gives (0, d)."""
-        self._check_agents(agents, X)
-        out = np.empty((len(agents), self.d))
-        for row, (i, x) in enumerate(zip(agents.tolist(), X)):
-            out[row] = self.local_full_grad(i, x)
-        return out
+        stacked (k, d); an empty selection gives (0, d)."""
+        raise NotImplementedError
 
     def _check_agents(self, agents: np.ndarray, X: np.ndarray) -> None:
         """One check of a whole ``local_full_grads`` batch."""
@@ -170,7 +162,8 @@ class FiniteSumProblem:
         """Every agent's local cost and full local gradient at one point x.
 
         Returns the n costs and the stacked (n, d) gradients, agent i in
-        row i - 1; the gradients equal ``local_full_grad(i, x)``.
+        row i - 1; the gradients equal ``local_full_grads`` of every agent
+        at x.
         """
         raise NotImplementedError
 
@@ -269,12 +262,16 @@ class LogisticProblem(FiniteSumProblem):
         table += (2.0 * self.lam1) * x
         return table
 
-    def local_full_grad(self, i: int, x: np.ndarray) -> np.ndarray:
-        self._check_indices(i)
-        l = self._labels[i - 1]
-        z = l * (self._feats[i - 1] @ x)
-        coef = (-l * _sigmoid_product(*_exp_terms(z))) / self.m[i - 1]
-        return (self._feats_t[i - 1] @ coef) + (2.0 * self.lam1) * x
+    def local_full_grads(self, agents: np.ndarray, X: np.ndarray) -> np.ndarray:
+        # agent by agent: the sparse products are the floor here
+        self._check_agents(agents, X)
+        out = np.empty((len(agents), self.d))
+        for row, (i, x) in enumerate(zip(agents.tolist(), X)):
+            l = self._labels[i - 1]
+            z = l * (self._feats[i - 1] @ x)
+            coef = (-l * _sigmoid_product(*_exp_terms(z))) / self.m[i - 1]
+            out[row] = (self._feats_t[i - 1] @ coef) + (2.0 * self.lam1) * x
+        return out
 
     def local_costs_and_grads(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         # one product over the stacked rows, then per-agent reductions of
@@ -378,21 +375,20 @@ class QuadraticProblem(FiniteSumProblem):
         r = a @ x - self._targets[i - 1]
         return r[:, None] * a
 
-    def local_full_grad(self, i: int, x: np.ndarray) -> np.ndarray:
-        self._check_indices(i)
-        a = self._feats[i - 1]
-        r = a @ x - self._targets[i - 1]
-        return (a.T @ r) / self.m[i - 1]
-
     def local_full_grads(self, agents: np.ndarray, X: np.ndarray) -> np.ndarray:
-        if self._blocks is None:  # unequal m_i: the per-agent loop
-            return super().local_full_grads(agents, X)
         self._check_agents(agents, X)
+        if self._blocks is None:  # unequal m_i: agent by agent
+            out = np.empty((len(agents), self.d))
+            for row, (i, x) in enumerate(zip(agents.tolist(), X)):
+                a = self._feats[i - 1]
+                r = a @ x - self._targets[i - 1]
+                out[row] = (a.T @ r) / self.m[i - 1]
+            return out
         feats, targets = self._blocks
         slot = agents - 1
         a = feats.take(slot, axis=0)
         # stacked (m, d) @ (d, 1) and (d, m) @ (m, 1) products: the gemv
-        # calls of local_full_grad, item by item
+        # calls of the agent-by-agent branch, item by item
         r = (a @ X[:, :, None])[:, :, 0] - targets.take(slot, axis=0)
         return (a.transpose(0, 2, 1) @ r[:, :, None])[:, :, 0] / self.m[0]
 

@@ -15,6 +15,8 @@ from gtvr.metrics import agent_average
 from gtvr.problem import FiniteSumProblem, QuadraticProblem
 from gtvr.rng import PURPOSE_BERNOULLI, PURPOSE_INDEX, derived_generator
 
+from reference_problem import local_full_grad
+
 
 def central_diff_grad(fn, x: np.ndarray, h: float = 1e-6) -> np.ndarray:
     """Central finite differences, the reference for analytic gradients."""
@@ -179,9 +181,9 @@ def estimate_vr_second_moments(problem, x, tau, draws, seed):
     n = problem.n
     streams = scalar_streams(seed, n)
     xbar = x.mean(axis=0)
-    g_x = [problem.local_full_grad(i, x[i - 1]) for i in range(1, n + 1)]
-    g_tau = [problem.local_full_grad(i, tau[i - 1]) for i in range(1, n + 1)]
-    g_at_xbar = np.stack([problem.local_full_grad(i, xbar) for i in range(1, n + 1)])
+    g_x = [local_full_grad(problem, i, x[i - 1]) for i in range(1, n + 1)]
+    g_tau = [local_full_grad(problem, i, tau[i - 1]) for i in range(1, n + 1)]
+    g_at_xbar = np.stack([local_full_grad(problem, i, xbar) for i in range(1, n + 1)])
     picks = []
     total_dev = 0.0
     for i in range(1, n + 1):

@@ -6,12 +6,13 @@ thread pool (agents are updated in order). Differential tests run both
 engines on the same seeds and require identical traces and state.
 The metric pass is the per-agent one that batched
 ``local_costs_and_grads`` replaced, also kept verbatim. The per-sample
-gradient and the per-agent cost come from ``reference_problem`` and the
-scalar draws from ``reference_rng``. Only the shared primitives (mixing,
-the local full gradient and component table, the trace row and the
-consensus gap) come from the package under test. Each agent's streams are its own generators from
-``helpers.scalar_streams``, built from the documented spawn keys, so the
-reference shares no stream object with the engine it checks.
+gradient and the per-agent cost and gradient come from
+``reference_problem`` and the scalar draws from ``reference_rng``. Only
+the shared primitives (mixing, the component table, the trace row and
+the consensus gap) come from the package under test. Each agent's
+streams are its own generators from ``helpers.scalar_streams``, built
+from the documented spawn keys, so the reference shares no stream object
+with the engine it checks.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from gtvr.graph import MixingMatrix, mix
 from gtvr.metrics import TraceRow, consensus_gap_D
 from gtvr.problem import FiniteSumProblem
 from helpers import ScalarStreams, scalar_streams
-from reference_problem import component_grad, local_cost
+from reference_problem import component_grad, local_cost, local_full_grad
 from reference_rng import draw_bernoulli, draw_index
 
 
@@ -76,7 +77,7 @@ def global_cost_and_grad(problem: FiniteSumProblem, x: np.ndarray) -> tuple[floa
     grad = np.zeros(problem.d)
     for i in range(1, problem.n + 1):
         cost += local_cost(problem, i, x)
-        grad += problem.local_full_grad(i, x)
+        grad += local_full_grad(problem, i, x)
     return cost / problem.n, grad / problem.n
 
 
@@ -100,7 +101,7 @@ def stationarity_metrics(
     else:
         track = 0.0
         for i in range(1, problem.n + 1):
-            diff = swarm.y[i - 1] - problem.local_full_grad(i, xbar)
+            diff = swarm.y[i - 1] - local_full_grad(problem, i, xbar)
             track += float(diff @ diff)
     return cost, stat, cons, track
 
@@ -125,7 +126,7 @@ def init_gtvr(problem: FiniteSumProblem, x1: np.ndarray, cfg: RunConfig) -> Swar
     """Anchor at the start point; tracker and estimator hold the full
     local gradients there, which costs one pass over every sample."""
     x = _as_stacked(problem, x1)
-    g = np.stack([problem.local_full_grad(i, x[i - 1]) for i in range(1, problem.n + 1)])
+    g = np.stack([local_full_grad(problem, i, x[i - 1]) for i in range(1, problem.n + 1)])
     return SwarmState(
         k=0,
         x=x,
@@ -153,7 +154,7 @@ def gtvr_round(
         m_i = problem.m[idx]
         if draw_bernoulli(streams[idx].bernoulli, cfg.p):
             tau_i = x_i.copy()
-            g_tau_i = problem.local_full_grad(i, x_i)
+            g_tau_i = local_full_grad(problem, i, x_i)
             evals = m_i + 2
         else:
             tau_i = swarm.tau[idx]

@@ -1,11 +1,11 @@
-"""The per-sample and per-agent cost oracles of both problem classes.
+"""The per-sample and per-agent oracles of both problem classes.
 
 ``gtvr.problem`` keeps only the oracles the engine and the metric pass
-call: the batched ``component_grads``, the component table, the local
-full gradient and ``local_costs_and_grads``. These are the scalar oracles
-those are checked against, with the arithmetic and index checks they had
-as methods, reading the problem's per-agent views (``_feats``,
-``_targets``, ``_labels``).
+call: the batched ``component_grads`` and ``local_full_grads``, the
+component table and ``local_costs_and_grads``. These are the scalar
+oracles those are checked against, with the arithmetic and index checks
+they had as methods, reading the problem's per-agent views (``_feats``,
+``_feats_t``, ``_targets``, ``_labels``).
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from gtvr.problem import (
     _exp_terms,
     _sigmoid_neg,
     _sigmoid_pair_scalar,
+    _sigmoid_product,
 )
 
 
@@ -69,3 +70,16 @@ def local_cost(prob: FiniteSumProblem, i: int, x: np.ndarray) -> float:
     z = prob._labels[i - 1] * (prob._feats[i - 1] @ x)
     sig_neg = _sigmoid_neg(z, *_exp_terms(z))
     return float(sig_neg.mean()) + prob.lam1 * float(x @ x)
+
+
+def local_full_grad(prob: FiniteSumProblem, i: int, x: np.ndarray) -> np.ndarray:
+    """The gradient of f_i at x, agent i's mean component gradient."""
+    _check_indices(prob, i)
+    if isinstance(prob, QuadraticProblem):
+        a = prob._feats[i - 1]
+        r = a @ x - prob._targets[i - 1]
+        return (a.T @ r) / prob.m[i - 1]
+    l = prob._labels[i - 1]
+    z = l * (prob._feats[i - 1] @ x)
+    coef = (-l * _sigmoid_product(*_exp_terms(z))) / prob.m[i - 1]
+    return (prob._feats_t[i - 1] @ coef) + (2.0 * prob.lam1) * x

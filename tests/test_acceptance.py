@@ -61,9 +61,8 @@ def admissible_eta(prob, mixing) -> float:
 
 
 def mean_grad(prob, xbar: np.ndarray) -> np.ndarray:
-    return np.mean(
-        [prob.local_full_grad(i, xbar) for i in range(1, prob.n + 1)], axis=0
-    )
+    agents = np.arange(1, prob.n + 1)
+    return prob.local_full_grads(agents, np.tile(xbar, (prob.n, 1))).mean(axis=0)
 
 
 def test_c01_mean_state_identity(quad5):
@@ -76,7 +75,7 @@ def test_c01_mean_state_identity(quad5):
     for _ in range(2000):
         xbar = swarm.x.mean(axis=0)
         ybar = swarm.y.mean(axis=0)
-        run_round(swarm, prob, mixing, cfg)
+        run_round(swarm, prob, mixing)
         worst_identity = max(
             worst_identity, float(np.abs(swarm.y.mean(axis=0) - swarm.v.mean(axis=0)).max())
         )
@@ -133,7 +132,7 @@ def test_c03_no_steady_state_error(quad5):
     swarm = init_swarm(prob, np.zeros((prob.n, prob.d)), cfg)
     reached = None
     for k in range(1, 50_001):
-        run_round(swarm, prob, mixing, cfg)
+        run_round(swarm, prob, mixing)
         if k % 10 == 0:
             g = mean_grad(prob, swarm.x.mean(axis=0))
             if float(g @ g) <= 1e-16:
@@ -144,7 +143,7 @@ def test_c03_no_steady_state_error(quad5):
     cfg2 = RunConfig(algorithm="dsgd", eta=eta, p=0.5, seed=3)
     swarm2 = init_swarm(prob, np.zeros((prob.n, prob.d)), cfg2)
     for _ in range(50_000):
-        run_round(swarm2, prob, mixing, cfg2)
+        run_round(swarm2, prob, mixing)
     g2 = mean_grad(prob, swarm2.x.mean(axis=0))
     floor = float(g2 @ g2)
     elapsed = time.perf_counter() - start
@@ -168,7 +167,7 @@ def test_c04_sublinear_rate_summability(quad5):
         swarm = init_swarm(prob, np.zeros((prob.n, prob.d)), cfg)
         partial = 0.0
         for k in range(1, 40_001):
-            run_round(swarm, prob, mixing, cfg)
+            run_round(swarm, prob, mixing)
             g = mean_grad(prob, swarm.x.mean(axis=0))
             partial += float(g @ g)
             if k == 20_000:
@@ -242,7 +241,7 @@ def test_c07_gradient_accounting(quad5):
     swarm = init_swarm(prob, np.zeros((prob.n, prob.d)), cfg)
     after_init = swarm.grad_evals.copy()
     for _ in range(rounds):
-        run_round(swarm, prob, mixing, cfg)
+        run_round(swarm, prob, mixing)
     per_round = (swarm.grad_evals - after_init) / rounds
     sigma = np.array(prob.m) * math.sqrt(p * (1 - p) / rounds)
     expected = p * np.array(prob.m) + 2.0
@@ -277,7 +276,7 @@ def run_logistic_pair(prob, mixing, epochs, seed):
     swarm = init_swarm(prob, np.zeros((n, d)), cfg)
     trace = []
     while swarm.grad_evals.sum() / total < epochs:
-        run_round(swarm, prob, mixing, cfg)
+        run_round(swarm, prob, mixing)
         cost, grad = global_cost_and_grad(prob, swarm.x.mean(axis=0))
         trace.append(
             (
@@ -291,7 +290,7 @@ def run_logistic_pair(prob, mixing, epochs, seed):
     swarm2 = init_swarm(prob, np.zeros((n, d)), cfg2)
     dsgd_rounds = int(epochs * total / n)
     for _ in range(dsgd_rounds):
-        run_round(swarm2, prob, mixing, cfg2)
+        run_round(swarm2, prob, mixing)
     dsgd_cost, _ = global_cost_and_grad(prob, swarm2.x.mean(axis=0))
     return trace, dsgd_cost, dsgd_rounds
 
@@ -361,7 +360,7 @@ def test_c08s_desk_scale_synthetic_round_efficiency(synthetic_vi_setup):
     swarm = init_swarm(prob, np.zeros((n, d)), cfg)
     crossover = None
     for k in range(1, dsgd_rounds + 1):
-        run_round(swarm, prob, mixing, cfg)
+        run_round(swarm, prob, mixing)
         if k % 5 == 0:
             cost, _ = global_cost_and_grad(prob, swarm.x.mean(axis=0))
             if cost <= dsgd_cost:

@@ -22,7 +22,7 @@ from helpers import (
     scalar_streams,
 )
 from reference_engine import vr_gradient_estimate
-from reference_problem import component_grad
+from reference_problem import component_grad, local_full_grad
 from reference_rng import draw_index
 
 
@@ -41,7 +41,7 @@ def test_init_gtvr_state(setup5):
     swarm = init_swarm(prob, x1, cfg)
     est = swarm.estimator
     for i in range(1, 6):
-        g = prob.local_full_grad(i, x1[i - 1])
+        g = local_full_grad(prob, i, x1[i - 1])
         assert np.array_equal(swarm.y[i - 1], g)
         assert np.array_equal(swarm.v[i - 1], g)
         assert np.array_equal(est.g_tau[i - 1], g)
@@ -56,7 +56,7 @@ def test_vr_estimate_hand_example():
     prob = QuadraticProblem([np.array([[1.0], [1.0]])], [np.array([0.5, 1.5])])
     x = np.array([1.0])
     tau = np.array([0.0])
-    g_tau = prob.local_full_grad(1, tau)
+    g_tau = local_full_grad(prob, 1, tau)
     assert np.array_equal(g_tau, np.array([-1.0]))
     v = vr_gradient_estimate(prob, 1, 1, x, tau, g_tau)
     # 0.5 - (-0.5) + (-1.0) = 0
@@ -71,7 +71,7 @@ def test_refresh_makes_estimator_exact(setup5):
     swarm.streams = StubSwarmStreams(
         uniforms=[[0.0] * 5], p=cfg.p, indices_from=SwarmStreams(1, prob.m, cfg.p)
     )
-    run_round(swarm, prob, mixing, cfg)
+    run_round(swarm, prob, mixing)
     assert np.array_equal(swarm.v, swarm.estimator.g_tau)
     assert np.array_equal(swarm.estimator.tau, swarm.x)
     # and every counter moved by m_i + 2
@@ -87,7 +87,7 @@ def test_skip_branch_costs_two_evals(setup5):
         uniforms=[[0.999999] * 5], p=cfg.p, indices_from=SwarmStreams(1, prob.m, cfg.p)
     )
     evals_before = swarm.grad_evals.copy()
-    run_round(swarm, prob, mixing, cfg)
+    run_round(swarm, prob, mixing)
     assert np.array_equal(swarm.estimator.tau, tau_before)
     assert np.array_equal(swarm.grad_evals - evals_before, np.full(5, 2))
 
@@ -98,9 +98,9 @@ def test_anchor_gradient_cache_stays_coherent(setup5):
     swarm = init_swarm(prob, np.zeros((5, 4)), cfg)
     est = swarm.estimator
     for _ in range(60):
-        run_round(swarm, prob, mixing, cfg)
+        run_round(swarm, prob, mixing)
         for i in range(1, 6):
-            assert np.array_equal(est.g_tau[i - 1], prob.local_full_grad(i, est.tau[i - 1]))
+            assert np.array_equal(est.g_tau[i - 1], local_full_grad(prob, i, est.tau[i - 1]))
 
 
 @pytest.mark.parametrize("algo", ["gtvr", "dsgt", "gtsaga"])
@@ -111,7 +111,7 @@ def test_mean_state_identity_and_mean_recursion(setup5, algo):
     for _ in range(300):
         xbar = swarm.x.mean(axis=0)
         ybar = swarm.y.mean(axis=0)
-        run_round(swarm, prob, mixing, cfg)
+        run_round(swarm, prob, mixing)
         assert np.abs(swarm.y.mean(axis=0) - swarm.v.mean(axis=0)).max() <= 1e-9
         assert np.abs(swarm.x.mean(axis=0) - (xbar - cfg.eta * ybar)).max() <= 1e-12
 
@@ -126,7 +126,7 @@ def test_dsgd_reduces_to_centralized_gd_on_shared_data():
     swarm = init_swarm(prob, np.zeros((3, 2)), cfg)
     x_manual = np.zeros(2)
     for _ in range(25):
-        run_round(swarm, prob, mixing, cfg)
+        run_round(swarm, prob, mixing)
         x_manual = x_manual - cfg.eta * component_grad(prob, 1, 1, x_manual)
         assert np.abs(swarm.x - x_manual).max() <= 1e-12
 
@@ -144,7 +144,7 @@ def test_dsgt_with_single_samples_equals_deterministic_tracking(setup5):
     g = np.stack([component_grad(prob, i, 1, x[i - 1]) for i in range(1, 6)])
     y = g.copy()
     for _ in range(50):
-        run_round(swarm, prob, mixing, cfg)
+        run_round(swarm, prob, mixing)
         x_new = graph.mix(mixing, x - cfg.eta * y)
         g_new = np.stack([component_grad(prob, i, 1, x_new[i - 1]) for i in range(1, 6)])
         y = graph.mix(mixing, y + g_new - g)
@@ -164,7 +164,7 @@ def test_baseline_accounting_is_exact(setup5):
             assert np.array_equal(swarm.grad_evals, np.full(5, init_cost))
         start = swarm.grad_evals.copy()
         for k in range(1, 51):
-            run_round(swarm, prob, mixing, cfg)
+            run_round(swarm, prob, mixing)
             assert np.array_equal(swarm.grad_evals - start, np.full(5, k))
 
 
@@ -175,9 +175,9 @@ def test_gtsaga_frozen_table_gives_full_gradient(setup5):
     swarm = init_swarm(prob, x_star_stack, cfg)
     # zero trackers make the next iterate equal the stationary stack again
     swarm.y = np.zeros_like(swarm.y)
-    run_round(swarm, prob, mixing, cfg)
+    run_round(swarm, prob, mixing)
     for i in range(1, 6):
-        full = prob.local_full_grad(i, x_star_stack[i - 1])
+        full = local_full_grad(prob, i, x_star_stack[i - 1])
         assert np.abs(swarm.v[i - 1] - full).max() <= 1e-12
 
 
@@ -186,7 +186,7 @@ def test_gtsaga_running_mean_matches_table(setup5):
     cfg = RunConfig(algorithm="gtsaga", eta=0.005, p=0.5, rounds=0, seed=6)
     swarm = init_swarm(prob, np.zeros((5, 4)), cfg)
     for _ in range(1000):
-        run_round(swarm, prob, mixing, cfg)
+        run_round(swarm, prob, mixing)
     est = swarm.estimator
     for i in range(5):
         assert np.abs(est.table_mean[i] - est.tables[i].mean(axis=0)).max() <= 1e-10
@@ -197,23 +197,22 @@ def test_gtvr_two_exchanges_per_round(setup5):
     cfg = RunConfig(algorithm="gtvr", eta=0.01, p=0.5, rounds=0, seed=7)
     swarm = init_swarm(prob, np.zeros((5, 4)), cfg)
     for k in range(1, 21):
-        run_round(swarm, prob, mixing, cfg)
+        run_round(swarm, prob, mixing)
         assert swarm.mix_count == 2 * k
     # the plain stochastic baseline needs only the one x-exchange
     cfg2 = RunConfig(algorithm="dsgd", eta=0.01, p=0.5)
     swarm2 = init_swarm(prob, np.zeros((5, 4)), cfg2)
     for k in range(1, 21):
-        run_round(swarm2, prob, mixing, cfg2)
+        run_round(swarm2, prob, mixing)
         assert swarm2.mix_count == k
 
 
 @pytest.mark.parametrize("p, replicas", [(0.05, 1), (0.5, 1), (0.5, 4), (0.95, 4)])
 def test_gtvr_step_makes_two_oracle_calls_per_round(setup5, monkeypatch, p, replicas):
     # one batched refresh and one paired difference, whether no row, some
-    # rows or every row refreshes; the per-agent and single-point oracles
-    # are not called
+    # rows or every row refreshes; the single-point oracle is not called
     prob, mixing = setup5
-    calls = {name: 0 for name in ("local_full_grads", "component_grad_diffs", "local_full_grad", "component_grads")}
+    calls = {name: 0 for name in ("local_full_grads", "component_grad_diffs", "component_grads")}
     for name in calls:
         real = getattr(QuadraticProblem, name)
 
@@ -224,15 +223,14 @@ def test_gtvr_step_makes_two_oracle_calls_per_round(setup5, monkeypatch, p, repl
         monkeypatch.setattr(QuadraticProblem, name, counted)
     cfgs = [RunConfig(algorithm="gtvr", eta=0.01 * (r + 1), p=p, seed=3) for r in range(replicas)]
     swarm = init_swarm(prob, np.zeros((5, 4)), cfgs)
-    assert calls == {"local_full_grads": 1, "component_grad_diffs": 0, "local_full_grad": 0, "component_grads": 0}
-    eta = np.repeat([c.eta for c in cfgs], prob.n)[:, None]
+    assert calls == {"local_full_grads": 1, "component_grad_diffs": 0, "component_grads": 0}
     refreshed = set()
     for k in range(1, 41):
         before = swarm.grad_evals.copy()
-        algorithms._round(swarm, prob, mixing, eta)
+        run_round(swarm, prob, mixing)
         refreshed.add(int(np.count_nonzero(swarm.grad_evals - before > 2)))
         assert calls["local_full_grads"] == 1 + k and calls["component_grad_diffs"] == k
-    assert calls["local_full_grad"] == 0 and calls["component_grads"] == 0
+    assert calls["component_grads"] == 0
     # the rounds include refreshing no row (low P) or every row (high P)
     assert 0 in refreshed or replicas * prob.n in refreshed
     assert len(refreshed) > 1
@@ -305,6 +303,15 @@ def test_batch_divergence_names_the_lowest_diverged_replica(setup5):
     assert str(batch.value) == str(alone.value)
 
 
+def test_batch_records_share_one_clock_reading(setup5):
+    # each record reads the clock once, before any replica's metric pass
+    prob, mixing = setup5
+    base = RunConfig(algorithm="gtvr", eta=0.01, p=0.5, rounds=20, seed=1, cadence=5, timing=True)
+    first, second = run_experiments(prob, mixing, [base, replace(base, eta=0.02)])
+    assert [r.k for r in first] == [r.k for r in second] == [0, 5, 10, 15, 20]
+    assert [r.wall_ms for r in first] == [r.wall_ms for r in second]
+
+
 def test_run_config_validation():
     with pytest.raises(ValueError):
         RunConfig(algorithm="nope")
@@ -356,9 +363,9 @@ def second_moments_by_scalar_draws(problem, x, tau, draws, seed):
     streams = scalar_streams(seed, problem.n)
     agents = range(1, problem.n + 1)
     xbar = x.mean(axis=0)
-    g_x = [problem.local_full_grad(i, x[i - 1]) for i in agents]
-    g_tau = [problem.local_full_grad(i, tau[i - 1]) for i in agents]
-    g_at_xbar = [problem.local_full_grad(i, xbar) for i in agents]
+    g_x = [local_full_grad(problem, i, x[i - 1]) for i in agents]
+    g_tau = [local_full_grad(problem, i, tau[i - 1]) for i in agents]
+    g_at_xbar = [local_full_grad(problem, i, xbar) for i in agents]
     total_dev = mean_dev_sq = vbar_sq = 0.0
     for _ in range(draws):
         picks = []

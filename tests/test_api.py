@@ -55,7 +55,7 @@ PUBLIC_NAMES = [
 ]
 
 # the oracles and sizes the engine, the metric pass and the CLI use; the
-# per-sample and per-agent cost references live in
+# per-sample and per-agent references live in
 # tests/reference_problem.py, the network-average cost and gradient in
 # helpers.global_cost_and_grad
 PROBLEM_ORACLES = [
@@ -64,7 +64,6 @@ PROBLEM_ORACLES = [
     "component_grads",
     "lipschitz_estimate",
     "local_costs_and_grads",
-    "local_full_grad",
     "local_full_grads",
     "total_samples",
 ]

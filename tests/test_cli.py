@@ -99,6 +99,7 @@ def test_non_finite_parameter_rejected_as_bad_config(tmp_path, capsys, key, valu
         ("quad_noise", "-1"),
         ("quad_m", "0"),
         ("quad_d", "-2"),
+        ("declared_d", "-5"),
         # QUAD_CONFIG's topology is random
         ("p_edge", "nan"),
         ("p_edge", "0"),

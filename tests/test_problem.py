@@ -27,11 +27,16 @@ from helpers import (
 )
 from reference_logistic import ReferenceLogistic, make_logistic_labels
 from reference_logistic import sigmoid_pair as reference_sigmoid_pair
-from reference_problem import component_cost, component_grad, local_cost
+from reference_problem import component_cost, component_grad, local_cost, local_full_grad
 
 
 def single_logistic(a_row, label, lam1=0.0):
     return LogisticProblem([sp.csr_matrix(np.array([a_row]))], [np.array([label])], lam1)
+
+
+def full_grads_at(prob, x):
+    """Every agent's full local gradient at one point x, stacked (n, d)."""
+    return prob.local_full_grads(np.arange(1, prob.n + 1), np.tile(x, (prob.n, 1)))
 
 
 def test_quadratic_component_grad_zero_at_component_minimizer():
@@ -79,19 +84,19 @@ def test_local_full_grad_is_component_average():
     for i in (1, 2):
         x = rng.normal(size=prob.d)
         mean = np.mean([component_grad(prob, i, j, x) for j in range(1, prob.m[i - 1] + 1)], axis=0)
-        assert np.abs(prob.local_full_grad(i, x) - mean).max() <= 1e-12
+        assert np.abs(full_grads_at(prob, x)[i - 1] - mean).max() <= 1e-12
 
 
 def test_single_sample_agent_local_equals_component():
     prob = QuadraticProblem([np.array([[1.0, 2.0]])], [np.array([0.3])])
     x = np.array([0.1, -0.7])
-    assert np.allclose(prob.local_full_grad(1, x), component_grad(prob, 1, 1, x), atol=1e-15)
+    assert np.allclose(full_grads_at(prob, x)[0], component_grad(prob, 1, 1, x), atol=1e-15)
 
 
 def test_symmetric_targets_cancel_at_origin():
     a = np.array([[1.0, 0.0], [1.0, 0.0]])
     prob = QuadraticProblem([a], [np.array([0.8, -0.8])])
-    assert prob.local_full_grad(1, np.zeros(2))[0] == 0.0
+    assert full_grads_at(prob, np.zeros(2))[0, 0] == 0.0
 
 
 def test_global_reduces_to_local_for_single_agent():
@@ -99,7 +104,7 @@ def test_global_reduces_to_local_for_single_agent():
     x = np.arange(4, dtype=float)
     cost, grad = global_cost_and_grad(prob, x)
     assert cost == pytest.approx(local_cost(prob, 1, x), abs=1e-15)
-    assert np.allclose(grad, prob.local_full_grad(1, x), atol=1e-15)
+    assert np.allclose(grad, full_grads_at(prob, x)[0], atol=1e-15)
 
 
 def test_global_grad_matches_finite_differences():
@@ -155,7 +160,7 @@ def test_logistic_stable_for_large_iterates():
     prob = make_logistic(2, 6, 5, seed=1, lam1=5e-4)
     x = np.full(prob.d, 1e3 / np.sqrt(prob.d))
     cost = local_cost(prob, 1, x)
-    grad = prob.local_full_grad(1, x)
+    grad = full_grads_at(prob, x)[0]
     assert np.isfinite(cost)
     assert np.isfinite(grad).all()
     # single huge inner product, the worst case for the exp evaluation
@@ -179,7 +184,7 @@ def test_index_validation():
     with pytest.raises(IndexError):
         component_grad(prob, 1, 6, np.zeros(3))
     with pytest.raises(IndexError):
-        prob.local_full_grad(3, np.zeros(3))
+        prob.local_full_grads(np.array([3]), np.zeros((1, 3)))
 
 
 def test_labels_must_be_plus_minus_one():
@@ -272,7 +277,7 @@ def test_local_costs_and_grads_equal_per_agent_oracles(name):
         assert costs.shape == (prob.n,) and grads.shape == (prob.n, prob.d)
         for i in range(1, prob.n + 1):
             assert costs[i - 1] == local_cost(prob, i, x)
-            assert np.array_equal(grads[i - 1], prob.local_full_grad(i, x))
+            assert np.array_equal(grads[i - 1], local_full_grad(prob, i, x))
 
 
 def test_view_backed_agents_match_independent_copies():
@@ -288,7 +293,7 @@ def test_view_backed_agents_match_independent_copies():
             assert np.array_equal(component_grad(prob, i, j, x), component_grad(single, 1, j, x))
         assert np.array_equal(prob.component_grad_table(i, x), single.component_grad_table(1, x))
         assert local_cost(prob, i, x) == local_cost(single, 1, x)
-        assert np.array_equal(prob.local_full_grad(i, x), single.local_full_grad(1, x))
+        assert np.array_equal(full_grads_at(prob, x)[i - 1], full_grads_at(single, x)[0])
 
 
 def test_agents_share_stacked_row_and_feature_major_buffers():
@@ -299,8 +304,8 @@ def test_agents_share_stacked_row_and_feature_major_buffers():
     for prob in logistic:
         x = np.ones(prob.d)
         prob.local_costs_and_grads(x)
+        full_grads_at(prob, x)
         for i in range(1, prob.n + 1):
-            prob.local_full_grad(i, x)
             prob.component_grad_table(i, x)
         assert prob._rows.shape == (sum(prob.m), prob.d)
         assert len(prob._feats) == len(prob._feats_t) == len(prob._labels) == prob.n
@@ -427,9 +432,10 @@ def test_logistic_oracles_equal_the_reference_bit_for_bit(instance):
     costs, grads = prob.local_costs_and_grads(x)
     ref_costs, ref_grads = ref.local_costs_and_grads(x)
     assert same_value(costs, ref_costs) and same_value(grads, ref_grads)
+    full = full_grads_at(prob, x)
     for i in range(1, prob.n + 1):
         assert same_value(local_cost(prob, i, x), ref.local_cost(i, x))
-        assert same_value(prob.local_full_grad(i, x), ref.local_full_grad(i, x))
+        assert same_value(full[i - 1], ref.local_full_grad(i, x))
         assert same_value(prob.component_grad_table(i, x), ref.component_grad_table(i, x))
     # each agent's last sample, at the same point
     assert same_value(
@@ -492,7 +498,7 @@ def test_local_full_grads_equal_the_per_agent_oracle_bit_for_bit(batch):
     got = prob.local_full_grads(agents, X)
     assert got.shape == (len(agents), prob.d)
     for row, (i, x) in enumerate(zip(agents.tolist(), X)):
-        assert same_bits(got[row], prob.local_full_grad(i, x))
+        assert same_bits(got[row], local_full_grad(prob, i, x))
 
 
 @pytest.mark.parametrize("name", sorted(BATCH_CASES))
@@ -501,7 +507,7 @@ def test_local_full_grads_of_none_and_of_every_agent(name):
     x = np.random.default_rng(8).normal(size=(prob.n, prob.d))
     assert prob.local_full_grads(np.arange(0), x[:0]).shape == (0, prob.d)
     everyone = prob.local_full_grads(np.arange(1, prob.n + 1), x)
-    assert same_bits(everyone, np.stack([prob.local_full_grad(i, x[i - 1]) for i in range(1, prob.n + 1)]))
+    assert same_bits(everyone, np.stack([local_full_grad(prob, i, x[i - 1]) for i in range(1, prob.n + 1)]))
 
 
 @pytest.mark.parametrize("name", ["quadratic", "quadratic_unequal", "logistic_lists_unequal"])

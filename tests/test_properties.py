@@ -109,7 +109,7 @@ def test_round_invariants(instance):
                 ],
                 axis=0,
             )
-        run_round(swarm, prob, mixing, cfg)
+        run_round(swarm, prob, mixing)
 
         scale = 1.0 + float(np.abs(swarm.x).max())
         assert np.abs(swarm.x.mean(axis=0) - (xbar - cfg.eta * step)).max() <= 1e-12 * scale

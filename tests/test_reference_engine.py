@@ -78,7 +78,7 @@ def test_final_state_matches_reference_engine(instance, algo, seed):
     swarm = init_swarm(prob, x1, cfg)
     expected = ref.init_swarm(prob, x1, cfg, ref_streams)
     for _ in range(150):
-        run_round(swarm, prob, mixing, cfg)
+        run_round(swarm, prob, mixing)
         ref.ROUND_FNS[algo](expected, prob, mixing, cfg, ref_streams)
     assert swarm.k == expected.k == 150
     assert np.array_equal(swarm.x, expected.x)
@@ -119,13 +119,12 @@ def test_batch_equals_each_run_on_its_own(instance, algo):
     assert [dump(rows) for rows in traces] == [dump(run_experiment(prob, mixing, c, x1)) for c in cfgs]
 
     batch = init_swarm(prob, x1, cfgs)
-    eta = np.repeat([c.eta for c in cfgs], n)[:, None]
     for _ in range(BATCH_ROUNDS):
-        algorithms._round(batch, prob, mixing, eta)
+        run_round(batch, prob, mixing)
     for r, cfg in enumerate(cfgs):
         swarm = init_swarm(prob, x1, cfg)
         for _ in range(BATCH_ROUNDS):
-            run_round(swarm, prob, mixing, cfg)
+            run_round(swarm, prob, mixing)
         rows = slice(r * n, (r + 1) * n)
         assert same_bits(batch.x[rows], swarm.x)
         if algo == "dsgd":

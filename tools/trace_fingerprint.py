@@ -97,7 +97,7 @@ def fingerprint() -> str:
                 x1 = np.random.default_rng(seed).normal(size=(prob.n, prob.d))
                 swarm = algorithms.init_swarm(prob, x1, cfg)
                 for _ in range(STATE_ROUNDS):
-                    algorithms.run_round(swarm, prob, mixing, cfg)
+                    algorithms.run_round(swarm, prob, mixing)
                 digest.update(arrays(swarm.x, swarm.y, swarm.v, swarm.grad_evals))
                 digest.update(f"{swarm.k} {swarm.mix_count}\n".encode())
     for kwargs in REPORTS:
