@@ -26,7 +26,9 @@ if TYPE_CHECKING:
 def _exp_terms(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """e = exp(-|z|) and 1 + e, from which sigma(z) and sigma(-z) follow
     without overflow: one of them is 1 / (1 + e), the other e / (1 + e)."""
-    e = np.exp(-np.abs(z))
+    e = np.abs(z)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
     return e, e + 1.0
 
 
@@ -37,7 +39,10 @@ def _sigmoid_neg(z: np.ndarray, e: np.ndarray, one_e: np.ndarray) -> np.ndarray:
     without a data-dependent select, which mispredicts per element on
     mixed signs; the values equal the select's bit for bit.
     """
-    return np.maximum(e, (z < 0).astype(float)) / one_e
+    out = (z < 0).astype(float)
+    np.maximum(e, out, out=out)
+    out /= one_e
+    return out
 
 
 def _sigmoid_product(e: np.ndarray, one_e: np.ndarray) -> np.ndarray:
@@ -199,10 +204,14 @@ class LogisticProblem(FiniteSumProblem):
         """Keep all agents' rows as one CSR; agent i owns the next sizes[i-1] rows.
 
         The per-agent matrices and label vectors are views into the
-        stacked arrays. Each agent's features are held a second time,
-        feature-major, as the CSR transpose A_i^T: its products are dots
-        over d long rows, where a transposed view of the row-major arrays
-        would scatter over m_i short columns.
+        stacked arrays. The rows are sorted by feature (on a copy, so the
+        caller's matrix is left alone), which makes a row's sum over its
+        entries the same additions whether it is taken row- or
+        feature-major. The features are held a second time, feature-major,
+        as the block-diagonal (n*d, N) CSR ``_cols`` whose rows
+        (i-1)*d .. i*d-1 are A_i^T over the stacked sample columns: its
+        products are dots over long feature rows, where a transposed view
+        of the row-major arrays would scatter over short sample columns.
         """
         if not 0 <= lam1 < math.inf:
             raise ValueError(f"regularization weight must be finite and >= 0, got {lam1}")
@@ -212,11 +221,14 @@ class LogisticProblem(FiniteSumProblem):
             raise ValueError("labels must be exactly -1 or +1")
         if not np.isfinite(rows.data).all():
             raise ValueError("logistic features must be finite")
+        if not rows.has_sorted_indices:
+            rows = rows.sorted_indices()
         self._set_layout(sizes, rows.shape[1])
         self.lam1 = float(lam1)
         self._rows = rows
         self._label_rows = labels
-        self._feats, self._feats_t = _agent_blocks(rows, self.layout.offsets)
+        self._m_rows = np.repeat(np.array(self.m, dtype=float), self.m)
+        self._feats, self._cols, self._col_blocks = _agent_blocks(rows, self.layout.offsets)
         self._labels = self.layout.views(labels)
 
     @classmethod
@@ -232,8 +244,12 @@ class LogisticProblem(FiniteSumProblem):
         if normalize:
             norms = np.sqrt(np.asarray(csr.multiply(csr).sum(axis=1)).ravel())
             norms[norms == 0.0] = 1.0
-            csr = sp.diags(1.0 / norms) @ csr
-            csr = sp.csr_matrix(csr)
+            # each stored value times its row's 1 / norm, in the parser's
+            # order; a product that is 0 is dropped, as the sparse product
+            # diag(1 / norms) @ csr drops it
+            csr = csr.copy()
+            csr.data *= np.repeat(1.0 / norms, np.diff(csr.indptr))
+            csr.eliminate_zeros()
         order = np.concatenate([np.asarray(idx, dtype=np.int64) for idx in parts])
         labels = np.asarray(raw.labels[order], dtype=float)
         prob = cls.__new__(cls)
@@ -263,32 +279,40 @@ class LogisticProblem(FiniteSumProblem):
         return table
 
     def local_full_grads(self, agents: np.ndarray, X: np.ndarray) -> np.ndarray:
-        # agent by agent: the sparse products are the floor here
+        # agent by agent: the sparse products are the floor here; agent i's
+        # (d, N) feature rows read only its own slice of the coefficients
         self._check_agents(agents, X)
         out = np.empty((len(agents), self.d))
+        coef = np.empty(self.total_samples)
+        offsets = self.layout.offsets
         for row, (i, x) in enumerate(zip(agents.tolist(), X)):
             l = self._labels[i - 1]
             z = l * (self._feats[i - 1] @ x)
-            coef = (-l * _sigmoid_product(*_exp_terms(z))) / self.m[i - 1]
-            out[row] = (self._feats_t[i - 1] @ coef) + (2.0 * self.lam1) * x
+            coef[offsets[i - 1] : offsets[i]] = (-l * _sigmoid_product(*_exp_terms(z))) / self.m[i - 1]
+            out[row] = (self._col_blocks[i - 1] @ coef) + (2.0 * self.lam1) * x
         return out
 
     def local_costs_and_grads(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        # one product over the stacked rows, then per-agent reductions of
-        # its slices; each slice sees the arithmetic of the per-agent oracles
+        # two products over all agents; the transpose's product scatters
+        # over the samples, adding each sorted row's terms in the order of
+        # a row-major sum, so each agent's slice sees the arithmetic of the
+        # per-agent oracles
         x = np.asarray(x, dtype=float)
-        z = self._label_rows * (self._rows @ x)
+        z = self._cols.T @ np.tile(x, self.n)
+        z *= self._label_rows
         e, one_e = _exp_terms(z)
         sig_neg = _sigmoid_neg(z, e, one_e)
-        coef = -self._label_rows * _sigmoid_product(e, one_e)
+        # -l sigma(z) sigma(-z) / m_i in the exp buffers, by the operations
+        # of the per-agent oracle (the sign of a product is exact either way)
+        coef = np.divide(e, one_e, out=e)
+        coef *= np.divide(1.0, one_e, out=one_e)
+        coef *= self._label_rows
+        np.negative(coef, out=coef)
+        coef /= self._m_rows
+        grads = (self._cols @ coef).reshape(self.n, self.d)
+        grads += (2.0 * self.lam1) * x
         reg = self.lam1 * float(x @ x)
-        reg_grad = (2.0 * self.lam1) * x
-        costs = np.empty(self.n)
-        grads = np.empty((self.n, self.d))
-        views = self.layout.views
-        for i, (s, c, a_t, m) in enumerate(zip(views(sig_neg), views(coef), self._feats_t, self.m)):
-            costs[i] = float(s.mean()) + reg
-            grads[i] = (a_t @ (c / m)) + reg_grad
+        costs = np.array([float(s.mean()) + reg for s in self.layout.views(sig_neg)])
         return costs, grads
 
     def lipschitz_estimate(self) -> float:
@@ -312,19 +336,39 @@ def _csr_view(
 
 def _agent_blocks(
     rows: sp.csr_matrix, offsets: Sequence[int]
-) -> tuple[list[sp.csr_matrix], list[sp.csr_matrix]]:
-    """Each block of rows ``offsets[i]:offsets[i + 1]`` and its transpose.
-
-    The blocks are CSR views of ``rows``; the transposes, shape (d, m_i),
-    are CSR copies, each listing a feature's entries in row order.
+) -> tuple[list[sp.csr_matrix], sp.csr_matrix, list[sp.csr_matrix]]:
+    """Each block of rows ``offsets[i]:offsets[i + 1]`` as a CSR view of
+    ``rows``; the blocks' transposes as one block-diagonal (n*d, N) CSR,
+    rows i*d .. (i+1)*d - 1 holding A_{i+1}^T (each feature's entries in
+    sample order) over the stacked sample columns; and each agent's
+    (d, N) row block of it, as a view. It is filled one transpose at a
+    time, so only one agent's temporaries are alive at once.
     """
-    d = rows.shape[1]
+    total, d = rows.shape
+    n = len(offsets) - 1
     starts = rows.indptr[list(offsets)].tolist()
     blocks = [
         _csr_view((hi - lo, d), rows.data[a:b], rows.indices[a:b], rows.indptr[lo : hi + 1] - a)
         for lo, hi, a, b in zip(offsets, offsets[1:], starts, starts[1:])
     ]
-    return blocks, [block.T.tocsr() for block in blocks]
+    index = np.int32 if max(total, rows.nnz) <= np.iinfo(np.int32).max else np.int64
+    data = np.empty(rows.nnz)
+    indices = np.empty(rows.nnz, dtype=index)
+    indptr = np.empty(n * d + 1, dtype=index)
+    indptr[0] = 0
+    for i, (block, lo, a, b) in enumerate(zip(blocks, offsets, starts, starts[1:])):
+        block_t = block.T.tocsr()
+        data[a:b] = block_t.data
+        indices[a:b] = block_t.indices
+        indices[a:b] += lo
+        indptr[i * d + 1 : (i + 1) * d + 1] = block_t.indptr[1:]
+        indptr[i * d + 1 : (i + 1) * d + 1] += a
+    cols = _csr_view((n * d, total), data, indices, indptr)
+    col_blocks = [
+        _csr_view((d, total), data[a:b], indices[a:b], indptr[i * d : (i + 1) * d + 1] - a)
+        for i, (a, b) in enumerate(zip(starts, starts[1:]))
+    ]
+    return blocks, cols, col_blocks
 
 
 class QuadraticProblem(FiniteSumProblem):

@@ -5,7 +5,9 @@ call: the batched ``component_grads`` and ``local_full_grads``, the
 component table and ``local_costs_and_grads``. These are the scalar
 oracles those are checked against, with the arithmetic and index checks
 they had as methods, reading the problem's per-agent views (``_feats``,
-``_feats_t``, ``_targets``, ``_labels``).
+``_targets``, ``_labels``). The logistic full gradient builds its own
+transpose of ``_feats``, so it reads nothing of the feature-major copy
+that the batched oracles use.
 """
 
 from __future__ import annotations
@@ -82,4 +84,4 @@ def local_full_grad(prob: FiniteSumProblem, i: int, x: np.ndarray) -> np.ndarray
     l = prob._labels[i - 1]
     z = l * (prob._feats[i - 1] @ x)
     coef = (-l * _sigmoid_product(*_exp_terms(z))) / prob.m[i - 1]
-    return (prob._feats_t[i - 1] @ coef) + (2.0 * prob.lam1) * x
+    return (prob._feats[i - 1].T.tocsr() @ coef) + (2.0 * prob.lam1) * x

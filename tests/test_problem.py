@@ -1,3 +1,5 @@
+import io
+
 import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
@@ -5,8 +7,8 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gtvr import ingest
-from gtvr.algorithms import RunConfig, init_swarm
+from gtvr import graph, ingest, metrics
+from gtvr.algorithms import ALGORITHMS, RunConfig, init_swarm, run_experiment
 from gtvr.problem import (
     LogisticProblem,
     QuadraticProblem,
@@ -307,15 +309,25 @@ def test_agents_share_stacked_row_and_feature_major_buffers():
         full_grads_at(prob, x)
         for i in range(1, prob.n + 1):
             prob.component_grad_table(i, x)
-        assert prob._rows.shape == (sum(prob.m), prob.d)
-        assert len(prob._feats) == len(prob._feats_t) == len(prob._labels) == prob.n
-        for a, a_t, labels, m in zip(prob._feats, prob._feats_t, prob._labels, prob.m):
+        total = sum(prob.m)
+        assert prob._rows.shape == (total, prob.d)
+        # the feature-major copy: one block-diagonal (n*d, N) CSR, agent i's
+        # (d, N) row block A_i^T at its sample offset, viewed per agent
+        assert isinstance(prob._cols, sp.csr_matrix) and prob._cols.shape == (prob.n * prob.d, total)
+        assert prob._cols.nnz == prob._rows.nnz
+        assert len(prob._feats) == len(prob._col_blocks) == len(prob._labels) == prob.n
+        views = zip(prob._feats, prob._col_blocks, prob._labels, prob.m, prob.layout.offsets)
+        for a, cols, labels, m, lo in views:
             assert a.shape == (m, prob.d) and labels.shape == (m,)
             assert np.shares_memory(labels, prob._label_rows)
             assert np.shares_memory(a.data, prob._rows.data)
             assert np.shares_memory(a.indices, prob._rows.indices)
-            assert isinstance(a_t, sp.csr_matrix) and a_t.shape == (prob.d, m)
-            assert same_csr(a_t, sp.csr_matrix(a.T))
+            assert isinstance(cols, sp.csr_matrix) and cols.shape == (prob.d, total)
+            assert np.shares_memory(cols.data, prob._cols.data)
+            assert np.shares_memory(cols.indices, prob._cols.indices)
+            assert cols.nnz == a.nnz and np.all((lo <= cols.indices) & (cols.indices < lo + m))
+            placed = sp.hstack([sp.csr_matrix((prob.d, lo)), a.T, sp.csr_matrix((prob.d, total - lo - m))])
+            assert same_csr(cols, sp.csr_matrix(placed))
     for prob in quadratic:
         assert len(prob._feats) == len(prob._targets) == prob.n
         for a, t, m in zip(prob._feats, prob._targets, prob.m):
@@ -326,6 +338,107 @@ def test_agents_share_stacked_row_and_feature_major_buffers():
         assert len(est.tables) == prob.n
         for table, m in zip(est.tables, prob.m):
             assert table.shape == (m, prob.d) and np.shares_memory(table, est._table)
+
+
+def shuffled_within_rows(csr, seed):
+    """A copy of a CSR matrix whose rows list their entries in random order."""
+    gen = np.random.default_rng(seed)
+    out = csr.copy()
+    for lo, hi in zip(out.indptr[:-1].tolist(), out.indptr[1:].tolist()):
+        perm = lo + gen.permutation(hi - lo)
+        out.indices[lo:hi] = out.indices[perm]
+        out.data[lo:hi] = out.data[perm]
+    return out
+
+
+def csr_arrays(a):
+    return [x.copy() for x in (a.data, a.indices, a.indptr)]
+
+
+def same_arrays(a, saved):
+    return all(same_bits(x, y) for x, y in zip((a.data, a.indices, a.indptr), saved))
+
+
+def one_trace(prob, algorithm):
+    if prob.n == 1:
+        mixing = graph.MixingMatrix(n=1, w=np.ones((1, 1)), rho=0.0)
+    else:
+        mixing = graph.metropolis_weights(graph.build_topology("ring", prob.n))
+    cfg = RunConfig(algorithm=algorithm, eta=0.2, p=0.3, rounds=150, seed=7, cadence=7, timing=False)
+    buf = io.StringIO()
+    metrics.write_trace(run_experiment(prob, mixing, cfg), buf)
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("n", [1, 4])
+def test_unsorted_rows_give_the_problem_of_their_sorted_copy(n):
+    # rows held in feature order make every oracle, and so every trace,
+    # independent of the order in which the caller listed a row's entries
+    raw = random_raw(41, 9, seed=31)
+    shuffled = shuffled_within_rows(raw.features, seed=n)
+    assert not shuffled.has_sorted_indices
+    parts = ingest.partition(raw, n, seed=2)
+    # at n = 1 the caller's own matrix is the one block that vstack stacks
+    rows = [slice(None)] if n == 1 else parts
+    blocks = [shuffled] if n == 1 else [shuffled[idx] for idx in parts]
+    labels = [raw.labels[idx] for idx in rows]
+    saved = [csr_arrays(a) for a in blocks + [shuffled]]
+    pairs = [
+        (LogisticProblem(blocks, labels, 2e-3), LogisticProblem([raw.features[idx] for idx in rows], labels, 2e-3)),
+        (
+            LogisticProblem.from_partition(ingest.RawDataset(shuffled, raw.labels), parts, 2e-3),
+            LogisticProblem.from_partition(raw, parts, 2e-3),
+        ),
+    ]
+    assert all(same_arrays(a, kept) for a, kept in zip(blocks + [shuffled], saved))
+    rng = np.random.default_rng(n)
+    for got, want in pairs:
+        assert same_csr(got._rows, want._rows) and same_csr(got._cols, want._cols)
+        assert got.lipschitz_estimate() == want.lipschitz_estimate()
+        for x in (np.zeros(raw.d), rng.normal(size=raw.d), 300.0 * rng.normal(size=raw.d)):
+            assert all(map(same_bits, got.local_costs_and_grads(x), want.local_costs_and_grads(x)))
+            X = np.tile(x, (2 * n, 1))
+            agents = np.tile(np.arange(1, n + 1), 2)
+            assert same_bits(got.local_full_grads(agents, X), want.local_full_grads(agents, X))
+            for i in range(1, n + 1):
+                assert local_cost(got, i, x) == local_cost(want, i, x)
+                assert same_bits(got.component_grad_table(i, x), want.component_grad_table(i, x))
+            for j in range(1, min(want.m) + 1):
+                js, Y = np.full(n, j), X[:n]
+                assert same_bits(got.component_grads(js, Y), want.component_grads(js, Y))
+                assert same_bits(got.component_grad_diffs(js, Y, -Y), want.component_grad_diffs(js, Y, -Y))
+        for algorithm in ALGORITHMS:
+            assert one_trace(got, algorithm) == one_trace(want, algorithm)
+
+
+def test_normalized_partition_values_equal_the_sorted_diagonal_product():
+    # unit-norm rows from each stored value times its row's 1 / norm; an
+    # explicit zero and a product that underflows to 0 are dropped, as the
+    # product diag(1 / norms) @ csr drops them, and an all-zero row keeps norm 1
+    special = [
+        (np.array([0, 2, 5]), np.array([1.5, 0.0, -2.0])),
+        (np.array([1, 4]), np.array([5e-324, 10.0])),
+        (np.array([3]), np.array([0.0])),
+    ]
+    for seed in range(20):
+        gen = np.random.default_rng(seed)
+        rows = []
+        for _ in range(30):
+            idx = np.sort(gen.choice(9, size=gen.integers(1, 10), replace=False))
+            rows.append((idx, gen.normal(scale=10.0 ** gen.integers(-3, 4), size=len(idx))))
+        rows[5:5] = special
+        raw = raw_from_rows(rows, np.where(gen.random(len(rows)) < 0.5, 1.0, -1.0), 9)
+        kept = csr_arrays(raw.features)
+        parts = ingest.partition(raw, 4, seed=seed)
+        prob = LogisticProblem.from_partition(raw, parts, 1e-3, normalize=True)
+        assert same_arrays(raw.features, kept)
+        norms = np.sqrt(np.asarray(raw.features.multiply(raw.features).sum(axis=1)).ravel())
+        norms[norms == 0.0] = 1.0
+        want = sp.csr_matrix(sp.diags(1.0 / norms) @ raw.features)[np.concatenate(parts)]
+        want.sort_indices()
+        got = prob._rows
+        assert got.shape == want.shape and same_bits(got.data, want.data)
+        assert np.array_equal(got.indices, want.indices) and np.array_equal(got.indptr, want.indptr)
 
 
 @pytest.mark.parametrize("name", sorted(BATCH_CASES))
@@ -442,6 +555,31 @@ def test_logistic_oracles_equal_the_reference_bit_for_bit(instance):
         prob.component_grads(np.array(prob.m), np.tile(x, (prob.n, 1))),
         [component_grad(prob, i, m, x) for i, m in enumerate(prob.m, start=1)],
     )
+
+
+def test_local_oracles_equal_the_reference_at_the_benchmark_shape():
+    # a9a's shape at a tenth of its rows: n = 10, d = 123, ~11% binary
+    # features, m_i of 301 and 300, over one stacked matrix
+    gen = np.random.default_rng(123)
+    rows, d, n = 3006, 123, 10
+    mask = gen.random((rows, d)) < 0.11
+    mask[np.arange(rows), gen.integers(d, size=rows)] = True
+    raw = ingest.RawDataset(sp.csr_matrix(mask.astype(float)), np.where(gen.random(rows) < 0.24, 1.0, -1.0))
+    prob = LogisticProblem.from_partition(raw, ingest.partition(raw, n, seed=4), 5e-4)
+    assert prob.m == (301,) * 6 + (300,) * 4
+    ref = ReferenceLogistic(prob)
+    # a scale of 400 puts most |z| past 750, where exp(-|z|) underflows
+    points = [np.zeros(d), gen.normal(size=d), 400.0 * gen.normal(size=d)]
+    assert np.abs(prob._rows @ points[2]).max() > 750.0
+    for x in points:
+        costs, grads = prob.local_costs_and_grads(x)
+        ref_costs, ref_grads = ref.local_costs_and_grads(x)
+        assert same_bits(costs, ref_costs) and same_bits(grads, ref_grads)
+    # every agent once per replica over R = 2, then a selection with repeats
+    for agents in (np.tile(np.arange(1, n + 1), 2), gen.integers(1, n + 1, size=15)):
+        X = np.resize([0.0, 1.0, 400.0], len(agents))[:, None] * gen.normal(size=(len(agents), d))
+        got = prob.local_full_grads(agents, X)
+        assert same_bits(got, np.stack([ref.local_full_grad(i, x) for i, x in zip(agents.tolist(), X)]))
 
 
 @ORACLE_SEED

@@ -1,14 +1,18 @@
-"""One SHA-256 over timing-free traces, final swarm states and theory reports.
+"""SHA-256 hashes of timing-free traces, final swarm states and theory reports.
 
 A change that must not alter what a run computes (its coins, indices,
-oracle arithmetic, mixing or metric passes) prints the same hash as its
-parent. Run it from each checkout and compare the lines:
+oracle arithmetic, mixing or metric passes) prints the same hashes as
+its parent. Run it from each checkout and compare the output:
 
     python3 tools/trace_fingerprint.py
 
-It imports ``gtvr`` from the ``src/`` next to this script, so each
-checkout hashes its own code. Covered, for the four algorithms on each
-instance and seeds 1 and 7:
+It prints one ``name hash`` line per instance and one for the theory
+reports, so a difference names the instance it is in, and last the
+hash of everything, the running total over the same bytes in the same
+order. It imports ``gtvr`` from the ``src/`` next to this script, so
+each checkout hashes its own code; to compare a checkout with an older
+one, run this copy of the script from both. Covered, for the four
+algorithms on each instance and seeds 1 and 7:
 
 - the CSV trace of a 150-round run from zero, metrics every 7 rounds;
 - x, y, v, ``grad_evals`` and ``mix_count`` after 60 rounds from a
@@ -80,31 +84,49 @@ def arrays(*values) -> bytes:
     return b"".join(b"-" if v is None else np.ascontiguousarray(v).tobytes() for v in values)
 
 
-def fingerprint() -> str:
-    digest = hashlib.sha256()
+def instance_chunks(name: str, prob, eta: float):
+    """The bytes hashed for one instance, in order."""
+    mixing = graph.metropolis_weights(graph.build_topology("ring", prob.n))
+    for algorithm in algorithms.ALGORITHMS:
+        for seed in SEEDS:
+            yield f"{name}/{algorithm}/{seed}\n".encode()
+            cfg = algorithms.RunConfig(
+                algorithm=algorithm, eta=eta, p=0.3, rounds=TRACE_ROUNDS,
+                seed=seed, cadence=CADENCE, timing=False,
+            )
+            buf = io.StringIO()
+            metrics.write_trace(algorithms.run_experiment(prob, mixing, cfg), buf)
+            yield buf.getvalue().encode()
+            x1 = np.random.default_rng(seed).normal(size=(prob.n, prob.d))
+            swarm = algorithms.init_swarm(prob, x1, cfg)
+            for _ in range(STATE_ROUNDS):
+                algorithms.run_round(swarm, prob, mixing)
+            yield arrays(swarm.x, swarm.y, swarm.v, swarm.grad_evals)
+            yield f"{swarm.k} {swarm.mix_count}\n".encode()
+
+
+def sections():
+    """(name, bytes chunks) for each instance, then for the theory reports."""
     for name, prob, eta in instances():
-        mixing = graph.metropolis_weights(graph.build_topology("ring", prob.n))
-        for algorithm in algorithms.ALGORITHMS:
-            for seed in SEEDS:
-                digest.update(f"{name}/{algorithm}/{seed}\n".encode())
-                cfg = algorithms.RunConfig(
-                    algorithm=algorithm, eta=eta, p=0.3, rounds=TRACE_ROUNDS,
-                    seed=seed, cadence=CADENCE, timing=False,
-                )
-                buf = io.StringIO()
-                metrics.write_trace(algorithms.run_experiment(prob, mixing, cfg), buf)
-                digest.update(buf.getvalue().encode())
-                x1 = np.random.default_rng(seed).normal(size=(prob.n, prob.d))
-                swarm = algorithms.init_swarm(prob, x1, cfg)
-                for _ in range(STATE_ROUNDS):
-                    algorithms.run_round(swarm, prob, mixing)
-                digest.update(arrays(swarm.x, swarm.y, swarm.v, swarm.grad_evals))
-                digest.update(f"{swarm.k} {swarm.mix_count}\n".encode())
-    for kwargs in REPORTS:
-        report = theory.build_report(**kwargs)
-        digest.update((report.to_text() + "\n" + report.to_json() + "\n").encode())
-    return digest.hexdigest()
+        yield name, instance_chunks(name, prob, eta)
+    yield "reports", (
+        (report.to_text() + "\n" + report.to_json() + "\n").encode()
+        for report in (theory.build_report(**kwargs) for kwargs in REPORTS)
+    )
+
+
+def fingerprint() -> list[str]:
+    """One ``name hash`` line per section, then the hash of all of them."""
+    total = hashlib.sha256()
+    lines = []
+    for name, chunks in sections():
+        part = hashlib.sha256()
+        for chunk in chunks:
+            total.update(chunk)
+            part.update(chunk)
+        lines.append(f"{name} {part.hexdigest()}")
+    return lines + [total.hexdigest()]
 
 
 if __name__ == "__main__":
-    print(fingerprint())
+    print("\n".join(fingerprint()))
