@@ -244,12 +244,8 @@ class LogisticProblem(FiniteSumProblem):
         if normalize:
             norms = np.sqrt(np.asarray(csr.multiply(csr).sum(axis=1)).ravel())
             norms[norms == 0.0] = 1.0
-            # each stored value times its row's 1 / norm, in the parser's
-            # order; a product that is 0 is dropped, as the sparse product
-            # diag(1 / norms) @ csr drops it
-            csr = csr.copy()
-            csr.data *= np.repeat(1.0 / norms, np.diff(csr.indptr))
-            csr.eliminate_zeros()
+            csr = sp.diags(1.0 / norms) @ csr
+            csr = sp.csr_matrix(csr)
         order = np.concatenate([np.asarray(idx, dtype=np.int64) for idx in parts])
         labels = np.asarray(raw.labels[order], dtype=float)
         prob = cls.__new__(cls)
@@ -351,7 +347,7 @@ def _agent_blocks(
         _csr_view((hi - lo, d), rows.data[a:b], rows.indices[a:b], rows.indptr[lo : hi + 1] - a)
         for lo, hi, a, b in zip(offsets, offsets[1:], starts, starts[1:])
     ]
-    index = np.int32 if max(total, rows.nnz) <= np.iinfo(np.int32).max else np.int64
+    index = np.int32 if max(total, rows.nnz, n * d) <= np.iinfo(np.int32).max else np.int64
     data = np.empty(rows.nnz)
     indices = np.empty(rows.nnz, dtype=index)
     indptr = np.empty(n * d + 1, dtype=index)

@@ -411,36 +411,6 @@ def test_unsorted_rows_give_the_problem_of_their_sorted_copy(n):
             assert one_trace(got, algorithm) == one_trace(want, algorithm)
 
 
-def test_normalized_partition_values_equal_the_sorted_diagonal_product():
-    # unit-norm rows from each stored value times its row's 1 / norm; an
-    # explicit zero and a product that underflows to 0 are dropped, as the
-    # product diag(1 / norms) @ csr drops them, and an all-zero row keeps norm 1
-    special = [
-        (np.array([0, 2, 5]), np.array([1.5, 0.0, -2.0])),
-        (np.array([1, 4]), np.array([5e-324, 10.0])),
-        (np.array([3]), np.array([0.0])),
-    ]
-    for seed in range(20):
-        gen = np.random.default_rng(seed)
-        rows = []
-        for _ in range(30):
-            idx = np.sort(gen.choice(9, size=gen.integers(1, 10), replace=False))
-            rows.append((idx, gen.normal(scale=10.0 ** gen.integers(-3, 4), size=len(idx))))
-        rows[5:5] = special
-        raw = raw_from_rows(rows, np.where(gen.random(len(rows)) < 0.5, 1.0, -1.0), 9)
-        kept = csr_arrays(raw.features)
-        parts = ingest.partition(raw, 4, seed=seed)
-        prob = LogisticProblem.from_partition(raw, parts, 1e-3, normalize=True)
-        assert same_arrays(raw.features, kept)
-        norms = np.sqrt(np.asarray(raw.features.multiply(raw.features).sum(axis=1)).ravel())
-        norms[norms == 0.0] = 1.0
-        want = sp.csr_matrix(sp.diags(1.0 / norms) @ raw.features)[np.concatenate(parts)]
-        want.sort_indices()
-        got = prob._rows
-        assert got.shape == want.shape and same_bits(got.data, want.data)
-        assert np.array_equal(got.indices, want.indices) and np.array_equal(got.indptr, want.indptr)
-
-
 @pytest.mark.parametrize("name", sorted(BATCH_CASES))
 def test_component_grads_equal_per_agent_oracle(name):
     prob = BATCH_CASES[name]()
