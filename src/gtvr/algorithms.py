@@ -81,7 +81,7 @@ class SwarmState:
     untracked DSGD. ``eta`` is the column of each row's step-size. The
     estimator owns whatever else the local gradient estimate needs
     (GT-VR's anchors, GT-SAGA's tables); ``streams`` hands it the round's
-    coins and indices.
+    coins and sample rows.
     """
 
     k: int
@@ -106,14 +106,15 @@ def _as_stacked(problem: FiniteSumProblem, x1: np.ndarray, replicas: int) -> np.
 
 
 def _check_finite(swarm: SwarmState, k: int, n: int) -> None:
-    # a NaN or infinite entry makes its row norm NaN or infinite, so one
-    # comparison covers both guards; hypot forms the norm without squaring,
-    # so an entry too large to square reads as diverged, with no warning
-    x_ok = np.hypot.reduce(swarm.x, axis=1) <= DIVERGENCE_NORM_CAP
-    if x_ok.all() and (swarm.y is None or np.isfinite(swarm.y).all()):
+    # a NaN or infinite entry makes its row norm NaN or infinite, and the
+    # max of the norms is NaN if any is, so one comparison covers both
+    # guards for every row; hypot forms the norm without squaring, so an
+    # entry too large to square reads as diverged, with no warning
+    norms = np.hypot.reduce(swarm.x, axis=1)
+    if norms.max() <= DIVERGENCE_NORM_CAP and (swarm.y is None or np.isfinite(swarm.y).all()):
         return
     # the lowest replica with a bad row, with the message its own run raises
-    x_bad = ~x_ok.reshape(-1, n).all(axis=1)
+    x_bad = ~(norms <= DIVERGENCE_NORM_CAP).reshape(-1, n).all(axis=1)
     y_bad = x_bad if swarm.y is None else ~np.isfinite(swarm.y.reshape(len(x_bad), -1)).all(axis=1)
     replica = int((x_bad | y_bad).argmax())
     state = "iterate" if x_bad[replica] else "gradient tracker"
@@ -124,8 +125,9 @@ def _check_finite(swarm: SwarmState, k: int, n: int) -> None:
 # state at x, which is x1 once per replica, and returns the first stacked
 # estimate with its per-row oracle counts; ``step(problem, x, streams)``
 # returns the next estimate at x and the counts it spent. Each step takes
-# the round's coins and indices for all rows at once and calls the
-# batched oracle.
+# the round's coins and sample rows for all state rows at once and calls
+# the problem's unchecked oracle cores: the streams checked the rows as
+# they drew them, and the estimators make the points and agent slots.
 
 
 def _per_replica(values: np.ndarray, replicas: int) -> np.ndarray:
@@ -144,7 +146,7 @@ class _StochasticGradient:
         return self.step(problem, x, streams)
 
     def step(self, problem, x, streams):
-        return problem.component_grads(streams.indices(), x), 1
+        return problem._component_grads(streams.rows(), x), 1
 
 
 class _AnchoredGradient:
@@ -161,7 +163,7 @@ class _AnchoredGradient:
         agents = np.arange(1, problem.n + 1)
         self.tau = x.copy()
         self.g_tau = _per_replica(problem.local_full_grads(agents, x[: problem.n]), replicas)
-        self._agents = _per_replica(agents, replicas)
+        self._slots = _per_replica(agents - 1, replicas)
         self._sizes = _per_replica(problem.layout.sizes, replicas)
         return self.g_tau.copy(), self._sizes
 
@@ -169,11 +171,11 @@ class _AnchoredGradient:
         # one oracle call for every coin-selected row, then one for the
         # paired difference, however many rows refresh
         refresh = streams.coins()
-        rows = refresh.nonzero()[0]
-        fresh = x[rows]
-        self.tau[rows] = fresh
-        self.g_tau[rows] = problem.local_full_grads(self._agents[rows], fresh)
-        v = problem.component_grad_diffs(streams.indices(), x, self.tau) + self.g_tau
+        chosen = refresh.nonzero()[0]
+        fresh = x[chosen]
+        self.tau[chosen] = fresh
+        self.g_tau[chosen] = problem._local_full_grads(self._slots[chosen], fresh)
+        v = problem._component_grad_diffs(streams.rows(), x, self.tau) + self.g_tau
         return v, 2 + refresh * self._sizes
 
 
@@ -188,7 +190,8 @@ class _GradientTable:
         # one (sum m_i, d) block per replica in the problem's row layout;
         # the first is filled agent by agent, so only one agent's table is
         # ever held twice, and copied into the others. Row r*n + i - 1 of
-        # the state owns ``tables[r*n + i - 1]``
+        # the state owns ``tables[r*n + i - 1]``, and sample row s of replica
+        # r is table row r*sum(m_i) + s
         replicas, total = len(x) // problem.n, problem.total_samples
         self._table = np.empty((replicas * total, problem.d))
         starts = range(0, len(self._table), total)
@@ -200,15 +203,15 @@ class _GradientTable:
             block[...] = blocks[0]
         mean = np.stack([t.mean(axis=0) for t in self.tables[: problem.n]])
         self.table_mean = _per_replica(mean, replicas)
-        self._base = (np.array(starts)[:, None] + problem.layout.base).ravel()
+        self._offset = np.repeat(starts, problem.n)
         sizes = _per_replica(problem.layout.sizes, replicas)
         self._m_column = sizes[:, None]
         return self.table_mean.copy(), sizes
 
     def step(self, problem, x, streams):
-        js = streams.indices()
-        rows = self._base + js
-        fresh = problem.component_grads(js, x)
+        samples = streams.rows()
+        rows = self._offset + samples
+        fresh = problem._component_grads(samples, x)
         delta = fresh - self._table.take(rows, axis=0)
         v = delta + self.table_mean
         # running average maintained in O(d); stays within rounding of

@@ -6,7 +6,8 @@ quadratic instance is a synthetic least-squares problem whose exact
 minimizer makes it the standard exact-convergence test bed.
 
 Agent ids and sample indices are 1-based throughout the public surface
-(matching the simulator's index draws); storage is 0-based internally.
+(matching the simulator's index draws); storage, and the unchecked oracle
+cores the round engine calls, are 0-based.
 """
 
 from __future__ import annotations
@@ -74,12 +75,19 @@ class RowLayout(NamedTuple):
 class FiniteSumProblem:
     """Shared surface of the per-instance objectives.
 
-    Subclasses provide the oracles the engine and the metric pass call;
-    this base holds the sizes and the row ``layout`` that both instances
-    and the estimators share, the one batch check of ``component_grads``,
-    the default ``component_grad_diffs`` (two ``component_grads`` calls),
-    and the one check of a ``local_full_grads`` batch. The per-sample and
-    per-agent references live in ``tests/reference_problem.py``.
+    This base holds the sizes and the row ``layout`` that both instances
+    and the estimators share, and the checked public entries of the
+    sampled and full-gradient oracles: ``component_grads``,
+    ``component_grad_diffs`` and ``local_full_grads`` each check their
+    batch once and call a subclass core that trusts its arguments,
+    ``_component_grads(rows, X)``, ``_component_grad_diffs(rows, X, T)``
+    (by default two ``_component_grads`` calls) or
+    ``_local_full_grads(slots, X)``. The cores take stacked 0-based sample
+    rows, as ``SwarmStreams.rows`` hands them out, and 0-based agent slots,
+    so the round engine calls them directly. Subclasses provide the cores,
+    GT-SAGA's table, the metric pass's oracle and the smoothness estimate.
+    The per-sample and per-agent references live in
+    ``tests/reference_problem.py``.
     """
 
     n: int
@@ -109,12 +117,20 @@ class FiniteSumProblem:
         """One component gradient per agent and replica, stacked (R*n, d):
         row r*n + i - 1 is the gradient of agent i's sample
         ``js[r*n + i - 1]`` at ``X[r*n + i - 1]`` (a single run is R = 1)."""
-        raise NotImplementedError
+        return self._component_grads(self._batch_rows(js, X), X)
 
     def component_grad_diffs(self, js: np.ndarray, X: np.ndarray, T: np.ndarray) -> np.ndarray:
         """The same draws' gradients at two points, differenced: equal bit
         for bit to ``component_grads(js, X) - component_grads(js, T)``."""
-        return self.component_grads(js, X) - self.component_grads(js, T)
+        return self._component_grad_diffs(self._batch_rows(js, X, T), X, T)
+
+    def _component_grads(self, rows: np.ndarray, X: np.ndarray) -> np.ndarray:
+        """``component_grads`` of the stacked 0-based sample ``rows``, unchecked."""
+        raise NotImplementedError
+
+    def _component_grad_diffs(self, rows: np.ndarray, X: np.ndarray, T: np.ndarray) -> np.ndarray:
+        """``component_grad_diffs`` of the stacked 0-based sample ``rows``, unchecked."""
+        return self._component_grads(rows, X) - self._component_grads(rows, T)
 
     def _batch_rows(self, js: np.ndarray, X: np.ndarray, T: np.ndarray | None = None) -> np.ndarray:
         """Stacked 0-based rows of the sampled components, after one check
@@ -145,6 +161,11 @@ class FiniteSumProblem:
     def local_full_grads(self, agents: np.ndarray, X: np.ndarray) -> np.ndarray:
         """The full local gradients of the 1-based ``agents[j]`` at ``X[j]``,
         stacked (k, d); an empty selection gives (0, d)."""
+        self._check_agents(agents, X)
+        return self._local_full_grads(agents - 1, X)
+
+    def _local_full_grads(self, slots: np.ndarray, X: np.ndarray) -> np.ndarray:
+        """``local_full_grads`` of the 0-based agent ``slots``, unchecked."""
         raise NotImplementedError
 
     def _check_agents(self, agents: np.ndarray, X: np.ndarray) -> None:
@@ -204,10 +225,11 @@ class LogisticProblem(FiniteSumProblem):
         """Keep all agents' rows as one CSR; agent i owns the next sizes[i-1] rows.
 
         The per-agent matrices and label vectors are views into the
-        stacked arrays. The rows are sorted by feature (on a copy, so the
-        caller's matrix is left alone), which makes a row's sum over its
-        entries the same additions whether it is taken row- or
-        feature-major. The features are held a second time, feature-major,
+        stacked arrays. The rows are held in canonical form (``_canonical``),
+        sorted by feature with repeated features summed, so every oracle
+        applies a feature once, and a row's sum over its entries is the
+        same additions whether it is taken row- or feature-major. The
+        features are held a second time, feature-major,
         as the block-diagonal (n*d, N) CSR ``_cols`` whose rows
         (i-1)*d .. i*d-1 are A_i^T over the stacked sample columns: its
         products are dots over long feature rows, where a transposed view
@@ -221,8 +243,7 @@ class LogisticProblem(FiniteSumProblem):
             raise ValueError("labels must be exactly -1 or +1")
         if not np.isfinite(rows.data).all():
             raise ValueError("logistic features must be finite")
-        if not rows.has_sorted_indices:
-            rows = rows.sorted_indices()
+        rows = _canonical(rows)
         self._set_layout(sizes, rows.shape[1])
         self.lam1 = float(lam1)
         self._rows = rows
@@ -242,6 +263,8 @@ class LogisticProblem(FiniteSumProblem):
         """Build from a parsed dataset and a per-agent row assignment."""
         csr = raw.features
         if normalize:
+            # each row's squares summed in canonical order, as the rows are held
+            csr = _canonical(csr)
             norms = np.sqrt(np.asarray(csr.multiply(csr).sum(axis=1)).ravel())
             norms[norms == 0.0] = 1.0
             csr = sp.diags(1.0 / norms) @ csr
@@ -252,9 +275,8 @@ class LogisticProblem(FiniteSumProblem):
         prob._hold(csr[order], labels, [len(idx) for idx in parts], lam1)
         return prob
 
-    def component_grads(self, js: np.ndarray, X: np.ndarray) -> np.ndarray:
-        # the per-sample reference's arithmetic row by row, after one batch check
-        rows = self._batch_rows(js, X)
+    def _component_grads(self, rows: np.ndarray, X: np.ndarray) -> np.ndarray:
+        # the per-sample reference's arithmetic row by row
         grads = (2.0 * self.lam1) * X
         indptr, indices, data = self._rows.indptr, self._rows.indices, self._rows.data
         for g, x, r, l in zip(grads, X, rows.tolist(), self._label_rows[rows].tolist()):
@@ -274,18 +296,17 @@ class LogisticProblem(FiniteSumProblem):
         table += (2.0 * self.lam1) * x
         return table
 
-    def local_full_grads(self, agents: np.ndarray, X: np.ndarray) -> np.ndarray:
-        # agent by agent: the sparse products are the floor here; agent i's
+    def _local_full_grads(self, slots: np.ndarray, X: np.ndarray) -> np.ndarray:
+        # agent by agent: the sparse products are the floor here; an agent's
         # (d, N) feature rows read only its own slice of the coefficients
-        self._check_agents(agents, X)
-        out = np.empty((len(agents), self.d))
+        out = np.empty((len(slots), self.d))
         coef = np.empty(self.total_samples)
         offsets = self.layout.offsets
-        for row, (i, x) in enumerate(zip(agents.tolist(), X)):
-            l = self._labels[i - 1]
-            z = l * (self._feats[i - 1] @ x)
-            coef[offsets[i - 1] : offsets[i]] = (-l * _sigmoid_product(*_exp_terms(z))) / self.m[i - 1]
-            out[row] = (self._col_blocks[i - 1] @ coef) + (2.0 * self.lam1) * x
+        for row, (s, x) in enumerate(zip(slots.tolist(), X)):
+            l = self._labels[s]
+            z = l * (self._feats[s] @ x)
+            coef[offsets[s] : offsets[s + 1]] = (-l * _sigmoid_product(*_exp_terms(z))) / self.m[s]
+            out[row] = (self._col_blocks[s] @ coef) + (2.0 * self.lam1) * x
         return out
 
     def local_costs_and_grads(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -315,6 +336,17 @@ class LogisticProblem(FiniteSumProblem):
         # sigmoid-composition curvature is bounded by 1/4; conservative
         # but valid, which is all the step-size theory requires
         return float(self._rows.multiply(self._rows).sum(axis=1).max()) / 4.0 + 2.0 * self.lam1
+
+
+def _canonical(rows: sp.csr_matrix) -> sp.csr_matrix:
+    """``rows`` with each row's entries sorted by feature and repeated
+    features summed: the matrix itself if it is canonical already, else a
+    canonical copy, so the caller's matrix is left alone."""
+    if rows.has_canonical_format:
+        return rows
+    rows = rows.copy()
+    rows.sum_duplicates()
+    return rows
 
 
 def _csr_view(
@@ -393,16 +425,14 @@ class QuadraticProblem(FiniteSumProblem):
             m = self.m[0]
             self._blocks = (self._rows.reshape(self.n, m, self.d), self._target_rows.reshape(self.n, m))
 
-    def component_grads(self, js: np.ndarray, X: np.ndarray) -> np.ndarray:
-        rows = self._batch_rows(js, X)
+    def _component_grads(self, rows: np.ndarray, X: np.ndarray) -> np.ndarray:
         a = self._rows.take(rows, axis=0)
         # stacked (1, d) @ (d, 1) products reproduce each row's a @ x bit
         # for bit; einsum and (a * X).sum(1) do not
         r = (a[:, None, :] @ X[:, :, None])[:, 0, 0] - self._target_rows.take(rows)
         return r[:, None] * a
 
-    def component_grad_diffs(self, js: np.ndarray, X: np.ndarray, T: np.ndarray) -> np.ndarray:
-        rows = self._batch_rows(js, X, T)
+    def _component_grad_diffs(self, rows: np.ndarray, X: np.ndarray, T: np.ndarray) -> np.ndarray:
         a = self._rows.take(rows, axis=0)
         t = self._target_rows.take(rows)
         r_x = (a[:, None, :] @ X[:, :, None])[:, 0, 0] - t
@@ -415,21 +445,19 @@ class QuadraticProblem(FiniteSumProblem):
         r = a @ x - self._targets[i - 1]
         return r[:, None] * a
 
-    def local_full_grads(self, agents: np.ndarray, X: np.ndarray) -> np.ndarray:
-        self._check_agents(agents, X)
+    def _local_full_grads(self, slots: np.ndarray, X: np.ndarray) -> np.ndarray:
         if self._blocks is None:  # unequal m_i: agent by agent
-            out = np.empty((len(agents), self.d))
-            for row, (i, x) in enumerate(zip(agents.tolist(), X)):
-                a = self._feats[i - 1]
-                r = a @ x - self._targets[i - 1]
-                out[row] = (a.T @ r) / self.m[i - 1]
+            out = np.empty((len(slots), self.d))
+            for row, (s, x) in enumerate(zip(slots.tolist(), X)):
+                a = self._feats[s]
+                r = a @ x - self._targets[s]
+                out[row] = (a.T @ r) / self.m[s]
             return out
         feats, targets = self._blocks
-        slot = agents - 1
-        a = feats.take(slot, axis=0)
+        a = feats.take(slots, axis=0)
         # stacked (m, d) @ (d, 1) and (d, m) @ (m, 1) products: the gemv
         # calls of the agent-by-agent branch, item by item
-        r = (a @ X[:, :, None])[:, :, 0] - targets.take(slot, axis=0)
+        r = (a @ X[:, :, None])[:, :, 0] - targets.take(slots, axis=0)
         return (a.transpose(0, 2, 1) @ r[:, :, None])[:, :, 0] / self.m[0]
 
     def local_costs_and_grads(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -9,10 +9,12 @@ state and a run is bit-reproducible from the master seed alone.
 ``SwarmStreams``, built once per run from the seed, every agent's sample
 count m_i and the refresh probability P of each of the R runs it serves,
 keeps those streams to itself and hands the round engine one coin vector
-and one index vector per round. A coin is 1 iff the next uniform [0, 1)
-draw is below P; an index is uniform in [1, m_i] (``uniform_indices``).
-The R runs share the seed, so each uniform and each index serves them
-all, and each run sees the coins and indices it would draw on its own.
+and one sample-row vector per round. A coin is 1 iff the next uniform
+[0, 1) draw is below P; an index is uniform in [1, m_i]
+(``uniform_indices``), and agent i's index j is handed out as its stacked
+0-based sample row, the row a problem's ``layout`` gives it. The R runs
+share the seed, so each uniform and each index serves them all, and each
+run sees the coins and indices it would draw on its own.
 """
 
 from __future__ import annotations
@@ -60,7 +62,7 @@ def uniform_indices(stream: np.random.Generator, m: int) -> Iterator[int]:
         yield from (raw[raw < m] + 1).tolist()
 
 
-def _rows(refill: Callable[[], np.ndarray]) -> Iterator[np.ndarray]:
+def _one_at_a_time(refill: Callable[[], np.ndarray]) -> Iterator[np.ndarray]:
     """The rows of one ``(DRAW_BLOCK, R*n)`` block from ``refill`` after another."""
     while True:
         yield from refill()
@@ -69,13 +71,16 @@ def _rows(refill: Callable[[], np.ndarray]) -> Iterator[np.ndarray]:
 class SwarmStreams:
     """Every agent's two streams for R runs of one seed, drawn in blocks.
 
-    ``coins`` and ``indices`` return one draw per run and agent per call,
-    run r's agent i at position r*n + i - 1. Agent i draws from its own
-    streams ``derived_generator(master_seed, i, PURPOSE_BERNOULLI)`` and
+    ``coins`` and ``rows`` return one draw per run and agent per call, run
+    r's agent i at position r*n + i - 1. Agent i draws from its own streams
+    ``derived_generator(master_seed, i, PURPOSE_BERNOULLI)`` and
     ``derived_generator(master_seed, i, PURPOSE_INDEX)``: one uniform that
-    gives run r a Bernoulli(p[r]) coin, and one uniform index in [1, m_i]
-    that every run shares. ``p`` is one probability for a single run or
-    the R runs' probabilities.
+    gives run r a Bernoulli(p[r]) coin, and one uniform index j in [1, m_i]
+    that every run shares, handed out as the stacked sample row
+    ``base[i - 1] + j`` of agents that own the next m_i rows each (a
+    problem's ``layout.base``). Each block of indices is checked and turned
+    into rows once, as it is drawn. ``p`` is one probability for a single
+    run or the R runs' probabilities.
     """
 
     def __init__(self, master_seed: int, m: Sequence[int], p: float | Sequence[float]) -> None:
@@ -90,27 +95,34 @@ class SwarmStreams:
             uniform_indices(derived_generator(master_seed, i, PURPOSE_INDEX), m_i)
             for i, m_i in zip(agents, m)
         ]
+        sizes = np.asarray(m)
+        base = np.cumsum([0, *m[:-1]]) - 1
         runs = len(ps)
+
+        def row_block() -> np.ndarray:
+            # one range check and one translation for a whole block of draws
+            js = np.stack(
+                [np.fromiter(islice(g, DRAW_BLOCK), np.int64, DRAW_BLOCK) for g in index_draws], axis=1
+            )
+            bad = (js < 1) | (js > sizes)
+            if bad.any():
+                agent = int(bad.any(axis=0).argmax())
+                j = int(js[bad[:, agent].argmax(), agent])
+                raise IndexError(f"agent {agent + 1} drew sample index {j} outside [1, {m[agent]}]")
+            return np.tile(js + base, (1, runs))
+
         # each row of a block: agent i's uniform against run r's p at r*n + i - 1
-        self._coins = _rows(
+        self._coins = _one_at_a_time(
             lambda: (np.stack([s.random(DRAW_BLOCK) for s in coin_streams], axis=1)[:, None] < ps)
             .reshape(DRAW_BLOCK, -1)
         )
-        self._indices = _rows(
-            lambda: np.tile(
-                np.stack(
-                    [np.fromiter(islice(g, DRAW_BLOCK), np.int64, DRAW_BLOCK) for g in index_draws],
-                    axis=1,
-                ),
-                (1, runs),
-            )
-        )
+        self._rows = _one_at_a_time(row_block)
 
     def coins(self) -> np.ndarray:
         """Every run's and agent's next Bernoulli(p) trial, as an (R*n,) bool array."""
         return next(self._coins)
 
-    def indices(self) -> np.ndarray:
-        """Every agent's next uniform index in [1, m_i], once per run, as an
-        (R*n,) int64 array."""
-        return next(self._indices)
+    def rows(self) -> np.ndarray:
+        """Every agent's next uniform index j in [1, m_i] as its stacked 0-based
+        sample row ``base[i - 1] + j``, once per run, as an (R*n,) int64 array."""
+        return next(self._rows)

@@ -140,7 +140,8 @@ def scalar_streams(seed: int, n: int) -> list[ScalarStreams]:
 
 class StubSwarmStreams:
     """SwarmStreams replacement: each round's coins come from one scripted
-    vector of uniform draws against p, its indices from real swarm streams."""
+    vector of uniform draws against p, its sample rows from real swarm
+    streams."""
 
     def __init__(self, uniforms, p, indices_from):
         self._uniforms = [np.asarray(u, dtype=float) for u in uniforms]
@@ -150,8 +151,8 @@ class StubSwarmStreams:
     def coins(self):
         return self._uniforms.pop(0) < self._p
 
-    def indices(self):
-        return self._indices_from.indices()
+    def rows(self):
+        return self._indices_from.rows()
 
 
 def mean_abs_inf(a: np.ndarray) -> float:

@@ -1,4 +1,5 @@
 from dataclasses import replace
+from itertools import product
 
 import numpy as np
 import pytest
@@ -210,9 +211,11 @@ def test_gtvr_two_exchanges_per_round(setup5):
 @pytest.mark.parametrize("p, replicas", [(0.05, 1), (0.5, 1), (0.5, 4), (0.95, 4)])
 def test_gtvr_step_makes_two_oracle_calls_per_round(setup5, monkeypatch, p, replicas):
     # one batched refresh and one paired difference, whether no row, some
-    # rows or every row refreshes; the single-point oracle is not called
+    # rows or every row refreshes; the single-point oracle is not called.
+    # The cores are counted: the public entries check and call them, and
+    # the round engine calls them directly
     prob, mixing = setup5
-    calls = {name: 0 for name in ("local_full_grads", "component_grad_diffs", "component_grads")}
+    calls = {name: 0 for name in ("_local_full_grads", "_component_grad_diffs", "_component_grads")}
     for name in calls:
         real = getattr(QuadraticProblem, name)
 
@@ -223,14 +226,14 @@ def test_gtvr_step_makes_two_oracle_calls_per_round(setup5, monkeypatch, p, repl
         monkeypatch.setattr(QuadraticProblem, name, counted)
     cfgs = [RunConfig(algorithm="gtvr", eta=0.01 * (r + 1), p=p, seed=3) for r in range(replicas)]
     swarm = init_swarm(prob, np.zeros((5, 4)), cfgs)
-    assert calls == {"local_full_grads": 1, "component_grad_diffs": 0, "component_grads": 0}
+    assert calls == {"_local_full_grads": 1, "_component_grad_diffs": 0, "_component_grads": 0}
     refreshed = set()
     for k in range(1, 41):
         before = swarm.grad_evals.copy()
         run_round(swarm, prob, mixing)
         refreshed.add(int(np.count_nonzero(swarm.grad_evals - before > 2)))
-        assert calls["local_full_grads"] == 1 + k and calls["component_grad_diffs"] == k
-    assert calls["component_grads"] == 0
+        assert calls["_local_full_grads"] == 1 + k and calls["_component_grad_diffs"] == k
+    assert calls["_component_grads"] == 0
     # the rounds include refreshing no row (low P) or every row (high P)
     assert 0 in refreshed or replicas * prob.n in refreshed
     assert len(refreshed) > 1
@@ -301,6 +304,101 @@ def test_batch_divergence_names_the_lowest_diverged_replica(setup5):
     with pytest.raises(DivergedError) as alone:
         run_experiment(prob, mixing, cfgs[1])
     assert str(batch.value) == str(alone.value)
+
+
+CAP = algorithms.DIVERGENCE_NORM_CAP
+# rows that break the guard: every non-finite kind, a finite row whose norm
+# passes the cap while each entry stays below it, and entries whose squares
+# overflow
+BAD_ROWS = {
+    "nan": [np.nan, 0.5, 0.0, 1.0],
+    "+inf": [0.1, np.inf, 0.0, 0.0],
+    "-inf": [-np.inf, 0.1, 0.0, 0.0],
+    "long": [9e11, 9e11, 0.0, 0.0],
+    "huge": [1e200, -1e200, 0.0, 0.0],
+}
+
+
+def row_by_row_guard(swarm, n):
+    """The guard's rule row by row: the message and replica of the lowest
+    replica with an iterate row whose norm is not at most the cap, or with a
+    non-finite tracker entry; None if there is none."""
+    for r in range(len(swarm.x) // n):
+        rows = slice(r * n, (r + 1) * n)
+        x_bad = not all(np.hypot.reduce(row) <= CAP for row in swarm.x[rows])
+        y_bad = swarm.y is not None and not np.isfinite(swarm.y[rows]).all()
+        if x_bad or y_bad:
+            return f"{'iterate' if x_bad else 'gradient tracker'} diverged at iteration {swarm.k}", r
+    return None
+
+
+def guard_outcome(check):
+    """The message and replica that ``check()`` raises, or None."""
+    try:
+        check()
+    except DivergedError as err:
+        return str(err), err.replica
+    return None
+
+
+@pytest.mark.parametrize("case", sorted(BAD_ROWS))
+def test_guard_names_what_the_row_by_row_rule_names(case, n=5, replicas=3):
+    gen = np.random.default_rng(5)
+    # a bad row in x, in y, or in both, in each replica and at either end
+    # of its block, with and without a tracker
+    placements = [(r, None) for r in range(replicas)] + [(None, r) for r in range(replicas)]
+    placements += [(2, 1), (1, 2), (1, 1), (0, 2)]
+    for (x_at, y_at), row, tracked in product(placements, (0, n - 1), (True, False)):
+        x = gen.normal(size=(replicas * n, 4))
+        y = gen.normal(size=(replicas * n, 4)) if tracked else None
+        if x_at is not None:
+            x[x_at * n + row] = BAD_ROWS[case]
+        if y_at is not None and tracked:
+            y[y_at * n + row] = BAD_ROWS[case]
+        swarm = algorithms.SwarmState(k=7, x=x, grad_evals=np.zeros(len(x), np.int64), y=y)
+        want = row_by_row_guard(swarm, n)
+        assert guard_outcome(lambda: algorithms._check_finite(swarm, swarm.k, n)) == want
+        if x_at is not None:
+            assert want is not None
+
+
+def test_guard_passes_a_row_exactly_at_the_cap(n=5):
+    x = np.zeros((2 * n, 4))
+    x[3] = [CAP, 0.0, 0.0, 0.0]
+    x[n + 1] = [0.0, 0.0, -CAP, 0.0]
+    for y in (None, np.ones_like(x)):
+        swarm = algorithms.SwarmState(k=1, x=x.copy(), grad_evals=np.zeros(2 * n, np.int64), y=y)
+        assert row_by_row_guard(swarm, n) is None
+        algorithms._check_finite(swarm, swarm.k, n)
+        swarm.x[n + 1, 2] = -np.nextafter(CAP, np.inf)
+        assert guard_outcome(lambda: algorithms._check_finite(swarm, swarm.k, n)) == (
+            "iterate diverged at iteration 1",
+            1,
+        )
+
+
+@pytest.mark.parametrize("algorithm", ["dsgd", "dsgt"])
+@pytest.mark.parametrize("case", sorted(BAD_ROWS))
+def test_run_round_diverges_when_the_row_by_row_rule_does(setup5, algorithm, case):
+    # the identity keeps an injected row in its replica's block, so the
+    # round that follows the injection is the first the guard can fail
+    prob, _ = setup5
+    n = prob.n
+    identity = graph.MixingMatrix(n=n, w=np.eye(n), rho=0.0)
+    cfgs = [RunConfig(algorithm=algorithm, eta=0.01 * (r + 1), p=0.5, seed=4) for r in range(3)]
+    swarm = init_swarm(prob, np.zeros((n, prob.d)), cfgs)
+    raised = []
+    for k in range(1, 7):
+        if k == 3:
+            swarm.x[n + 2] = BAD_ROWS[case]
+        with np.errstate(invalid="ignore", over="ignore"):
+            got = guard_outcome(lambda: run_round(swarm, prob, identity))
+        # run_round swaps in the new state before its guard raises
+        assert swarm.k == k and got == row_by_row_guard(swarm, n)
+        if got is not None:
+            raised.append(got)
+            break
+    assert raised and raised[0][1] == 1
 
 
 def test_batch_records_share_one_clock_reading(setup5):

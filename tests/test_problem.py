@@ -411,6 +411,46 @@ def test_unsorted_rows_give_the_problem_of_their_sorted_copy(n):
             assert one_trace(got, algorithm) == one_trace(want, algorithm)
 
 
+def test_repeated_features_of_a_row_are_summed_by_every_oracle():
+    # the row [(0, 1.0), (0, 1.0)] is the row (2, 0) to the sampled, the
+    # full-gradient and the metric oracles alike, and the caller's matrix
+    # keeps its two entries
+    repeated = sp.csr_matrix((np.array([1.0, 1.0]), np.array([0, 0]), np.array([0, 2])), shape=(1, 2))
+    saved = csr_arrays(repeated)
+    prob = LogisticProblem([repeated], [np.array([1.0])], 0.0)
+    assert same_arrays(repeated, saved) and not repeated.has_canonical_format
+    summed = single_logistic(np.array([2.0, 0.0]), 1.0)
+    x = np.array([0.3, -0.2])
+    for p in (prob, summed):
+        grads = [
+            p.component_grads(np.array([1]), x[None])[0],
+            p.local_full_grads(np.array([1]), x[None])[0],
+            p.local_costs_and_grads(x)[1][0],
+        ]
+        for g in grads:
+            assert g[0] == pytest.approx(-0.45757, abs=1e-5) and g[1] == 0.0
+            assert np.array_equal(g, grads[0])
+    for oracle in ("component_grads", "local_full_grads"):
+        call = lambda p: getattr(p, oracle)(np.array([1]), x[None])
+        assert same_bits(call(prob), call(summed))
+    assert all(map(same_bits, prob.local_costs_and_grads(x), summed.local_costs_and_grads(x)))
+
+
+def test_normalizing_unsorted_rows_equals_normalizing_their_sorted_copy():
+    # each row's squares are summed in feature order, whatever order the
+    # dataset lists its entries in
+    for seed in range(30):
+        raw = random_raw(60, 40, seed=seed)
+        shuffled = shuffled_within_rows(raw.features, seed=seed)
+        assert not shuffled.has_sorted_indices
+        saved = csr_arrays(shuffled)
+        parts = ingest.partition(raw, 3, seed=seed)
+        got = LogisticProblem.from_partition(ingest.RawDataset(shuffled, raw.labels), parts, 1e-3, normalize=True)
+        want = LogisticProblem.from_partition(raw, parts, 1e-3, normalize=True)
+        assert same_arrays(shuffled, saved)
+        assert same_csr(got._rows, want._rows) and same_csr(got._cols, want._cols)
+
+
 @pytest.mark.parametrize("name", sorted(BATCH_CASES))
 def test_component_grads_equal_per_agent_oracle(name):
     prob = BATCH_CASES[name]()

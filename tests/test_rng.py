@@ -1,5 +1,5 @@
 import math
-from itertools import islice
+from itertools import islice, repeat
 
 import numpy as np
 import pytest
@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gtvr import rng
+from gtvr.problem import FiniteSumProblem
 from helpers import StubGenerator, scalar_streams
 from reference_rng import draw_bernoulli, draw_index
 
@@ -121,6 +122,7 @@ def test_swarm_streams_reject_an_empty_index_range():
 def test_swarm_buffer_hands_out_the_scalar_sequence(m, p, seed):
     buffered = rng.SwarmStreams(seed, m, p)
     scalar = scalar_streams(seed, len(m))
+    base = layout_base(m)
     # past two refills; coins stop early, as a DSGD run after GT-VR would
     rounds = 2 * rng.DRAW_BLOCK + 37
     for k in range(rounds):
@@ -128,9 +130,47 @@ def test_swarm_buffer_hands_out_the_scalar_sequence(m, p, seed):
             coins = buffered.coins()
             assert coins.dtype == bool
             assert coins.astype(int).tolist() == [draw_bernoulli(s.bernoulli, p) for s in scalar]
-        js = buffered.indices()
-        assert js.dtype == np.int64
-        assert js.tolist() == [draw_index(s.index, m_i) for s, m_i in zip(scalar, m)]
+        rows = buffered.rows()
+        assert rows.dtype == np.int64
+        assert rows.tolist() == [b + draw_index(s.index, m_i) for b, s, m_i in zip(base, scalar, m)]
+
+
+def layout_base(m):
+    """``layout.base`` of a problem whose agents own m_i samples each: its
+    agent i's sample j is stacked row base[i - 1] + j."""
+    prob = FiniteSumProblem()
+    prob._set_layout(m, 1)
+    return prob.layout.base.tolist()
+
+
+@settings(FIXED_SEED, max_examples=25)
+@given(
+    m=st.lists(INDEX_RANGES, min_size=1, max_size=5),
+    replicas=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_swarm_rows_are_the_layout_base_plus_the_scalar_draws(m, replicas, seed):
+    streams = rng.SwarmStreams(seed, m, [0.5] * replicas)
+    scalar = scalar_streams(seed, len(m))
+    base = layout_base(m)
+    # past two refills, each replica handed its agents' rows in turn
+    for _ in range(2 * rng.DRAW_BLOCK + 11):
+        want = [b + draw_index(s.index, m_i) for b, s, m_i in zip(base, scalar, m)]
+        assert streams.rows().tolist() == want * replicas
+
+
+@pytest.mark.parametrize("bad", [0, 6])
+def test_swarm_rows_reject_an_out_of_range_draw_naming_its_agent(monkeypatch, bad):
+    # agent 2 (m_i = 5) draws one index outside [1, 5] late in the first block
+    def stub_indices(stream, m_i):
+        if m_i != 5:
+            return repeat(1)
+        return iter([3] * (rng.DRAW_BLOCK - 7) + [bad] + [2] * 7)
+
+    monkeypatch.setattr(rng, "uniform_indices", stub_indices)
+    streams = rng.SwarmStreams(4, (3, 5, 4), (0.3, 0.6))
+    with pytest.raises(IndexError, match=rf"agent 2 drew sample index {bad} outside \[1, 5\]"):
+        streams.rows()
 
 
 def test_swarm_buffer_rejects_a_degenerate_probability():
@@ -151,4 +191,4 @@ def test_swarm_streams_of_several_runs_hand_each_run_its_own_draws(m, ps, seed):
     # past one refill
     for _ in range(rng.DRAW_BLOCK + 37):
         assert batch.coins().tolist() == [c for s in alone for c in s.coins().tolist()]
-        assert batch.indices().tolist() == [j for s in alone for j in s.indices().tolist()]
+        assert batch.rows().tolist() == [row for s in alone for row in s.rows().tolist()]

@@ -1,0 +1,90 @@
+"""Microseconds per round and per metric record, for each algorithm.
+
+Times the round engine (``run_round``) and the metric record that
+``run_experiments`` makes (``stationarity_metrics`` and
+``consensus_gap_D``) at two fixed shapes:
+
+- ``quad5``: the acceptance suite's five-agent quadratic (n=5, m=20, d=4)
+  on its random graph;
+- ``logistic``: ``make_logistic(10, 3256, 123, density=0.11)``, an
+  a9a-shaped synthetic problem, on a ring.
+
+Each repetition starts a fresh swarm at zero and times ``--rounds``
+rounds, then ``max(1, rounds // 20)`` records at the state they reach.
+The table gives the minimum over ``--repeats`` repetitions, the reading
+least disturbed by other work on the machine. It checks nothing and
+never fails on a timing:
+
+    python3 tools/round_costs.py [--rounds 1000] [--repeats 5]
+
+It imports ``gtvr`` from the ``src/`` next to this script and prints a
+Markdown table.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import platform
+import sys
+import time
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+import numpy as np  # noqa: E402
+import scipy  # noqa: E402
+
+from gtvr import algorithms, graph, metrics, problem  # noqa: E402
+
+P = 0.3  # GT-VR's refresh probability
+
+
+def shapes():
+    """(name, problem, mixing, eta) for each timed shape."""
+    quad = problem.make_quadratic(5, 20, 4, seed=11, noise=0.5)
+    quad_mixing = graph.metropolis_weights(graph.build_topology("random", 5, p_edge=0.8, seed=2))
+    yield "quad5", quad, quad_mixing, 0.05
+    logistic = problem.make_logistic(10, 3256, 123, density=0.11)
+    yield "logistic", logistic, graph.metropolis_weights(graph.build_topology("ring", 10)), 0.1
+
+
+def repetition(prob, mixing, cfg, rounds):
+    """Seconds per round and per record over one fresh run."""
+    swarm = algorithms.init_swarm(prob, np.zeros((prob.n, prob.d)), cfg)
+    start = time.perf_counter()
+    for _ in range(rounds):
+        algorithms.run_round(swarm, prob, mixing)
+    per_round = (time.perf_counter() - start) / rounds
+    records = max(1, rounds // 20)
+    start = time.perf_counter()
+    for _ in range(records):
+        metrics.stationarity_metrics(prob, swarm.x, swarm.y)
+        metrics.consensus_gap_D(mixing, swarm.x)
+    return per_round, (time.perf_counter() - start) / records
+
+
+def main(argv=None) -> None:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--rounds", type=int, default=1000, help="rounds per repetition")
+    parser.add_argument("--repeats", type=int, default=5, help="repetitions; the minimum is kept")
+    args = parser.parse_args(argv)
+    if args.rounds < 1 or args.repeats < 1:
+        parser.error("--rounds and --repeats must be >= 1")
+    print(
+        f"python {platform.python_version()}, numpy {np.__version__}, scipy {scipy.__version__}, "
+        f"{os.cpu_count()} CPUs; minimum of {args.repeats} x {args.rounds} rounds"
+    )
+    print()
+    print("| shape | algorithm | us/round | us/record |")
+    print("|---|---|---:|---:|")
+    for name, prob, mixing, eta in shapes():
+        for algorithm in algorithms.ALGORITHMS:
+            cfg = algorithms.RunConfig(algorithm=algorithm, eta=eta, p=P, seed=1)
+            runs = [repetition(prob, mixing, cfg, args.rounds) for _ in range(args.repeats)]
+            per_round, per_record = (min(column) * 1e6 for column in zip(*runs))
+            print(f"| {name} | {algorithm} | {per_round:.1f} | {per_record:.1f} |", flush=True)
+
+
+if __name__ == "__main__":
+    main()
