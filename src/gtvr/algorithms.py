@@ -32,6 +32,8 @@ from .problem import FiniteSumProblem
 from .rng import SwarmStreams
 
 DIVERGENCE_NORM_CAP = 1e12
+# replica-columns of queued metric records that one metric pass evaluates
+RECORD_WIDTH = 32
 
 
 class DivergedError(RuntimeError):
@@ -323,6 +325,11 @@ def run_experiments(
     for the lowest replica that diverged in that iteration, with the
     message its own run would raise, and names it in
     ``DivergedError.replica``.
+
+    Records are queued and evaluated together once they hold
+    ``RECORD_WIDTH`` replica-columns, and at the end: one metric pass over
+    the stacked snapshots, whose rows equal per-record evaluation bit for
+    bit. ``wall_ms`` is the time spent outside those passes.
     """
     if mixing.n != problem.n:
         raise ValueError(f"mixing matrix is for {mixing.n} agents, problem has {problem.n}")
@@ -330,38 +337,51 @@ def run_experiments(
         x1 = np.zeros((problem.n, problem.d))
     swarm = init_swarm(problem, x1, cfgs)
     cfg = cfgs[0]
-    n = problem.n
-    blocks = [slice(lo, lo + n) for lo in range(0, len(swarm.x), n)]
-    traces: list[list[TraceRow]] = [[] for _ in blocks]
-
+    n, replicas = problem.n, len(cfgs)
+    traces: list[list[TraceRow]] = [[] for _ in cfgs]
+    # (k, wall_ms, x, y, grad_evals) per queued record: a round swaps in
+    # fresh x and y, so only the counters, updated in place, are copied
+    queue: list[tuple] = []
     start = time.perf_counter()
+    metric_s = 0.0  # time spent in metric passes, kept out of wall_ms
 
-    def record() -> None:
-        # one clock reading per record, shared by every replica
-        wall = (time.perf_counter() - start) * 1e3 if cfg.timing else 0.0
-        for block, rows in zip(blocks, traces):
-            x = swarm.x[block]
-            cost, stat, cons, track = stationarity_metrics(
-                problem, x, None if swarm.y is None else swarm.y[block]
-            )
-            evals = int(swarm.grad_evals[block].sum())
-            rows.append(
+    def flush() -> None:
+        nonlocal metric_s
+        t0 = time.perf_counter()
+        x = np.concatenate([q[2] for q in queue]).reshape(-1, n, problem.d)
+        y = None if swarm.y is None else np.concatenate([q[3] for q in queue])
+        columns = zip(*(v.tolist() for v in stationarity_metrics(problem, x, y)))
+        evals = np.concatenate([q[4] for q in queue]).reshape(-1, n).sum(axis=1).tolist()
+        for c, (cost, stat, cons, track) in enumerate(columns):
+            k, wall = queue[c // replicas][:2]
+            traces[c % replicas].append(
                 TraceRow(
-                    k=swarm.k,
+                    k=k,
                     cost=cost,
                     stat=stat,
                     cons=cons,
                     track=track,
-                    dbar=consensus_gap_D(mixing, x),
-                    grad_evals=evals,
-                    epoch=evals / problem.total_samples,
+                    dbar=consensus_gap_D(mixing, x[c]),
+                    grad_evals=evals[c],
+                    epoch=evals[c] / problem.total_samples,
                     wall_ms=wall,
                 )
             )
+        queue.clear()
+        metric_s += time.perf_counter() - t0
+
+    def record() -> None:
+        # one clock reading per record, shared by every replica
+        wall = (time.perf_counter() - start - metric_s) * 1e3 if cfg.timing else 0.0
+        queue.append((swarm.k, wall, swarm.x, swarm.y, swarm.grad_evals.copy()))
+        if len(queue) * replicas >= RECORD_WIDTH:
+            flush()
 
     record()
     for k in range(1, cfg.rounds + 1):
         run_round(swarm, problem, mixing)
         if k % cfg.cadence == 0 or k == cfg.rounds:
             record()
+    if queue:
+        flush()
     return traces

@@ -46,42 +46,53 @@ def consensus_gap_D(mixing: MixingMatrix, stacked: np.ndarray) -> float:  # noqa
 
 
 def agent_average(costs: np.ndarray, grads: np.ndarray) -> tuple[float, np.ndarray]:
-    """Mean of per-agent costs and stacked gradients, summed in agent order."""
-    cost = 0.0
-    grad = np.zeros(grads.shape[1])
-    for c, g in zip(costs, grads):
-        cost += float(c)
-        grad += g
-    return cost / len(costs), grad / len(costs)
+    """Mean of per-agent costs (..., n) and stacked gradients (..., n, d),
+    summed in agent order."""
+    n = costs.shape[-1]
+    cost = np.zeros(costs.shape[:-1])
+    grad = np.zeros(grads.shape[:-2] + grads.shape[-1:])
+    for i in range(n):
+        cost += costs[..., i]
+        grad += grads[..., i, :]
+    # a single point's cost as a scalar
+    return (cost / n)[()], grad / n
 
 
 def stationarity_metrics(
     problem: FiniteSumProblem,
     x: np.ndarray,
     y: np.ndarray | None,
-) -> tuple[float, float, float, float]:
-    """(cost, stat, cons, track) at the mean of the stacked iterates x.
+) -> tuple:
+    """(cost, stat, cons, track) at the mean of the stacked iterates x (n, d),
+    or for each of K snapshots stacked (K, n, d) as four (K,) arrays.
 
     ``track`` compares each tracker y_i to the local gradient at xbar,
     i.e. to the stacked gradient the tracking analysis bounds; it is NaN
-    when y is None (DSGD carries no tracker). Reads x and y only.
+    when y is None (DSGD carries no tracker). The snapshots' means go to
+    one ``local_costs_and_grads`` call, and each snapshot's values equal
+    those of a call on it alone bit for bit. Reads x and y only.
     """
-    xbar = x.mean(axis=0)
+    xs = x.reshape(-1, problem.n, problem.d)
+    xbar = xs.mean(axis=1)
     costs, grads = problem.local_costs_and_grads(xbar)
     cost, grad = agent_average(costs, grads)
-    stat = float(grad @ grad)
-    dev = x - xbar
-    cons = float(np.sum(dev * dev))
+    # stacked (1, d) @ (d, 1) products equal each row's dot with itself bit
+    # for bit
+    stat = (grad[:, None, :] @ grad[:, :, None]).ravel()
+    dev = xs - xbar[:, None, :]
+    # each snapshot's squares summed as one contiguous row, as a lone (n, d)
+    # array's are
+    cons = (dev * dev).reshape(len(xs), -1).sum(axis=1)
     if y is None:
-        track = float("nan")
+        track = np.full(len(xs), np.nan)
     else:
-        diff = y - grads
-        # stacked (1, d) @ (d, 1) products equal each row's diff @ diff bit
-        # for bit; the agents are then summed in order
-        track = 0.0
-        for sq in (diff[:, None, :] @ diff[:, :, None]).ravel().tolist():
+        diff = y.reshape(xs.shape) - grads
+        # each agent's squared error, then the agents summed in order
+        track = np.zeros(len(xs))
+        for sq in (diff[..., None, :] @ diff[..., :, None])[..., 0, 0].T:
             track += sq
-    return cost, stat, cons, track
+    # a single snapshot's values as scalars
+    return tuple(v.reshape(x.shape[:-2])[()] for v in (cost, stat, cons, track))
 
 
 # (name, parser) per trace column, in TraceRow's field order

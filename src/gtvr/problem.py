@@ -135,6 +135,7 @@ class FiniteSumProblem:
     def _batch_rows(self, js: np.ndarray, X: np.ndarray, T: np.ndarray | None = None) -> np.ndarray:
         """Stacked 0-based rows of the sampled components, after one check
         of the whole batch (and of the second points ``T``, if given)."""
+        _check_integers("sample indices js", js)
         if (
             js.ndim != 1
             or not js.size
@@ -170,6 +171,7 @@ class FiniteSumProblem:
 
     def _check_agents(self, agents: np.ndarray, X: np.ndarray) -> None:
         """One check of a whole ``local_full_grads`` batch."""
+        _check_integers("agents", agents)
         if agents.ndim != 1 or X.shape != (agents.size, self.d):
             raise ValueError(
                 f"need one ({self.d},) point per selected agent, "
@@ -185,12 +187,23 @@ class FiniteSumProblem:
         raise NotImplementedError
 
     def local_costs_and_grads(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Every agent's local cost and full local gradient at one point x.
+        """Every agent's local cost and full local gradient at one point x
+        (d,), or at each of K points stacked (K, d).
 
         Returns the n costs and the stacked (n, d) gradients, agent i in
-        row i - 1; the gradients equal ``local_full_grads`` of every agent
-        at x.
+        row i - 1, or for a stack (K, n) costs and (K, n, d) gradients,
+        point k's in entry k; each point's values equal those of a call at
+        that point alone bit for bit, and its gradients equal
+        ``local_full_grads`` of every agent at it.
         """
+        x = np.asarray(x, dtype=float)
+        if x.ndim not in (1, 2) or x.shape[-1] != self.d:
+            raise ValueError(f"need a ({self.d},) point or a (K, {self.d}) stack of points, got {x.shape}")
+        costs, grads = self._local_costs_and_grads(np.atleast_2d(x))
+        return (costs, grads) if x.ndim == 2 else (costs[0], grads[0])
+
+    def _local_costs_and_grads(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``local_costs_and_grads`` of a (K, d) stack, unchecked."""
         raise NotImplementedError
 
 
@@ -229,11 +242,11 @@ class LogisticProblem(FiniteSumProblem):
         sorted by feature with repeated features summed, so every oracle
         applies a feature once, and a row's sum over its entries is the
         same additions whether it is taken row- or feature-major. The
-        features are held a second time, feature-major,
-        as the block-diagonal (n*d, N) CSR ``_cols`` whose rows
-        (i-1)*d .. i*d-1 are A_i^T over the stacked sample columns: its
-        products are dots over long feature rows, where a transposed view
-        of the row-major arrays would scatter over short sample columns.
+        features are held a second time, feature-major, as each agent's
+        A_i^T in ``_cols``, a (d, m_i) CSR over the agent's own samples:
+        its products are dots over long feature rows, where a transposed
+        view of the row-major arrays would scatter over short sample
+        columns.
         """
         if not 0 <= lam1 < math.inf:
             raise ValueError(f"regularization weight must be finite and >= 0, got {lam1}")
@@ -248,8 +261,7 @@ class LogisticProblem(FiniteSumProblem):
         self.lam1 = float(lam1)
         self._rows = rows
         self._label_rows = labels
-        self._m_rows = np.repeat(np.array(self.m, dtype=float), self.m)
-        self._feats, self._cols, self._col_blocks = _agent_blocks(rows, self.layout.offsets)
+        self._feats, self._cols = _agent_blocks(rows, self.layout.offsets)
         self._labels = self.layout.views(labels)
 
     @classmethod
@@ -297,45 +309,56 @@ class LogisticProblem(FiniteSumProblem):
         return table
 
     def _local_full_grads(self, slots: np.ndarray, X: np.ndarray) -> np.ndarray:
-        # agent by agent: the sparse products are the floor here; an agent's
-        # (d, N) feature rows read only its own slice of the coefficients
+        # agent by agent: the sparse products are the floor here
         out = np.empty((len(slots), self.d))
-        coef = np.empty(self.total_samples)
-        offsets = self.layout.offsets
         for row, (s, x) in enumerate(zip(slots.tolist(), X)):
             l = self._labels[s]
             z = l * (self._feats[s] @ x)
-            coef[offsets[s] : offsets[s + 1]] = (-l * _sigmoid_product(*_exp_terms(z))) / self.m[s]
-            out[row] = (self._col_blocks[s] @ coef) + (2.0 * self.lam1) * x
+            coef = (-l * _sigmoid_product(*_exp_terms(z))) / self.m[s]
+            out[row] = (self._cols[s] @ coef) + (2.0 * self.lam1) * x
         return out
 
-    def local_costs_and_grads(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        # two products over all agents; the transpose's product scatters
-        # over the samples, adding each sorted row's terms in the order of
-        # a row-major sum, so each agent's slice sees the arithmetic of the
-        # per-agent oracles
-        x = np.asarray(x, dtype=float)
-        z = self._cols.T @ np.tile(x, self.n)
-        z *= self._label_rows
-        e, one_e = _exp_terms(z)
-        sig_neg = _sigmoid_neg(z, e, one_e)
-        # -l sigma(z) sigma(-z) / m_i in the exp buffers, by the operations
-        # of the per-agent oracle (the sign of a product is exact either way)
-        coef = np.divide(e, one_e, out=e)
-        coef *= np.divide(1.0, one_e, out=one_e)
-        coef *= self._label_rows
-        np.negative(coef, out=coef)
-        coef /= self._m_rows
-        grads = (self._cols @ coef).reshape(self.n, self.d)
-        grads += (2.0 * self.lam1) * x
-        reg = self.lam1 * float(x @ x)
-        costs = np.array([float(s.mean()) + reg for s in self.layout.views(sig_neg)])
+    def _local_costs_and_grads(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # agent by agent, two products against all K points at once, so
+        # every temporary is (m_i, K); each point's column of a product adds
+        # the terms of its one-point product in the same order
+        costs = np.empty((len(X), self.n))
+        grads = np.empty((len(X), self.n, self.d))
+        points = np.ascontiguousarray(X.T)
+        ridge = (2.0 * self.lam1) * X
+        for i, (a, a_t, l, m) in enumerate(zip(self._feats, self._cols, self._labels, self.m)):
+            l = l[:, None]
+            z = a @ points
+            z *= l
+            e, one_e = _exp_terms(z)
+            sig_neg = _sigmoid_neg(z, e, one_e)
+            # -l sigma(z) sigma(-z) / m_i in the exp buffers, by the operations
+            # of the full-gradient oracle (the sign of a product is exact either way)
+            coef = np.divide(e, one_e, out=e)
+            coef *= np.divide(1.0, one_e, out=one_e)
+            coef *= l
+            np.negative(coef, out=coef)
+            coef /= m
+            grads[:, i] = (a_t @ coef).T
+            grads[:, i] += ridge
+            # transposed, each point's terms are a contiguous row, which numpy
+            # sums pairwise as it sums the one-point vector
+            costs[:, i] = np.ascontiguousarray(sig_neg.T).mean(axis=1)
+        # stacked (1, d) @ (d, 1) products reproduce each x @ x bit for bit
+        costs += self.lam1 * (X[:, None, :] @ X[:, :, None])[:, :, 0]
         return costs, grads
 
     def lipschitz_estimate(self) -> float:
         # sigmoid-composition curvature is bounded by 1/4; conservative
         # but valid, which is all the step-size theory requires
         return float(self._rows.multiply(self._rows).sum(axis=1).max()) / 4.0 + 2.0 * self.lam1
+
+
+def _check_integers(name: str, ids: np.ndarray) -> None:
+    """Raise naming ``name`` unless ``ids`` is an integer array."""
+    if not isinstance(ids, np.ndarray) or ids.dtype.kind not in "iu":
+        kind = ids.dtype if isinstance(ids, np.ndarray) else type(ids).__name__
+        raise TypeError(f"{name} must be an integer array, got {kind}")
 
 
 def _canonical(rows: sp.csr_matrix) -> sp.csr_matrix:
@@ -364,39 +387,18 @@ def _csr_view(
 
 def _agent_blocks(
     rows: sp.csr_matrix, offsets: Sequence[int]
-) -> tuple[list[sp.csr_matrix], sp.csr_matrix, list[sp.csr_matrix]]:
+) -> tuple[list[sp.csr_matrix], list[sp.csr_matrix]]:
     """Each block of rows ``offsets[i]:offsets[i + 1]`` as a CSR view of
-    ``rows``; the blocks' transposes as one block-diagonal (n*d, N) CSR,
-    rows i*d .. (i+1)*d - 1 holding A_{i+1}^T (each feature's entries in
-    sample order) over the stacked sample columns; and each agent's
-    (d, N) row block of it, as a view. It is filled one transpose at a
-    time, so only one agent's temporaries are alive at once.
+    ``rows``, and each block's transpose A_{i+1}^T as a (d, m_{i+1}) CSR
+    over the block's own samples, each feature's entries in sample order.
     """
-    total, d = rows.shape
-    n = len(offsets) - 1
+    d = rows.shape[1]
     starts = rows.indptr[list(offsets)].tolist()
     blocks = [
         _csr_view((hi - lo, d), rows.data[a:b], rows.indices[a:b], rows.indptr[lo : hi + 1] - a)
         for lo, hi, a, b in zip(offsets, offsets[1:], starts, starts[1:])
     ]
-    index = np.int32 if max(total, rows.nnz, n * d) <= np.iinfo(np.int32).max else np.int64
-    data = np.empty(rows.nnz)
-    indices = np.empty(rows.nnz, dtype=index)
-    indptr = np.empty(n * d + 1, dtype=index)
-    indptr[0] = 0
-    for i, (block, lo, a, b) in enumerate(zip(blocks, offsets, starts, starts[1:])):
-        block_t = block.T.tocsr()
-        data[a:b] = block_t.data
-        indices[a:b] = block_t.indices
-        indices[a:b] += lo
-        indptr[i * d + 1 : (i + 1) * d + 1] = block_t.indptr[1:]
-        indptr[i * d + 1 : (i + 1) * d + 1] += a
-    cols = _csr_view((n * d, total), data, indices, indptr)
-    col_blocks = [
-        _csr_view((d, total), data[a:b], indices[a:b], indptr[i * d : (i + 1) * d + 1] - a)
-        for i, (a, b) in enumerate(zip(starts, starts[1:]))
-    ]
-    return blocks, cols, col_blocks
+    return blocks, [block.T.tocsr() for block in blocks]
 
 
 class QuadraticProblem(FiniteSumProblem):
@@ -460,16 +462,17 @@ class QuadraticProblem(FiniteSumProblem):
         r = (a @ X[:, :, None])[:, :, 0] - targets.take(slots, axis=0)
         return (a.transpose(0, 2, 1) @ r[:, :, None])[:, :, 0] / self.m[0]
 
-    def local_costs_and_grads(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        # one residual per agent, shared by its cost and gradient; these are
-        # the per-agent oracle's expressions, for equal and unequal m_i alike
-        x = np.asarray(x, dtype=float)
-        costs = np.empty(self.n)
-        grads = np.empty((self.n, self.d))
-        for i, (a, t, m) in enumerate(zip(self._feats, self._targets, self.m)):
-            r = a @ x - t
-            costs[i] = 0.5 * float(r @ r) / m
-            grads[i] = (a.T @ r) / m
+    def _local_costs_and_grads(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # point by point, one residual per agent, shared by its cost and
+        # gradient; these are the per-agent oracle's expressions, for equal
+        # and unequal m_i alike
+        costs = np.empty((len(X), self.n))
+        grads = np.empty((len(X), self.n, self.d))
+        for cost, grad, x in zip(costs, grads, X):
+            for i, (a, t, m) in enumerate(zip(self._feats, self._targets, self.m)):
+                r = a @ x - t
+                cost[i] = 0.5 * float(r @ r) / m
+                grad[i] = (a.T @ r) / m
         return costs, grads
 
     def lipschitz_estimate(self) -> float:

@@ -1,3 +1,4 @@
+import time
 from dataclasses import replace
 from itertools import product
 
@@ -406,6 +407,27 @@ def test_batch_records_share_one_clock_reading(setup5):
     first, second = run_experiments(prob, mixing, [base, replace(base, eta=0.02)])
     assert [r.k for r in first] == [r.k for r in second] == [0, 5, 10, 15, 20]
     assert [r.wall_ms for r in first] == [r.wall_ms for r in second]
+
+
+def test_wall_ms_is_the_time_spent_outside_metric_passes(setup5, monkeypatch):
+    # a metric oracle that naps 50 ms a call: 101 records are evaluated in
+    # four passes (32, 32, 32 and 5 records), and no reading counts a nap
+    _, mixing = setup5
+    prob = make_quadratic(5, 20, 4, seed=11, noise=0.5)
+    naps = []
+
+    def napping(x):
+        naps.append(len(x))
+        time.sleep(0.05)
+        return QuadraticProblem.local_costs_and_grads(prob, x)
+
+    monkeypatch.setattr(prob, "local_costs_and_grads", napping)
+    cfg = RunConfig(algorithm="dsgt", eta=0.05, p=0.5, rounds=100, seed=1, cadence=1, timing=True)
+    walls = [row.wall_ms for row in run_experiment(prob, mixing, cfg)]
+    assert naps == [32, 32, 32, 5] and len(walls) == 101
+    assert walls == sorted(walls)
+    slept_ms = 50.0 * len(naps)
+    assert walls[-1] < 0.25 * slept_ms
 
 
 def test_run_config_validation():

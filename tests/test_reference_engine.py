@@ -133,3 +133,28 @@ def test_batch_equals_each_run_on_its_own(instance, algo):
             assert same_bits(batch.y[rows], swarm.y) and same_bits(batch.v[rows], swarm.v)
         assert np.array_equal(batch.grad_evals[rows], swarm.grad_evals)
         assert (batch.k, batch.mix_count) == (swarm.k, swarm.mix_count)
+
+
+@pytest.mark.parametrize("algo", algorithms.ALGORITHMS)
+def test_deferred_records_equal_the_reference_per_record_traces(instance, algo, monkeypatch):
+    # three replicas recording 25 times: queued records are evaluated 11
+    # at a time (33 columns, past RECORD_WIDTH = 32) and the last 3 (9
+    # columns) at the end, each replica's rows as the reference engine
+    # evaluates them one record at a time
+    prob, mixing = instance
+    widths = []
+
+    def counted(problem, x, y):
+        widths.append(len(x))
+        return metrics.stationarity_metrics(problem, x, y)
+
+    monkeypatch.setattr(algorithms, "stationarity_metrics", counted)
+    cfgs = [
+        RunConfig(algorithm=algo, eta=eta, p=p, rounds=120, seed=29, cadence=5, timing=False)
+        for eta, p in BATCH_POINTS[:3]
+    ]
+    x1 = np.random.default_rng(6).normal(size=(prob.n, prob.d))
+    traces = run_experiments(prob, mixing, cfgs, x1)
+    assert algorithms.RECORD_WIDTH == 32 and widths == [33, 33, 9]
+    assert [len(rows) for rows in traces] == [25] * 3
+    assert [dump(rows) for rows in traces] == [dump(ref.run_experiment(prob, mixing, c, x1)) for c in cfgs]

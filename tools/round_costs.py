@@ -1,6 +1,6 @@
 """Microseconds per round and per metric record, for each algorithm.
 
-Times the round engine (``run_round``) and the metric record that
+Times the round engine (``run_round``) and the metric records that
 ``run_experiments`` makes (``stationarity_metrics`` and
 ``consensus_gap_D``) at two fixed shapes:
 
@@ -10,10 +10,13 @@ Times the round engine (``run_round``) and the metric record that
   a9a-shaped synthetic problem, on a ring.
 
 Each repetition starts a fresh swarm at zero and times ``--rounds``
-rounds, then ``max(1, rounds // 20)`` records at the state they reach.
-The table gives the minimum over ``--repeats`` repetitions, the reading
-least disturbed by other work on the machine. It checks nothing and
-never fails on a timing:
+rounds. It then runs ``RECORD_WIDTH`` more rounds and times a record the
+way the engine makes one: a single ``stationarity_metrics`` call over the
+queue of those rounds' states plus one ``consensus_gap_D`` per state,
+divided by the queue's length. It also times ``max(1, rounds // 20)``
+records of one state each, a queue of one. The table gives the minimum
+over ``--repeats`` repetitions, the reading least disturbed by other work
+on the machine. It checks nothing and never fails on a timing:
 
     python3 tools/round_costs.py [--rounds 1000] [--repeats 5]
 
@@ -49,19 +52,36 @@ def shapes():
     yield "logistic", logistic, graph.metropolis_weights(graph.build_topology("ring", 10)), 0.1
 
 
+def record(prob, mixing, x, y):
+    """The metric records of the states stacked (K, n, d), as the engine
+    evaluates a queue of K records."""
+    metrics.stationarity_metrics(prob, x, y)
+    for state in x:
+        metrics.consensus_gap_D(mixing, state)
+
+
 def repetition(prob, mixing, cfg, rounds):
-    """Seconds per round and per record over one fresh run."""
+    """Seconds per round, per record of a full queue and per record of a
+    queue of one, over one fresh run."""
     swarm = algorithms.init_swarm(prob, np.zeros((prob.n, prob.d)), cfg)
     start = time.perf_counter()
     for _ in range(rounds):
         algorithms.run_round(swarm, prob, mixing)
     per_round = (time.perf_counter() - start) / rounds
+    states = []
+    for _ in range(algorithms.RECORD_WIDTH):
+        algorithms.run_round(swarm, prob, mixing)
+        states.append((swarm.x, swarm.y))
+    xs, ys = zip(*states)
+    x, y = np.stack(xs), None if swarm.y is None else np.stack(ys)
+    start = time.perf_counter()
+    record(prob, mixing, x, y)
+    per_queued = (time.perf_counter() - start) / len(x)
     records = max(1, rounds // 20)
     start = time.perf_counter()
     for _ in range(records):
-        metrics.stationarity_metrics(prob, swarm.x, swarm.y)
-        metrics.consensus_gap_D(mixing, swarm.x)
-    return per_round, (time.perf_counter() - start) / records
+        record(prob, mixing, x[-1:], None if y is None else y[-1:])
+    return per_round, per_queued, (time.perf_counter() - start) / records
 
 
 def main(argv=None) -> None:
@@ -76,14 +96,18 @@ def main(argv=None) -> None:
         f"{os.cpu_count()} CPUs; minimum of {args.repeats} x {args.rounds} rounds"
     )
     print()
-    print("| shape | algorithm | us/round | us/record |")
-    print("|---|---|---:|---:|")
+    width = algorithms.RECORD_WIDTH
+    print(f"| shape | algorithm | us/round | us/record, queue of {width} | us/record, alone |")
+    print("|---|---|---:|---:|---:|")
     for name, prob, mixing, eta in shapes():
         for algorithm in algorithms.ALGORITHMS:
             cfg = algorithms.RunConfig(algorithm=algorithm, eta=eta, p=P, seed=1)
             runs = [repetition(prob, mixing, cfg, args.rounds) for _ in range(args.repeats)]
-            per_round, per_record = (min(column) * 1e6 for column in zip(*runs))
-            print(f"| {name} | {algorithm} | {per_round:.1f} | {per_record:.1f} |", flush=True)
+            per_round, per_queued, per_record = (min(column) * 1e6 for column in zip(*runs))
+            print(
+                f"| {name} | {algorithm} | {per_round:.1f} | {per_queued:.1f} | {per_record:.1f} |",
+                flush=True,
+            )
 
 
 if __name__ == "__main__":
