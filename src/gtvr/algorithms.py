@@ -20,6 +20,7 @@ run would, and one round of the skeleton moves them all.
 
 from __future__ import annotations
 
+import contextlib
 import time
 from dataclasses import dataclass, fields
 from typing import Sequence
@@ -37,15 +38,7 @@ RECORD_WIDTH = 32
 
 
 class DivergedError(RuntimeError):
-    """An iterate became non-finite or exceeded the norm guard.
-
-    ``replica`` is the lowest replica of the batch that diverged at that
-    iteration; a single run is replica 0.
-    """
-
-    def __init__(self, message: str, replica: int = 0) -> None:
-        super().__init__(message)
-        self.replica = replica
+    """An iterate became non-finite or exceeded the norm guard."""
 
 
 @dataclass
@@ -107,20 +100,21 @@ def _as_stacked(problem: FiniteSumProblem, x1: np.ndarray, replicas: int) -> np.
     return np.tile(x1, (replicas, 1))
 
 
-def _check_finite(swarm: SwarmState, k: int, n: int) -> None:
+def _diverged(x: np.ndarray, y: np.ndarray | None, n: int, k: int) -> tuple | None:
+    """The lowest replica with a row that fails the guard and the error its
+    own run raises at iteration k, or None if every row passes."""
     # a NaN or infinite entry makes its row norm NaN or infinite, and the
     # max of the norms is NaN if any is, so one comparison covers both
     # guards for every row; hypot forms the norm without squaring, so an
     # entry too large to square reads as diverged, with no warning
-    norms = np.hypot.reduce(swarm.x, axis=1)
-    if norms.max() <= DIVERGENCE_NORM_CAP and (swarm.y is None or np.isfinite(swarm.y).all()):
-        return
-    # the lowest replica with a bad row, with the message its own run raises
+    norms = np.hypot.reduce(x, axis=1)
+    if norms.max() <= DIVERGENCE_NORM_CAP and (y is None or np.isfinite(y).all()):
+        return None
     x_bad = ~(norms <= DIVERGENCE_NORM_CAP).reshape(-1, n).all(axis=1)
-    y_bad = x_bad if swarm.y is None else ~np.isfinite(swarm.y.reshape(len(x_bad), -1)).all(axis=1)
+    y_bad = x_bad if y is None else ~np.isfinite(y.reshape(len(x_bad), -1)).all(axis=1)
     replica = int((x_bad | y_bad).argmax())
     state = "iterate" if x_bad[replica] else "gradient tracker"
-    raise DivergedError(f"{state} diverged at iteration {k}", replica)
+    return replica, DivergedError(f"{state} diverged at iteration {k}")
 
 
 # Local estimators. ``start(problem, x, streams)`` builds the estimator's
@@ -277,7 +271,7 @@ def run_round(swarm: SwarmState, problem: FiniteSumProblem, mixing: MixingMatrix
 
     Tracked: x+ = W(x - eta y), then each agent forms v+ at x+ and
     y+ = W(y + v+ - v), two exchanges. Untracked (DSGD): the estimate at
-    x gives x+ = W(x - eta v), one exchange.
+    x gives x+ = W(x - eta v), one exchange. The new state is unguarded.
     """
     if swarm.y is None:
         v, evals = swarm.estimator.step(problem, swarm.x, swarm.streams)
@@ -291,7 +285,6 @@ def run_round(swarm: SwarmState, problem: FiniteSumProblem, mixing: MixingMatrix
         swarm.mix_count += 2
     swarm.grad_evals += evals
     swarm.k += 1
-    _check_finite(swarm, swarm.k, problem.n)
     return swarm
 
 
@@ -305,9 +298,12 @@ def run_experiment(
 
     Deterministic for a fixed seed: every agent draws from its own
     streams. Metric passes evaluate full gradients but never touch the
-    oracle counters.
+    oracle counters. A divergence raises its ``DivergedError``.
     """
-    return run_experiments(problem, mixing, [cfg], x1)[0]
+    traces, error = run_experiments(problem, mixing, [cfg], x1)
+    if error is not None:
+        raise error
+    return traces[0]
 
 
 def run_experiments(
@@ -315,21 +311,22 @@ def run_experiments(
     mixing: MixingMatrix,
     cfgs: Sequence[RunConfig],
     x1: np.ndarray | None = None,
-) -> list[list[TraceRow]]:
+) -> tuple[list[list[TraceRow]], DivergedError | None]:
     """``run_experiment`` for runs that differ only in eta and p, as one batch.
 
     The R runs share one seed, hence their draws, and advance in one
-    stacked round per iteration. Trace r equals run_experiment(problem,
+    stacked round per iteration. Returns the traces of the runs before the
+    first in ``cfgs`` order that diverges, and the error that run raises
+    alone (None if none does). Trace r equals run_experiment(problem,
     mixing, cfgs[r], x1), except that ``wall_ms`` counts from the start of
-    the batch, read once per record for every replica. A divergence raises
-    for the lowest replica that diverged in that iteration, with the
-    message its own run would raise, and names it in
-    ``DivergedError.replica``.
+    the batch, read once per record for every replica. The guard checks
+    the live prefix, the replicas below the lowest that has diverged; the
+    rows past it step on unchecked, unrecorded and with overflow silenced.
 
     Records are queued and evaluated together once they hold
-    ``RECORD_WIDTH`` replica-columns, and at the end: one metric pass over
-    the stacked snapshots, whose rows equal per-record evaluation bit for
-    bit. ``wall_ms`` is the time spent outside those passes.
+    ``RECORD_WIDTH`` live replica-columns, and at the end: one metric pass
+    over the stacked snapshots, whose rows equal per-record evaluation bit
+    for bit. ``wall_ms`` is the time spent outside those passes.
     """
     if mixing.n != problem.n:
         raise ValueError(f"mixing matrix is for {mixing.n} agents, problem has {problem.n}")
@@ -337,7 +334,7 @@ def run_experiments(
         x1 = np.zeros((problem.n, problem.d))
     swarm = init_swarm(problem, x1, cfgs)
     cfg = cfgs[0]
-    n, replicas = problem.n, len(cfgs)
+    n, live, error = problem.n, len(cfgs), None
     traces: list[list[TraceRow]] = [[] for _ in cfgs]
     # (k, wall_ms, x, y, grad_evals) per queued record: a round swaps in
     # fresh x and y, so only the counters, updated in place, are copied
@@ -348,13 +345,13 @@ def run_experiments(
     def flush() -> None:
         nonlocal metric_s
         t0 = time.perf_counter()
-        x = np.concatenate([q[2] for q in queue]).reshape(-1, n, problem.d)
-        y = None if swarm.y is None else np.concatenate([q[3] for q in queue])
+        x = np.concatenate([q[2][: live * n] for q in queue]).reshape(-1, n, problem.d)
+        y = None if swarm.y is None else np.concatenate([q[3][: live * n] for q in queue])
         columns = zip(*(v.tolist() for v in stationarity_metrics(problem, x, y)))
-        evals = np.concatenate([q[4] for q in queue]).reshape(-1, n).sum(axis=1).tolist()
+        evals = np.concatenate([q[4][: live * n] for q in queue]).reshape(-1, n).sum(axis=1).tolist()
         for c, (cost, stat, cons, track) in enumerate(columns):
-            k, wall = queue[c // replicas][:2]
-            traces[c % replicas].append(
+            k, wall = queue[c // live][:2]
+            traces[c % live].append(
                 TraceRow(
                     k=k,
                     cost=cost,
@@ -374,14 +371,25 @@ def run_experiments(
         # one clock reading per record, shared by every replica
         wall = (time.perf_counter() - start - metric_s) * 1e3 if cfg.timing else 0.0
         queue.append((swarm.k, wall, swarm.x, swarm.y, swarm.grad_evals.copy()))
-        if len(queue) * replicas >= RECORD_WIDTH:
+        if len(queue) * live >= RECORD_WIDTH:
             flush()
 
     record()
-    for k in range(1, cfg.rounds + 1):
-        run_round(swarm, problem, mixing)
-        if k % cfg.cadence == 0 or k == cfg.rounds:
-            record()
+    # no slicing and no errstate (ufuncs run slower inside one) until a replica diverges
+    with contextlib.ExitStack() as quiet:
+        for k in range(1, cfg.rounds + 1):
+            run_round(swarm, problem, mixing)
+            x, y = swarm.x, swarm.y
+            if error is not None:
+                x, y = x[: live * n], None if y is None else y[: live * n]
+            diverged = _diverged(x, y, n, k)
+            if diverged is not None:
+                quiet.enter_context(np.errstate(over="ignore", invalid="ignore"))
+                live, error = diverged
+                if not live:
+                    return [], error
+            if k % cfg.cadence == 0 or k == cfg.rounds:
+                record()
     if queue:
         flush()
-    return traces
+    return traces[:live], error

@@ -85,6 +85,7 @@ class ExperimentConfig:
 
 def parse_config_text(text: str, source: str = "<config>") -> dict[str, str]:
     pairs: dict[str, str] = {}
+    first: dict[str, int] = {}  # key -> the line that set it
     for ln, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.split("#", 1)[0].strip()
         if not line:
@@ -92,7 +93,12 @@ def parse_config_text(text: str, source: str = "<config>") -> dict[str, str]:
         key, sep, value = line.partition("=")
         if not sep:
             raise ValueError(f"{source}: line {ln}: expected key=value, got {line!r}")
-        pairs[key.strip()] = value.strip()
+        key = key.strip()
+        if key in first:
+            raise ValueError(
+                f"{source}: line {ln}: duplicate config key {key!r} (first on line {first[key]})"
+            )
+        first[key], pairs[key] = ln, value.strip()
     return pairs
 
 
@@ -151,7 +157,7 @@ def _validate_config(cfg: ExperimentConfig, source: str) -> None:
             )
         if not 0 <= cfg.lambda1 < math.inf:
             raise ValueError(f"lambda1 must be finite and >= 0, got {cfg.lambda1}")
-        for key in ("max_samples", "declared_d"):
+        for key in ("cadence", "max_samples", "declared_d"):
             if getattr(cfg, key) < 0:
                 raise ValueError(f"{key} must be >= 0, got {getattr(cfg, key)}")
         if not 0 <= cfg.seed < 2**64:
@@ -258,7 +264,7 @@ def cmd_sweep(ns: argparse.Namespace) -> int:
         prob = prepare_problem(group[0])
         mixing = build_mixing(group[0])
         lipschitz = prob.lipschitz_estimate()
-        traces, error = _run_points(prob, mixing, group)
+        traces, error = algorithms.run_experiments(prob, mixing, [c.run_config() for c in group])
         for cfg, rows in zip(group, traces):
             warn_outside_theory(cfg, mixing, lipschitz, prob.total_samples)
             metrics.write_trace(rows, cfg.output_path())
@@ -270,24 +276,6 @@ def cmd_sweep(ns: argparse.Namespace) -> int:
             warn_outside_theory(group[len(traces)], mixing, lipschitz, prob.total_samples)
             raise error
     return 0
-
-
-def _run_points(
-    prob: problem.FiniteSumProblem, mixing: graph.MixingMatrix, cfgs: list[ExperimentConfig]
-) -> tuple[list[list[metrics.TraceRow]], algorithms.DivergedError | None]:
-    """The traces of the grid points of one seed up to the first, in grid
-    order, that diverges, and that point's error (None if none does).
-
-    The points run as one batch. When one diverges, the points before it
-    run again as a smaller batch: one of them may diverge later.
-    """
-    error = None
-    while cfgs:
-        try:
-            return algorithms.run_experiments(prob, mixing, [c.run_config() for c in cfgs]), error
-        except algorithms.DivergedError as exc:
-            cfgs, error = cfgs[: exc.replica], exc
-    return [], error
 
 
 def cmd_theory(ns: argparse.Namespace) -> int:

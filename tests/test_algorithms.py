@@ -1,4 +1,6 @@
+import io
 import time
+import warnings
 from dataclasses import replace
 from itertools import product
 
@@ -264,14 +266,22 @@ def test_trace_deterministic_and_worker_invariant(setup5, algo):
     base = dict(algorithm=algo, eta=0.01, p=0.4, rounds=120, seed=13, cadence=40, timing=False)
     rows1 = run_experiment(prob, mixing, RunConfig(**base))
     rows2 = run_experiment(prob, mixing, RunConfig(**base))
-    import io
+    assert trace_text(rows1) == trace_text(rows2)
 
-    def dump(rows):
-        buf = io.StringIO()
-        metrics.write_trace(rows, buf)
-        return buf.getvalue()
 
-    assert dump(rows1) == dump(rows2)
+def trace_text(rows):
+    """The CSV a trace writes; as text, DSGD's NaN ``track`` compares equal."""
+    buf = io.StringIO()
+    metrics.write_trace(rows, buf)
+    return buf.getvalue()
+
+
+def lone_run(prob, mixing, cfg):
+    """The CSV text of ``run_experiment``, or the message it raises."""
+    try:
+        return trace_text(run_experiment(prob, mixing, cfg))
+    except DivergedError as err:
+        return str(err)
 
 
 def test_divergence_reports_iteration(setup5):
@@ -299,12 +309,84 @@ def test_batch_divergence_names_the_lowest_diverged_replica(setup5):
     prob, mixing = setup5
     base = RunConfig(algorithm="gtvr", eta=0.01, p=0.5, rounds=200, seed=1, cadence=50)
     cfgs = [base, replace(base, eta=1e6), replace(base, eta=2e6), replace(base, eta=0.02)]
-    with pytest.raises(DivergedError) as batch:
-        run_experiments(prob, mixing, cfgs)
-    assert batch.value.replica == 1
+    traces, error = run_experiments(prob, mixing, cfgs)
+    assert len(traces) == 1
     with pytest.raises(DivergedError) as alone:
         run_experiment(prob, mixing, cfgs[1])
-    assert str(batch.value) == str(alone.value)
+    assert str(error) == str(alone.value)
+
+
+@pytest.fixture(scope="module")
+def logistic5():
+    prob = make_logistic(5, 20, 4, seed=3, lam1=1e-3)
+    return prob, graph.metropolis_weights(graph.build_topology("ring", 5))
+
+
+@pytest.mark.parametrize("algorithm", algorithms.ALGORITHMS)
+@pytest.mark.parametrize("shape", ["quadratic", "logistic"])
+def test_batch_returns_the_runs_before_a_diverged_middle_replica(setup5, logistic5, shape, algorithm):
+    # records queued before the divergence hold all four replicas and are
+    # evaluated for the two live ones; the rows that step on past them
+    # overflow without a numpy warning
+    prob, mixing = setup5 if shape == "quadratic" else logistic5
+    base = RunConfig(algorithm=algorithm, p=0.5, rounds=60, seed=3, cadence=1, timing=False)
+    cfgs = [replace(base, eta=eta) for eta in (0.01, 0.02, 1e9, 0.03)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        traces, error = run_experiments(prob, mixing, cfgs)
+        lone = [lone_run(prob, mixing, cfg) for cfg in cfgs[:3]]
+    assert [trace_text(rows) for rows in traces] == lone[:2]
+    assert "diverged at iteration" in lone[2] and str(error) == lone[2]
+
+
+def test_a_lower_replica_that_diverges_later_wins():
+    # on the four-agent ring eta = 6 diverges at iteration 120 and eta = 1e6
+    # at iteration 3: cfgs order decides, as the runs one at a time would
+    prob = make_quadratic(4, 20, 4, seed=42)
+    mixing = graph.metropolis_weights(graph.build_topology("ring", 4))
+    base = RunConfig(algorithm="gtvr", p=0.5, rounds=200, seed=42, timing=False)
+    cfgs = [replace(base, eta=eta) for eta in (0.01, 6.0, 1e6)]
+    lone = [lone_run(prob, mixing, cfg) for cfg in cfgs]
+    assert lone[1:] == ["iterate diverged at iteration 120", "iterate diverged at iteration 3"]
+    traces, error = run_experiments(prob, mixing, cfgs)
+    assert [trace_text(rows) for rows in traces] == lone[:1] and str(error) == lone[1]
+
+
+def test_a_batch_whose_first_replica_diverges_stops_at_that_round(setup5, monkeypatch):
+    prob, mixing = setup5
+    base = RunConfig(algorithm="dsgt", eta=1e6, p=0.5, rounds=500, seed=1)
+    message = lone_run(prob, mixing, base)
+    k = int(message.rsplit(" ", 1)[1])
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return run_round(*args)
+
+    monkeypatch.setattr(algorithms, "run_round", counted)
+    traces, error = run_experiments(prob, mixing, [base, replace(base, eta=0.01)])
+    assert k > 1 and (traces, str(error), len(calls)) == ([], message, k)
+
+
+def test_guard_ignores_the_bad_rows_past_the_live_prefix(setup5, monkeypatch):
+    # replica 2 diverges early and its rows stay bad to the last round, but
+    # from then on the guard checks replicas 0 and 1 only: the error keeps
+    # the iteration of replica 2's own run
+    prob, mixing = setup5
+    base = RunConfig(algorithm="gtvr", p=0.5, rounds=50, seed=1, cadence=10, timing=False)
+    cfgs = [replace(base, eta=eta) for eta in (0.01, 0.02, 1e6)]
+    lone = [lone_run(prob, mixing, cfg) for cfg in cfgs]
+    swarms = []
+
+    def spied(swarm, *args):
+        swarms.append(swarm)
+        return run_round(swarm, *args)
+
+    monkeypatch.setattr(algorithms, "run_round", spied)
+    traces, error = run_experiments(prob, mixing, cfgs)
+    assert [trace_text(rows) for rows in traces] == lone[:2] and str(error) == lone[2]
+    last = swarms[-1]
+    assert len(swarms) == 50 and algorithms._diverged(last.x, last.y, prob.n, last.k)[0] == 2
 
 
 CAP = algorithms.DIVERGENCE_NORM_CAP
@@ -333,13 +415,10 @@ def row_by_row_guard(swarm, n):
     return None
 
 
-def guard_outcome(check):
-    """The message and replica that ``check()`` raises, or None."""
-    try:
-        check()
-    except DivergedError as err:
-        return str(err), err.replica
-    return None
+def guard_outcome(swarm, n):
+    """The message and replica the guard reports for the swarm's rows, or None."""
+    found = algorithms._diverged(swarm.x, swarm.y, n, swarm.k)
+    return None if found is None else (str(found[1]), found[0])
 
 
 @pytest.mark.parametrize("case", sorted(BAD_ROWS))
@@ -358,7 +437,7 @@ def test_guard_names_what_the_row_by_row_rule_names(case, n=5, replicas=3):
             y[y_at * n + row] = BAD_ROWS[case]
         swarm = algorithms.SwarmState(k=7, x=x, grad_evals=np.zeros(len(x), np.int64), y=y)
         want = row_by_row_guard(swarm, n)
-        assert guard_outcome(lambda: algorithms._check_finite(swarm, swarm.k, n)) == want
+        assert guard_outcome(swarm, n) == want
         if x_at is not None:
             assert want is not None
 
@@ -370,9 +449,9 @@ def test_guard_passes_a_row_exactly_at_the_cap(n=5):
     for y in (None, np.ones_like(x)):
         swarm = algorithms.SwarmState(k=1, x=x.copy(), grad_evals=np.zeros(2 * n, np.int64), y=y)
         assert row_by_row_guard(swarm, n) is None
-        algorithms._check_finite(swarm, swarm.k, n)
+        assert guard_outcome(swarm, n) is None
         swarm.x[n + 1, 2] = -np.nextafter(CAP, np.inf)
-        assert guard_outcome(lambda: algorithms._check_finite(swarm, swarm.k, n)) == (
+        assert guard_outcome(swarm, n) == (
             "iterate diverged at iteration 1",
             1,
         )
@@ -392,8 +471,8 @@ def test_run_round_diverges_when_the_row_by_row_rule_does(setup5, algorithm, cas
         if k == 3:
             swarm.x[n + 2] = BAD_ROWS[case]
         with np.errstate(invalid="ignore", over="ignore"):
-            got = guard_outcome(lambda: run_round(swarm, prob, identity))
-        # run_round swaps in the new state before its guard raises
+            run_round(swarm, prob, identity)
+        got = guard_outcome(swarm, n)
         assert swarm.k == k and got == row_by_row_guard(swarm, n)
         if got is not None:
             break
@@ -404,7 +483,8 @@ def test_batch_records_share_one_clock_reading(setup5):
     # each record reads the clock once, before any replica's metric pass
     prob, mixing = setup5
     base = RunConfig(algorithm="gtvr", eta=0.01, p=0.5, rounds=20, seed=1, cadence=5, timing=True)
-    first, second = run_experiments(prob, mixing, [base, replace(base, eta=0.02)])
+    (first, second), error = run_experiments(prob, mixing, [base, replace(base, eta=0.02)])
+    assert error is None
     assert [r.k for r in first] == [r.k for r in second] == [0, 5, 10, 15, 20]
     assert [r.wall_ms for r in first] == [r.wall_ms for r in second]
 

@@ -100,6 +100,7 @@ def test_non_finite_parameter_rejected_as_bad_config(tmp_path, capsys, key, valu
         ("quad_m", "0"),
         ("quad_d", "-2"),
         ("declared_d", "-5"),
+        ("cadence", "-3"),
         # QUAD_CONFIG's topology is random
         ("p_edge", "nan"),
         ("p_edge", "0"),
@@ -109,12 +110,27 @@ def test_non_finite_parameter_rejected_as_bad_config(tmp_path, capsys, key, valu
     ],
 )
 def test_bad_quadratic_parameter_rejected_as_bad_config(tmp_path, capsys, key, value):
-    # a key given twice takes its last value
-    cfg = write_config(tmp_path, QUAD_CONFIG.format(rounds=5) + f"{key} = {value}\n")
+    # the key's own line, if QUAD_CONFIG has one, gives way to the bad value
+    lines = QUAD_CONFIG.format(rounds=5).splitlines(keepends=True)
+    text = "".join(line for line in lines if line.partition("=")[0].strip() != key)
+    cfg = write_config(tmp_path, text + f"{key} = {value}\n")
     assert cli.main(["run", "--config", str(cfg), "--output", str(tmp_path / "t.csv")]) == 2
     err = capsys.readouterr().err
-    assert key in err and str(cfg) in err
+    assert key in err and str(cfg) in err and "duplicate" not in err
     assert not (tmp_path / "t.csv").exists()
+
+
+def test_a_repeated_config_key_is_rejected_naming_both_lines(tmp_path, capsys):
+    text = "dataset = synthetic:quadratic\nrounds = 20\n# five rounds\n  rounds=5\n"
+    cfg = write_config(tmp_path, text)
+    assert cli.main(["run", "--config", str(cfg), "--output", str(tmp_path / "t.csv")]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {cfg}: line 4: duplicate config key 'rounds' (first on line 2)"
+    ]
+    assert not (tmp_path / "t.csv").exists()
+    # a flag still overrides the key it repeats
+    cfg = write_config(tmp_path, QUAD_CONFIG.format(rounds=5), name="flag.cfg")
+    assert cli.main(["run", "--config", str(cfg), "--seed", "7", "--output", str(tmp_path / "t.csv")]) == 0
 
 
 def test_zero_workers_rejected(tmp_path, capsys):

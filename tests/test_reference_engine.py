@@ -115,7 +115,8 @@ def test_batch_equals_each_run_on_its_own(instance, algo):
         for eta, p in BATCH_POINTS
     ]
     x1 = np.random.default_rng(5).normal(size=(n, prob.d))
-    traces = run_experiments(prob, mixing, cfgs, x1)
+    traces, error = run_experiments(prob, mixing, cfgs, x1)
+    assert error is None
     assert [dump(rows) for rows in traces] == [dump(run_experiment(prob, mixing, c, x1)) for c in cfgs]
 
     batch = init_swarm(prob, x1, cfgs)
@@ -154,7 +155,8 @@ def test_deferred_records_equal_the_reference_per_record_traces(instance, algo, 
         for eta, p in BATCH_POINTS[:3]
     ]
     x1 = np.random.default_rng(6).normal(size=(prob.n, prob.d))
-    traces = run_experiments(prob, mixing, cfgs, x1)
+    traces, error = run_experiments(prob, mixing, cfgs, x1)
+    assert error is None
     assert algorithms.RECORD_WIDTH == 32 and widths == [33, 33, 9]
     assert [len(rows) for rows in traces] == [25] * 3
     assert [dump(rows) for rows in traces] == [dump(ref.run_experiment(prob, mixing, c, x1)) for c in cfgs]

@@ -1,8 +1,9 @@
 """Microseconds per round and per metric record, for each algorithm.
 
-Times the round engine (``run_round``) and the metric records that
-``run_experiments`` makes (``stationarity_metrics`` and
-``consensus_gap_D``) at two fixed shapes:
+Times the rounds that ``run_experiments`` runs (``run_round`` and the
+divergence guard it applies after each one) and the metric records it
+makes (``stationarity_metrics`` and ``consensus_gap_D``) at two fixed
+shapes:
 
 - ``quad5``: the acceptance suite's five-agent quadratic (n=5, m=20, d=4)
   on its random graph;
@@ -10,13 +11,13 @@ Times the round engine (``run_round``) and the metric records that
   a9a-shaped synthetic problem, on a ring.
 
 Each repetition starts a fresh swarm at zero and times ``--rounds``
-rounds. It then runs ``RECORD_WIDTH`` more rounds and times a record the
-way the engine makes one: a single ``stationarity_metrics`` call over the
-queue of those rounds' states plus one ``consensus_gap_D`` per state,
-divided by the queue's length. It also times ``max(1, rounds // 20)``
-records of one state each, a queue of one. The table gives the minimum
-over ``--repeats`` repetitions, the reading least disturbed by other work
-on the machine. It checks nothing and never fails on a timing:
+guarded rounds, what a run pays per round. It then runs ``RECORD_WIDTH``
+more rounds and times a record the way the engine makes one: a single
+``stationarity_metrics`` call over the queue of those rounds' states plus
+one ``consensus_gap_D`` per state, divided by the queue's length. It
+also times ``max(1, rounds // 20)`` records of one state each, a queue of
+one. The table gives the minimum over ``--repeats`` repetitions, the
+reading least disturbed by other work on the machine. It checks nothing and never fails on a timing:
 
     python3 tools/round_costs.py [--rounds 1000] [--repeats 5]
 
@@ -67,6 +68,7 @@ def repetition(prob, mixing, cfg, rounds):
     start = time.perf_counter()
     for _ in range(rounds):
         algorithms.run_round(swarm, prob, mixing)
+        algorithms._diverged(swarm.x, swarm.y, prob.n, swarm.k)
     per_round = (time.perf_counter() - start) / rounds
     states = []
     for _ in range(algorithms.RECORD_WIDTH):
