@@ -60,6 +60,10 @@ class RunConfig:
             raise ValueError(f"step-size must be positive and finite, got {self.eta}")
         if not 0.0 < self.p < 1.0:
             raise ValueError(f"refresh probability must lie in (0, 1), got {self.p}")
+        for name in ("rounds", "cadence"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise TypeError(f"{name} must be an integer, got {type(value).__name__}")
         if self.rounds < 0:
             raise ValueError(f"round budget must be >= 0, got {self.rounds}")
         if self.cadence < 1:

@@ -46,9 +46,12 @@ def _sigmoid_neg(z: np.ndarray, e: np.ndarray, one_e: np.ndarray) -> np.ndarray:
     return out
 
 
-def _sigmoid_product(e: np.ndarray, one_e: np.ndarray) -> np.ndarray:
-    """sigma(z) sigma(-z), the same for z and -z, so no sign is needed."""
-    return (1.0 / one_e) * (e / one_e)
+def _grad_coef(l: np.ndarray, e: np.ndarray, one_e: np.ndarray) -> np.ndarray:
+    """-l sigma(z) sigma(-z), in the buffers of ``_exp_terms(z)``, which it
+    overwrites; sigma(z) sigma(-z) is the same for z and -z, so no sign is needed."""
+    coef = np.divide(e, one_e, out=e)
+    coef *= np.divide(1.0, one_e, out=one_e)
+    return np.multiply(coef, -l, out=coef)
 
 
 def _sigmoid_pair_scalar(z: float) -> tuple[float, float]:
@@ -109,10 +112,6 @@ class FiniteSumProblem:
     def total_samples(self) -> int:
         return sum(self.m)
 
-    def _check_indices(self, i: int) -> None:
-        if not 1 <= i <= self.n:
-            raise IndexError(f"agent index {i} out of range [1, {self.n}]")
-
     def component_grads(self, js: np.ndarray, X: np.ndarray) -> np.ndarray:
         """One component gradient per agent and replica, stacked (R*n, d):
         row r*n + i - 1 is the gradient of agent i's sample
@@ -170,7 +169,7 @@ class FiniteSumProblem:
         raise NotImplementedError
 
     def _check_agents(self, agents: np.ndarray, X: np.ndarray) -> None:
-        """One check of a whole ``local_full_grads`` batch."""
+        """One check of a whole ``local_full_grads`` batch, or of a table's one agent."""
         _check_integers("agents", agents)
         if agents.ndim != 1 or X.shape != (agents.size, self.d):
             raise ValueError(
@@ -241,12 +240,7 @@ class LogisticProblem(FiniteSumProblem):
         stacked arrays. The rows are held in canonical form (``_canonical``),
         sorted by feature with repeated features summed, so every oracle
         applies a feature once, and a row's sum over its entries is the
-        same additions whether it is taken row- or feature-major. The
-        features are held a second time, feature-major, as each agent's
-        A_i^T in ``_cols``, a (d, m_i) CSR over the agent's own samples:
-        its products are dots over long feature rows, where a transposed
-        view of the row-major arrays would scatter over short sample
-        columns.
+        same additions whether it is taken row- or feature-major.
         """
         if not 0 <= lam1 < math.inf:
             raise ValueError(f"regularization weight must be finite and >= 0, got {lam1}")
@@ -261,7 +255,7 @@ class LogisticProblem(FiniteSumProblem):
         self.lam1 = float(lam1)
         self._rows = rows
         self._label_rows = labels
-        self._feats, self._cols = _agent_blocks(rows, self.layout.offsets)
+        self._feats, self._feats_t = _agent_blocks(rows, self.layout.offsets)
         self._labels = self.layout.views(labels)
 
     @classmethod
@@ -299,12 +293,19 @@ class LogisticProblem(FiniteSumProblem):
             g[idx] += (-l * sig * sig_neg) * val
         return grads
 
+    def _margin_terms(self, s: int, points: np.ndarray) -> tuple[np.ndarray, ...]:
+        """The per-agent kernel of every full pass: slot s's labels l, shaped to scale
+        its margins z = l (A_s @ points) at a (d,) point or at each column of a
+        (d, K) stack, z, and its ``_exp_terms``."""
+        l = self._labels[s] if points.ndim == 1 else self._labels[s][:, None]
+        z = self._feats[s] @ points
+        z *= l
+        return (l, z, *_exp_terms(z))
+
     def component_grad_table(self, i: int, x: np.ndarray) -> np.ndarray:
-        self._check_indices(i)
-        a = self._feats[i - 1]
-        l = self._labels[i - 1]
-        coef = -l * _sigmoid_product(*_exp_terms(l * (a @ x)))
-        table = np.asarray(a.multiply(coef[:, None]).todense())
+        self._check_agents(np.array([i]), x[None])
+        l, _, e, one_e = self._margin_terms(i - 1, x)
+        table = self._feats[i - 1].multiply(_grad_coef(l, e, one_e)[:, None]).toarray()
         table += (2.0 * self.lam1) * x
         return table
 
@@ -312,10 +313,9 @@ class LogisticProblem(FiniteSumProblem):
         # agent by agent: the sparse products are the floor here
         out = np.empty((len(slots), self.d))
         for row, (s, x) in enumerate(zip(slots.tolist(), X)):
-            l = self._labels[s]
-            z = l * (self._feats[s] @ x)
-            coef = (-l * _sigmoid_product(*_exp_terms(z))) / self.m[s]
-            out[row] = (self._cols[s] @ coef) + (2.0 * self.lam1) * x
+            l, _, e, one_e = self._margin_terms(s, x)
+            coef = _grad_coef(l, e, one_e) / self.m[s]
+            out[row] = (self._feats_t[s] @ coef) + (2.0 * self.lam1) * x
         return out
 
     def _local_costs_and_grads(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -326,20 +326,12 @@ class LogisticProblem(FiniteSumProblem):
         grads = np.empty((len(X), self.n, self.d))
         points = np.ascontiguousarray(X.T)
         ridge = (2.0 * self.lam1) * X
-        for i, (a, a_t, l, m) in enumerate(zip(self._feats, self._cols, self._labels, self.m)):
-            l = l[:, None]
-            z = a @ points
-            z *= l
-            e, one_e = _exp_terms(z)
+        for i, m in enumerate(self.m):
+            l, z, e, one_e = self._margin_terms(i, points)
             sig_neg = _sigmoid_neg(z, e, one_e)
-            # -l sigma(z) sigma(-z) / m_i in the exp buffers, by the operations
-            # of the full-gradient oracle (the sign of a product is exact either way)
-            coef = np.divide(e, one_e, out=e)
-            coef *= np.divide(1.0, one_e, out=one_e)
-            coef *= l
-            np.negative(coef, out=coef)
+            coef = _grad_coef(l, e, one_e)
             coef /= m
-            grads[:, i] = (a_t @ coef).T
+            grads[:, i] = (self._feats_t[i] @ coef).T
             grads[:, i] += ridge
             # transposed, each point's terms are a contiguous row, which numpy
             # sums pairwise as it sums the one-point vector
@@ -372,33 +364,31 @@ def _canonical(rows: sp.csr_matrix) -> sp.csr_matrix:
     return rows
 
 
-def _csr_view(
-    shape: tuple[int, int], data: np.ndarray, indices: np.ndarray, indptr: np.ndarray
-) -> sp.csr_matrix:
-    """A CSR matrix over the given arrays, sharing them.
+def _view(kind: type, shape: tuple[int, int], *arrays: np.ndarray):
+    """A ``kind`` (CSR or CSC) matrix over ``data, indices, indptr``, sharing them.
 
     scipy's constructors copy an index or data slice that is under half
     of its base array, so the matrix is made empty and then handed them.
     """
-    out = sp.csr_matrix(shape)
-    out.data, out.indices, out.indptr = data, indices, indptr
+    out = kind(shape)
+    out.data, out.indices, out.indptr = arrays
     return out
 
 
 def _agent_blocks(
     rows: sp.csr_matrix, offsets: Sequence[int]
-) -> tuple[list[sp.csr_matrix], list[sp.csr_matrix]]:
+) -> tuple[list[sp.csr_matrix], list[sp.csc_matrix]]:
     """Each block of rows ``offsets[i]:offsets[i + 1]`` as a CSR view of
-    ``rows``, and each block's transpose A_{i+1}^T as a (d, m_{i+1}) CSR
-    over the block's own samples, each feature's entries in sample order.
+    ``rows``, and its transpose A_{i+1}^T as a (d, m_{i+1}) CSC view of the
+    same arrays: its products scatter each sample's entries in sample order.
     """
     d = rows.shape[1]
     starts = rows.indptr[list(offsets)].tolist()
     blocks = [
-        _csr_view((hi - lo, d), rows.data[a:b], rows.indices[a:b], rows.indptr[lo : hi + 1] - a)
+        _view(sp.csr_matrix, (hi - lo, d), rows.data[a:b], rows.indices[a:b], rows.indptr[lo : hi + 1] - a)
         for lo, hi, a, b in zip(offsets, offsets[1:], starts, starts[1:])
     ]
-    return blocks, [block.T.tocsr() for block in blocks]
+    return blocks, [_view(sp.csc_matrix, (d, a.shape[0]), a.data, a.indices, a.indptr) for a in blocks]
 
 
 class QuadraticProblem(FiniteSumProblem):
@@ -442,7 +432,7 @@ class QuadraticProblem(FiniteSumProblem):
         return r_x[:, None] * a - r_t[:, None] * a
 
     def component_grad_table(self, i: int, x: np.ndarray) -> np.ndarray:
-        self._check_indices(i)
+        self._check_agents(np.array([i]), x[None])
         a = self._feats[i - 1]
         r = a @ x - self._targets[i - 1]
         return r[:, None] * a

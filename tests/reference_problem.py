@@ -6,8 +6,9 @@ component table and ``local_costs_and_grads``. These are the scalar
 oracles those are checked against, with the arithmetic and index checks
 they had as methods, reading the problem's per-agent views (``_feats``,
 ``_targets``, ``_labels``). The logistic full gradient builds its own
-transpose of ``_feats``, so it reads nothing of the feature-major copy
-that the batched oracles use.
+transpose of ``_feats`` and its own coefficient, so it reads nothing of
+the transposed views and the coefficient kernel that the batched
+oracles use.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from gtvr.problem import (
     _exp_terms,
     _sigmoid_neg,
     _sigmoid_pair_scalar,
-    _sigmoid_product,
 )
 
 
@@ -83,5 +83,6 @@ def local_full_grad(prob: FiniteSumProblem, i: int, x: np.ndarray) -> np.ndarray
         return (a.T @ r) / prob.m[i - 1]
     l = prob._labels[i - 1]
     z = l * (prob._feats[i - 1] @ x)
-    coef = (-l * _sigmoid_product(*_exp_terms(z))) / prob.m[i - 1]
+    e, one_e = _exp_terms(z)
+    coef = (-l * ((1.0 / one_e) * (e / one_e))) / prob.m[i - 1]
     return (prob._feats[i - 1].T.tocsr() @ coef) + (2.0 * prob.lam1) * x

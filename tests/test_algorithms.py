@@ -520,6 +520,13 @@ def test_run_config_validation():
         RunConfig(p=1.0)
     with pytest.raises(ValueError):
         RunConfig(rounds=-1)
+    # a fractional or boolean count is named, not truncated or read as 1
+    for name in ("rounds", "cadence"):
+        for value in (2.5, 1.5, 3.0, np.float64(3.0), True, np.bool_(True), "3"):
+            with pytest.raises(TypeError, match=f"{name} must be an integer"):
+                RunConfig(**{name: value})
+    cfg = RunConfig(rounds=np.int64(3), cadence=np.int32(2))
+    assert (cfg.rounds, cfg.cadence) == (3, 2)
 
 
 def test_init_rejects_bad_shape(setup5):

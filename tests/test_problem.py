@@ -13,8 +13,8 @@ from gtvr.problem import (
     LogisticProblem,
     QuadraticProblem,
     _exp_terms,
+    _grad_coef,
     _sigmoid_neg,
-    _sigmoid_product,
     make_logistic,
     make_quadratic,
 )
@@ -311,17 +311,17 @@ def test_agents_share_stacked_row_and_feature_major_buffers():
             prob.component_grad_table(i, x)
         total = sum(prob.m)
         assert prob._rows.shape == (total, prob.d)
-        # the feature-major copy: agent i's A_i^T as a (d, m_i) CSR over its
-        # own samples, each feature's entries in sample order
-        assert len(prob._feats) == len(prob._cols) == len(prob._labels) == prob.n
-        for a, cols, labels, m in zip(prob._feats, prob._cols, prob._labels, prob.m):
+        # the features are held once: agent i's A_i^T is a (d, m_i) view of
+        # the same stacked arrays as its rows, not a feature-major copy
+        assert len(prob._feats) == len(prob._feats_t) == len(prob._labels) == prob.n
+        for a, a_t, labels, m in zip(prob._feats, prob._feats_t, prob._labels, prob.m):
             assert a.shape == (m, prob.d) and labels.shape == (m,)
             assert np.shares_memory(labels, prob._label_rows)
-            assert np.shares_memory(a.data, prob._rows.data)
-            assert np.shares_memory(a.indices, prob._rows.indices)
-            assert isinstance(cols, sp.csr_matrix) and cols.shape == (prob.d, m)
-            assert cols.nnz == a.nnz and cols.has_canonical_format
-            assert np.array_equal(cols.toarray(), a.toarray().T)
+            for rows in (a, a_t):
+                assert np.shares_memory(rows.data, prob._rows.data)
+                assert np.shares_memory(rows.indices, prob._rows.indices)
+            assert a_t.shape == (prob.d, m) and a_t.nnz == a.nnz
+            assert np.array_equal(a_t.toarray(), a.toarray().T)
     for prob in quadratic:
         assert len(prob._feats) == len(prob._targets) == prob.n
         for a, t, m in zip(prob._feats, prob._targets, prob.m):
@@ -387,7 +387,7 @@ def test_unsorted_rows_give_the_problem_of_their_sorted_copy(n):
     assert all(same_arrays(a, kept) for a, kept in zip(blocks + [shuffled], saved))
     rng = np.random.default_rng(n)
     for got, want in pairs:
-        assert same_csr(got._rows, want._rows) and all(map(same_csr, got._cols, want._cols))
+        assert same_csr(got._rows, want._rows) and all(map(same_csr, got._feats_t, want._feats_t))
         assert got.lipschitz_estimate() == want.lipschitz_estimate()
         for x in (np.zeros(raw.d), rng.normal(size=raw.d), 300.0 * rng.normal(size=raw.d)):
             assert all(map(same_bits, got.local_costs_and_grads(x), want.local_costs_and_grads(x)))
@@ -442,7 +442,7 @@ def test_normalizing_unsorted_rows_equals_normalizing_their_sorted_copy():
         got = LogisticProblem.from_partition(ingest.RawDataset(shuffled, raw.labels), parts, 1e-3, normalize=True)
         want = LogisticProblem.from_partition(raw, parts, 1e-3, normalize=True)
         assert same_arrays(shuffled, saved)
-        assert same_csr(got._rows, want._rows) and all(map(same_csr, got._cols, want._cols))
+        assert same_csr(got._rows, want._rows) and all(map(same_csr, got._feats_t, want._feats_t))
 
 
 @pytest.mark.parametrize("name", sorted(BATCH_CASES))
@@ -593,7 +593,9 @@ def test_select_free_sigmoid_equals_the_where_pair(z):
     e, one_e = _exp_terms(z)
     assert same_value(_sigmoid_neg(z, e, one_e), sig_neg)
     assert same_value(_sigmoid_neg(-z, e, one_e), sig)
-    assert same_value(_sigmoid_product(e, one_e), sig * sig_neg)
+    # labels of both signs; the helper overwrites the exp terms it is given
+    l = np.resize([1.0, -1.0], z.shape)
+    assert same_value(_grad_coef(l, e.copy(), one_e.copy()), -l * sig * sig_neg)
 
 
 @pytest.mark.parametrize("seed", [0, 3, 17])
@@ -768,3 +770,13 @@ def test_checked_entries_reject_non_integer_agents_and_indices(name):
             prob.component_grad_diffs(js, x, x)
     for ids in (np.array([1, 2], dtype=np.int32), np.array([1, 2], dtype=np.uint8)):
         assert prob.local_full_grads(ids, X).shape == (2, prob.d)
+    # the table's single agent id likewise: True is not agent 1
+    for i in (1.5, 2.0, np.float64(2.0), True, np.bool_(True), "2"):
+        with pytest.raises(TypeError, match="agents must be an integer array"):
+            prob.component_grad_table(i, X[0])
+    for i in (0, prob.n + 1):
+        with pytest.raises(IndexError, match="out of range"):
+            prob.component_grad_table(i, X[0])
+    with pytest.raises(ValueError, match="point per selected agent"):
+        prob.component_grad_table(1, X)
+    assert same_bits(prob.component_grad_table(np.int32(2), X[0]), prob.component_grad_table(2, X[0]))

@@ -17,7 +17,13 @@ more rounds and times a record the way the engine makes one: a single
 one ``consensus_gap_D`` per state, divided by the queue's length. It
 also times ``max(1, rounds // 20)`` records of one state each, a queue of
 one. The table gives the minimum over ``--repeats`` repetitions, the
-reading least disturbed by other work on the machine. It checks nothing and never fails on a timing:
+reading least disturbed by other work on the machine.
+
+Below the table it prints the logistic shape's set-up time: building its
+``LogisticProblem`` again with ``from_partition`` from a ``RawDataset``
+of its rows, what a run pays between parsing and its first round, again
+the minimum over ``--repeats`` builds. It checks nothing and never fails
+on a timing:
 
     python3 tools/round_costs.py [--rounds 1000] [--repeats 5]
 
@@ -39,7 +45,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 import numpy as np  # noqa: E402
 import scipy  # noqa: E402
 
-from gtvr import algorithms, graph, metrics, problem  # noqa: E402
+from gtvr import algorithms, graph, ingest, metrics, problem  # noqa: E402
 
 P = 0.3  # GT-VR's refresh probability
 
@@ -86,6 +92,20 @@ def repetition(prob, mixing, cfg, rounds):
     return per_round, per_queued, (time.perf_counter() - start) / records
 
 
+def setup_seconds(prob, repeats):
+    """Seconds to build the logistic ``prob`` from a RawDataset of its rows,
+    one agent's rows per part, the minimum over ``repeats`` builds."""
+    raw = ingest.RawDataset(prob._rows, prob._label_rows)
+    offsets = prob.layout.offsets
+    parts = [np.arange(lo, hi) for lo, hi in zip(offsets, offsets[1:])]
+    times = []
+    for _ in range(repeats):
+        start = time.perf_counter()
+        problem.LogisticProblem.from_partition(raw, parts, prob.lam1)
+        times.append(time.perf_counter() - start)
+    return min(times)
+
+
 def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--rounds", type=int, default=1000, help="rounds per repetition")
@@ -101,7 +121,10 @@ def main(argv=None) -> None:
     width = algorithms.RECORD_WIDTH
     print(f"| shape | algorithm | us/round | us/record, queue of {width} | us/record, alone |")
     print("|---|---|---:|---:|---:|")
+    logistic = None
     for name, prob, mixing, eta in shapes():
+        if isinstance(prob, problem.LogisticProblem):
+            logistic = prob
         for algorithm in algorithms.ALGORITHMS:
             cfg = algorithms.RunConfig(algorithm=algorithm, eta=eta, p=P, seed=1)
             runs = [repetition(prob, mixing, cfg, args.rounds) for _ in range(args.repeats)]
@@ -110,6 +133,11 @@ def main(argv=None) -> None:
                 f"| {name} | {algorithm} | {per_round:.1f} | {per_queued:.1f} | {per_record:.1f} |",
                 flush=True,
             )
+    print()
+    print(
+        f"logistic set-up, `LogisticProblem.from_partition` of {logistic.n} x {logistic.m[0]} rows, "
+        f"d = {logistic.d}: {setup_seconds(logistic, args.repeats) * 1e3:.2f} ms"
+    )
 
 
 if __name__ == "__main__":
