@@ -46,12 +46,12 @@ def _sigmoid_neg(z: np.ndarray, e: np.ndarray, one_e: np.ndarray) -> np.ndarray:
     return out
 
 
-def _grad_coef(l: np.ndarray, e: np.ndarray, one_e: np.ndarray) -> np.ndarray:
-    """-l sigma(z) sigma(-z), in the buffers of ``_exp_terms(z)``, which it
+def _grad_coef(e: np.ndarray, one_e: np.ndarray, m: int) -> np.ndarray:
+    """-sigma(z) sigma(-z) / m, in the buffers of ``_exp_terms(z)``, which it
     overwrites; sigma(z) sigma(-z) is the same for z and -z, so no sign is needed."""
     coef = np.divide(e, one_e, out=e)
     coef *= np.divide(1.0, one_e, out=one_e)
-    return np.multiply(coef, -l, out=coef)
+    return np.divide(coef, -m, out=coef)
 
 
 def _sigmoid_pair_scalar(z: float) -> tuple[float, float]:
@@ -229,18 +229,26 @@ class LogisticProblem(FiniteSumProblem):
             if a.shape[0] != l.shape[0]:
                 raise ValueError("feature rows and labels must match and be non-empty")
         sizes = [a.shape[0] for a in feats]
-        self._hold(sp.vstack(feats, format="csr"), np.concatenate(labels), sizes, lam1)
+        self._hold(sp.vstack(feats, format="csr"), np.concatenate(labels), sizes, lam1, feats)
 
     def _hold(
-        self, rows: sp.csr_matrix, labels: np.ndarray, sizes: Sequence[int], lam1: float
+        self,
+        rows: sp.csr_matrix,
+        labels: np.ndarray,
+        sizes: Sequence[int],
+        lam1: float,
+        given: Sequence[sp.csr_matrix],
     ) -> None:
         """Keep all agents' rows as one CSR; agent i owns the next sizes[i-1] rows.
 
-        The per-agent matrices and label vectors are views into the
-        stacked arrays. The rows are held in canonical form (``_canonical``),
-        sorted by feature with repeated features summed, so every oracle
-        applies a feature once, and a row's sum over its entries is the
-        same additions whether it is taken row- or feature-major.
+        The per-agent matrices are views into the stacked arrays. The rows
+        are held in canonical form (``_canonical``), sorted by feature with
+        repeated features summed, so every oracle applies a feature once,
+        and a row's sum over its entries is the same additions whether it is
+        taken row- or feature-major. Each row is held multiplied by its
+        label, so every kernel forms the signed margin z = (l a)'x as one
+        product: ``rows`` is negated in place where l = -1, after a copy if
+        its data shares memory with one of the caller's ``given`` matrices.
         """
         if not 0 <= lam1 < math.inf:
             raise ValueError(f"regularization weight must be finite and >= 0, got {lam1}")
@@ -251,12 +259,14 @@ class LogisticProblem(FiniteSumProblem):
         if not np.isfinite(rows.data).all():
             raise ValueError("logistic features must be finite")
         rows = _canonical(rows)
+        if any(np.shares_memory(rows.data, a.data) for a in given):
+            rows = rows.copy()
+        np.negative(rows.data, out=rows.data, where=np.repeat(labels < 0, np.diff(rows.indptr)))
         self._set_layout(sizes, rows.shape[1])
         self.lam1 = float(lam1)
         self._rows = rows
         self._label_rows = labels
         self._feats, self._feats_t = _agent_blocks(rows, self.layout.offsets)
-        self._labels = self.layout.views(labels)
 
     @classmethod
     def from_partition(
@@ -278,34 +288,32 @@ class LogisticProblem(FiniteSumProblem):
         order = np.concatenate([np.asarray(idx, dtype=np.int64) for idx in parts])
         labels = np.asarray(raw.labels[order], dtype=float)
         prob = cls.__new__(cls)
-        prob._hold(csr[order], labels, [len(idx) for idx in parts], lam1)
+        prob._hold(csr[order], labels, [len(idx) for idx in parts], lam1, [raw.features])
         return prob
 
     def _component_grads(self, rows: np.ndarray, X: np.ndarray) -> np.ndarray:
         # the per-sample reference's arithmetic row by row
         grads = (2.0 * self.lam1) * X
         indptr, indices, data = self._rows.indptr, self._rows.indices, self._rows.data
-        for g, x, r, l in zip(grads, X, rows.tolist(), self._label_rows[rows].tolist()):
+        for g, x, r in zip(grads, X, rows.tolist()):
             lo, hi = indptr[r], indptr[r + 1]
             idx = indices[lo:hi]
             val = data[lo:hi]
-            sig, sig_neg = _sigmoid_pair_scalar(l * float(val @ x[idx]))
-            g[idx] += (-l * sig * sig_neg) * val
+            sig, sig_neg = _sigmoid_pair_scalar(float(val @ x[idx]))
+            g[idx] += (-sig * sig_neg) * val
         return grads
 
     def _margin_terms(self, s: int, points: np.ndarray) -> tuple[np.ndarray, ...]:
-        """The per-agent kernel of every full pass: slot s's labels l, shaped to scale
-        its margins z = l (A_s @ points) at a (d,) point or at each column of a
-        (d, K) stack, z, and its ``_exp_terms``."""
-        l = self._labels[s] if points.ndim == 1 else self._labels[s][:, None]
+        """The per-agent kernel of every full pass: slot s's signed margins
+        z = A_s @ points at a (d,) point or at each column of a (d, K) stack,
+        and their ``_exp_terms``."""
         z = self._feats[s] @ points
-        z *= l
-        return (l, z, *_exp_terms(z))
+        return (z, *_exp_terms(z))
 
     def component_grad_table(self, i: int, x: np.ndarray) -> np.ndarray:
         self._check_agents(np.array([i]), x[None])
-        l, _, e, one_e = self._margin_terms(i - 1, x)
-        table = self._feats[i - 1].multiply(_grad_coef(l, e, one_e)[:, None]).toarray()
+        _, e, one_e = self._margin_terms(i - 1, x)
+        table = self._feats[i - 1].multiply(_grad_coef(e, one_e, 1)[:, None]).toarray()
         table += (2.0 * self.lam1) * x
         return table
 
@@ -313,9 +321,8 @@ class LogisticProblem(FiniteSumProblem):
         # agent by agent: the sparse products are the floor here
         out = np.empty((len(slots), self.d))
         for row, (s, x) in enumerate(zip(slots.tolist(), X)):
-            l, _, e, one_e = self._margin_terms(s, x)
-            coef = _grad_coef(l, e, one_e) / self.m[s]
-            out[row] = (self._feats_t[s] @ coef) + (2.0 * self.lam1) * x
+            _, e, one_e = self._margin_terms(s, x)
+            out[row] = (self._feats_t[s] @ _grad_coef(e, one_e, self.m[s])) + (2.0 * self.lam1) * x
         return out
 
     def _local_costs_and_grads(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -327,11 +334,9 @@ class LogisticProblem(FiniteSumProblem):
         points = np.ascontiguousarray(X.T)
         ridge = (2.0 * self.lam1) * X
         for i, m in enumerate(self.m):
-            l, z, e, one_e = self._margin_terms(i, points)
+            z, e, one_e = self._margin_terms(i, points)
             sig_neg = _sigmoid_neg(z, e, one_e)
-            coef = _grad_coef(l, e, one_e)
-            coef /= m
-            grads[:, i] = (self._feats_t[i] @ coef).T
+            grads[:, i] = (self._feats_t[i] @ _grad_coef(e, one_e, m)).T
             grads[:, i] += ridge
             # transposed, each point's terms are a contiguous row, which numpy
             # sums pairwise as it sums the one-point vector

@@ -2,10 +2,11 @@
 
 Here the sigmoid pair selects with ``np.where`` on the sign of z, and
 each agent's transpose A_i^T is a CSC view of its row block's arrays,
-so ``A_i^T coef`` scatters over the m_i sample columns. The current
-``LogisticProblem`` uses a branch-free sigmoid and a feature-major copy;
-its local oracles, and the labels ``make_logistic`` draws, must equal
-these bit for bit.
+so ``A_i^T coef`` scatters over the m_i sample columns, and the rows
+are the data as given, with the labels apart. The current
+``LogisticProblem`` uses a branch-free sigmoid and holds each row
+multiplied by its label; its local oracles, and the labels
+``make_logistic`` draws, must equal these bit for bit.
 """
 
 from __future__ import annotations
@@ -60,7 +61,10 @@ class ReferenceLogistic:
 
     def __init__(self, prob: LogisticProblem) -> None:
         self.n, self.m, self.lam1 = prob.n, prob.m, prob.lam1
-        self.rows, self.label_rows = prob._rows, prob._label_rows
+        self.label_rows = prob._label_rows
+        # the problem holds l a; a second multiply by l gives back a exactly
+        self.rows = prob._rows.copy()
+        self.rows.data *= np.repeat(self.label_rows, np.diff(self.rows.indptr))
         offsets = np.concatenate(([0], np.cumsum(self.m))).tolist()
         self.bounds = list(zip(offsets[:-1], offsets[1:]))
         blocks = [_row_block(self.rows, lo, hi) for lo, hi in self.bounds]

@@ -5,10 +5,11 @@ call: the batched ``component_grads`` and ``local_full_grads``, the
 component table and ``local_costs_and_grads``. These are the scalar
 oracles those are checked against, with the arithmetic and index checks
 they had as methods, reading the problem's per-agent views (``_feats``,
-``_targets``, ``_labels``). The logistic full gradient builds its own
-transpose of ``_feats`` and its own coefficient, so it reads nothing of
-the transposed views and the coefficient kernel that the batched
-oracles use.
+``_targets``). A logistic problem holds each row multiplied by its label,
+so a row of ``_feats`` is l a and its margin (l a)'x is the signed margin
+l a'x. The logistic full gradient builds its own transpose of ``_feats``
+and its own coefficient, so it reads nothing of the transposed views and
+the coefficient kernel that the batched oracles use.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ def component_cost(prob: FiniteSumProblem, i: int, j: int, x: np.ndarray) -> flo
         return 0.5 * r * r
     a = prob._feats[i - 1]
     lo, hi = a.indptr[j - 1], a.indptr[j]
-    z = prob._labels[i - 1][j - 1] * float(a.data[lo:hi] @ x[a.indices[lo:hi]])
+    z = float(a.data[lo:hi] @ x[a.indices[lo:hi]])
     _, sig_neg = _sigmoid_pair_scalar(z)
     return sig_neg + prob.lam1 * float(x @ x)
 
@@ -55,11 +56,10 @@ def component_grad(prob: FiniteSumProblem, i: int, j: int, x: np.ndarray) -> np.
     lo, hi = a.indptr[j - 1], a.indptr[j]
     idx = a.indices[lo:hi]
     val = a.data[lo:hi]
-    l = prob._labels[i - 1][j - 1]
-    z = l * float(val @ x[idx])
+    z = float(val @ x[idx])
     sig, sig_neg = _sigmoid_pair_scalar(z)
     g = (2.0 * prob.lam1) * x
-    g[idx] += (-l * sig * sig_neg) * val
+    g[idx] += (-sig * sig_neg) * val
     return g
 
 
@@ -69,7 +69,7 @@ def local_cost(prob: FiniteSumProblem, i: int, x: np.ndarray) -> float:
     if isinstance(prob, QuadraticProblem):
         r = prob._feats[i - 1] @ x - prob._targets[i - 1]
         return 0.5 * float(r @ r) / prob.m[i - 1]
-    z = prob._labels[i - 1] * (prob._feats[i - 1] @ x)
+    z = prob._feats[i - 1] @ x
     sig_neg = _sigmoid_neg(z, *_exp_terms(z))
     return float(sig_neg.mean()) + prob.lam1 * float(x @ x)
 
@@ -81,8 +81,7 @@ def local_full_grad(prob: FiniteSumProblem, i: int, x: np.ndarray) -> np.ndarray
         a = prob._feats[i - 1]
         r = a @ x - prob._targets[i - 1]
         return (a.T @ r) / prob.m[i - 1]
-    l = prob._labels[i - 1]
-    z = l * (prob._feats[i - 1] @ x)
+    z = prob._feats[i - 1] @ x
     e, one_e = _exp_terms(z)
-    coef = (-l * ((1.0 / one_e) * (e / one_e))) / prob.m[i - 1]
+    coef = -((1.0 / one_e) * (e / one_e)) / prob.m[i - 1]
     return (prob._feats[i - 1].T.tocsr() @ coef) + (2.0 * prob.lam1) * x

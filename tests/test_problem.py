@@ -313,10 +313,9 @@ def test_agents_share_stacked_row_and_feature_major_buffers():
         assert prob._rows.shape == (total, prob.d)
         # the features are held once: agent i's A_i^T is a (d, m_i) view of
         # the same stacked arrays as its rows, not a feature-major copy
-        assert len(prob._feats) == len(prob._feats_t) == len(prob._labels) == prob.n
-        for a, a_t, labels, m in zip(prob._feats, prob._feats_t, prob._labels, prob.m):
-            assert a.shape == (m, prob.d) and labels.shape == (m,)
-            assert np.shares_memory(labels, prob._label_rows)
+        assert len(prob._feats) == len(prob._feats_t) == prob.n
+        for a, a_t, m in zip(prob._feats, prob._feats_t, prob.m):
+            assert a.shape == (m, prob.d)
             for rows in (a, a_t):
                 assert np.shares_memory(rows.data, prob._rows.data)
                 assert np.shares_memory(rows.indices, prob._rows.indices)
@@ -593,9 +592,9 @@ def test_select_free_sigmoid_equals_the_where_pair(z):
     e, one_e = _exp_terms(z)
     assert same_value(_sigmoid_neg(z, e, one_e), sig_neg)
     assert same_value(_sigmoid_neg(-z, e, one_e), sig)
-    # labels of both signs; the helper overwrites the exp terms it is given
-    l = np.resize([1.0, -1.0], z.shape)
-    assert same_value(_grad_coef(l, e.copy(), one_e.copy()), -l * sig * sig_neg)
+    # the helper overwrites the exp terms it is given
+    for m in (1, 3):
+        assert same_value(_grad_coef(e.copy(), one_e.copy(), m), -(sig * sig_neg) / m)
 
 
 @pytest.mark.parametrize("seed", [0, 3, 17])
