@@ -54,13 +54,6 @@ def _grad_coef(e: np.ndarray, one_e: np.ndarray, m: int) -> np.ndarray:
     return np.divide(coef, -m, out=coef)
 
 
-def _sigmoid_pair_scalar(z: float) -> tuple[float, float]:
-    e = math.exp(-abs(z))
-    big = 1.0 / (1.0 + e)
-    small = e / (1.0 + e)
-    return (big, small) if z >= 0 else (small, big)
-
-
 class RowLayout(NamedTuple):
     """How the agents share arrays stacked over all samples: agent i owns
     rows ``offsets[i - 1]:offsets[i]`` (n + 1 offsets, from 0 to sum m_i),
@@ -84,8 +77,7 @@ class FiniteSumProblem:
     ``component_grad_diffs`` and ``local_full_grads`` each check their
     batch once and call a subclass core that trusts its arguments,
     ``_component_grads(rows, X)``, ``_component_grad_diffs(rows, X, T)``
-    (by default two ``_component_grads`` calls) or
-    ``_local_full_grads(slots, X)``. The cores take stacked 0-based sample
+    or ``_local_full_grads(slots, X)``. The cores take stacked 0-based sample
     rows, as ``SwarmStreams.rows`` hands them out, and 0-based agent slots,
     so the round engine calls them directly. Subclasses provide the cores,
     GT-SAGA's table, the metric pass's oracle and the smoothness estimate.
@@ -129,7 +121,7 @@ class FiniteSumProblem:
 
     def _component_grad_diffs(self, rows: np.ndarray, X: np.ndarray, T: np.ndarray) -> np.ndarray:
         """``component_grad_diffs`` of the stacked 0-based sample ``rows``, unchecked."""
-        return self._component_grads(rows, X) - self._component_grads(rows, T)
+        raise NotImplementedError
 
     def _batch_rows(self, js: np.ndarray, X: np.ndarray, T: np.ndarray | None = None) -> np.ndarray:
         """Stacked 0-based rows of the sampled components, after one check
@@ -292,16 +284,34 @@ class LogisticProblem(FiniteSumProblem):
         return prob
 
     def _component_grads(self, rows: np.ndarray, X: np.ndarray) -> np.ndarray:
-        # the per-sample reference's arithmetic row by row
-        grads = (2.0 * self.lam1) * X
-        indptr, indices, data = self._rows.indptr, self._rows.indices, self._rows.data
-        for g, x, r in zip(grads, X, rows.tolist()):
-            lo, hi = indptr[r], indptr[r + 1]
-            idx = indices[lo:hi]
-            val = data[lo:hi]
-            sig, sig_neg = _sigmoid_pair_scalar(float(val @ x[idx]))
-            g[idx] += (-sig * sig_neg) * val
+        # one pass over all k sampled rows: their entries gathered into a
+        # zero-padded (width, k) layout, column c holding row rows[c]; the
+        # clipped reads past a row's end are masked out, never used
+        indptr = self._rows.indptr
+        starts = indptr.take(rows)
+        counts = indptr.take(rows + 1) - starts
+        grads = np.multiply(2.0 * self.lam1, X, order="C")
+        width = counts.max()
+        if not width:  # only empty rows: each gradient is the ridge term
+            return grads
+        offsets = np.arange(width)[:, None]
+        live = offsets < counts
+        entries = starts + offsets
+        vals = self._rows.data.take(entries, mode="clip")
+        # each entry's position in the flattened (k, d) points and gradients
+        flat = self._rows.indices.take(entries, mode="clip") + np.arange(0, len(rows) * self.d, self.d)
+        # the running sum down axis 0 adds each row's products in entry
+        # order, the arithmetic of the full passes' CSR products; a reduce
+        # would sum a lone column pairwise
+        z = np.add.accumulate(np.where(live, vals * X.take(flat), 0.0), axis=0)[-1]
+        # a canonical row names each feature once, so no position repeats
+        grads.ravel()[flat[live]] += (vals * _grad_coef(*_exp_terms(z), 1))[live]
         return grads
+
+    def _component_grad_diffs(self, rows: np.ndarray, X: np.ndarray, T: np.ndarray) -> np.ndarray:
+        # X and T through one pass, as the first and second half of the batch
+        grads = self._component_grads(np.concatenate((rows, rows)), np.concatenate((X, T)))
+        return grads[: len(rows)] - grads[len(rows) :]
 
     def _margin_terms(self, s: int, points: np.ndarray) -> tuple[np.ndarray, ...]:
         """The per-agent kernel of every full pass: slot s's signed margins

@@ -7,22 +7,34 @@ oracles those are checked against, with the arithmetic and index checks
 they had as methods, reading the problem's per-agent views (``_feats``,
 ``_targets``). A logistic problem holds each row multiplied by its label,
 so a row of ``_feats`` is l a and its margin (l a)'x is the signed margin
-l a'x. The logistic full gradient builds its own transpose of ``_feats``
-and its own coefficient, so it reads nothing of the transposed views and
-the coefficient kernel that the batched oracles use.
+l a'x. A component's margin adds the row's products one at a time in
+entry order, as scipy's CSR product adds them in the full passes. The
+logistic full gradient builds its own transpose of ``_feats`` and its own
+coefficient, so it reads nothing of the transposed views and the
+coefficient kernel that the batched oracles use.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from gtvr.problem import (
-    FiniteSumProblem,
-    QuadraticProblem,
-    _exp_terms,
-    _sigmoid_neg,
-    _sigmoid_pair_scalar,
-)
+from gtvr.problem import FiniteSumProblem, QuadraticProblem, _exp_terms, _sigmoid_neg
+
+
+def _sigmoid_pair_scalar(z: float) -> tuple[float, float]:
+    # numpy's exp, which the batched oracles call, not always math.exp's bits
+    e = float(np.exp(-abs(z)))
+    big = 1.0 / (1.0 + e)
+    small = e / (1.0 + e)
+    return (big, small) if z >= 0 else (small, big)
+
+
+def _row_margin(val: np.ndarray, x: np.ndarray) -> float:
+    """The sum of val[k] * x[k] from 0, one entry at a time in entry order."""
+    z = 0.0
+    for v, xk in zip(val.tolist(), x.tolist()):
+        z += v * xk
+    return z
 
 
 def _check_indices(prob: FiniteSumProblem, i: int, j: int | None = None) -> None:
@@ -40,7 +52,7 @@ def component_cost(prob: FiniteSumProblem, i: int, j: int, x: np.ndarray) -> flo
         return 0.5 * r * r
     a = prob._feats[i - 1]
     lo, hi = a.indptr[j - 1], a.indptr[j]
-    z = float(a.data[lo:hi] @ x[a.indices[lo:hi]])
+    z = _row_margin(a.data[lo:hi], x[a.indices[lo:hi]])
     _, sig_neg = _sigmoid_pair_scalar(z)
     return sig_neg + prob.lam1 * float(x @ x)
 
@@ -56,7 +68,7 @@ def component_grad(prob: FiniteSumProblem, i: int, j: int, x: np.ndarray) -> np.
     lo, hi = a.indptr[j - 1], a.indptr[j]
     idx = a.indices[lo:hi]
     val = a.data[lo:hi]
-    z = float(val @ x[idx])
+    z = _row_margin(val, x[idx])
     sig, sig_neg = _sigmoid_pair_scalar(z)
     g = (2.0 * prob.lam1) * x
     g[idx] += (-sig * sig_neg) * val
