@@ -60,7 +60,7 @@ class RunConfig:
             raise ValueError(f"step-size must be positive and finite, got {self.eta}")
         if not 0.0 < self.p < 1.0:
             raise ValueError(f"refresh probability must lie in (0, 1), got {self.p}")
-        for name in ("rounds", "cadence"):
+        for name in ("rounds", "cadence", "seed"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
                 raise TypeError(f"{name} must be an integer, got {type(value).__name__}")
@@ -68,6 +68,8 @@ class RunConfig:
             raise ValueError(f"round budget must be >= 0, got {self.rounds}")
         if self.cadence < 1:
             raise ValueError(f"metric cadence must be >= 1, got {self.cadence}")
+        if not 0 <= self.seed < 2**64:
+            raise ValueError(f"seed must lie in [0, 2**64), got {self.seed}")
 
 
 @dataclass

@@ -160,8 +160,6 @@ def _validate_config(cfg: ExperimentConfig, source: str) -> None:
         for key in ("cadence", "max_samples", "declared_d"):
             if getattr(cfg, key) < 0:
                 raise ValueError(f"{key} must be >= 0, got {getattr(cfg, key)}")
-        if not 0 <= cfg.seed < 2**64:
-            raise ValueError(f"seed must be an unsigned 64-bit integer, got {cfg.seed}")
         for key in ("quad_m", "quad_d"):
             if getattr(cfg, key) < 1:
                 raise ValueError(f"{key} must be >= 1, got {getattr(cfg, key)}")
@@ -178,11 +176,9 @@ def load_experiment_config(path: str | Path, overrides: dict[str, object] | None
     return build_experiment_config(parse_config_text(path.read_text(), str(path)), overrides, str(path))
 
 
-def prepare_problem(cfg: ExperimentConfig) -> problem.FiniteSumProblem:
-    if cfg.dataset == SYNTHETIC_QUADRATIC:
-        return problem.make_quadratic(
-            cfg.n, cfg.quad_m, cfg.quad_d, seed=cfg.seed, noise=cfg.quad_noise
-        )
+def load_dataset(cfg: ExperimentConfig) -> ingest.RawDataset:
+    """The LIBSVM file of ``cfg``, parsed, with ±1 labels and at most
+    ``max_samples`` rows: what no seed changes."""
     path = Path(cfg.dataset)
     if not path.is_file():
         raise OSError(f"dataset file not found: {path}")
@@ -190,6 +186,18 @@ def prepare_problem(cfg: ExperimentConfig) -> problem.FiniteSumProblem:
     raw = ingest.to_binary_labels(raw)
     if cfg.max_samples:
         raw = ingest.take_head(raw, cfg.max_samples)
+    return raw
+
+
+def prepare_problem(cfg: ExperimentConfig, raw: ingest.RawDataset | None = None) -> problem.FiniteSumProblem:
+    """The problem of ``cfg``; a LIBSVM one is partitioned by ``cfg.seed``
+    from ``raw``, its ``load_dataset``, which is loaded here if not given."""
+    if cfg.dataset == SYNTHETIC_QUADRATIC:
+        return problem.make_quadratic(
+            cfg.n, cfg.quad_m, cfg.quad_d, seed=cfg.seed, noise=cfg.quad_noise
+        )
+    if raw is None:
+        raw = load_dataset(cfg)
     parts = ingest.partition(raw, cfg.n, cfg.scheme, seed=cfg.seed)
     return problem.LogisticProblem.from_partition(raw, parts, cfg.lambda1, normalize=cfg.normalize)
 
@@ -258,10 +266,12 @@ def cmd_sweep(ns: argparse.Namespace) -> int:
         points[name] = replace(base, eta=eta, p=p, seed=seed, output=str(out_dir / name))
         _validate_config(points[name], source)
     out_dir.mkdir(parents=True, exist_ok=True)
+    # a dataset file is read once; its partition and the graph depend on the
+    # seed, and nothing depends on eta or p
+    raw = None if base.dataset == SYNTHETIC_QUADRATIC else load_dataset(base)
     for _, group in itertools.groupby(points.values(), key=lambda c: c.seed):
         group = list(group)
-        # the data, its partition and the graph depend on the seed, not on eta or p
-        prob = prepare_problem(group[0])
+        prob = prepare_problem(group[0], raw)
         mixing = build_mixing(group[0])
         lipschitz = prob.lipschitz_estimate()
         traces, error = algorithms.run_experiments(prob, mixing, [c.run_config() for c in group])

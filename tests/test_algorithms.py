@@ -521,12 +521,16 @@ def test_run_config_validation():
     with pytest.raises(ValueError):
         RunConfig(rounds=-1)
     # a fractional or boolean count is named, not truncated or read as 1
-    for name in ("rounds", "cadence"):
+    for name in ("rounds", "cadence", "seed"):
         for value in (2.5, 1.5, 3.0, np.float64(3.0), True, np.bool_(True), "3"):
             with pytest.raises(TypeError, match=f"{name} must be an integer"):
                 RunConfig(**{name: value})
-    cfg = RunConfig(rounds=np.int64(3), cadence=np.int32(2))
-    assert (cfg.rounds, cfg.cadence) == (3, 2)
+    # the seed range is the CLI's: what numpy's SeedSequence takes as one word
+    for seed in (-1, np.int64(-1), 2**64):
+        with pytest.raises(ValueError, match=r"seed must lie in \[0, 2\*\*64\)"):
+            RunConfig(seed=seed)
+    cfg = RunConfig(rounds=np.int64(3), cadence=np.int32(2), seed=np.uint64(2**64 - 1))
+    assert (cfg.rounds, cfg.cadence, cfg.seed) == (3, 2, 2**64 - 1)
 
 
 def test_init_rejects_bad_shape(setup5):

@@ -142,6 +142,13 @@ def test_zero_workers_rejected(tmp_path, capsys):
     assert "worker count" in capsys.readouterr().err
 
 
+def test_seed_outside_an_unsigned_word_rejected(tmp_path, capsys):
+    cfg = write_config(tmp_path, QUAD_CONFIG.format(rounds=1))
+    for seed in ("-1", str(2**64)):
+        assert cli.main(["run", "--config", str(cfg), "--seed", seed]) == 2
+        assert "seed must lie in [0, 2**64)" in capsys.readouterr().err
+
+
 def test_seed_flag_overrides_config(tmp_path):
     cfg = write_config(tmp_path, QUAD_CONFIG.format(rounds=30))
     out_a = tmp_path / "a.csv"
@@ -511,29 +518,32 @@ def test_sweep_builds_problem_once_per_seed(tmp_path, monkeypatch, dataset):
     def counted(name):
         real = getattr(cli, name)
 
-        def wrapper(c):
+        def wrapper(c, *args):
             built.append((name, c.seed))
-            return real(c)
+            return real(c, *args)
 
         return wrapper
 
     for name in ("prepare_problem", "build_mixing"):
         monkeypatch.setattr(cli, name, counted(name))
+    parse = ingest.parse_libsvm
+    parsed = []
+    monkeypatch.setattr(ingest, "parse_libsvm", lambda *args: parsed.append(args) or parse(*args))
     out_dir = tmp_path / "sweep"
     code = cli.main(
         [
             "sweep", "--config", str(cfg), "--eta", "0.01,0.005", "--p", "0.4,0.6",
-            "--seeds", "1,2", "--out-dir", str(out_dir),
+            "--seeds", "1,2,3", "--out-dir", str(out_dir),
         ]
     )
     assert code == 0
-    assert sorted(built) == [
-        ("build_mixing", 1), ("build_mixing", 2), ("prepare_problem", 1), ("prepare_problem", 2),
-    ]
+    assert sorted(built) == [(name, seed) for name in ("build_mixing", "prepare_problem") for seed in (1, 2, 3)]
+    # the file is parsed once for all three seeds
+    assert len(parsed) == (dataset == "libsvm")
     # every grid point's trace equals a stand-alone run of that point, timing aside
     for eta in (0.01, 0.005):
         for p in (0.4, 0.6):
-            for seed in (1, 2):
+            for seed in (1, 2, 3):
                 point_text = text.replace("eta = 0.01", f"eta = {eta}").replace("p = 0.5", f"p = {p}")
                 point = write_config(tmp_path, point_text, "point.cfg")
                 alone = tmp_path / "alone.csv"
