@@ -190,8 +190,8 @@ def load_dataset(cfg: ExperimentConfig) -> ingest.RawDataset:
 
 
 def prepare_problem(cfg: ExperimentConfig, raw: ingest.RawDataset | None = None) -> problem.FiniteSumProblem:
-    """The problem of ``cfg``; a LIBSVM one is partitioned by ``cfg.seed``
-    from ``raw``, its ``load_dataset``, which is loaded here if not given."""
+    """The problem of ``cfg``. A LIBSVM dataset is partitioned by ``cfg.seed``
+    from ``raw``, the result of ``load_dataset(cfg)``, loaded here if not given."""
     if cfg.dataset == SYNTHETIC_QUADRATIC:
         return problem.make_quadratic(
             cfg.n, cfg.quad_m, cfg.quad_d, seed=cfg.seed, noise=cfg.quad_noise

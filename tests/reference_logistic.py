@@ -6,10 +6,14 @@ so ``A_i^T coef`` scatters over the m_i sample columns, and the rows
 are the data as given, with the labels apart. The current
 ``LogisticProblem`` uses a branch-free sigmoid and holds each row
 multiplied by its label; its local oracles, and the labels
-``make_logistic`` draws, must equal these bit for bit.
+``make_logistic`` draws, must equal these bit for bit. The sampled
+oracle here is the per-row loop that the batched one replaced, which it
+must equal within the rounding bound its test states.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 import scipy.sparse as sp
@@ -71,6 +75,28 @@ class ReferenceLogistic:
         self.feats = [a for a, _ in blocks]
         self.feats_t = [a_t for _, a_t in blocks]
         self.labels = [self.label_rows[lo:hi] for lo, hi in self.bounds]
+
+    def component_grads(self, js: np.ndarray, X: np.ndarray) -> np.ndarray:
+        """The earlier sampled oracle, row by row: agent i's sample
+        ``js[r*n + i - 1]`` at ``X[r*n + i - 1]``, with a BLAS dot for the
+        margin and ``math.exp``. Its margins are added in another order than
+        the CSR products' and its exp is libm's, so the current oracle equals
+        it only within rounding."""
+        grads = (2.0 * self.lam1) * X
+        indptr, indices, data = self.rows.indptr, self.rows.indices, self.rows.data
+        starts = np.array([lo for lo, _ in self.bounds])
+        rows = (np.resize(starts, len(js)) + js - 1).tolist()
+        for g, x, r in zip(grads, X, rows):
+            lo, hi = indptr[r], indptr[r + 1]
+            idx = indices[lo:hi]
+            val = data[lo:hi]
+            l = self.label_rows[r]
+            z = l * float(val @ x[idx])
+            e = math.exp(-abs(z))
+            big, small = 1.0 / (1.0 + e), e / (1.0 + e)
+            sig, sig_neg = (big, small) if z >= 0 else (small, big)
+            g[idx] += (-l * sig * sig_neg) * val
+        return grads
 
     def component_grad_table(self, i: int, x: np.ndarray) -> np.ndarray:
         a = self.feats[i - 1]

@@ -537,7 +537,9 @@ def test_sweep_builds_problem_once_per_seed(tmp_path, monkeypatch, dataset):
         ]
     )
     assert code == 0
-    assert sorted(built) == [(name, seed) for name in ("build_mixing", "prepare_problem") for seed in (1, 2, 3)]
+    assert sorted(built) == [
+        (name, seed) for name in ("build_mixing", "prepare_problem") for seed in (1, 2, 3)
+    ]
     # the file is parsed once for all three seeds
     assert len(parsed) == (dataset == "libsvm")
     # every grid point's trace equals a stand-alone run of that point, timing aside

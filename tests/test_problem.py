@@ -4,7 +4,7 @@ import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gtvr import graph, ingest, metrics
@@ -604,6 +604,89 @@ def test_make_logistic_labels_equal_the_where_pair_labels(seed, density, margin_
     prob = make_logistic(3, 40, 9, seed=seed, density=density, margin_scale=margin_scale)
     want = make_logistic_labels(3, 40, 9, seed, density, margin_scale)
     assert same_bits(prob._label_rows, want)
+
+
+# a row that lists feature 0 twice, which every oracle reads as (2, 0, 0)
+REPEATED = sp.csr_matrix((np.array([1.0, 1.0]), np.array([0, 0]), np.array([0, 2])), shape=(1, 3))
+# three rows, the last of them empty
+THREE_ROWS = sp.csr_matrix(np.array([[0.0, 2.0, -1.0], [1.5, 0.0, 0.0], [0.0, 0.0, 0.0]]))
+
+
+@ORACLE_SEED
+@given(instance=logistic_instances())
+@example(instance=(LogisticProblem([REPEATED], [np.array([-1.0])], 0.0), np.array([0.3, -0.2, -5.0])))
+@example(
+    instance=(
+        LogisticProblem([REPEATED, THREE_ROWS], [np.array([1.0]), np.array([1.0, -1.0, 1.0])], 1e-3),
+        np.array([0.7, -0.4, 2.0]),
+    )
+)
+def test_sampled_gradients_equal_their_table_rows_bit_for_bit(instance):
+    prob, x = instance
+    # replica r draws sample r mod m_i + 1 of agent i, so every sample is drawn
+    replicas = max(prob.m)
+    js = np.array([[r % m + 1 for m in prob.m] for r in range(replicas)]).ravel()
+    grads = prob.component_grads(js, np.tile(x, (replicas * prob.n, 1)))
+    for i, m in enumerate(prob.m, start=1):
+        # where a row lacks a feature the table adds the ridge to an explicit
+        # 0.0 and the sampled oracle does not, so a ridge of -0.0 (lam1 = 0,
+        # or x_k = -0.0) is +0.0 in the table alone; adding 0.0 to both sides
+        # turns -0.0 into +0.0 and leaves every other value as it is
+        table = prob.component_grad_table(i, x) + 0.0
+        for r in range(replicas):
+            assert same_bits(grads[r * prob.n + i - 1] + 0.0, table[r % m])
+
+
+@pytest.mark.parametrize(
+    "prob",
+    [make_logistic(10, 300, 123, seed=5, density=0.11), partitioned_logistic(rows=120, n=6)[2]],
+    ids=["a9a_shape", "partitioned"],
+)
+def test_sampled_gradients_equal_the_per_row_loop_within_rounding(prob):
+    # The batched oracle adds a row's w products in entry order, the loop it
+    # replaced with a BLAS dot, so their margins differ by at most w eps S,
+    # S = sum_k |a_k x_k|: each sum is within gamma_w S of the exact one. The
+    # coefficient -sigma(z) sigma(-z) has slope at most 1 / (6 sqrt 3) < 0.1,
+    # and each side rounds it, its exp included (numpy's against libm's),
+    # within 3 eps; the product with a_k and the sum with the ridge add at
+    # most eps |g_k|. Features a row lacks are the ridge on both sides.
+    eps = np.finfo(float).eps
+    ref = ReferenceLogistic(prob)
+    gen = np.random.default_rng(17)
+    for scale in (1.0, 30.0, 400.0):
+        for replicas in (1, 2):
+            for _ in range(40):
+                js = np.concatenate([gen.integers(1, prob.layout.sizes + 1) for _ in range(replicas)])
+                X = scale * gen.normal(size=(len(js), prob.d))
+                got, want = prob.component_grads(js, X), ref.component_grads(js, X)
+                rows = np.tile(prob.layout.base, replicas) + js
+                a, w = np.abs(ref.rows[rows].toarray()), np.diff(ref.rows.indptr)[rows][:, None]
+                bound = (0.1 * w * eps * (a * np.abs(X)).sum(axis=1, keepdims=True) + 3 * eps) * a
+                bound += eps * np.abs(want)
+                assert np.all(np.abs(got - want) <= bound)
+                assert np.array_equal(got[a == 0.0], want[a == 0.0])
+
+
+def test_constructors_leave_the_callers_matrices_alone(monkeypatch):
+    # a problem holds each row multiplied by its label, negated in place, but
+    # only in a matrix it made itself; the caller's arrays keep their values
+    raw, parts, _ = partitioned_logistic()
+    assert raw.features.has_canonical_format and (raw.labels < 0).any()
+    blocks = [raw.features[idx] for idx in parts]
+    saved = [csr_arrays(a) for a in [raw.features] + blocks]
+    built = [
+        LogisticProblem(blocks, [raw.labels[idx] for idx in parts], 2e-3),
+        LogisticProblem.from_partition(raw, parts, 2e-3),
+        LogisticProblem.from_partition(raw, parts, 2e-3, normalize=True),
+    ]
+    # a scipy whose vstack hands a lone block back as it is
+    monkeypatch.setattr(sp, "vstack", lambda blocks, format: blocks[0])
+    built.append(LogisticProblem([raw.features], [raw.labels], 2e-3))
+    assert all(same_arrays(a, kept) for a, kept in zip([raw.features] + blocks, saved))
+    signed = raw.labels[:, None] * raw.features.toarray()
+    assert np.array_equal(built[-1]._rows.toarray(), signed)
+    order = np.concatenate(parts)
+    assert np.array_equal(built[1]._rows.toarray(), signed[order])
 
 
 # -- the two oracles of GT-VR's step: batched refresh, paired difference --

@@ -22,8 +22,13 @@ reading least disturbed by other work on the machine.
 Below the table it prints the logistic shape's set-up time: building its
 ``LogisticProblem`` again with ``from_partition`` from a ``RawDataset``
 of its rows, what a run pays between parsing and its first round, again
-the minimum over ``--repeats`` builds. It checks nothing and never fails
-on a timing:
+the minimum over ``--repeats`` builds. Last come its two sampled-gradient
+oracles, timed by themselves at R = 1 and R = 2 replicas: the cores
+``_component_grads`` (one call per DSGD, DSGT and GT-SAGA round) and
+``_component_grad_diffs`` (GT-VR's paired difference, one call per round),
+in microseconds per call, the minimum over ``--repeats`` repetitions of
+``--rounds`` calls at fixed random draws. It checks nothing and never
+fails on a timing:
 
     python3 tools/round_costs.py [--rounds 1000] [--repeats 5]
 
@@ -95,7 +100,10 @@ def repetition(prob, mixing, cfg, rounds):
 def setup_seconds(prob, repeats):
     """Seconds to build the logistic ``prob`` from a RawDataset of its rows,
     one agent's rows per part, the minimum over ``repeats`` builds."""
-    raw = ingest.RawDataset(prob._rows, prob._label_rows)
+    # the problem holds each row times its label; a second multiply gives the data back
+    rows = prob._rows.copy()
+    rows.data *= np.repeat(prob._label_rows, np.diff(rows.indptr))
+    raw = ingest.RawDataset(rows, prob._label_rows)
     offsets = prob.layout.offsets
     parts = [np.arange(lo, hi) for lo, hi in zip(offsets, offsets[1:])]
     times = []
@@ -104,6 +112,26 @@ def setup_seconds(prob, repeats):
         problem.LogisticProblem.from_partition(raw, parts, prob.lam1)
         times.append(time.perf_counter() - start)
     return min(times)
+
+
+def sampled_oracle_us(prob, replicas, calls, repeats):
+    """Microseconds per ``_component_grads`` and per ``_component_grad_diffs``
+    call of ``prob`` over ``replicas`` replicas, the minimum over ``repeats``
+    repetitions of ``calls`` calls."""
+    gen = np.random.default_rng(replicas)
+    js = np.concatenate([gen.integers(1, prob.layout.sizes + 1) for _ in range(replicas)])
+    rows = np.tile(prob.layout.base, replicas) + js
+    X, T = gen.normal(size=(2, replicas * prob.n, prob.d))
+    out = []
+    for call in (lambda: prob._component_grads(rows, X), lambda: prob._component_grad_diffs(rows, X, T)):
+        times = []
+        for _ in range(repeats):
+            start = time.perf_counter()
+            for _ in range(calls):
+                call()
+            times.append((time.perf_counter() - start) / calls)
+        out.append(min(times) * 1e6)
+    return out
 
 
 def main(argv=None) -> None:
@@ -138,6 +166,12 @@ def main(argv=None) -> None:
         f"logistic set-up, `LogisticProblem.from_partition` of {logistic.n} x {logistic.m[0]} rows, "
         f"d = {logistic.d}: {setup_seconds(logistic, args.repeats) * 1e3:.2f} ms"
     )
+    print()
+    timed = {r: sampled_oracle_us(logistic, r, args.rounds, args.repeats) for r in (1, 2)}
+    print("| logistic sampled oracle, us/call | R = 1 | R = 2 |")
+    print("|---|---:|---:|")
+    for column, name in enumerate(("_component_grads", "_component_grad_diffs")):
+        print(f"| `{name}` | {timed[1][column]:.1f} | {timed[2][column]:.1f} |")
 
 
 if __name__ == "__main__":

@@ -11,8 +11,9 @@ reports, so a difference names the instance it is in, and last the
 hash of everything, the running total over the same bytes in the same
 order. It imports ``gtvr`` from the ``src/`` next to this script, so
 each checkout hashes its own code; to compare a checkout with an older
-one, run this copy of the script from both. Covered, for the four
-algorithms on each instance and seeds 1 and 7:
+one, run this copy of the script from both. ``tools/trace_diff.py`` runs
+the same corpus in two checkouts and reports by how much they differ.
+Covered, for the four algorithms on each instance and seeds 1 and 7:
 
 - the CSV trace of a 150-round run from zero, metrics every 7 rounds;
 - x, y, v, ``grad_evals`` and ``mix_count`` after 60 rounds from a
@@ -84,25 +85,32 @@ def arrays(*values) -> bytes:
     return b"".join(b"-" if v is None else np.ascontiguousarray(v).tobytes() for v in values)
 
 
-def instance_chunks(name: str, prob, eta: float):
-    """The bytes hashed for one instance, in order."""
+def instance_runs(prob, eta: float):
+    """(algorithm, seed, CSV trace, swarm after ``STATE_ROUNDS`` rounds)
+    for each algorithm and seed, in order."""
     mixing = graph.metropolis_weights(graph.build_topology("ring", prob.n))
     for algorithm in algorithms.ALGORITHMS:
         for seed in SEEDS:
-            yield f"{name}/{algorithm}/{seed}\n".encode()
             cfg = algorithms.RunConfig(
                 algorithm=algorithm, eta=eta, p=0.3, rounds=TRACE_ROUNDS,
                 seed=seed, cadence=CADENCE, timing=False,
             )
             buf = io.StringIO()
             metrics.write_trace(algorithms.run_experiment(prob, mixing, cfg), buf)
-            yield buf.getvalue().encode()
             x1 = np.random.default_rng(seed).normal(size=(prob.n, prob.d))
             swarm = algorithms.init_swarm(prob, x1, cfg)
             for _ in range(STATE_ROUNDS):
                 algorithms.run_round(swarm, prob, mixing)
-            yield arrays(swarm.x, swarm.y, swarm.v, swarm.grad_evals)
-            yield f"{swarm.k} {swarm.mix_count}\n".encode()
+            yield algorithm, seed, buf.getvalue(), swarm
+
+
+def instance_chunks(name: str, prob, eta: float):
+    """The bytes hashed for one instance, in order."""
+    for algorithm, seed, trace, swarm in instance_runs(prob, eta):
+        yield f"{name}/{algorithm}/{seed}\n".encode()
+        yield trace.encode()
+        yield arrays(swarm.x, swarm.y, swarm.v, swarm.grad_evals)
+        yield f"{swarm.k} {swarm.mix_count}\n".encode()
 
 
 def sections():
