@@ -355,6 +355,7 @@ def run_experiments(
         y = None if swarm.y is None else np.concatenate([q[3][: live * n] for q in queue])
         columns = zip(*(v.tolist() for v in stationarity_metrics(problem, x, y)))
         evals = np.concatenate([q[4][: live * n] for q in queue]).reshape(-1, n).sum(axis=1).tolist()
+        dbars = consensus_gap_D(mixing, x).tolist()
         for c, (cost, stat, cons, track) in enumerate(columns):
             k, wall = queue[c // live][:2]
             traces[c % live].append(
@@ -364,7 +365,7 @@ def run_experiments(
                     stat=stat,
                     cons=cons,
                     track=track,
-                    dbar=consensus_gap_D(mixing, x[c]),
+                    dbar=dbars[c],
                     grad_evals=evals[c],
                     epoch=evals[c] / problem.total_samples,
                     wall_ms=wall,

@@ -35,14 +35,25 @@ class TraceRow:
     wall_ms: float
 
 
-def consensus_gap_D(mixing: MixingMatrix, stacked: np.ndarray) -> float:  # noqa: N802
-    """D(x) = sum_i x_i' sum_j w_ij (x_i - x_j).
+def consensus_gap_D(mixing: MixingMatrix, stacked: np.ndarray) -> float | np.ndarray:  # noqa: N802
+    """D(x) = sum_i x_i' sum_j w_ij (x_i - x_j) of the iterates x (n, d), or
+    for each of K snapshots stacked (K, n, d) as a (K,) array.
 
     Equals the quadratic form of the weighted Laplacian I - W, hence is
-    non-negative for symmetric W and zero exactly at consensus.
+    non-negative for symmetric W and zero exactly at consensus. The
+    snapshots share one ``mix``, and each one's value equals that of a
+    call on it alone bit for bit.
     """
     stacked = np.asarray(stacked, dtype=float)
-    return float(np.sum(stacked * (stacked - mix(mixing, stacked))))
+    if stacked.ndim != 3:
+        return float(np.sum(stacked * (stacked - mix(mixing, stacked))))
+    if stacked.shape[1] != mixing.n:
+        raise ValueError(f"expected (K, {mixing.n}, d) snapshots, got shape {stacked.shape}")
+    flat = stacked.reshape(-1, stacked.shape[2])
+    products = flat * (flat - mix(mixing, flat))
+    # each snapshot's products summed as one contiguous row, as a lone
+    # (n, d) array's are
+    return products.reshape(len(stacked), -1).sum(axis=1)
 
 
 def agent_average(costs: np.ndarray, grads: np.ndarray) -> tuple[float, np.ndarray]:

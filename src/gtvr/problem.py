@@ -233,7 +233,9 @@ class LogisticProblem(FiniteSumProblem):
     ) -> None:
         """Keep all agents' rows as one CSR; agent i owns the next sizes[i-1] rows.
 
-        The per-agent matrices are views into the stacked arrays. The rows
+        The per-agent rows and transposes are views into the stacked arrays;
+        GT-VR's refresh alone reads a feature-major copy of each agent's rows
+        (``_feature_major``), made last, from the canonical signed rows. The rows
         are held in canonical form (``_canonical``), sorted by feature with
         repeated features summed, so every oracle applies a feature once,
         and a row's sum over its entries is the same additions whether it is
@@ -259,6 +261,9 @@ class LogisticProblem(FiniteSumProblem):
         self._rows = rows
         self._label_rows = labels
         self._feats, self._feats_t = _agent_blocks(rows, self.layout.offsets)
+        # each agent's rows as an (m_i, d) CSC copy, and its transpose, a
+        # (d, m_i) CSR over the same arrays
+        self._feature_major = [(a, a.T) for a in (block.tocsc() for block in self._feats)]
 
     @classmethod
     def from_partition(
@@ -314,25 +319,35 @@ class LogisticProblem(FiniteSumProblem):
         return grads[: len(rows)] - grads[len(rows) :]
 
     def _margin_terms(self, s: int, points: np.ndarray) -> tuple[np.ndarray, ...]:
-        """The per-agent kernel of every full pass: slot s's signed margins
-        z = A_s @ points at a (d,) point or at each column of a (d, K) stack,
-        and their ``_exp_terms``."""
+        """The per-agent kernel of the metric pass and GT-SAGA's table: slot
+        s's signed margins z = A_s @ points at a (d,) point or at each column
+        of a (d, K) stack, and their ``_exp_terms``."""
         z = self._feats[s] @ points
         return (z, *_exp_terms(z))
 
     def component_grad_table(self, i: int, x: np.ndarray) -> np.ndarray:
         self._check_agents(np.array([i]), x[None])
         _, e, one_e = self._margin_terms(i - 1, x)
-        table = self._feats[i - 1].multiply(_grad_coef(e, one_e, 1)[:, None]).toarray()
-        table += (2.0 * self.lam1) * x
+        a = self._feats[i - 1]
+        counts = np.diff(a.indptr)
+        # the ridge, with each row's products added at its positions: the
+        # sampled oracle's ridge + v coef, so a zero ridge entry keeps its sign
+        table = np.tile((2.0 * self.lam1) * x, (len(counts), 1))
+        flat = np.repeat(np.arange(0, table.size, self.d), counts) + a.indices
+        table.ravel()[flat] += a.data * np.repeat(_grad_coef(e, one_e, 1), counts)
         return table
 
     def _local_full_grads(self, slots: np.ndarray, X: np.ndarray) -> np.ndarray:
-        # agent by agent: the sparse products are the floor here
+        # agent by agent, on the feature-major copy, where a one-vector
+        # product scatters instead of running one long add chain per row. The
+        # CSC product adds each canonical row's terms in feature order from 0,
+        # as the CSR row product does, and the CSR transpose sums each feature
+        # over the samples in sample order, as the CSC view's scatter does
         out = np.empty((len(slots), self.d))
         for row, (s, x) in enumerate(zip(slots.tolist(), X)):
-            _, e, one_e = self._margin_terms(s, x)
-            out[row] = (self._feats_t[s] @ _grad_coef(e, one_e, self.m[s])) + (2.0 * self.lam1) * x
+            a, a_t = self._feature_major[s]
+            e, one_e = _exp_terms(a @ x)
+            out[row] = (a_t @ _grad_coef(e, one_e, self.m[s])) + (2.0 * self.lam1) * x
         return out
 
     def _local_costs_and_grads(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -357,8 +372,12 @@ class LogisticProblem(FiniteSumProblem):
 
     def lipschitz_estimate(self) -> float:
         # sigmoid-composition curvature is bounded by 1/4; conservative
-        # but valid, which is all the step-size theory requires
-        return float(self._rows.multiply(self._rows).sum(axis=1).max()) / 4.0 + 2.0 * self.lam1
+        # but valid, which is all the step-size theory requires. The squares
+        # go in a view over the rows' own index arrays, with no elementwise
+        # product matrix built
+        rows = self._rows
+        squares = _view(sp.csr_matrix, rows.shape, rows.data * rows.data, rows.indices, rows.indptr)
+        return float(squares.sum(axis=1).max()) / 4.0 + 2.0 * self.lam1
 
 
 def _check_integers(name: str, ids: np.ndarray) -> None:

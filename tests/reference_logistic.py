@@ -104,8 +104,11 @@ class ReferenceLogistic:
         z = l * (a @ x)
         sig, sig_neg = sigmoid_pair(z)
         coef = -l * sig * sig_neg
-        table = np.asarray(a.multiply(coef[:, None]).todense())
-        table += (2.0 * self.lam1) * x
+        # the ridge, with each row's products added at its own positions only,
+        # as the sampled oracle above forms one gradient
+        table = np.tile((2.0 * self.lam1) * x, (a.shape[0], 1))
+        for row, c, lo, hi in zip(table, coef, a.indptr[:-1], a.indptr[1:]):
+            row[a.indices[lo:hi]] += c * a.data[lo:hi]
         return table
 
     def local_cost(self, i: int, x: np.ndarray) -> float:

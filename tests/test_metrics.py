@@ -80,6 +80,8 @@ def test_epoch_column_non_decreasing(ring5):
 def test_consensus_gap_shape_check(ring5):
     with pytest.raises(ValueError):
         metrics.consensus_gap_D(ring5, np.zeros((4, 2)))
+    with pytest.raises(ValueError):
+        metrics.consensus_gap_D(ring5, np.zeros((5, 4, 2)))
 
 
 def test_stationarity_metrics_at_stationary_point(ring5):

@@ -311,8 +311,8 @@ def test_agents_share_stacked_row_and_feature_major_buffers():
             prob.component_grad_table(i, x)
         total = sum(prob.m)
         assert prob._rows.shape == (total, prob.d)
-        # the features are held once: agent i's A_i^T is a (d, m_i) view of
-        # the same stacked arrays as its rows, not a feature-major copy
+        # agent i's A_i^T is a (d, m_i) view of the same stacked arrays as
+        # its rows; only the refresh's feature-major copy is a copy
         assert len(prob._feats) == len(prob._feats_t) == prob.n
         for a, a_t, m in zip(prob._feats, prob._feats_t, prob.m):
             assert a.shape == (m, prob.d)
@@ -628,13 +628,9 @@ def test_sampled_gradients_equal_their_table_rows_bit_for_bit(instance):
     js = np.array([[r % m + 1 for m in prob.m] for r in range(replicas)]).ravel()
     grads = prob.component_grads(js, np.tile(x, (replicas * prob.n, 1)))
     for i, m in enumerate(prob.m, start=1):
-        # where a row lacks a feature the table adds the ridge to an explicit
-        # 0.0 and the sampled oracle does not, so a ridge of -0.0 (lam1 = 0,
-        # or x_k = -0.0) is +0.0 in the table alone; adding 0.0 to both sides
-        # turns -0.0 into +0.0 and leaves every other value as it is
-        table = prob.component_grad_table(i, x) + 0.0
+        table = prob.component_grad_table(i, x)
         for r in range(replicas):
-            assert same_bits(grads[r * prob.n + i - 1] + 0.0, table[r % m])
+            assert same_bits(grads[r * prob.n + i - 1], table[r % m])
 
 
 @pytest.mark.parametrize(
@@ -687,6 +683,44 @@ def test_constructors_leave_the_callers_matrices_alone(monkeypatch):
     assert np.array_equal(built[-1]._rows.toarray(), signed)
     order = np.concatenate(parts)
     assert np.array_equal(built[1]._rows.toarray(), signed[order])
+
+
+def test_feature_major_copy_holds_each_agents_canonical_signed_rows(monkeypatch):
+    # GT-VR's refresh reads its own (m_i, d) CSC copy of each agent's rows,
+    # made after they are put in canonical form and negated: its dense form
+    # and entry count are those of the agent's held rows, whatever order and
+    # repeats the caller's rows list, and it shares no memory with them
+    raw, parts, _ = partitioned_logistic(rows=40, n=5)
+    shuffled = shuffled_within_rows(raw.features, seed=3)
+    # every row lists its first entry's feature a second time
+    rows = [
+        (np.append(shuffled.indices[lo:hi], shuffled.indices[lo]), np.append(shuffled.data[lo:hi], 0.25))
+        for lo, hi in zip(shuffled.indptr[:-1], shuffled.indptr[1:])
+    ]
+    messy = raw_from_rows(rows, raw.labels, raw.features.shape[1])
+    assert not messy.features.has_sorted_indices and (raw.labels < 0).any()
+    blocks = [messy.features[idx] for idx in parts]
+    built = [
+        LogisticProblem(blocks, [raw.labels[idx] for idx in parts], 2e-3),
+        LogisticProblem.from_partition(messy, parts, 2e-3),
+        LogisticProblem.from_partition(messy, parts, 2e-3, normalize=True),
+        LogisticProblem.from_partition(raw, parts, 2e-3, normalize=True),
+    ]
+    # a canonical matrix that a scipy whose vstack hands a lone block back
+    # as it is passes straight to the problem
+    monkeypatch.setattr(sp, "vstack", lambda blocks, format: blocks[0])
+    built.append(LogisticProblem([raw.features], [raw.labels], 2e-3))
+    given = [messy.features, raw.features] + blocks
+    for prob in built:
+        assert len(prob._feature_major) == prob.n
+        for rows, (a, a_t), m in zip(prob._feats, prob._feature_major, prob.m):
+            assert isinstance(a, sp.csc_matrix) and isinstance(a_t, sp.csr_matrix)
+            assert a.shape == (m, prob.d) and a_t.shape == (prob.d, m)
+            assert a.nnz == rows.nnz and np.array_equal(a.toarray(), rows.toarray())
+            assert all(np.shares_memory(getattr(a, k), getattr(a_t, k)) for k in ("data", "indices", "indptr"))
+            for arrays in [prob._rows] + given:
+                for k in ("data", "indices", "indptr"):
+                    assert not np.shares_memory(getattr(a, k), getattr(arrays, k))
 
 
 # -- the two oracles of GT-VR's step: batched refresh, paired difference --

@@ -10,7 +10,7 @@ baselines), and the exchange count is 2 per round (1 for DSGD).
 Mixing: Metropolis weights on a random connected graph are symmetric,
 doubly stochastic and contract deviations from the mean by ρ < 1, and
 mixing R replicas stacked replica-major equals mixing each on its own,
-bit for bit.
+bit for bit, and so does the consensus gap D of K stacked snapshots.
 
 Ingest: serializing a dataset to LIBSVM text and parsing it back gives
 the same CSR arrays, labels and dimension, bit for bit.
@@ -28,7 +28,7 @@ import scipy.sparse as sp
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from gtvr import algorithms, graph, ingest, theory
+from gtvr import algorithms, graph, ingest, metrics, theory
 from gtvr.algorithms import RunConfig, init_swarm, run_round
 from gtvr.problem import LogisticProblem, QuadraticProblem
 from helpers import (
@@ -164,6 +164,16 @@ def test_mix_of_stacked_replicas_equals_each_replica_mixed_alone(topo, replicas,
     blocks = np.random.default_rng(seed).normal(size=(replicas, topo.n, d))
     mixed = graph.mix(mixing, blocks.reshape(replicas * topo.n, d))
     assert same_bits(mixed, np.concatenate([mixing.w @ block for block in blocks]))
+
+
+@FIXED_SEED
+@given(connected_topologies(), st.integers(1, 40), st.integers(1, 129), st.integers(0, 2**32 - 1))
+def test_consensus_gap_of_stacked_snapshots_equals_each_snapshot_alone(topo, snapshots, d, seed):
+    mixing = graph.metropolis_weights(topo)
+    x = np.random.default_rng(seed).normal(size=(snapshots, topo.n, d))
+    got = metrics.consensus_gap_D(mixing, x)
+    assert got.shape == (snapshots,)
+    assert same_bits(got, np.array([metrics.consensus_gap_D(mixing, state) for state in x]))
 
 
 @st.composite

@@ -13,8 +13,8 @@ shapes:
 Each repetition starts a fresh swarm at zero and times ``--rounds``
 guarded rounds, what a run pays per round. It then runs ``RECORD_WIDTH``
 more rounds and times a record the way the engine makes one: a single
-``stationarity_metrics`` call over the queue of those rounds' states plus
-one ``consensus_gap_D`` per state, divided by the queue's length. It
+``stationarity_metrics`` call and a single ``consensus_gap_D`` call over
+the queue of those rounds' states, divided by the queue's length. It
 also times ``max(1, rounds // 20)`` records of one state each, a queue of
 one. The table gives the minimum over ``--repeats`` repetitions, the
 reading least disturbed by other work on the machine.
@@ -27,8 +27,10 @@ oracles, timed by themselves at R = 1 and R = 2 replicas: the cores
 ``_component_grads`` (one call per DSGD, DSGT and GT-SAGA round) and
 ``_component_grad_diffs`` (GT-VR's paired difference, one call per round),
 in microseconds per call, the minimum over ``--repeats`` repetitions of
-``--rounds`` calls at fixed random draws. It checks nothing and never
-fails on a timing:
+``--rounds`` calls at fixed random draws, and GT-VR's anchor refresh, the
+core ``_local_full_grads`` over 1 and over 3 agents at fixed random
+points, timed the same way. It checks nothing and never fails on a
+timing:
 
     python3 tools/round_costs.py [--rounds 1000] [--repeats 5]
 
@@ -68,8 +70,7 @@ def record(prob, mixing, x, y):
     """The metric records of the states stacked (K, n, d), as the engine
     evaluates a queue of K records."""
     metrics.stationarity_metrics(prob, x, y)
-    for state in x:
-        metrics.consensus_gap_D(mixing, state)
+    metrics.consensus_gap_D(mixing, x)
 
 
 def repetition(prob, mixing, cfg, rounds):
@@ -114,24 +115,37 @@ def setup_seconds(prob, repeats):
     return min(times)
 
 
+def us_per_call(call, calls, repeats):
+    """Microseconds per ``call()``, the minimum over ``repeats`` repetitions
+    of ``calls`` calls."""
+    times = []
+    for _ in range(repeats):
+        start = time.perf_counter()
+        for _ in range(calls):
+            call()
+        times.append((time.perf_counter() - start) / calls)
+    return min(times) * 1e6
+
+
 def sampled_oracle_us(prob, replicas, calls, repeats):
     """Microseconds per ``_component_grads`` and per ``_component_grad_diffs``
-    call of ``prob`` over ``replicas`` replicas, the minimum over ``repeats``
-    repetitions of ``calls`` calls."""
+    call of ``prob`` over ``replicas`` replicas."""
     gen = np.random.default_rng(replicas)
     js = np.concatenate([gen.integers(1, prob.layout.sizes + 1) for _ in range(replicas)])
     rows = np.tile(prob.layout.base, replicas) + js
     X, T = gen.normal(size=(2, replicas * prob.n, prob.d))
-    out = []
-    for call in (lambda: prob._component_grads(rows, X), lambda: prob._component_grad_diffs(rows, X, T)):
-        times = []
-        for _ in range(repeats):
-            start = time.perf_counter()
-            for _ in range(calls):
-                call()
-            times.append((time.perf_counter() - start) / calls)
-        out.append(min(times) * 1e6)
-    return out
+    return [
+        us_per_call(lambda: prob._component_grads(rows, X), calls, repeats),
+        us_per_call(lambda: prob._component_grad_diffs(rows, X, T), calls, repeats),
+    ]
+
+
+def refresh_us(prob, agents, calls, repeats):
+    """Microseconds per ``_local_full_grads`` call of ``prob`` over its first
+    ``agents`` agent slots, at fixed random points."""
+    slots = np.arange(agents)
+    X = np.random.default_rng(agents).normal(size=(agents, prob.d))
+    return us_per_call(lambda: prob._local_full_grads(slots, X), calls, repeats)
 
 
 def main(argv=None) -> None:
@@ -172,6 +186,11 @@ def main(argv=None) -> None:
     print("|---|---:|---:|")
     for column, name in enumerate(("_component_grads", "_component_grad_diffs")):
         print(f"| `{name}` | {timed[1][column]:.1f} | {timed[2][column]:.1f} |")
+    print()
+    refresh = {k: refresh_us(logistic, k, args.rounds, args.repeats) for k in (1, 3)}
+    print("| logistic anchor refresh, us/call | 1 agent | 3 agents |")
+    print("|---|---:|---:|")
+    print(f"| `_local_full_grads` | {refresh[1]:.1f} | {refresh[3]:.1f} |")
 
 
 if __name__ == "__main__":
