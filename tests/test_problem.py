@@ -706,8 +706,8 @@ def test_feature_major_copy_holds_each_agents_canonical_signed_rows(monkeypatch)
         LogisticProblem.from_partition(messy, parts, 2e-3, normalize=True),
         LogisticProblem.from_partition(raw, parts, 2e-3, normalize=True),
     ]
-    # a canonical matrix that a scipy whose vstack hands a lone block back
-    # as it is passes straight to the problem
+    # with a scipy whose vstack hands a lone block back as it is, the
+    # caller's canonical matrix itself reaches the problem
     monkeypatch.setattr(sp, "vstack", lambda blocks, format: blocks[0])
     built.append(LogisticProblem([raw.features], [raw.labels], 2e-3))
     given = [messy.features, raw.features] + blocks
@@ -718,9 +718,9 @@ def test_feature_major_copy_holds_each_agents_canonical_signed_rows(monkeypatch)
             assert a.shape == (m, prob.d) and a_t.shape == (prob.d, m)
             assert a.nnz == rows.nnz and np.array_equal(a.toarray(), rows.toarray())
             assert all(np.shares_memory(getattr(a, k), getattr(a_t, k)) for k in ("data", "indices", "indptr"))
-            for arrays in [prob._rows] + given:
+            for other in [prob._rows] + given:
                 for k in ("data", "indices", "indptr"):
-                    assert not np.shares_memory(getattr(a, k), getattr(arrays, k))
+                    assert not np.shares_memory(getattr(a, k), getattr(other, k))
 
 
 # -- the two oracles of GT-VR's step: batched refresh, paired difference --
