@@ -20,7 +20,6 @@ run would, and one round of the skeleton moves them all.
 
 from __future__ import annotations
 
-import contextlib
 import time
 from dataclasses import dataclass, fields
 from typing import Sequence
@@ -95,6 +94,18 @@ class SwarmState:
     estimator: object = None
     streams: SwarmStreams | None = None
 
+    _per_row = ("x", "y", "v", "eta", "grad_evals")
+
+    def keep(self, rows: int) -> None:
+        """Cut the swarm, its estimator and its streams to the first ``rows``
+        state rows, the first rows / n replicas: the rest never step again.
+        The swarm and each estimator name their per-row arrays in ``_per_row``."""
+        for owner in (self, self.estimator):
+            for name in owner._per_row:
+                if getattr(owner, name) is not None:
+                    setattr(owner, name, getattr(owner, name)[:rows])
+        self.streams.keep(rows)
+
 
 def _as_stacked(problem: FiniteSumProblem, x1: np.ndarray, replicas: int) -> np.ndarray:
     """x1, checked, as a fresh array with one copy per replica."""
@@ -144,6 +155,8 @@ class _StochasticGradient:
     including the first costs exactly one evaluation.
     """
 
+    _per_row = ()
+
     def start(self, problem, x, streams):
         return self.step(problem, x, streams)
 
@@ -159,6 +172,8 @@ class _AnchoredGradient:
     replicas); afterwards a Bernoulli(P) coin moves each row's anchor to
     its current iterate (m_i evals).
     """
+
+    _per_row = ("tau", "g_tau", "_slots", "_sizes")
 
     def start(self, problem, x, streams):
         replicas = len(x) // problem.n
@@ -187,6 +202,8 @@ class _GradientTable:
     The table is the storage cost the anchored estimator avoids: GT-SAGA
     keeps m_i * d reals per agent where GT-VR keeps d.
     """
+
+    _per_row = ("table_mean", "tables", "_offset", "_m_column")
 
     def start(self, problem, x, streams):
         # one (sum m_i, d) block per replica in the problem's row layout;
@@ -325,9 +342,10 @@ def run_experiments(
     first in ``cfgs`` order that diverges, and the error that run raises
     alone (None if none does). Trace r equals run_experiment(problem,
     mixing, cfgs[r], x1), except that ``wall_ms`` counts from the start of
-    the batch, read once per record for every replica. The guard checks
-    the live prefix, the replicas below the lowest that has diverged; the
-    rows past it step on unchecked, unrecorded and with overflow silenced.
+    the batch, read once per record for every replica. At a divergence
+    the swarm is cut with ``SwarmState.keep`` to the live prefix, the
+    replicas below the lowest that has diverged, so no dead row steps,
+    draws or calls an oracle again; the guard checks what is left.
 
     Records are queued and evaluated together once they hold
     ``RECORD_WIDTH`` live replica-columns, and at the end: one metric pass
@@ -382,21 +400,16 @@ def run_experiments(
             flush()
 
     record()
-    # no slicing and no errstate (ufuncs run slower inside one) until a replica diverges
-    with contextlib.ExitStack() as quiet:
-        for k in range(1, cfg.rounds + 1):
-            run_round(swarm, problem, mixing)
-            x, y = swarm.x, swarm.y
-            if error is not None:
-                x, y = x[: live * n], None if y is None else y[: live * n]
-            diverged = _diverged(x, y, n, k)
-            if diverged is not None:
-                quiet.enter_context(np.errstate(over="ignore", invalid="ignore"))
-                live, error = diverged
-                if not live:
-                    return [], error
-            if k % cfg.cadence == 0 or k == cfg.rounds:
-                record()
+    for k in range(1, cfg.rounds + 1):
+        run_round(swarm, problem, mixing)
+        diverged = _diverged(swarm.x, swarm.y, n, k)
+        if diverged is not None:
+            live, error = diverged
+            if not live:
+                return [], error
+            swarm.keep(live * n)
+        if k % cfg.cadence == 0 or k == cfg.rounds:
+            record()
     if queue:
         flush()
     return traces[:live], error

@@ -72,17 +72,16 @@ class FiniteSumProblem:
     """Shared surface of the per-instance objectives.
 
     This base holds the sizes and the row ``layout`` that both instances
-    and the estimators share, and the checked public entries of the
-    sampled and full-gradient oracles: ``component_grads``,
-    ``component_grad_diffs`` and ``local_full_grads`` each check their
-    batch once and call a subclass core that trusts its arguments,
-    ``_component_grads(rows, X)``, ``_component_grad_diffs(rows, X, T)``
-    or ``_local_full_grads(slots, X)``. The cores take stacked 0-based sample
-    rows, as ``SwarmStreams.rows`` hands them out, and 0-based agent slots,
-    so the round engine calls them directly. Subclasses provide the cores,
-    GT-SAGA's table, the metric pass's oracle and the smoothness estimate.
-    The per-sample and per-agent references live in
-    ``tests/reference_problem.py``.
+    and the estimators share, and the checked public entry of the
+    full-gradient oracle: ``local_full_grads`` checks its batch once and
+    calls the subclass core ``_local_full_grads(slots, X)``, which trusts
+    its arguments. The sampled oracles have only their unchecked cores,
+    ``_component_grads(rows, X)`` and ``_component_grad_diffs(rows, X, T)``:
+    they take stacked 0-based sample rows, which ``SwarmStreams.rows``
+    checked as it drew them, and the round engine calls them directly.
+    Subclasses provide the cores, GT-SAGA's table, the metric pass's oracle
+    and the smoothness estimate. The per-sample and per-agent references
+    live in ``tests/reference_problem.py``.
     """
 
     n: int
@@ -104,47 +103,17 @@ class FiniteSumProblem:
     def total_samples(self) -> int:
         return sum(self.m)
 
-    def component_grads(self, js: np.ndarray, X: np.ndarray) -> np.ndarray:
-        """One component gradient per agent and replica, stacked (R*n, d):
-        row r*n + i - 1 is the gradient of agent i's sample
-        ``js[r*n + i - 1]`` at ``X[r*n + i - 1]`` (a single run is R = 1)."""
-        return self._component_grads(self._batch_rows(js, X), X)
-
-    def component_grad_diffs(self, js: np.ndarray, X: np.ndarray, T: np.ndarray) -> np.ndarray:
-        """The same draws' gradients at two points, differenced: equal bit
-        for bit to ``component_grads(js, X) - component_grads(js, T)``."""
-        return self._component_grad_diffs(self._batch_rows(js, X, T), X, T)
-
     def _component_grads(self, rows: np.ndarray, X: np.ndarray) -> np.ndarray:
-        """``component_grads`` of the stacked 0-based sample ``rows``, unchecked."""
+        """One component gradient per state row, stacked (k, d), unchecked:
+        row c is the gradient of the stacked 0-based sample ``rows[c]`` at
+        ``X[c]``, as the round engine pairs R replicas' agents with the rows
+        that ``SwarmStreams.rows`` hands out."""
         raise NotImplementedError
 
     def _component_grad_diffs(self, rows: np.ndarray, X: np.ndarray, T: np.ndarray) -> np.ndarray:
-        """``component_grad_diffs`` of the stacked 0-based sample ``rows``, unchecked."""
+        """The same rows' gradients at two points, differenced, unchecked:
+        equal bit for bit to ``_component_grads(rows, X) - _component_grads(rows, T)``."""
         raise NotImplementedError
-
-    def _batch_rows(self, js: np.ndarray, X: np.ndarray, T: np.ndarray | None = None) -> np.ndarray:
-        """Stacked 0-based rows of the sampled components, after one check
-        of the whole batch (and of the second points ``T``, if given)."""
-        _check_integers("sample indices js", js)
-        if (
-            js.ndim != 1
-            or not js.size
-            or js.size % self.n
-            or X.shape != (js.size, self.d)
-            or (T is not None and T.shape != X.shape)
-        ):
-            second = "" if T is None else f" and {T.shape}"
-            raise ValueError(
-                f"need one index and one ({self.d},) point per agent ({self.n}) of each "
-                f"replica, got indices {js.shape} and points {X.shape}{second}"
-            )
-        # R replicas' indices as an (R, n) view; one replica's as they are,
-        # since the (1, n) broadcast would add about 2 us to each call
-        per_agent = js if js.size == self.n else js.reshape(-1, self.n)
-        if np.count_nonzero((per_agent < 1) | (per_agent > self.layout.sizes)):
-            raise IndexError(f"sample indices {js.tolist()} outside [1, m_i] for m = {self.m}")
-        return (self.layout.base + per_agent).ravel()
 
     def component_grad_table(self, i: int, x: np.ndarray) -> np.ndarray:
         """All component gradients of agent i at x, stacked (m_i, d)."""

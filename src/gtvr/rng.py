@@ -80,7 +80,9 @@ class SwarmStreams:
     ``base[i - 1] + j`` of agents that own the next m_i rows each (a
     problem's ``layout.base``). Each block of indices is checked and turned
     into rows once, as it is drawn. ``p`` is one probability for a single
-    run or the R runs' probabilities.
+    run or the R runs' probabilities. ``keep(rows)`` cuts every later draw
+    to its first ``rows`` entries, the first rows / n runs: those runs'
+    coins and rows stay what they were, and no other run's are handed out.
     """
 
     def __init__(self, master_seed: int, m: Sequence[int], p: float | Sequence[float]) -> None:
@@ -126,3 +128,8 @@ class SwarmStreams:
         """Every agent's next uniform index j in [1, m_i] as its stacked 0-based
         sample row ``base[i - 1] + j``, once per run, as an (R*n,) int64 array."""
         return next(self._rows)
+
+    def keep(self, rows: int) -> None:
+        """Hand out only the first ``rows`` entries of each draw from now on."""
+        self._coins = (coins[:rows] for coins in self._coins)
+        self._rows = (draw[:rows] for draw in self._rows)

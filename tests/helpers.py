@@ -1,5 +1,6 @@
-"""Shared test utilities: independent oracles, stub random streams and a
-LIBSVM writer for round-trip checks."""
+"""Shared test utilities: independent oracles, the sampled oracles with
+1-based per-agent indices, stub random streams and a LIBSVM writer for
+round-trip checks."""
 
 from __future__ import annotations
 
@@ -89,6 +90,26 @@ def brute_force_consensus_gap(w: np.ndarray, x: np.ndarray) -> float:
 def global_cost_and_grad(prob: FiniteSumProblem, x: np.ndarray) -> tuple[float, np.ndarray]:
     """Cost and gradient of the network average f at a single point x."""
     return agent_average(*prob.local_costs_and_grads(x))
+
+
+def sample_rows(prob: FiniteSumProblem, js: np.ndarray) -> np.ndarray:
+    """The stacked 0-based sample rows of the 1-based per-agent indices
+    ``js``, one per agent of each of R replicas: index ``js[r*n + i - 1]``
+    of agent i is row ``layout.base[i - 1] + js[r*n + i - 1]``."""
+    return np.tile(prob.layout.base, len(js) // prob.n) + js
+
+
+def component_grads(prob: FiniteSumProblem, js: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """One sampled component gradient per agent and replica, stacked (R*n, d):
+    row r*n + i - 1 is agent i's sample ``js[r*n + i - 1]`` at ``X[r*n + i - 1]``,
+    from the unchecked core the round engine calls."""
+    return prob._component_grads(sample_rows(prob, js), X)
+
+
+def component_grad_diffs(prob: FiniteSumProblem, js: np.ndarray, X: np.ndarray, T: np.ndarray) -> np.ndarray:
+    """``component_grads`` of the same draws at X and at T, differenced, from
+    GT-VR's paired core."""
+    return prob._component_grad_diffs(sample_rows(prob, js), X, T)
 
 
 def least_squares_solution(problem: QuadraticProblem) -> np.ndarray:

@@ -1,7 +1,10 @@
 """The per-sample and per-agent oracles of both problem classes.
 
 ``gtvr.problem`` keeps only the oracles the engine and the metric pass
-call: the batched ``component_grads`` and ``local_full_grads``, the
+call: the unchecked sampled cores ``_component_grads`` and
+``_component_grad_diffs`` (tests reach them with 1-based indices through
+``helpers.component_grads`` and ``helpers.component_grad_diffs``), the
+batched ``local_full_grads``, the
 component table and ``local_costs_and_grads``. These are the scalar
 oracles those are checked against, with the arithmetic and index checks
 they had as methods, reading the problem's per-agent views (``_feats``,

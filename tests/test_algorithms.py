@@ -326,8 +326,8 @@ def logistic5():
 @pytest.mark.parametrize("shape", ["quadratic", "logistic"])
 def test_batch_returns_the_runs_before_a_diverged_middle_replica(setup5, logistic5, shape, algorithm):
     # records queued before the divergence hold all four replicas and are
-    # evaluated for the two live ones; the rows that step on past them
-    # overflow without a numpy warning
+    # evaluated for the two live ones; the shed rows never step again, so
+    # no numpy warning is raised
     prob, mixing = setup5 if shape == "quadratic" else logistic5
     base = RunConfig(algorithm=algorithm, p=0.5, rounds=60, seed=3, cadence=1, timing=False)
     cfgs = [replace(base, eta=eta) for eta in (0.01, 0.02, 1e9, 0.03)]
@@ -337,6 +337,48 @@ def test_batch_returns_the_runs_before_a_diverged_middle_replica(setup5, logisti
         lone = [lone_run(prob, mixing, cfg) for cfg in cfgs[:3]]
     assert [trace_text(rows) for rows in traces] == lone[:2]
     assert "diverged at iteration" in lone[2] and str(error) == lone[2]
+
+
+@pytest.mark.parametrize("algorithm", algorithms.ALGORITHMS)
+@pytest.mark.parametrize("shape", ["quadratic", "logistic"])
+def test_a_diverged_replica_calls_no_oracle_after_its_round(setup5, logistic5, shape, algorithm, monkeypatch):
+    # the setup of the test above: replica 2 of 4 diverges, and every oracle
+    # call of a later round sees the two live replicas' rows only. A core
+    # called by another (the logistic paired difference runs X and T as one
+    # sampled batch) counts with the call that made it
+    prob, mixing = setup5 if shape == "quadratic" else logistic5
+    n = prob.n
+    base = RunConfig(algorithm=algorithm, p=0.5, rounds=60, seed=3, cadence=1, timing=False)
+    cfgs = [replace(base, eta=eta) for eta in (0.01, 0.02, 1e9, 0.03)]
+    diverged_at = int(lone_run(prob, mixing, cfgs[2]).rsplit(" ", 1)[1])
+    rounds, calls, depth = [0], [], [0]
+
+    def counted(name):
+        core = getattr(prob, name)
+
+        def call(rows, *points):
+            if not depth[0]:
+                calls.append((rounds[-1], len(rows)))
+            depth[0] += 1
+            try:
+                return core(rows, *points)
+            finally:
+                depth[0] -= 1
+
+        return call
+
+    def stepped(swarm, *args):
+        rounds.append(swarm.k + 1)
+        return run_round(swarm, *args)
+
+    for name in ("_local_full_grads", "_component_grads", "_component_grad_diffs"):
+        monkeypatch.setattr(prob, name, counted(name))
+    monkeypatch.setattr(algorithms, "run_round", stepped)
+    traces, error = run_experiments(prob, mixing, cfgs)
+    assert len(traces) == 2 and 1 < diverged_at < 60 and rounds[-1] == 60
+    before = [rows for k, rows in calls if 0 < k <= diverged_at]
+    after = [rows for k, rows in calls if k > diverged_at]
+    assert max(before) == 4 * n and after and max(after) <= 2 * n
 
 
 def test_a_lower_replica_that_diverges_later_wins():
@@ -368,25 +410,29 @@ def test_a_batch_whose_first_replica_diverges_stops_at_that_round(setup5, monkey
     assert k > 1 and (traces, str(error), len(calls)) == ([], message, k)
 
 
-def test_guard_ignores_the_bad_rows_past_the_live_prefix(setup5, monkeypatch):
-    # replica 2 diverges early and its rows stay bad to the last round, but
-    # from then on the guard checks replicas 0 and 1 only: the error keeps
-    # the iteration of replica 2's own run
+def test_a_diverged_replica_is_shed_at_its_divergence_round(setup5, monkeypatch):
+    # replica 2 diverges early: every round after that one steps replicas 0
+    # and 1 only, the estimator's per-row state cut with the swarm's, and the
+    # error keeps the iteration of replica 2's own run
     prob, mixing = setup5
     base = RunConfig(algorithm="gtvr", p=0.5, rounds=50, seed=1, cadence=10, timing=False)
     cfgs = [replace(base, eta=eta) for eta in (0.01, 0.02, 1e6)]
     lone = [lone_run(prob, mixing, cfg) for cfg in cfgs]
-    swarms = []
+    diverged_at = int(lone[2].rsplit(" ", 1)[1])
+    stepped = []
 
     def spied(swarm, *args):
-        swarms.append(swarm)
+        est = swarm.estimator
+        state = [swarm.x, swarm.y, swarm.v, swarm.eta, swarm.grad_evals]
+        state += [est.tau, est.g_tau, est._slots, est._sizes]
+        stepped.append((swarm.k, {len(rows) for rows in state}))
         return run_round(swarm, *args)
 
     monkeypatch.setattr(algorithms, "run_round", spied)
     traces, error = run_experiments(prob, mixing, cfgs)
     assert [trace_text(rows) for rows in traces] == lone[:2] and str(error) == lone[2]
-    last = swarms[-1]
-    assert len(swarms) == 50 and algorithms._diverged(last.x, last.y, prob.n, last.k)[0] == 2
+    assert 1 < diverged_at < 50
+    assert stepped == [(k, {(3 if k < diverged_at else 2) * prob.n}) for k in range(50)]
 
 
 CAP = algorithms.DIVERGENCE_NORM_CAP

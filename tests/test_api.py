@@ -55,13 +55,13 @@ PUBLIC_NAMES = [
 ]
 
 # the oracles and sizes the engine, the metric pass and the CLI use; the
-# per-sample and per-agent references live in
-# tests/reference_problem.py, the network-average cost and gradient in
-# helpers.global_cost_and_grad
+# sampled oracles have only their unchecked cores, which tests reach with
+# 1-based indices through helpers.component_grads and
+# helpers.component_grad_diffs; the per-sample and per-agent references
+# live in tests/reference_problem.py, the network-average cost and gradient
+# in helpers.global_cost_and_grad
 PROBLEM_ORACLES = [
-    "component_grad_diffs",
     "component_grad_table",
-    "component_grads",
     "lipschitz_estimate",
     "local_costs_and_grads",
     "local_full_grads",

@@ -20,6 +20,8 @@ from gtvr.problem import (
 )
 from helpers import (
     central_diff_grad,
+    component_grad_diffs,
+    component_grads,
     global_cost_and_grad,
     least_squares_solution,
     raw_from_rows,
@@ -398,8 +400,8 @@ def test_unsorted_rows_give_the_problem_of_their_sorted_copy(n):
                 assert same_bits(got.component_grad_table(i, x), want.component_grad_table(i, x))
             for j in range(1, min(want.m) + 1):
                 js, Y = np.full(n, j), X[:n]
-                assert same_bits(got.component_grads(js, Y), want.component_grads(js, Y))
-                assert same_bits(got.component_grad_diffs(js, Y, -Y), want.component_grad_diffs(js, Y, -Y))
+                assert same_bits(component_grads(got, js, Y), component_grads(want, js, Y))
+                assert same_bits(component_grad_diffs(got, js, Y, -Y), component_grad_diffs(want, js, Y, -Y))
         for algorithm in ALGORITHMS:
             assert one_trace(got, algorithm) == one_trace(want, algorithm)
 
@@ -416,15 +418,15 @@ def test_repeated_features_of_a_row_are_summed_by_every_oracle():
     x = np.array([0.3, -0.2])
     for p in (prob, summed):
         grads = [
-            p.component_grads(np.array([1]), x[None])[0],
+            component_grads(p, np.array([1]), x[None])[0],
             p.local_full_grads(np.array([1]), x[None])[0],
             p.local_costs_and_grads(x)[1][0],
         ]
         for g in grads:
             assert g[0] == pytest.approx(-0.45757, abs=1e-5) and g[1] == 0.0
             assert np.array_equal(g, grads[0])
-    for oracle in ("component_grads", "local_full_grads"):
-        call = lambda p: getattr(p, oracle)(np.array([1]), x[None])
+    one = np.array([1])
+    for call in (lambda p: component_grads(p, one, x[None]), lambda p: p.local_full_grads(one, x[None])):
         assert same_bits(call(prob), call(summed))
     assert all(map(same_bits, prob.local_costs_and_grads(x), summed.local_costs_and_grads(x)))
 
@@ -452,7 +454,7 @@ def test_component_grads_equal_per_agent_oracle(name):
         for _ in range(25):
             js = np.array([rng.integers(1, m + 1) for m in prob.m])
             x = scale * rng.normal(size=(prob.n, prob.d))
-            got = prob.component_grads(js, x)
+            got = component_grads(prob, js, x)
             assert got.shape == (prob.n, prob.d)
             for i in range(1, prob.n + 1):
                 assert np.array_equal(got[i - 1], component_grad(prob, i, int(js[i - 1]), x[i - 1]))
@@ -465,26 +467,13 @@ def test_quadratic_component_grads_bit_identical_across_dimensions(d):
     for _ in range(40):
         js = np.array([rng.integers(1, m + 1) for m in prob.m])
         x = rng.normal(size=(prob.n, d))
-        got = prob.component_grads(js, x)
+        got = component_grads(prob, js, x)
         for i in range(1, prob.n + 1):
             assert np.array_equal(got[i - 1], component_grad(prob, i, int(js[i - 1]), x[i - 1]))
 
 
-@pytest.mark.parametrize("name", ["quadratic_unequal", "logistic_lists_unequal"])
-def test_component_grads_validate_indices_and_shapes(name):
-    prob = BATCH_CASES[name]()
-    x = np.zeros((prob.n, prob.d))
-    ones = np.ones(prob.n, dtype=np.int64)
-    for agent in range(prob.n):
-        for j in (0, prob.m[agent] + 1):
-            js = ones.copy()
-            js[agent] = j
-            with pytest.raises(IndexError):
-                prob.component_grads(js, x)
-    with pytest.raises(ValueError):
-        prob.component_grads(ones[:-1], x)
-    with pytest.raises(ValueError):
-        prob.component_grads(ones, x[:, :-1])
+# a sample index outside [1, m_i] is rejected as it is drawn, naming its
+# agent: test_rng.py's test_swarm_rows_reject_either_bound_at_every_agent
 
 
 @pytest.mark.parametrize("name", ["quadratic_unequal", "logistic_lists_unequal"])
@@ -494,16 +483,9 @@ def test_component_grads_of_stacked_replicas_equal_each_replica_alone(name):
     replicas = 3
     js = np.concatenate([[rng.integers(1, m + 1) for m in prob.m] for _ in range(replicas)])
     x = rng.normal(size=(replicas * prob.n, prob.d))
-    got = prob.component_grads(js, x)
+    got = component_grads(prob, js, x)
     blocks = [slice(r * prob.n, (r + 1) * prob.n) for r in range(replicas)]
-    assert np.array_equal(got, np.concatenate([prob.component_grads(js[b], x[b]) for b in blocks]))
-    # the last replica's agents are checked against their own m_i
-    bad = js.copy()
-    bad[-1] = prob.m[-1] + 1
-    with pytest.raises(IndexError):
-        prob.component_grads(bad, x)
-    with pytest.raises(ValueError):
-        prob.component_grads(js, x[:-1])
+    assert np.array_equal(got, np.concatenate([component_grads(prob, js[b], x[b]) for b in blocks]))
 
 
 def test_quadratic_agents_are_views_of_one_stacked_array():
@@ -555,7 +537,7 @@ def test_logistic_oracles_equal_the_reference_bit_for_bit(instance):
         assert same_value(prob.component_grad_table(i, x), ref.component_grad_table(i, x))
     # each agent's last sample, at the same point
     assert same_value(
-        prob.component_grads(np.array(prob.m), np.tile(x, (prob.n, 1))),
+        component_grads(prob, np.array(prob.m), np.tile(x, (prob.n, 1))),
         [component_grad(prob, i, m, x) for i, m in enumerate(prob.m, start=1)],
     )
 
@@ -626,7 +608,7 @@ def test_sampled_gradients_equal_their_table_rows_bit_for_bit(instance):
     # replica r draws sample r mod m_i + 1 of agent i, so every sample is drawn
     replicas = max(prob.m)
     js = np.array([[r % m + 1 for m in prob.m] for r in range(replicas)]).ravel()
-    grads = prob.component_grads(js, np.tile(x, (replicas * prob.n, 1)))
+    grads = component_grads(prob, js, np.tile(x, (replicas * prob.n, 1)))
     for i, m in enumerate(prob.m, start=1):
         table = prob.component_grad_table(i, x)
         for r in range(replicas):
@@ -654,7 +636,7 @@ def test_sampled_gradients_equal_the_per_row_loop_within_rounding(prob):
             for _ in range(40):
                 js = np.concatenate([gen.integers(1, prob.layout.sizes + 1) for _ in range(replicas)])
                 X = scale * gen.normal(size=(len(js), prob.d))
-                got, want = prob.component_grads(js, X), ref.component_grads(js, X)
+                got, want = component_grads(prob, js, X), ref.component_grads(js, X)
                 rows = np.tile(prob.layout.base, replicas) + js
                 a, w = np.abs(ref.rows[rows].toarray()), np.diff(ref.rows.indptr)[rows][:, None]
                 bound = (0.1 * w * eps * (a * np.abs(X)).sum(axis=1, keepdims=True) + 3 * eps) * a
@@ -794,28 +776,8 @@ def test_component_grad_diffs_equal_the_difference_of_two_calls(name):
             for _ in range(10):
                 js = np.concatenate([[rng.integers(1, m + 1) for m in prob.m] for _ in range(replicas)])
                 x, t = scale * rng.normal(size=(2, replicas * prob.n, prob.d))
-                want = prob.component_grads(js, x) - prob.component_grads(js, t)
-                assert same_bits(prob.component_grad_diffs(js, x, t), want)
-
-
-@pytest.mark.parametrize("name", ["quadratic_unequal", "logistic_lists_unequal"])
-def test_component_grad_diffs_validate_like_component_grads(name):
-    prob = BATCH_CASES[name]()
-    x = np.zeros((prob.n, prob.d))
-    ones = np.ones(prob.n, dtype=np.int64)
-    for agent in range(prob.n):
-        for j in (0, prob.m[agent] + 1):
-            js = ones.copy()
-            js[agent] = j
-            with pytest.raises(IndexError):
-                prob.component_grads(js, x)
-            with pytest.raises(IndexError):
-                prob.component_grad_diffs(js, x, x)
-    for t in (x[:-1], x[:, :-1], np.zeros((2 * prob.n, prob.d))):
-        with pytest.raises(ValueError, match="one index and one"):
-            prob.component_grad_diffs(ones, x, t)
-    with pytest.raises(ValueError, match="one index and one"):
-        prob.component_grad_diffs(ones[:-1], x, x)
+                want = component_grads(prob, js, x) - component_grads(prob, js, t)
+                assert same_bits(component_grad_diffs(prob, js, x, t), want)
 
 
 # -- the metric oracle at a stack of points ------------------------------
@@ -870,7 +832,7 @@ def test_local_costs_and_grads_reject_a_point_of_the_wrong_shape(name):
 
 
 @pytest.mark.parametrize("name", ["quadratic_unequal", "logistic_lists_unequal"])
-def test_checked_entries_reject_non_integer_agents_and_indices(name):
+def test_checked_entries_reject_non_integer_agents(name):
     # an id inside the range but of a float or bool dtype is named as such,
     # not left to fail inside the core
     prob = BATCH_CASES[name]()
@@ -878,12 +840,6 @@ def test_checked_entries_reject_non_integer_agents_and_indices(name):
     for agents in (np.array([1.0, 2.5]), np.array([1.0, 2.0]), np.array([True, True])):
         with pytest.raises(TypeError, match="agents must be an integer array"):
             prob.local_full_grads(agents, X)
-    x = np.zeros((prob.n, prob.d))
-    for js in (np.ones(prob.n), np.full(prob.n, 1.5), np.ones(prob.n, dtype=bool)):
-        with pytest.raises(TypeError, match="sample indices js must be an integer array"):
-            prob.component_grads(js, x)
-        with pytest.raises(TypeError, match="sample indices js must be an integer array"):
-            prob.component_grad_diffs(js, x, x)
     for ids in (np.array([1, 2], dtype=np.int32), np.array([1, 2], dtype=np.uint8)):
         assert prob.local_full_grads(ids, X).shape == (2, prob.d)
     # the table's single agent id likewise: True is not agent 1

@@ -173,6 +173,19 @@ def test_swarm_rows_reject_an_out_of_range_draw_naming_its_agent(monkeypatch, ba
         streams.rows()
 
 
+@pytest.mark.parametrize("runs", [1, 3])
+def test_swarm_rows_reject_either_bound_at_every_agent(monkeypatch, runs):
+    # each agent of unequal m_i in turn draws 0 or m_i + 1 as its first index
+    m = (7, 3, 11, 1)
+    for agent, m_i in enumerate(m, start=1):
+        for bad in (0, m_i + 1):
+            draws = {m_i: iter([bad] + [1] * rng.DRAW_BLOCK)}
+            monkeypatch.setattr(rng, "uniform_indices", lambda stream, size: draws.get(size, repeat(1)))
+            streams = rng.SwarmStreams(4, m, [0.5] * runs)
+            with pytest.raises(IndexError, match=rf"agent {agent} drew sample index {bad} outside \[1, {m_i}\]"):
+                streams.rows()
+
+
 def test_swarm_buffer_rejects_a_degenerate_probability():
     for p in (0.0, 1.0, (0.5, 1.0), ()):
         with pytest.raises(ValueError):

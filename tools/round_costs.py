@@ -29,8 +29,12 @@ oracles, timed by themselves at R = 1 and R = 2 replicas: the cores
 in microseconds per call, the minimum over ``--repeats`` repetitions of
 ``--rounds`` calls at fixed random draws, and GT-VR's anchor refresh, the
 core ``_local_full_grads`` over 1 and over 3 agents at fixed random
-points, timed the same way. It checks nothing and never fails on a
-timing:
+points, timed the same way. Last, the logistic shape's batch with
+diverging replicas: 50 rounds at cadence 1 of ``run_experiments`` over
+eta 0.1 and three etas of 1e9, which diverge at once and are shed, next to
+the eta 0.1 run alone, for gtvr, dsgt and gtsaga, in seconds per run, the
+minimum over ``--repeats`` runs of each. It checks nothing and never fails
+on a timing:
 
     python3 tools/round_costs.py [--rounds 1000] [--repeats 5]
 
@@ -41,6 +45,7 @@ Markdown table.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import platform
 import sys
@@ -55,6 +60,8 @@ import scipy  # noqa: E402
 from gtvr import algorithms, graph, ingest, metrics, problem  # noqa: E402
 
 P = 0.3  # GT-VR's refresh probability
+# the live run first, then three that diverge in the first rounds
+SHED_ETAS = (0.1, 1e9, 1e9, 1e9)
 
 
 def shapes():
@@ -148,6 +155,24 @@ def refresh_us(prob, agents, calls, repeats):
     return us_per_call(lambda: prob._local_full_grads(slots, X), calls, repeats)
 
 
+def timed_run(prob, mixing, cfgs):
+    """Seconds for ``run_experiments`` of ``cfgs``, and the error it returns."""
+    start = time.perf_counter()
+    _, error = algorithms.run_experiments(prob, mixing, cfgs)
+    return time.perf_counter() - start, error
+
+
+def shed_seconds(prob, mixing, algorithm, repeats):
+    """Seconds per 50-round run at cadence 1 of the ``SHED_ETAS`` batch and
+    of its first run alone, each the minimum over ``repeats`` alternating
+    runs, and the error the batch returns."""
+    base = algorithms.RunConfig(algorithm=algorithm, p=P, rounds=50, seed=1)
+    cfgs = [dataclasses.replace(base, eta=eta) for eta in SHED_ETAS]
+    runs = [(timed_run(prob, mixing, cfgs), timed_run(prob, mixing, cfgs[:1])) for _ in range(repeats)]
+    batch, alone = zip(*runs)
+    return min(t for t, _ in batch), min(t for t, _ in alone), batch[0][1]
+
+
 def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--rounds", type=int, default=1000, help="rounds per repetition")
@@ -166,7 +191,7 @@ def main(argv=None) -> None:
     logistic = None
     for name, prob, mixing, eta in shapes():
         if isinstance(prob, problem.LogisticProblem):
-            logistic = prob
+            logistic, logistic_mixing = prob, mixing
         for algorithm in algorithms.ALGORITHMS:
             cfg = algorithms.RunConfig(algorithm=algorithm, eta=eta, p=P, seed=1)
             runs = [repetition(prob, mixing, cfg, args.rounds) for _ in range(args.repeats)]
@@ -191,6 +216,16 @@ def main(argv=None) -> None:
     print("| logistic anchor refresh, us/call | 1 agent | 3 agents |")
     print("|---|---:|---:|")
     print(f"| `_local_full_grads` | {refresh[1]:.1f} | {refresh[3]:.1f} |")
+    print()
+    etas = " + ".join(f"{eta:g}" for eta in SHED_ETAS)
+    print(
+        f"| logistic batch of eta {etas}, 50 rounds at cadence 1 | batch, s "
+        f"| eta {SHED_ETAS[0]:g} alone, s | batch error |"
+    )
+    print("|---|---:|---:|---|")
+    for algorithm in ("gtvr", "dsgt", "gtsaga"):
+        batch, alone, error = shed_seconds(logistic, logistic_mixing, algorithm, args.repeats)
+        print(f"| {algorithm} | {batch:.3f} | {alone:.3f} | {error} |", flush=True)
 
 
 if __name__ == "__main__":
