@@ -32,6 +32,8 @@ from .problem import FiniteSumProblem
 from .rng import SwarmStreams
 
 DIVERGENCE_NORM_CAP = 1e12
+# the divergence guard's fast bound on a whole state's sum of squares
+_FAST_BOUND = DIVERGENCE_NORM_CAP**2 * (1 - 1e-6)
 # replica-columns of queued metric records that one metric pass evaluates
 RECORD_WIDTH = 32
 
@@ -104,6 +106,9 @@ class SwarmState:
             for name in owner._per_row:
                 if getattr(owner, name) is not None:
                     setattr(owner, name, getattr(owner, name)[:rows])
+        # GT-SAGA also moves its live table blocks to a buffer of their own
+        if hasattr(self.estimator, "keep"):
+            self.estimator.keep(rows)
         self.streams.keep(rows)
 
 
@@ -120,10 +125,22 @@ def _as_stacked(problem: FiniteSumProblem, x1: np.ndarray, replicas: int) -> np.
 def _diverged(x: np.ndarray, y: np.ndarray | None, n: int, k: int) -> tuple | None:
     """The lowest replica with a row that fails the guard and the error its
     own run raises at iteration k, or None if every row passes."""
-    # a NaN or infinite entry makes its row norm NaN or infinite, and the
-    # max of the norms is NaN if any is, so one comparison covers both
-    # guards for every row; hypot forms the norm without squaring, so an
-    # entry too large to square reads as diverged, with no warning
+    # Fast path: one sum of squares per state. Each row's squared norm is at
+    # most the true total, and the computed dot of N entries is within
+    # N * 2**-53 of it, relative, which stays far below the 1e-6 margin for
+    # any swarm under 1e8 entries; so when the dot passes, every row's norm,
+    # which hypot computes to within d ulps, is at most the cap. A NaN or
+    # inf entry, a square that overflows or a total over the bound fails
+    # the comparisons and falls through to the exact check. np.vdot, unlike
+    # np.dot, @ and np.inner, raises no overflow warning and does not copy
+    # a C-contiguous state, and an errstate would cost more than it saves.
+    if np.vdot(x, x) <= _FAST_BOUND and (y is None or np.vdot(y, y) < np.inf):
+        return None
+    # Exact check, row by row: a NaN or infinite entry makes its row norm
+    # NaN or infinite, and the max of the norms is NaN if any is, so one
+    # comparison covers both guards for every row; hypot forms the norm
+    # without squaring, so an entry too large to square reads as diverged,
+    # with no warning
     norms = np.hypot.reduce(x, axis=1)
     if norms.max() <= DIVERGENCE_NORM_CAP and (y is None or np.isfinite(y).all()):
         return None
@@ -203,7 +220,7 @@ class _GradientTable:
     keeps m_i * d reals per agent where GT-VR keeps d.
     """
 
-    _per_row = ("table_mean", "tables", "_offset", "_m_column")
+    _per_row = ("table_mean", "_offset", "_m_column")
 
     def start(self, problem, x, streams):
         # one (sum m_i, d) block per replica in the problem's row layout;
@@ -212,20 +229,31 @@ class _GradientTable:
         # the state owns ``tables[r*n + i - 1]``, and sample row s of replica
         # r is table row r*sum(m_i) + s
         replicas, total = len(x) // problem.n, problem.total_samples
-        self._table = np.empty((replicas * total, problem.d))
-        starts = range(0, len(self._table), total)
-        blocks = [self._table[lo : lo + total] for lo in starts]
-        self.tables = [table for block in blocks for table in problem.layout.views(block)]
+        self._layout = problem.layout
+        self._hold(np.empty((replicas * total, problem.d)))
         for i, table in enumerate(self.tables[: problem.n], start=1):
             table[...] = problem.component_grad_table(i, x[i - 1])
-        for block in blocks[1:]:
-            block[...] = blocks[0]
+        blocks = self._table.reshape(replicas, total, problem.d)
+        blocks[1:] = blocks[0]
         mean = np.stack([t.mean(axis=0) for t in self.tables[: problem.n]])
         self.table_mean = _per_replica(mean, replicas)
-        self._offset = np.repeat(starts, problem.n)
+        self._offset = np.repeat(range(0, len(self._table), total), problem.n)
         sizes = _per_replica(problem.layout.sizes, replicas)
         self._m_column = sizes[:, None]
         return self.table_mean.copy(), sizes
+
+    def _hold(self, table):
+        """Hold ``table``, one block per replica, and its per-row views."""
+        total = self._layout.offsets[-1]
+        self._table = table
+        starts = range(0, len(table), total)
+        self.tables = [t for lo in starts for t in self._layout.views(table[lo : lo + total])]
+
+    def keep(self, rows):
+        """After ``SwarmState.keep``: the first rows / n replicas' blocks, a
+        prefix of the table, copied out so the dead blocks are freed."""
+        live = rows // len(self._layout.sizes) * self._layout.offsets[-1]
+        self._hold(self._table[:live].copy())
 
     def step(self, problem, x, streams):
         samples = streams.rows()

@@ -394,6 +394,20 @@ def _agent_blocks(
     return blocks, [_view(sp.csc_matrix, (d, a.shape[0]), a.data, a.indices, a.indptr) for a in blocks]
 
 
+def _residual_costs_and_grads(
+    a: np.ndarray, t: np.ndarray, points: np.ndarray, m: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """0.5 r'r / m and a'r / m for the residuals r = a x - t at each point:
+    rows ``a`` (..., m, d) and targets ``t`` (..., m), broadcast against
+    ``points`` (..., d, 1). The stacked (m, d) @ (d, 1), (1, m) @ (m, 1)
+    and (d, m) @ (m, 1) products are one point's a @ x, r @ r and a.T @ r,
+    item by item."""
+    r = (a @ points)[..., 0] - t
+    costs = 0.5 * (r[..., None, :] @ r[..., :, None])[..., 0, 0] / m
+    grads = (a.swapaxes(-1, -2) @ r[..., None])[..., 0] / m
+    return costs, grads
+
+
 class QuadraticProblem(FiniteSumProblem):
     """Least-squares components f_ij(x) = 0.5 (a_ij'x - t_ij)^2."""
 
@@ -414,7 +428,7 @@ class QuadraticProblem(FiniteSumProblem):
         self._feats = self.layout.views(self._rows)
         self._targets = self.layout.views(self._target_rows)
         # with one m_i, the stacked rows as (n, m, d) blocks, agent i's at
-        # entry i - 1: the batched refresh's operands, as views
+        # entry i - 1: the batched refresh's and metric pass's operands, as views
         self._blocks = None
         if len(set(self.m)) == 1:
             m = self.m[0]
@@ -456,16 +470,15 @@ class QuadraticProblem(FiniteSumProblem):
         return (a.transpose(0, 2, 1) @ r[:, :, None])[:, :, 0] / self.m[0]
 
     def _local_costs_and_grads(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        # point by point, one residual per agent, shared by its cost and
-        # gradient; these are the per-agent oracle's expressions, for equal
-        # and unequal m_i alike
+        # all K points at once: with one m_i over the (n, m, d) blocks, else
+        # agent by agent. Each item of the stacked products is the per-point
+        # oracle's gemv or dot call, so every value equals it bit for bit
+        if self._blocks is not None:
+            return _residual_costs_and_grads(*self._blocks, X[:, None, :, None], self.m[0])
         costs = np.empty((len(X), self.n))
         grads = np.empty((len(X), self.n, self.d))
-        for cost, grad, x in zip(costs, grads, X):
-            for i, (a, t, m) in enumerate(zip(self._feats, self._targets, self.m)):
-                r = a @ x - t
-                cost[i] = 0.5 * float(r @ r) / m
-                grad[i] = (a.T @ r) / m
+        for i, (a, t, m) in enumerate(zip(self._feats, self._targets, self.m)):
+            costs[:, i], grads[:, i] = _residual_costs_and_grads(a, t, X[:, :, None], m)
         return costs, grads
 
     def lipschitz_estimate(self) -> float:

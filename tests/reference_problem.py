@@ -14,7 +14,9 @@ l a'x. A component's margin adds the row's products one at a time in
 entry order, as scipy's CSR product adds them in the full passes. The
 logistic full gradient builds its own transpose of ``_feats`` and its own
 coefficient, so it reads nothing of the transposed views and the
-coefficient kernel that the batched oracles use.
+coefficient kernel that the batched oracles use. The quadratic metric
+pass, which the problem runs over all K points at once, is here as the
+loop over points and agents it replaced.
 """
 
 from __future__ import annotations
@@ -100,3 +102,17 @@ def local_full_grad(prob: FiniteSumProblem, i: int, x: np.ndarray) -> np.ndarray
     e, one_e = _exp_terms(z)
     coef = -((1.0 / one_e) * (e / one_e)) / prob.m[i - 1]
     return (prob._feats[i - 1].T.tocsr() @ coef) + (2.0 * prob.lam1) * x
+
+
+def local_costs_and_grads(prob: QuadraticProblem, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The quadratic metric pass point by point: every agent's cost and full
+    gradient at each row of the (K, d) stack X, one residual per agent
+    shared by both."""
+    costs = np.empty((len(X), prob.n))
+    grads = np.empty((len(X), prob.n, prob.d))
+    for cost, grad, x in zip(costs, grads, X):
+        for i, (a, t, m) in enumerate(zip(prob._feats, prob._targets, prob.m)):
+            r = a @ x - t
+            cost[i] = 0.5 * float(r @ r) / m
+            grad[i] = (a.T @ r) / m
+    return costs, grads

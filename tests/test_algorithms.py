@@ -6,6 +6,8 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gtvr import algorithms, graph, metrics
 from gtvr.algorithms import (
@@ -381,6 +383,31 @@ def test_a_diverged_replica_calls_no_oracle_after_its_round(setup5, logistic5, s
     assert max(before) == 4 * n and after and max(after) <= 2 * n
 
 
+@pytest.mark.parametrize("shape", ["quadratic", "logistic"])
+def test_a_shed_frees_the_dead_replicas_table_blocks(setup5, logistic5, shape, monkeypatch):
+    # the setup above under GT-SAGA: from the round after replica 2's the
+    # table holds the two live replicas' blocks only, in a buffer of its
+    # own, and every per-row view shares it
+    prob, mixing = setup5 if shape == "quadratic" else logistic5
+    n, total = prob.n, prob.total_samples
+    base = RunConfig(algorithm="gtsaga", p=0.5, rounds=60, seed=3, cadence=1, timing=False)
+    cfgs = [replace(base, eta=eta) for eta in (0.01, 0.02, 1e9, 0.03)]
+    diverged_at = int(lone_run(prob, mixing, cfgs[2]).rsplit(" ", 1)[1])
+    stepped = []
+
+    def spied(swarm, *args):
+        est = swarm.estimator
+        shared = all(np.shares_memory(table, est._table) for table in est.tables)
+        stepped.append((swarm.k, len(est._table), len(est.tables), shared, est._table.base is None))
+        return run_round(swarm, *args)
+
+    monkeypatch.setattr(algorithms, "run_round", spied)
+    traces, error = run_experiments(prob, mixing, cfgs)
+    assert len(traces) == 2 and 1 < diverged_at < 60
+    live = [4 if k < diverged_at else 2 for k in range(60)]
+    assert stepped == [(k, r * total, r * n, True, True) for k, r in enumerate(live)]
+
+
 def test_a_lower_replica_that_diverges_later_wins():
     # on the four-agent ring eta = 6 diverges at iteration 120 and eta = 1e6
     # at iteration 3: cfgs order decides, as the runs one at a time would
@@ -501,6 +528,51 @@ def test_guard_passes_a_row_exactly_at_the_cap(n=5):
             "iterate diverged at iteration 1",
             1,
         )
+
+
+@settings(derandomize=True, max_examples=400, deadline=None, database=None)
+@given(st.data())
+def test_guard_equals_the_row_by_row_rule_with_no_warning(data):
+    # the one-sum-of-squares fast path may pass only what the row-by-row
+    # rule passes: healthy swarms at any scale, every bad row kind in x, y
+    # or both, rows at the cap or above it by 1e-15 to 1e-6 relative, and
+    # healthy swarms whose total is over the fast bound, which the exact
+    # check must still pass; no case may raise a numpy warning
+    replicas, n, d = data.draw(st.integers(1, 4)), data.draw(st.integers(2, 6)), data.draw(st.integers(1, 130))
+    gen = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    scale = data.draw(st.sampled_from((0.0, 1e-300, 1e-3, 1.0, 1e6, 1e9)))
+    x, y = gen.normal(size=(2, replicas * n, d)) * scale
+    rows = st.integers(0, replicas * n - 1)
+    case = data.draw(st.sampled_from(("healthy", "planted", "near the cap", "over the bound")))
+    swarms = [(x, y)]
+    if case == "planted":  # each kind in x, in y and in both, at random rows
+        swarms = []
+        for kind, where in product(sorted(BAD_ROWS), ((0,), (1,), (0, 1))):
+            states = x.copy(), y.copy()
+            for s in where:
+                states[s][data.draw(rows), : min(d, 4)] = BAD_ROWS[kind][:d]
+            swarms.append(states)
+    elif case == "near the cap":
+        rel = data.draw(st.just(0.0) | st.floats(-15, -6).map(lambda e: 10.0**e))
+        for row in data.draw(st.lists(rows, min_size=1, max_size=3)):
+            if data.draw(st.booleans()):  # along an axis, or in a random direction
+                x[row] = 0.0
+                x[row, data.draw(st.integers(0, d - 1))] = data.draw(st.sampled_from((CAP, -CAP))) * (1 + rel)
+            else:
+                u = gen.normal(size=d)
+                x[row] = u / np.hypot.reduce(u) * (CAP * (1 + rel))
+    elif case == "over the bound":
+        u = gen.normal(size=x.shape)
+        x[...] = u / np.hypot.reduce(u, axis=1)[:, None] * (CAP * (1 - data.draw(st.floats(1e-6, 0.25))))
+    for x, y in swarms:
+        for tracker in (y, None):
+            swarm = algorithms.SwarmState(k=9, x=x, grad_evals=np.zeros(len(x), np.int64), y=tracker)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got, want = guard_outcome(swarm, n), row_by_row_guard(swarm, n)
+            assert got == want
+            if case == "over the bound":
+                assert want is None and np.vdot(x, x) > algorithms._FAST_BOUND
 
 
 @pytest.mark.parametrize("algorithm", ["dsgd", "dsgt"])

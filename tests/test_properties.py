@@ -14,6 +14,9 @@ doubly stochastic and contract deviations from the mean by ρ < 1, and
 mixing R replicas stacked replica-major equals mixing each on its own,
 bit for bit, and so does the consensus gap D of K stacked snapshots.
 
+Problem: the quadratic metric pass over K stacked points, with equal and
+unequal m_i, equals the per-point loop bit for bit.
+
 Ingest: serializing a dataset to LIBSVM text and parsing it back gives
 the same CSR arrays, labels and dimension, bit for bit.
 
@@ -42,7 +45,7 @@ from helpers import (
     scalar_streams,
     serialize_libsvm,
 )
-from reference_problem import component_grad
+from reference_problem import component_grad, local_costs_and_grads
 from reference_rng import draw_bernoulli, draw_index
 
 ROUNDS = 12
@@ -222,6 +225,24 @@ def test_consensus_gap_of_stacked_snapshots_equals_each_snapshot_alone(topo, sna
     got = metrics.consensus_gap_D(mixing, x)
     assert got.shape == (snapshots,)
     assert same_bits(got, np.array([metrics.consensus_gap_D(mixing, state) for state in x]))
+
+
+@FIXED_SEED
+@given(st.data(), st.integers(1, 6), st.integers(1, 130), st.integers(1, 40), st.integers(0, 2**32 - 1))
+def test_quadratic_metric_pass_equals_the_per_point_loop(data, n, d, points, seed):
+    # one m_i runs the stacked (n, m, d) products, unequal m_i the agent
+    # loop stacked over the K points; both equal the loop over points
+    if data.draw(st.booleans()):
+        sizes = [data.draw(st.integers(1, 30))] * n
+    else:
+        sizes = data.draw(st.lists(st.integers(1, 30), min_size=n, max_size=n))
+    gen = np.random.default_rng(seed)
+    prob = QuadraticProblem([gen.normal(size=(m, d)) for m in sizes], [gen.normal(size=m) for m in sizes])
+    assert (prob._blocks is not None) == (len(set(sizes)) == 1)
+    X = gen.normal(size=(points, d)) * 10.0 ** data.draw(st.integers(-3, 3))
+    got, want = prob.local_costs_and_grads(X), local_costs_and_grads(prob, X)
+    assert got[0].shape == (points, n) and got[1].shape == (points, n, d)
+    assert all(map(same_bits, got, want))
 
 
 @st.composite

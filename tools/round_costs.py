@@ -19,7 +19,13 @@ also times ``max(1, rounds // 20)`` records of one state each, a queue of
 one. The table gives the minimum over ``--repeats`` repetitions, the
 reading least disturbed by other work on the machine.
 
-Below the table it prints the logistic shape's set-up time: building its
+Below the table it prints the divergence guard ``_diverged`` by itself,
+in microseconds per call at each shape's n x d, untracked and tracked:
+once on a healthy swarm, which its one sum of squares per state passes,
+and once on a swarm whose every row stays under the cap but whose sum of
+squares is over the fast bound, which takes the exact per-row check; the
+minimum over ``--repeats`` repetitions of ``--rounds`` calls. Next comes
+the logistic shape's set-up time: building its
 ``LogisticProblem`` again with ``from_partition`` from a ``RawDataset``
 of its rows, what a run pays between parsing and its first round, again
 the minimum over ``--repeats`` builds. Last come its two sampled-gradient
@@ -105,6 +111,17 @@ def repetition(prob, mixing, cfg, rounds):
     return per_round, per_queued, (time.perf_counter() - start) / records
 
 
+def guard_us(n, d, calls, repeats):
+    """Microseconds per ``_diverged`` call on n rows of d entries: untracked
+    and tracked, each on a healthy swarm (the fast path) and on one whose
+    rows sit at 0.9 times the cap (the exact check); every call passes."""
+    gen = np.random.default_rng(n * d)
+    healthy, y, rows = gen.normal(size=(3, n, d))
+    over = rows / np.hypot.reduce(rows, axis=1)[:, None] * (0.9 * algorithms.DIVERGENCE_NORM_CAP)
+    states = ((healthy, None), (over, None), (healthy, y), (over, y))
+    return [us_per_call(lambda: algorithms._diverged(x, y, n, 1), calls, repeats) for x, y in states]
+
+
 def setup_seconds(prob, repeats):
     """Seconds to build the logistic ``prob`` from a RawDataset of its rows,
     one agent's rows per part, the minimum over ``repeats`` builds."""
@@ -188,8 +205,9 @@ def main(argv=None) -> None:
     width = algorithms.RECORD_WIDTH
     print(f"| shape | algorithm | us/round | us/record, queue of {width} | us/record, alone |")
     print("|---|---|---:|---:|---:|")
-    logistic = None
+    logistic, guards = None, {}
     for name, prob, mixing, eta in shapes():
+        guards[f"{name} ({prob.n} x {prob.d})"] = guard_us(prob.n, prob.d, args.rounds, args.repeats)
         if isinstance(prob, problem.LogisticProblem):
             logistic, logistic_mixing = prob, mixing
         for algorithm in algorithms.ALGORITHMS:
@@ -200,6 +218,12 @@ def main(argv=None) -> None:
                 f"| {name} | {algorithm} | {per_round:.1f} | {per_queued:.1f} | {per_record:.1f} |",
                 flush=True,
             )
+    print()
+    states = ("untracked, healthy", "untracked, over the bound", "tracked, healthy", "tracked, over the bound")
+    print("| `_diverged`, us/call | " + " | ".join(states) + " |")
+    print("|---|---:|---:|---:|---:|")
+    for name, timed in guards.items():
+        print(f"| {name} | " + " | ".join(f"{us:.2f}" for us in timed) + " |")
     print()
     print(
         f"logistic set-up, `LogisticProblem.from_partition` of {logistic.n} x {logistic.m[0]} rows, "
