@@ -116,9 +116,9 @@ def guard_us(n, d, calls, repeats):
     and tracked, each on a healthy swarm (the fast path) and on one whose
     rows sit at 0.9 times the cap (the exact check); every call passes."""
     gen = np.random.default_rng(n * d)
-    healthy, y, rows = gen.normal(size=(3, n, d))
+    healthy, tracker, rows = gen.normal(size=(3, n, d))
     over = rows / np.hypot.reduce(rows, axis=1)[:, None] * (0.9 * algorithms.DIVERGENCE_NORM_CAP)
-    states = ((healthy, None), (over, None), (healthy, y), (over, y))
+    states = ((healthy, None), (over, None), (healthy, tracker), (over, tracker))
     return [us_per_call(lambda: algorithms._diverged(x, y, n, 1), calls, repeats) for x, y in states]
 
 
