@@ -224,15 +224,15 @@ class _GradientTable:
 
     def start(self, problem, x, streams):
         # one (sum m_i, d) block per replica in the problem's row layout;
-        # the first is filled agent by agent, so only one agent's table is
-        # ever held twice, and copied into the others. Row r*n + i - 1 of
-        # the state owns ``tables[r*n + i - 1]``, and sample row s of replica
-        # r is table row r*sum(m_i) + s
+        # the first is written agent by agent in place, with no temporary,
+        # and copied into the others. Row r*n + i - 1 of the state owns
+        # ``tables[r*n + i - 1]``, and sample row s of replica r is table
+        # row r*sum(m_i) + s
         replicas, total = len(x) // problem.n, problem.total_samples
         self._layout = problem.layout
         self._hold(np.empty((replicas * total, problem.d)))
-        for i, table in enumerate(self.tables[: problem.n], start=1):
-            table[...] = problem.component_grad_table(i, x[i - 1])
+        for s, table in enumerate(self.tables[: problem.n]):
+            problem._component_grad_table(s, x[s], table)
         blocks = self._table.reshape(replicas, total, problem.d)
         blocks[1:] = blocks[0]
         mean = np.stack([t.mean(axis=0) for t in self.tables[: problem.n]])

@@ -32,12 +32,14 @@ from dataclasses import dataclass
 from itertools import islice
 from math import isfinite
 from pathlib import Path
-from typing import IO, Iterable, NoReturn
+from typing import IO, TYPE_CHECKING, Iterable, NoReturn
 
 import numpy as np
-import scipy.sparse as sp
 
 from .rng import PURPOSE_PARTITION, derived_generator
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 log = logging.getLogger(__name__)
 
@@ -120,6 +122,10 @@ def parse_libsvm(source: str | Path | IO[str], declared_d: int | None = None) ->
     if not labels.size:
         raise LibsvmFormatError("line 1, column 1: no data rows found")
     d_seen = int(columns.max()) + 1 if columns.size else 0
+    # scipy loads here, on a LIBSVM run's first parse, so the quadratic
+    # runs and the theory report start on numpy alone
+    import scipy.sparse as sp
+
     features = sp.csr_matrix(
         (data, columns, indptr), shape=(labels.size, max(d_seen, declared_d or 0))
     )

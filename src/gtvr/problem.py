@@ -3,7 +3,9 @@
 Two concrete instances are provided. The logistic instance is the
 regularized sigmoid-loss binary classifier used on LIBSVM data; the
 quadratic instance is a synthetic least-squares problem whose exact
-minimizer makes it the standard exact-convergence test bed.
+minimizer makes it the standard exact-convergence test bed. Only the
+logistic instance needs ``scipy.sparse``; the functions that build its
+matrices import it on first use, so the quadratic needs numpy alone.
 
 Agent ids and sample indices are 1-based throughout the public surface
 (matching the simulator's index draws); storage, and the unchecked oracle
@@ -16,11 +18,12 @@ import math
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 from .rng import PURPOSE_DATA, derived_generator
 
 if TYPE_CHECKING:
+    import scipy.sparse as sp
+
     from .ingest import RawDataset
 
 
@@ -79,8 +82,9 @@ class FiniteSumProblem:
     ``_component_grads(rows, X)`` and ``_component_grad_diffs(rows, X, T)``:
     they take stacked 0-based sample rows, which ``SwarmStreams.rows``
     checked as it drew them, and the round engine calls them directly.
-    Subclasses provide the cores, GT-SAGA's table, the metric pass's oracle
-    and the smoothness estimate. The per-sample and per-agent references
+    Subclasses provide the cores, GT-SAGA's table (``_component_grad_table``,
+    which writes into the caller's rows), the metric pass's oracle and the
+    smoothness estimate. The per-sample and per-agent references
     live in ``tests/reference_problem.py``.
     """
 
@@ -117,6 +121,15 @@ class FiniteSumProblem:
 
     def component_grad_table(self, i: int, x: np.ndarray) -> np.ndarray:
         """All component gradients of agent i at x, stacked (m_i, d)."""
+        self._check_agents(np.array([i]), x[None])
+        table = np.empty((self.m[i - 1], self.d))
+        self._component_grad_table(i - 1, x, table)
+        return table
+
+    def _component_grad_table(self, s: int, x: np.ndarray, out: np.ndarray) -> None:
+        """``component_grad_table`` of the 0-based agent slot s, unchecked,
+        written into ``out``, a C-contiguous (m_s, d) array such as GT-SAGA's
+        block of the agent's table rows."""
         raise NotImplementedError
 
     def local_full_grads(self, agents: np.ndarray, X: np.ndarray) -> np.ndarray:
@@ -180,6 +193,8 @@ class LogisticProblem(FiniteSumProblem):
         labels: Sequence[np.ndarray],
         lam1: float,
     ) -> None:
+        import scipy.sparse as sp
+
         if len(features) != len(labels) or not features:
             raise ValueError("need one feature matrix and label vector per agent")
         feats = [sp.csr_matrix(a, dtype=float) for a in features]
@@ -245,6 +260,8 @@ class LogisticProblem(FiniteSumProblem):
         """Build from a parsed dataset and a per-agent row assignment."""
         csr = raw.features
         if normalize:
+            import scipy.sparse as sp
+
             # each row's squares summed in canonical order, as the rows are held
             csr = _canonical(csr)
             norms = np.sqrt(np.asarray(csr.multiply(csr).sum(axis=1)).ravel())
@@ -294,17 +311,15 @@ class LogisticProblem(FiniteSumProblem):
         z = self._feats[s] @ points
         return (z, *_exp_terms(z))
 
-    def component_grad_table(self, i: int, x: np.ndarray) -> np.ndarray:
-        self._check_agents(np.array([i]), x[None])
-        _, e, one_e = self._margin_terms(i - 1, x)
-        a = self._feats[i - 1]
+    def _component_grad_table(self, s: int, x: np.ndarray, out: np.ndarray) -> None:
+        _, e, one_e = self._margin_terms(s, x)
+        a = self._feats[s]
         counts = np.diff(a.indptr)
         # the ridge, with each row's products added at its positions: the
         # sampled oracle's ridge + v coef, so a zero ridge entry keeps its sign
-        table = np.tile((2.0 * self.lam1) * x, (len(counts), 1))
-        flat = np.repeat(np.arange(0, table.size, self.d), counts) + a.indices
-        table.ravel()[flat] += a.data * np.repeat(_grad_coef(e, one_e, 1), counts)
-        return table
+        out[...] = (2.0 * self.lam1) * x
+        flat = np.repeat(np.arange(0, out.size, self.d), counts) + a.indices
+        out.ravel()[flat] += a.data * np.repeat(_grad_coef(e, one_e, 1), counts)
 
     def _local_full_grads(self, slots: np.ndarray, X: np.ndarray) -> np.ndarray:
         # agent by agent, on the feature-major copy, where a one-vector
@@ -344,6 +359,8 @@ class LogisticProblem(FiniteSumProblem):
         # but valid, which is all the step-size theory requires. The squares
         # go in a view over the rows' own index arrays, with no elementwise
         # product matrix built
+        import scipy.sparse as sp
+
         rows = self._rows
         squares = _view(sp.csr_matrix, rows.shape, rows.data * rows.data, rows.indices, rows.indptr)
         return float(squares.sum(axis=1).max()) / 4.0 + 2.0 * self.lam1
@@ -385,6 +402,8 @@ def _agent_blocks(
     ``rows``, and its transpose A_{i+1}^T as a (d, m_{i+1}) CSC view of the
     same arrays: its products scatter each sample's entries in sample order.
     """
+    import scipy.sparse as sp
+
     d = rows.shape[1]
     starts = rows.indptr[list(offsets)].tolist()
     blocks = [
@@ -448,11 +467,10 @@ class QuadraticProblem(FiniteSumProblem):
         r_t = (a[:, None, :] @ T[:, :, None])[:, 0, 0] - t
         return r_x[:, None] * a - r_t[:, None] * a
 
-    def component_grad_table(self, i: int, x: np.ndarray) -> np.ndarray:
-        self._check_agents(np.array([i]), x[None])
-        a = self._feats[i - 1]
-        r = a @ x - self._targets[i - 1]
-        return r[:, None] * a
+    def _component_grad_table(self, s: int, x: np.ndarray, out: np.ndarray) -> None:
+        a = self._feats[s]
+        r = a @ x - self._targets[s]
+        np.multiply(r[:, None], a, out=out)
 
     def _local_full_grads(self, slots: np.ndarray, X: np.ndarray) -> np.ndarray:
         if self._blocks is None:  # unequal m_i: agent by agent
@@ -526,6 +544,8 @@ def make_logistic(
     probabilities near 1/2, so stochastic gradients stay noisy even at
     the optimum.
     """
+    import scipy.sparse as sp
+
     rng = derived_generator(seed, 0, PURPOSE_DATA)
     x_true = rng.normal(size=d) / math.sqrt(max(density * d, 1.0))
     feats = []

@@ -1,11 +1,15 @@
 """Pins the public surface of ``import gtvr`` and of its two problem
-classes, and runs README's library example against it.
+classes, runs README's library example against it, and pins that scipy
+loads only on the first sparse use.
 
 Adding or removing an exported name or a problem method should be a
 deliberate change that updates these lists too.
 """
 
+import os
 import re
+import subprocess
+import sys
 import types
 from pathlib import Path
 
@@ -75,6 +79,45 @@ PROBLEM_SURFACE = {
 # the engine reads for GT-SAGA's table and GT-VR's oracle counts
 PROBLEM_DATA = ["d", "layout", "m", "n"]
 
+# Run in a fresh interpreter, with a tmp directory as argv[1]: a finder
+# that refuses scipy, then everything but the LIBSVM pipeline, then the
+# finder removed and the first sparse use
+NO_SCIPY_UNTIL_SPARSE = r"""
+import io, sys
+from pathlib import Path
+
+class NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError(f"{name} imported before the first sparse use")
+
+blocker = NoScipy()
+sys.meta_path.insert(0, blocker)
+import numpy as np
+import gtvr, gtvr.cli
+from gtvr.algorithms import run_experiments
+
+prob = gtvr.make_quadratic(5, 20, 4)
+mixing = gtvr.metropolis_weights(gtvr.build_topology("ring", 5))
+for algo in gtvr.ALGORITHMS:
+    gtvr.run_experiment(prob, mixing, gtvr.RunConfig(algorithm=algo, eta=0.01, rounds=5, cadence=1))
+run_experiments(prob, mixing, [gtvr.RunConfig(eta=eta, rounds=5, cadence=1) for eta in (0.01, 0.02)])
+tmp = Path(sys.argv[1])
+cfg = tmp / "run.cfg"
+cfg.write_text("dataset = synthetic:quadratic\nn = 4\ntopology = ring\nrounds = 5\nquad_m = 6\nquad_d = 3\n")
+assert gtvr.cli.main(["run", "--config", str(cfg), "--output", str(tmp / "run.csv"), "--no-timing"]) == 0
+sweep = ["sweep", "--config", str(cfg), "--eta", "0.01,0.02", "--out-dir", str(tmp / "sweep")]
+assert gtvr.cli.main(sweep) == 0
+assert gtvr.cli.main(["theory", "--rho", "0.4", "--p", "0.95", "--l", "2.0"]) == 0
+assert not [name for name in sys.modules if name.split(".")[0] == "scipy"]
+
+sys.meta_path.remove(blocker)
+raw = gtvr.parse_libsvm(io.StringIO("1 1:0.5 3:2\n-1 2:1.5\n"))
+gtvr.LogisticProblem.from_partition(raw, [np.array([0]), np.array([1])], 1e-3)
+assert "scipy.sparse" in sys.modules
+print("scipy.sparse loaded at the first sparse use")
+"""
+
 
 def test_public_names_are_pinned():
     # submodules become attributes as they are imported, so they are not
@@ -110,3 +153,20 @@ def test_readme_library_example_runs(capsys):
     exec(compile(code, "README.md", "exec"), {})
     stat = float(capsys.readouterr().out)
     assert 0.0 <= stat < 1e-4
+
+
+def test_scipy_loads_on_the_first_sparse_use_only(tmp_path):
+    # the engine, the quadratic, ``gtvr sweep`` and ``gtvr theory`` need
+    # numpy alone; a fresh interpreter, since this one has scipy loaded
+    pkg_root = str(Path(gtvr.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [pkg_root, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", NO_SCIPY_UNTIL_SPARSE, str(tmp_path)],
+        capture_output=True,
+        text=True,
+        cwd=tmp_path,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "scipy.sparse loaded at the first sparse use"

@@ -335,6 +335,28 @@ def test_agents_share_stacked_row_and_feature_major_buffers():
             assert table.shape == (m, prob.d) and np.shares_memory(table, est._table)
 
 
+@pytest.mark.parametrize("replicas", [1, 3])
+@pytest.mark.parametrize(
+    "prob", [partitioned_logistic()[2], uneven_quadratic()], ids=["logistic", "quadratic"]
+)
+def test_gtsaga_start_table_equals_component_grad_table_bit_for_bit(prob, replicas):
+    # unequal m_i and a nonzero start, so the logistic ridge is nonzero; the
+    # start writes each agent's rows in place, then copies the first block
+    x1 = np.random.default_rng(5).normal(size=(prob.n, prob.d))
+    cfgs = [RunConfig(algorithm="gtsaga", eta=0.01 * (r + 1)) for r in range(replicas)]
+    est = init_swarm(prob, x1, cfgs).estimator
+    assert len(set(prob.m)) > 1 and len(est.tables) == replicas * prob.n
+    for i, (x, m) in enumerate(zip(x1, prob.m), start=1):
+        want = prob.component_grad_table(i, x)
+        # the sampled oracle at each of the agent's rows, code apart from the
+        # table's (the quadratic's per-row dots round apart from its gemv)
+        rows = prob.layout.base[i - 1] + np.arange(1, m + 1)
+        assert np.allclose(prob._component_grads(rows, np.tile(x, (m, 1))), want, rtol=1e-12, atol=1e-12)
+        for r in range(replicas):
+            assert same_bits(est.tables[r * prob.n + i - 1], want)
+            assert same_bits(est.table_mean[r * prob.n + i - 1], want.mean(axis=0))
+
+
 def shuffled_within_rows(csr, seed):
     """A copy of a CSR matrix whose rows list their entries in random order."""
     gen = np.random.default_rng(seed)

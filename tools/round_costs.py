@@ -28,19 +28,26 @@ minimum over ``--repeats`` repetitions of ``--rounds`` calls. Next comes
 the logistic shape's set-up time: building its
 ``LogisticProblem`` again with ``from_partition`` from a ``RawDataset``
 of its rows, what a run pays between parsing and its first round, again
-the minimum over ``--repeats`` builds. Last come its two sampled-gradient
+the minimum over ``--repeats`` builds, and GT-SAGA's start, ``init_swarm`` at
+zero, which fills the agents' gradient tables, the minimum over
+``--repeats`` starts. Then come its two sampled-gradient
 oracles, timed by themselves at R = 1 and R = 2 replicas: the cores
 ``_component_grads`` (one call per DSGD, DSGT and GT-SAGA round) and
 ``_component_grad_diffs`` (GT-VR's paired difference, one call per round),
 in microseconds per call, the minimum over ``--repeats`` repetitions of
 ``--rounds`` calls at fixed random draws, and GT-VR's anchor refresh, the
 core ``_local_full_grads`` over 1 and over 3 agents at fixed random
-points, timed the same way. Last, the logistic shape's batch with
+points, timed the same way. Then the logistic shape's batch with
 diverging replicas: 50 rounds at cadence 1 of ``run_experiments`` over
 eta 0.1 and three etas of 1e9, which diverge at once and are shed, next to
 the eta 0.1 run alone, for gtvr, dsgt and gtsaga, in seconds per run, the
-minimum over ``--repeats`` runs of each. It checks nothing and never fails
-on a timing:
+minimum over ``--repeats`` runs of each. Last, the start-up cost
+over ``--repeats`` fresh interpreters: the milliseconds and peak RSS of
+``import gtvr, gtvr.cli`` and whether ``scipy.sparse`` is loaded after it,
+then the same figures after a two-row ``parse_libsvm``, the first sparse
+use, which loads scipy; the minimum of each. The peak is Linux's VmHWM,
+not ``ru_maxrss``, which keeps the peak of the process that started the
+interpreter. It checks nothing and never fails on a timing:
 
     python3 tools/round_costs.py [--rounds 1000] [--repeats 5]
 
@@ -54,11 +61,13 @@ import argparse
 import dataclasses
 import os
 import platform
+import subprocess
 import sys
 import time
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+sys.path.insert(0, SRC)
 
 import numpy as np  # noqa: E402
 import scipy  # noqa: E402
@@ -68,6 +77,24 @@ from gtvr import algorithms, graph, ingest, metrics, problem  # noqa: E402
 P = 0.3  # GT-VR's refresh probability
 # the live run first, then three that diverge in the first rounds
 SHED_ETAS = (0.1, 1e9, 1e9, 1e9)
+# run by a fresh interpreter: milliseconds, peak RSS in MB and whether
+# scipy.sparse is loaded, after the import and after the first parse
+STARTUP = r"""
+import io, sys, time
+
+def figures(start):
+    ms = (time.perf_counter() - start) * 1e3
+    with open("/proc/self/status") as status:
+        kb = next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
+    print(ms, kb / 1024, "scipy.sparse" in sys.modules)
+
+start = time.perf_counter()
+import gtvr, gtvr.cli
+figures(start)
+start = time.perf_counter()
+gtvr.parse_libsvm(io.StringIO("1 1:0.5 3:2\n-1 2:1.5\n"))
+figures(start)
+"""
 
 
 def shapes():
@@ -137,6 +164,32 @@ def setup_seconds(prob, repeats):
         problem.LogisticProblem.from_partition(raw, parts, prob.lam1)
         times.append(time.perf_counter() - start)
     return min(times)
+
+
+def gtsaga_start_ms(prob, repeats):
+    """Milliseconds of a GT-SAGA ``init_swarm`` at zero on ``prob``, the
+    minimum over ``repeats`` starts."""
+    x1 = np.zeros((prob.n, prob.d))
+    cfg = algorithms.RunConfig(algorithm="gtsaga", eta=0.1, seed=1)
+    return us_per_call(lambda: algorithms.init_swarm(prob, x1, cfg), 1, repeats) / 1e3
+
+
+def startup(repeats):
+    """For ``import gtvr, gtvr.cli`` and then a first ``parse_libsvm``:
+    milliseconds and peak RSS in MB, each the minimum over ``repeats``
+    fresh interpreters, and whether scipy.sparse was loaded after it."""
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    runs = []
+    for _ in range(repeats):
+        out = subprocess.run(
+            [sys.executable, "-c", STARTUP], capture_output=True, text=True, env=env, check=True
+        ).stdout
+        runs.append([line.split() for line in out.splitlines()])
+    return [
+        (min(float(r[step][0]) for r in runs), min(float(r[step][1]) for r in runs), runs[0][step][2])
+        for step in range(2)
+    ]
 
 
 def us_per_call(call, calls, repeats):
@@ -230,6 +283,8 @@ def main(argv=None) -> None:
         f"d = {logistic.d}: {setup_seconds(logistic, args.repeats) * 1e3:.2f} ms"
     )
     print()
+    print(f"logistic GT-SAGA start, `init_swarm` at zero: {gtsaga_start_ms(logistic, args.repeats):.2f} ms")
+    print()
     timed = {r: sampled_oracle_us(logistic, r, args.rounds, args.repeats) for r in (1, 2)}
     print("| logistic sampled oracle, us/call | R = 1 | R = 2 |")
     print("|---|---:|---:|")
@@ -250,6 +305,12 @@ def main(argv=None) -> None:
     for algorithm in ("gtvr", "dsgt", "gtsaga"):
         batch, alone, error = shed_seconds(logistic, logistic_mixing, algorithm, args.repeats)
         print(f"| {algorithm} | {batch:.3f} | {alone:.3f} | {error} |", flush=True)
+    print()
+    print("| start-up, fresh interpreters | ms | peak RSS, MB | `scipy.sparse` loaded |")
+    print("|---|---:|---:|---|")
+    steps = ("`import gtvr, gtvr.cli`", "then a first `parse_libsvm`")
+    for step, (ms, mb, loaded) in zip(steps, startup(args.repeats)):
+        print(f"| {step} | {ms:.1f} | {mb:.1f} | {loaded} |")
 
 
 if __name__ == "__main__":
