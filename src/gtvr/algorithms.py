@@ -20,6 +20,7 @@ run would, and one round of the skeleton moves them all.
 
 from __future__ import annotations
 
+import numbers
 import time
 from dataclasses import dataclass, fields
 from typing import Sequence
@@ -57,6 +58,10 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}, expected one of {ALGORITHMS}")
+        for name in ("eta", "p"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise TypeError(f"{name} must be a real number, got {type(value).__name__}")
         if not 0 < self.eta < np.inf:
             raise ValueError(f"step-size must be positive and finite, got {self.eta}")
         if not 0.0 < self.p < 1.0:
@@ -82,7 +87,7 @@ class SwarmState:
     in fresh arrays at the barrier. ``y``/``v`` are None for the
     untracked DSGD. ``eta`` is the column of each row's step-size. The
     estimator owns whatever else the local gradient estimate needs
-    (GT-VR's anchors, GT-SAGA's tables); ``streams`` hands it the round's
+    (GT-VR's anchors, GT-SAGA's table); ``streams`` hands it the round's
     coins and sample rows.
     """
 
@@ -106,9 +111,6 @@ class SwarmState:
             for name in owner._per_row:
                 if getattr(owner, name) is not None:
                     setattr(owner, name, getattr(owner, name)[:rows])
-        # GT-SAGA also moves its live table blocks to a buffer of their own
-        if hasattr(self.estimator, "keep"):
-            self.estimator.keep(rows)
         self.streams.keep(rows)
 
 
@@ -119,6 +121,8 @@ def _as_stacked(problem: FiniteSumProblem, x1: np.ndarray, replicas: int) -> np.
         raise ValueError(
             f"initial iterate must have shape ({problem.n}, {problem.d}), got {x1.shape}"
         )
+    if not np.isfinite(x1).all():
+        raise ValueError("initial iterate must be finite")
     return np.tile(x1, (replicas, 1))
 
 
@@ -214,57 +218,70 @@ class _AnchoredGradient:
 
 
 class _GradientTable:
-    """GT-SAGA's estimator: the last gradient of every sample, filled at x1.
+    """GT-SAGA's estimator: the last gradient of every sample, at x1 until
+    the sample is first drawn.
 
     The table is the storage cost the anchored estimator avoids: GT-SAGA
-    keeps m_i * d reals per agent where GT-VR keeps d.
+    keeps at most m_i * d reals per agent where GT-VR keeps d, reached once
+    every sample has been drawn. A row at x1 follows from one scalar per
+    sample (``_grad_scalars``), which the replicas share, so a row is held
+    only from its first draw, packed in first-draw order: numpy asks for
+    huge pages on large arrays, and rows written at their own positions
+    would make the whole buffer resident.
     """
 
     _per_row = ("table_mean", "_offset", "_m_column")
 
     def start(self, problem, x, streams):
-        # one (sum m_i, d) block per replica in the problem's row layout;
-        # the first is written agent by agent in place, with no temporary,
-        # and copied into the others. Row r*n + i - 1 of the state owns
-        # ``tables[r*n + i - 1]``, and sample row s of replica r is table
-        # row r*sum(m_i) + s
-        replicas, total = len(x) // problem.n, problem.total_samples
-        self._layout = problem.layout
-        self._hold(np.empty((replicas * total, problem.d)))
-        for s, table in enumerate(self.tables[: problem.n]):
-            problem._component_grad_table(s, x[s], table)
-        blocks = self._table.reshape(replicas, total, problem.d)
-        blocks[1:] = blocks[0]
-        mean = np.stack([t.mean(axis=0) for t in self.tables[: problem.n]])
+        # the start means agent by agent in one scratch block. Sample row s
+        # of replica r is table row r*sum(m_i) + s, whose row in ``_buffer``
+        # is ``_slot`` of it, -1 until it is first drawn
+        n, total, layout = problem.n, problem.total_samples, problem.layout
+        replicas = len(x) // n
+        self._x1 = x[:n].copy()
+        self._scalars = np.empty(total)
+        scratch = np.empty((max(problem.m), problem.d))
+        mean = np.empty((n, problem.d))
+        for s, (lo, hi) in enumerate(zip(layout.offsets, layout.offsets[1:])):
+            self._scalars[lo:hi] = problem._grad_scalars(s, self._x1[s])
+            problem._grad_rows(slice(lo, hi), self._scalars[lo:hi], self._x1[s], scratch[: hi - lo])
+            mean[s] = scratch[: hi - lo].mean(axis=0)
         self.table_mean = _per_replica(mean, replicas)
-        self._offset = np.repeat(range(0, len(self._table), total), problem.n)
-        sizes = _per_replica(problem.layout.sizes, replicas)
+        self._offset = np.repeat(range(0, replicas * total, total), n)
+        self._slot = np.full(replicas * total, -1)
+        # rows are written from the front, so pages past them stay unused
+        self._buffer = np.empty((replicas * total, problem.d))
+        self._held = 0
+        sizes = _per_replica(layout.sizes, replicas)
         self._m_column = sizes[:, None]
         return self.table_mean.copy(), sizes
 
-    def _hold(self, table):
-        """Hold ``table``, one block per replica, and its per-row views."""
-        total = self._layout.offsets[-1]
-        self._table = table
-        starts = range(0, len(table), total)
-        self.tables = [t for lo in starts for t in self._layout.views(table[lo : lo + total])]
-
-    def keep(self, rows):
-        """After ``SwarmState.keep``: the first rows / n replicas' blocks, a
-        prefix of the table, copied out so the dead blocks are freed."""
-        live = rows // len(self._layout.sizes) * self._layout.offsets[-1]
-        self._hold(self._table[:live].copy())
+    def _first_draws(self, problem, samples, rows, slots):
+        """``slots`` with each table row drawn for the first time given the
+        next buffer row, where its gradient at x1 is rebuilt."""
+        new = (slots < 0).nonzero()[0]
+        if len(new):
+            held = self._held + len(new)
+            slots[new] = self._slot[rows[new]] = np.arange(self._held, held)
+            drawn = samples[new]
+            x1 = self._x1[new % len(self._x1)]
+            problem._grad_rows(drawn, self._scalars[drawn], x1, self._buffer[self._held : held])
+            self._held = held
+        return slots
 
     def step(self, problem, x, streams):
         samples = streams.rows()
         rows = self._offset + samples
+        slots = self._slot.take(rows)
+        if self._held < len(self._slot):
+            slots = self._first_draws(problem, samples, rows, slots)
         fresh = problem._component_grads(samples, x)
-        delta = fresh - self._table.take(rows, axis=0)
+        delta = fresh - self._buffer.take(slots, axis=0)
         v = delta + self.table_mean
         # running average maintained in O(d); stays within rounding of
         # the recomputed table mean
         self.table_mean += delta / self._m_column
-        self._table[rows] = fresh
+        self._buffer[slots] = fresh
         return v, 1
 
 

@@ -82,10 +82,11 @@ class FiniteSumProblem:
     ``_component_grads(rows, X)`` and ``_component_grad_diffs(rows, X, T)``:
     they take stacked 0-based sample rows, which ``SwarmStreams.rows``
     checked as it drew them, and the round engine calls them directly.
-    Subclasses provide the cores, GT-SAGA's table (``_component_grad_table``,
-    which writes into the caller's rows), the metric pass's oracle and the
-    smoothness estimate. The per-sample and per-agent references
-    live in ``tests/reference_problem.py``.
+    Subclasses provide the cores, GT-SAGA's table in two steps (one scalar
+    per sample from a pass over an agent's rows, ``_grad_scalars``, and
+    any rows built from those scalars, ``_grad_rows``), the metric pass's
+    oracle and the smoothness estimate. The per-sample and per-agent
+    references live in ``tests/reference_problem.py``.
     """
 
     n: int
@@ -122,14 +123,23 @@ class FiniteSumProblem:
     def component_grad_table(self, i: int, x: np.ndarray) -> np.ndarray:
         """All component gradients of agent i at x, stacked (m_i, d)."""
         self._check_agents(np.array([i]), x[None])
-        table = np.empty((self.m[i - 1], self.d))
-        self._component_grad_table(i - 1, x, table)
+        lo, hi = self.layout.offsets[i - 1 : i + 1]
+        table = np.empty((hi - lo, self.d))
+        self._grad_rows(slice(lo, hi), self._grad_scalars(i - 1, x), x, table)
         return table
 
-    def _component_grad_table(self, s: int, x: np.ndarray, out: np.ndarray) -> None:
-        """``component_grad_table`` of the 0-based agent slot s, unchecked,
-        written into ``out``, a C-contiguous (m_s, d) array such as GT-SAGA's
-        block of the agent's table rows."""
+    def _grad_scalars(self, s: int, x: np.ndarray) -> np.ndarray:
+        """The (m_s,) scalars at x of the 0-based agent slot s's samples,
+        from one pass over its rows, unchecked: ``_grad_rows`` builds each
+        sample's row of ``component_grad_table`` from its scalar."""
+        raise NotImplementedError
+
+    def _grad_rows(self, rows: np.ndarray | slice, scalars: np.ndarray, X: np.ndarray, out: np.ndarray) -> None:
+        """The component gradients of the stacked 0-based sample ``rows``, an
+        array of k rows or a slice of k, from their ``_grad_scalars`` at X, a
+        (k, d) stack or one (d,) point, written into ``out``, a C-contiguous
+        (k, d) array, unchecked. Each row equals its row of
+        ``component_grad_table`` bit for bit, whatever rows are built with it."""
         raise NotImplementedError
 
     def local_full_grads(self, agents: np.ndarray, X: np.ndarray) -> np.ndarray:
@@ -311,15 +321,26 @@ class LogisticProblem(FiniteSumProblem):
         z = self._feats[s] @ points
         return (z, *_exp_terms(z))
 
-    def _component_grad_table(self, s: int, x: np.ndarray, out: np.ndarray) -> None:
-        _, e, one_e = self._margin_terms(s, x)
-        a = self._feats[s]
-        counts = np.diff(a.indptr)
+    def _grad_scalars(self, s: int, x: np.ndarray) -> np.ndarray:
+        # each sample's gradient coefficient
+        return _grad_coef(*self._margin_terms(s, x)[1:], 1)
+
+    def _grad_rows(self, rows: np.ndarray | slice, scalars: np.ndarray, X: np.ndarray, out: np.ndarray) -> None:
         # the ridge, with each row's products added at its positions: the
         # sampled oracle's ridge + v coef, so a zero ridge entry keeps its sign
-        out[...] = (2.0 * self.lam1) * x
-        flat = np.repeat(np.arange(0, out.size, self.d), counts) + a.indices
-        out.ravel()[flat] += a.data * np.repeat(_grad_coef(e, one_e, 1), counts)
+        np.multiply(2.0 * self.lam1, X, out=out)
+        indptr = self._rows.indptr
+        if isinstance(rows, slice):  # a run of rows: their entries are one run too
+            bounds = indptr[rows.start : rows.stop + 1]
+            counts, entries = np.diff(bounds), slice(bounds[0], bounds[-1])
+        else:
+            ends = indptr.take(rows + 1)
+            counts = ends - indptr.take(rows)
+            last = np.cumsum(counts)
+            # row c's counts[c] entries end at ends[c] in the rows, at last[c] here
+            entries = np.arange(last[-1]) + np.repeat(ends - last, counts)
+        flat = np.repeat(np.arange(0, out.size, self.d), counts) + self._rows.indices[entries]
+        out.ravel()[flat] += self._rows.data[entries] * np.repeat(scalars, counts)
 
     def _local_full_grads(self, slots: np.ndarray, X: np.ndarray) -> np.ndarray:
         # agent by agent, on the feature-major copy, where a one-vector
@@ -467,10 +488,14 @@ class QuadraticProblem(FiniteSumProblem):
         r_t = (a[:, None, :] @ T[:, :, None])[:, 0, 0] - t
         return r_x[:, None] * a - r_t[:, None] * a
 
-    def _component_grad_table(self, s: int, x: np.ndarray, out: np.ndarray) -> None:
-        a = self._feats[s]
-        r = a @ x - self._targets[s]
-        np.multiply(r[:, None], a, out=out)
+    def _grad_scalars(self, s: int, x: np.ndarray) -> np.ndarray:
+        # the residuals from one gemv over the agent's block; the sampled
+        # oracle's per-row dots, and a gemv over part of the block, round
+        # apart from it
+        return self._feats[s] @ x - self._targets[s]
+
+    def _grad_rows(self, rows: np.ndarray | slice, scalars: np.ndarray, X: np.ndarray, out: np.ndarray) -> None:
+        np.multiply(scalars[:, None], self._rows[rows], out=out)
 
     def _local_full_grads(self, slots: np.ndarray, X: np.ndarray) -> np.ndarray:
         if self._blocks is None:  # unequal m_i: agent by agent

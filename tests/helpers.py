@@ -112,6 +112,23 @@ def component_grad_diffs(prob: FiniteSumProblem, js: np.ndarray, X: np.ndarray, 
     return prob._component_grad_diffs(sample_rows(prob, js), X, T)
 
 
+def gtsaga_tables(prob: FiniteSumProblem, est) -> list[np.ndarray]:
+    """GT-SAGA's logical table, one (m_i, d) array per live state row of the
+    estimator ``est``, replica-major as the state: a drawn row from the
+    buffer, every other rebuilt at x1 from its start scalar, all state rows'
+    in one ``_grad_rows`` call, as a round rebuilds its first draws."""
+    n, offsets = prob.n, prob.layout.offsets
+    agents = np.arange(len(est._offset)) % n
+    sizes = prob.layout.sizes[agents]
+    samples = np.concatenate([np.arange(offsets[s], offsets[s + 1]) for s in agents])
+    table = np.empty((len(samples), prob.d))
+    prob._grad_rows(samples, est._scalars[samples], est._x1[np.repeat(agents, sizes)], table)
+    slots = est._slot[np.repeat(est._offset, sizes) + samples]
+    drawn = slots >= 0
+    table[drawn] = est._buffer[slots[drawn]]
+    return np.split(table, np.cumsum(sizes)[:-1])
+
+
 def least_squares_solution(problem: QuadraticProblem) -> np.ndarray:
     """Exact minimizer of the quadratic finite sum via normal equations."""
     h = np.zeros((problem.d, problem.d))

@@ -25,6 +25,8 @@ from helpers import (
     estimate_vr_second_moments,
     exact_stationary_quadratic,
     global_cost_and_grad,
+    gtsaga_tables,
+    same_bits,
     scalar_streams,
 )
 from reference_engine import vr_gradient_estimate
@@ -194,8 +196,39 @@ def test_gtsaga_running_mean_matches_table(setup5):
     for _ in range(1000):
         run_round(swarm, prob, mixing)
     est = swarm.estimator
-    for i in range(5):
-        assert np.abs(est.table_mean[i] - est.tables[i].mean(axis=0)).max() <= 1e-10
+    for i, table in enumerate(gtsaga_tables(prob, est)):
+        assert np.abs(est.table_mean[i] - table.mean(axis=0)).max() <= 1e-10
+
+
+@pytest.mark.parametrize("replicas", [1, 3])
+@pytest.mark.parametrize("shape", ["quadratic", "logistic"])
+def test_gtsaga_holds_exactly_the_rows_drawn(setup5, logistic5, shape, replicas, monkeypatch):
+    # after every round the buffer holds one row per distinct (replica,
+    # sample) drawn so far, packed from the front, and the slot map names
+    # each held row once; the replicas share their draws, so they hold
+    # the same number of rows each; 150 rounds draw every sample
+    prob, mixing = setup5 if shape == "quadratic" else logistic5
+    cfgs = [RunConfig(algorithm="gtsaga", eta=0.01 * (r + 1), seed=7) for r in range(replicas)]
+    swarm = init_swarm(prob, np.zeros((prob.n, prob.d)), cfgs)
+    est, drawn = swarm.estimator, set()
+    draw_rows = swarm.streams.rows
+
+    def recorded():
+        samples = draw_rows()
+        drawn.update((est._offset + samples).tolist())
+        return samples
+
+    monkeypatch.setattr(swarm.streams, "rows", recorded)
+    assert est._held == 0 and (est._slot == -1).all()
+    counts = []
+    for _ in range(150):
+        run_round(swarm, prob, mixing)
+        held = np.flatnonzero(est._slot >= 0)
+        assert est._held == len(drawn) == len(held) and set(held.tolist()) == drawn
+        assert np.array_equal(np.sort(est._slot[held]), np.arange(est._held))
+        counts.append(est._held)
+    assert all(count % replicas == 0 for count in counts)
+    assert 0 < counts[19] < counts[-1] == len(est._buffer) == replicas * prob.total_samples
 
 
 def test_gtvr_two_exchanges_per_round(setup5):
@@ -385,27 +418,43 @@ def test_a_diverged_replica_calls_no_oracle_after_its_round(setup5, logistic5, s
 
 @pytest.mark.parametrize("shape", ["quadratic", "logistic"])
 def test_a_shed_frees_the_dead_replicas_table_blocks(setup5, logistic5, shape, monkeypatch):
-    # the setup above under GT-SAGA: from the round after replica 2's the
-    # table holds the two live replicas' blocks only, in a buffer of its
-    # own, and every per-row view shares it
+    # the setup above under GT-SAGA: the dead replicas hold only the rows
+    # they drew up to their divergence, one per distinct sample, with no
+    # table block of their own, and the live replicas' logical tables equal
+    # those of their batch run without the dead ones
     prob, mixing = setup5 if shape == "quadratic" else logistic5
-    n, total = prob.n, prob.total_samples
+    n = prob.n
     base = RunConfig(algorithm="gtsaga", p=0.5, rounds=60, seed=3, cadence=1, timing=False)
     cfgs = [replace(base, eta=eta) for eta in (0.01, 0.02, 1e9, 0.03)]
     diverged_at = int(lone_run(prob, mixing, cfgs[2]).rsplit(" ", 1)[1])
-    stepped = []
+    draws, stepped = [], []
+    draw_rows = SwarmStreams.rows
+
+    def recorded(streams):
+        draws.append(draw_rows(streams))
+        return draws[-1]
 
     def spied(swarm, *args):
-        est = swarm.estimator
-        shared = all(np.shares_memory(table, est._table) for table in est.tables)
-        stepped.append((swarm.k, len(est._table), len(est.tables), shared, est._table.base is None))
-        return run_round(swarm, *args)
+        offset = swarm.estimator._offset
+        run_round(swarm, *args)
+        stepped.append((swarm, set((offset + draws[-1]).tolist())))
+        return swarm
 
+    monkeypatch.setattr(SwarmStreams, "rows", recorded)
     monkeypatch.setattr(algorithms, "run_round", spied)
     traces, error = run_experiments(prob, mixing, cfgs)
-    assert len(traces) == 2 and 1 < diverged_at < 60
-    live = [4 if k < diverged_at else 2 for k in range(60)]
-    assert stepped == [(k, r * total, r * n, True, True) for k, r in enumerate(live)]
+    assert len(traces) == 2 and 1 < diverged_at < 60 and len(stepped) == 60
+    swarm, drawn = stepped[-1][0], set().union(*(rows for _, rows in stepped))
+    est, total = swarm.estimator, prob.total_samples
+    dead = {row for row in drawn if row >= 2 * total}
+    assert est._held == len(drawn) and len(est._offset) == 2 * n
+    assert dead == set().union(*(rows for _, rows in stepped[:diverged_at])) - set(range(2 * total))
+    assert len(dead) <= 2 * n * diverged_at
+    twin = init_swarm(prob, np.zeros((n, prob.d)), cfgs[:2])
+    for _ in range(60):
+        run_round(twin, prob, mixing)
+    assert all(map(same_bits, gtsaga_tables(prob, est), gtsaga_tables(prob, twin.estimator)))
+    assert same_bits(est.table_mean, twin.estimator.table_mean)
 
 
 def test_a_lower_replica_that_diverges_later_wins():
@@ -649,6 +698,28 @@ def test_run_config_validation():
             RunConfig(seed=seed)
     cfg = RunConfig(rounds=np.int64(3), cadence=np.int32(2), seed=np.uint64(2**64 - 1))
     assert (cfg.rounds, cfg.cadence, cfg.seed) == (3, 2, 2**64 - 1)
+    # nor is a boolean step-size or probability read as 1, and a string is
+    # named, not compared
+    for name in ("eta", "p"):
+        for value in (True, np.bool_(True), "0.1", None, 0.1j):
+            with pytest.raises(TypeError, match=f"{name} must be a real number"):
+                RunConfig(**{name: value})
+    cfg = RunConfig(eta=np.float64(0.25), p=np.float32(0.5))
+    assert (cfg.eta, cfg.p) == (0.25, 0.5)
+    assert RunConfig(eta=2).eta == 2
+
+
+@pytest.mark.parametrize("algorithm", algorithms.ALGORITHMS)
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_a_non_finite_start_point_is_rejected(setup5, algorithm, bad, monkeypatch):
+    # before any start pass: no oracle is called
+    prob, mixing = setup5
+    for name in ("_local_full_grads", "_component_grads", "_grad_scalars"):
+        monkeypatch.setattr(prob, name, lambda *args: pytest.fail("an oracle ran"))
+    cfg = RunConfig(algorithm=algorithm, rounds=5)
+    for x1 in (np.full((5, 4), bad), np.where(np.eye(5, 4), bad, 0.0)):
+        with pytest.raises(ValueError, match="initial iterate must be finite"):
+            run_experiment(prob, mixing, cfg, x1=x1)
 
 
 def test_init_rejects_bad_shape(setup5):

@@ -23,6 +23,7 @@ from helpers import (
     component_grad_diffs,
     component_grads,
     global_cost_and_grad,
+    gtsaga_tables,
     least_squares_solution,
     raw_from_rows,
     rel_err,
@@ -330,9 +331,28 @@ def test_agents_share_stacked_row_and_feature_major_buffers():
             assert np.shares_memory(a, prob._rows) and np.shares_memory(t, prob._target_rows)
     for prob in logistic + quadratic:
         est = init_swarm(prob, np.zeros((prob.n, prob.d)), RunConfig(algorithm="gtsaga")).estimator
-        assert len(est.tables) == prob.n
-        for table, m in zip(est.tables, prob.m):
-            assert table.shape == (m, prob.d) and np.shares_memory(table, est._table)
+        tables = gtsaga_tables(prob, est)
+        assert len(tables) == prob.n and est._held == 0
+        assert [table.shape for table in tables] == [(m, prob.d) for m in prob.m]
+
+
+@pytest.mark.parametrize("d", [4, 37, 123])
+def test_quadratic_table_takes_the_residuals_of_one_block_gemv(d):
+    # the rows GT-SAGA's eager start wrote, which its rebuilt rows must
+    # equal: r * a with r from one gemv over the agent's block; per-row dots
+    # (the sampled oracle's) and a gemv over part of the block round apart
+    prob = make_quadratic(3, 50, d, seed=d)
+    x = np.random.default_rng(d).normal(size=d)
+    a, t = prob._feats[1], prob._targets[1]
+    table = prob.component_grad_table(2, x)
+    assert same_bits(table, (a @ x - t)[:, None] * a)
+    dots = np.array([row @ x for row in a]) - t
+    assert not same_bits(table, dots[:, None] * a)
+    # rows built from the agent's scalars in any order and number are its table's rows
+    rows = np.random.default_rng(d).permutation(50)[:20]
+    part = np.empty((20, d))
+    prob._grad_rows(prob.layout.offsets[1] + rows, prob._grad_scalars(1, x)[rows], x, part)
+    assert same_bits(part, table[rows])
 
 
 @pytest.mark.parametrize("replicas", [1, 3])
@@ -340,20 +360,27 @@ def test_agents_share_stacked_row_and_feature_major_buffers():
     "prob", [partitioned_logistic()[2], uneven_quadratic()], ids=["logistic", "quadratic"]
 )
 def test_gtsaga_start_table_equals_component_grad_table_bit_for_bit(prob, replicas):
-    # unequal m_i and a nonzero start, so the logistic ridge is nonzero; the
-    # start writes each agent's rows in place, then copies the first block
+    # unequal m_i and a nonzero start, so the logistic ridge is nonzero. The
+    # start holds no row: the logical table rebuilds every row from its
+    # start scalar, all agents' rows in one call, as a round rebuilds its
+    # first draws, and a lone row alone
     x1 = np.random.default_rng(5).normal(size=(prob.n, prob.d))
     cfgs = [RunConfig(algorithm="gtsaga", eta=0.01 * (r + 1)) for r in range(replicas)]
     est = init_swarm(prob, x1, cfgs).estimator
-    assert len(set(prob.m)) > 1 and len(est.tables) == replicas * prob.n
+    tables = gtsaga_tables(prob, est)
+    assert len(set(prob.m)) > 1 and len(tables) == replicas * prob.n and est._held == 0
     for i, (x, m) in enumerate(zip(x1, prob.m), start=1):
         want = prob.component_grad_table(i, x)
         # the sampled oracle at each of the agent's rows, code apart from the
         # table's (the quadratic's per-row dots round apart from its gemv)
         rows = prob.layout.base[i - 1] + np.arange(1, m + 1)
         assert np.allclose(prob._component_grads(rows, np.tile(x, (m, 1))), want, rtol=1e-12, atol=1e-12)
+        for j, row in enumerate(rows.tolist()):
+            alone = np.empty((1, prob.d))
+            prob._grad_rows(np.array([row]), est._scalars[[row]], x[None], alone)
+            assert same_bits(alone[0], want[j])
         for r in range(replicas):
-            assert same_bits(est.tables[r * prob.n + i - 1], want)
+            assert same_bits(tables[r * prob.n + i - 1], want)
             assert same_bits(est.table_mean[r * prob.n + i - 1], want.mean(axis=0))
 
 

@@ -7,7 +7,8 @@ accounting (GT-VR: m_i + 2 on a refresh round and 2 otherwise, with the
 coins replayed from each agent's Philox stream; 1 per agent for the
 baselines), and the exchange count is 2 per round (1 for DSGD). A batch
 cut with ``keep`` at any round steps its first replicas exactly as the
-uncut batch does.
+uncut batch does. GT-SAGA's lazily filled table, over R replicas with an
+optional cut, steps as the eager per-agent reference engine bit for bit.
 
 Mixing: Metropolis weights on a random connected graph are symmetric,
 doubly stochastic and contract deviations from the mean by ρ < 1, and
@@ -37,8 +38,10 @@ from hypothesis import strategies as st
 from gtvr import algorithms, graph, ingest, metrics, theory
 from gtvr.algorithms import RunConfig, init_swarm, run_round
 from gtvr.problem import LogisticProblem, QuadraticProblem
+import reference_engine as ref
 from helpers import (
     dense_deviation_norm,
+    gtsaga_tables,
     raw_from_rows,
     same_bits,
     same_csr,
@@ -137,7 +140,7 @@ ESTIMATOR_ROWS = {
     "gtvr": ("tau", "g_tau", "_slots", "_sizes"),
     "dsgd": (),
     "dsgt": (),
-    "gtsaga": ("table_mean", "tables", "_offset", "_m_column"),
+    "gtsaga": ("table_mean", "_offset", "_m_column"),
 }
 
 
@@ -174,6 +177,45 @@ def test_a_cut_batch_steps_its_first_replicas_as_the_uncut_batch(instance, data)
         assert same_first_rows(getattr(cut, name), getattr(twin, name), rows), name
     for name in ESTIMATOR_ROWS[cfg.algorithm]:
         assert same_first_rows(getattr(cut.estimator, name), getattr(twin.estimator, name), rows), name
+    if cfg.algorithm == "gtsaga":
+        # the buffers pack their rows apart once the cut stops drawing, the
+        # logical tables do not
+        tables = gtsaga_tables(prob, cut.estimator), gtsaga_tables(prob, twin.estimator)
+        assert same_first_rows(*tables, rows)
+
+
+@FIXED_SEED
+@given(instances(), st.data())
+def test_gtsaga_steps_as_the_reference_engine(instance, data):
+    # R replicas of the lazy table, each against its own run of the eager
+    # per-agent reference, with an optional cut to the first replicas at a
+    # random round: every round the live replicas' x, y, v and running
+    # means, and at the end their logical tables, equal it bit for bit
+    prob, mixing, cfg, x1 = instance
+    n = prob.n
+    replicas = data.draw(st.integers(1, 3))
+    etas = data.draw(st.lists(st.floats(0.01, 0.2), min_size=replicas - 1, max_size=replicas - 1))
+    cfgs = [replace(cfg, algorithm="gtsaga")]
+    cfgs += [replace(cfgs[0], eta=eta) for eta in etas]
+    live = data.draw(st.integers(1, replicas))
+    cut_at = data.draw(st.integers(1, ROUNDS))
+    swarm = init_swarm(prob, x1, cfgs)
+    streams = [scalar_streams(cfg.seed, n) for _ in cfgs]
+    refs = [ref.init_swarm(prob, x1, c, s) for c, s in zip(cfgs, streams)]
+    for k in range(1, ROUNDS + 1):
+        run_round(swarm, prob, mixing)
+        for c, s, expected in zip(cfgs, streams, refs):
+            ref.gt_saga_round(expected, prob, mixing, c, s)
+        if k == cut_at and live < replicas:
+            swarm.keep(live * n)
+            refs = refs[:live]
+        est = swarm.estimator
+        for name, got in (("x", swarm.x), ("y", swarm.y), ("v", swarm.v), ("table_mean", est.table_mean)):
+            want = np.concatenate([getattr(expected, name) for expected in refs])
+            assert same_bits(got, want), (k, name)
+    tables = gtsaga_tables(prob, swarm.estimator)
+    assert len(tables) == len(refs) * n
+    assert all(map(same_bits, tables, (t for expected in refs for t in expected.tables)))
 
 
 @st.composite

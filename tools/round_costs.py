@@ -29,8 +29,12 @@ the logistic shape's set-up time: building its
 ``LogisticProblem`` again with ``from_partition`` from a ``RawDataset``
 of its rows, what a run pays between parsing and its first round, again
 the minimum over ``--repeats`` builds, and GT-SAGA's start, ``init_swarm`` at
-zero, which fills the agents' gradient tables, the minimum over
-``--repeats`` starts. Then come its two sampled-gradient
+zero, which computes each agent's start scalars and table mean, the
+minimum over ``--repeats`` starts. Its memory follows, from fresh
+interpreters, the minimum over ``--repeats``: the growth of the
+process's peak RSS (VmHWM) over that start and over the first 100
+rounds after it, and the rows its table holds then, one per distinct
+sample drawn. Then come its two sampled-gradient
 oracles, timed by themselves at R = 1 and R = 2 replicas: the cores
 ``_component_grads`` (one call per DSGD, DSGT and GT-SAGA round) and
 ``_component_grad_diffs`` (GT-VR's paired difference, one call per round),
@@ -94,6 +98,27 @@ figures(start)
 start = time.perf_counter()
 gtvr.parse_libsvm(io.StringIO("1 1:0.5 3:2\n-1 2:1.5\n"))
 figures(start)
+"""
+# run by a fresh interpreter: the VmHWM growth in MB over GT-SAGA's start
+# and over its first 100 rounds at the logistic shape, the rows its table
+# holds after each, and the rows it could hold
+GTSAGA_MEMORY = r"""
+import numpy as np
+from gtvr import algorithms, graph, problem
+
+def peak():
+    with open("/proc/self/status") as status:
+        return next(int(line.split()[1]) for line in status if line.startswith("VmHWM:")) / 1024
+
+prob = problem.make_logistic(10, 3256, 123, density=0.11)
+mixing = graph.metropolis_weights(graph.build_topology("ring", 10))
+cfg = algorithms.RunConfig(algorithm="gtsaga", eta=0.1, seed=1)
+before = peak()
+swarm = algorithms.init_swarm(prob, np.zeros((prob.n, prob.d)), cfg)
+started, held = peak(), swarm.estimator._held
+for _ in range(100):
+    algorithms.run_round(swarm, prob, mixing)
+print(started - before, peak() - started, held, swarm.estimator._held, prob.total_samples)
 """
 
 
@@ -174,18 +199,25 @@ def gtsaga_start_ms(prob, repeats):
     return us_per_call(lambda: algorithms.init_swarm(prob, x1, cfg), 1, repeats) / 1e3
 
 
-def startup(repeats):
-    """For ``import gtvr, gtvr.cli`` and then a first ``parse_libsvm``:
-    milliseconds and peak RSS in MB, each the minimum over ``repeats``
-    fresh interpreters, and whether scipy.sparse was loaded after it."""
+def fresh_runs(script, repeats):
+    """The whitespace-split output lines of ``script``, once per each of
+    ``repeats`` fresh interpreters that import ``gtvr`` from ``SRC``."""
     path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
     runs = []
     for _ in range(repeats):
         out = subprocess.run(
-            [sys.executable, "-c", STARTUP], capture_output=True, text=True, env=env, check=True
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True
         ).stdout
         runs.append([line.split() for line in out.splitlines()])
+    return runs
+
+
+def startup(repeats):
+    """For ``import gtvr, gtvr.cli`` and then a first ``parse_libsvm``:
+    milliseconds and peak RSS in MB, each the minimum over ``repeats``
+    fresh interpreters, and whether scipy.sparse was loaded after it."""
+    runs = fresh_runs(STARTUP, repeats)
     return [
         (min(float(r[step][0]) for r in runs), min(float(r[step][1]) for r in runs), runs[0][step][2])
         for step in range(2)
@@ -284,6 +316,13 @@ def main(argv=None) -> None:
     )
     print()
     print(f"logistic GT-SAGA start, `init_swarm` at zero: {gtsaga_start_ms(logistic, args.repeats):.2f} ms")
+    print()
+    runs = [[float(v) for v in run[0]] for run in fresh_runs(GTSAGA_MEMORY, args.repeats)]
+    start_mb, rounds_mb, started, held, total = (min(column) for column in zip(*runs))
+    print("| logistic GT-SAGA, fresh interpreters | VmHWM growth, MB | table rows held |")
+    print("|---|---:|---:|")
+    print(f"| `init_swarm` at zero | {start_mb:.1f} | {started:.0f} of {total:.0f} |")
+    print(f"| its first 100 rounds | {rounds_mb:.1f} | {held:.0f} of {total:.0f} |")
     print()
     timed = {r: sampled_oracle_us(logistic, r, args.rounds, args.repeats) for r in (1, 2)}
     print("| logistic sampled oracle, us/call | R = 1 | R = 2 |")
