@@ -244,7 +244,7 @@ class _GradientTable:
         mean = np.empty((n, problem.d))
         for s, (lo, hi) in enumerate(zip(layout.offsets, layout.offsets[1:])):
             self._scalars[lo:hi] = problem._grad_scalars(s, self._x1[s])
-            problem._grad_rows(slice(lo, hi), self._scalars[lo:hi], self._x1[s], scratch[: hi - lo])
+            problem._grad_rows(np.arange(lo, hi), self._scalars[lo:hi], self._x1[s], scratch[: hi - lo])
             mean[s] = scratch[: hi - lo].mean(axis=0)
         self.table_mean = _per_replica(mean, replicas)
         self._offset = np.repeat(range(0, replicas * total, total), n)
@@ -273,6 +273,7 @@ class _GradientTable:
         samples = streams.rows()
         rows = self._offset + samples
         slots = self._slot.take(rows)
+        # a shed replica's undrawn rows stay at -1, so a cut batch keeps checking
         if self._held < len(self._slot):
             slots = self._first_draws(problem, samples, rows, slots)
         fresh = problem._component_grads(samples, x)

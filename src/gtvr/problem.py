@@ -125,7 +125,7 @@ class FiniteSumProblem:
         self._check_agents(np.array([i]), x[None])
         lo, hi = self.layout.offsets[i - 1 : i + 1]
         table = np.empty((hi - lo, self.d))
-        self._grad_rows(slice(lo, hi), self._grad_scalars(i - 1, x), x, table)
+        self._grad_rows(np.arange(lo, hi), self._grad_scalars(i - 1, x), x, table)
         return table
 
     def _grad_scalars(self, s: int, x: np.ndarray) -> np.ndarray:
@@ -134,12 +134,12 @@ class FiniteSumProblem:
         sample's row of ``component_grad_table`` from its scalar."""
         raise NotImplementedError
 
-    def _grad_rows(self, rows: np.ndarray | slice, scalars: np.ndarray, X: np.ndarray, out: np.ndarray) -> None:
-        """The component gradients of the stacked 0-based sample ``rows``, an
-        array of k rows or a slice of k, from their ``_grad_scalars`` at X, a
-        (k, d) stack or one (d,) point, written into ``out``, a C-contiguous
-        (k, d) array, unchecked. Each row equals its row of
-        ``component_grad_table`` bit for bit, whatever rows are built with it."""
+    def _grad_rows(self, rows: np.ndarray, scalars: np.ndarray, X: np.ndarray, out: np.ndarray) -> None:
+        """The component gradients of the k stacked 0-based sample ``rows``,
+        from their ``_grad_scalars`` at X, a (k, d) stack or one (d,) point,
+        written into ``out``, a C-contiguous (k, d) array, unchecked. Each
+        row equals its row of ``component_grad_table`` bit for bit, whatever
+        rows are built with it."""
         raise NotImplementedError
 
     def local_full_grads(self, agents: np.ndarray, X: np.ndarray) -> np.ndarray:
@@ -325,20 +325,16 @@ class LogisticProblem(FiniteSumProblem):
         # each sample's gradient coefficient
         return _grad_coef(*self._margin_terms(s, x)[1:], 1)
 
-    def _grad_rows(self, rows: np.ndarray | slice, scalars: np.ndarray, X: np.ndarray, out: np.ndarray) -> None:
+    def _grad_rows(self, rows: np.ndarray, scalars: np.ndarray, X: np.ndarray, out: np.ndarray) -> None:
         # the ridge, with each row's products added at its positions: the
         # sampled oracle's ridge + v coef, so a zero ridge entry keeps its sign
         np.multiply(2.0 * self.lam1, X, out=out)
         indptr = self._rows.indptr
-        if isinstance(rows, slice):  # a run of rows: their entries are one run too
-            bounds = indptr[rows.start : rows.stop + 1]
-            counts, entries = np.diff(bounds), slice(bounds[0], bounds[-1])
-        else:
-            ends = indptr.take(rows + 1)
-            counts = ends - indptr.take(rows)
-            last = np.cumsum(counts)
-            # row c's counts[c] entries end at ends[c] in the rows, at last[c] here
-            entries = np.arange(last[-1]) + np.repeat(ends - last, counts)
+        ends = indptr.take(rows + 1)
+        counts = ends - indptr.take(rows)
+        last = np.cumsum(counts)
+        # row c's counts[c] entries end at ends[c] in the rows, at last[c] here
+        entries = np.arange(last[-1]) + np.repeat(ends - last, counts)
         flat = np.repeat(np.arange(0, out.size, self.d), counts) + self._rows.indices[entries]
         out.ravel()[flat] += self._rows.data[entries] * np.repeat(scalars, counts)
 
@@ -494,7 +490,7 @@ class QuadraticProblem(FiniteSumProblem):
         # apart from it
         return self._feats[s] @ x - self._targets[s]
 
-    def _grad_rows(self, rows: np.ndarray | slice, scalars: np.ndarray, X: np.ndarray, out: np.ndarray) -> None:
+    def _grad_rows(self, rows: np.ndarray, scalars: np.ndarray, X: np.ndarray, out: np.ndarray) -> None:
         np.multiply(scalars[:, None], self._rows[rows], out=out)
 
     def _local_full_grads(self, slots: np.ndarray, X: np.ndarray) -> np.ndarray:
