@@ -223,36 +223,29 @@ class _GradientTable:
 
     The table is the storage cost the anchored estimator avoids: GT-SAGA
     keeps at most m_i * d reals per agent where GT-VR keeps d, reached once
-    every sample has been drawn. A row at x1 follows from one scalar per
-    sample (``_grad_scalars``), which the replicas share, so a row is held
-    only from its first draw, packed in first-draw order: numpy asks for
-    huge pages on large arrays, and rows written at their own positions
-    would make the whole buffer resident.
+    every sample has been drawn. Its mean starts as the full local
+    gradients at x1, GT-VR's start anchor gradients, made once and shared
+    by the replicas. A row at x1 is the sampled oracle's gradient there,
+    so a row is held only from its first draw, packed in first-draw
+    order: numpy asks for huge pages on large arrays, and rows written at
+    their own positions would make the whole buffer resident.
     """
 
     _per_row = ("table_mean", "_offset", "_m_column")
 
     def start(self, problem, x, streams):
-        # the start means agent by agent in one scratch block. Sample row s
-        # of replica r is table row r*sum(m_i) + s, whose row in ``_buffer``
-        # is ``_slot`` of it, -1 until it is first drawn
-        n, total, layout = problem.n, problem.total_samples, problem.layout
+        # sample row s of replica r is table row r*sum(m_i) + s, whose row
+        # in ``_buffer`` is ``_slot`` of it, -1 until it is first drawn
+        n, total = problem.n, problem.total_samples
         replicas = len(x) // n
         self._x1 = x[:n].copy()
-        self._scalars = np.empty(total)
-        scratch = np.empty((max(problem.m), problem.d))
-        mean = np.empty((n, problem.d))
-        for s, (lo, hi) in enumerate(zip(layout.offsets, layout.offsets[1:])):
-            self._scalars[lo:hi] = problem._grad_scalars(s, self._x1[s])
-            problem._grad_rows(np.arange(lo, hi), self._scalars[lo:hi], self._x1[s], scratch[: hi - lo])
-            mean[s] = scratch[: hi - lo].mean(axis=0)
-        self.table_mean = _per_replica(mean, replicas)
+        self.table_mean = _per_replica(problem.local_full_grads(np.arange(1, n + 1), self._x1), replicas)
         self._offset = np.repeat(range(0, replicas * total, total), n)
         self._slot = np.full(replicas * total, -1)
         # rows are written from the front, so pages past them stay unused
         self._buffer = np.empty((replicas * total, problem.d))
         self._held = 0
-        sizes = _per_replica(layout.sizes, replicas)
+        sizes = _per_replica(problem.layout.sizes, replicas)
         self._m_column = sizes[:, None]
         return self.table_mean.copy(), sizes
 
@@ -263,9 +256,8 @@ class _GradientTable:
         if len(new):
             held = self._held + len(new)
             slots[new] = self._slot[rows[new]] = np.arange(self._held, held)
-            drawn = samples[new]
             x1 = self._x1[new % len(self._x1)]
-            problem._grad_rows(drawn, self._scalars[drawn], x1, self._buffer[self._held : held])
+            self._buffer[self._held : held] = problem._component_grads(samples[new], x1)
             self._held = held
         return slots
 

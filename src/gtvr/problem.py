@@ -75,18 +75,17 @@ class FiniteSumProblem:
     """Shared surface of the per-instance objectives.
 
     This base holds the sizes and the row ``layout`` that both instances
-    and the estimators share, and the checked public entry of the
-    full-gradient oracle: ``local_full_grads`` checks its batch once and
-    calls the subclass core ``_local_full_grads(slots, X)``, which trusts
-    its arguments. The sampled oracles have only their unchecked cores,
-    ``_component_grads(rows, X)`` and ``_component_grad_diffs(rows, X, T)``:
-    they take stacked 0-based sample rows, which ``SwarmStreams.rows``
+    and the estimators share, the checked public entries
+    ``local_full_grads`` and ``local_costs_and_grads``, and GT-VR's paired
+    sampled difference. Each instance provides three unchecked oracle
+    cores and the smoothness estimate: ``_component_grads(rows, X)``, one
+    sampled component gradient per state row; ``_local_full_grads(slots,
+    X)``, the full local gradients of 0-based agent slots; and
+    ``_local_costs_and_grads(X)``, the metric pass's oracle. The sampled
+    cores take stacked 0-based sample rows, which ``SwarmStreams.rows``
     checked as it drew them, and the round engine calls them directly.
-    Subclasses provide the cores, GT-SAGA's table in two steps (one scalar
-    per sample from a pass over an agent's rows, ``_grad_scalars``, and
-    any rows built from those scalars, ``_grad_rows``), the metric pass's
-    oracle and the smoothness estimate. The per-sample and per-agent
-    references live in ``tests/reference_problem.py``.
+    The per-sample and per-agent references live in
+    ``tests/reference_problem.py``.
     """
 
     n: int
@@ -117,30 +116,10 @@ class FiniteSumProblem:
 
     def _component_grad_diffs(self, rows: np.ndarray, X: np.ndarray, T: np.ndarray) -> np.ndarray:
         """The same rows' gradients at two points, differenced, unchecked:
-        equal bit for bit to ``_component_grads(rows, X) - _component_grads(rows, T)``."""
-        raise NotImplementedError
-
-    def component_grad_table(self, i: int, x: np.ndarray) -> np.ndarray:
-        """All component gradients of agent i at x, stacked (m_i, d)."""
-        self._check_agents(np.array([i]), x[None])
-        lo, hi = self.layout.offsets[i - 1 : i + 1]
-        table = np.empty((hi - lo, self.d))
-        self._grad_rows(np.arange(lo, hi), self._grad_scalars(i - 1, x), x, table)
-        return table
-
-    def _grad_scalars(self, s: int, x: np.ndarray) -> np.ndarray:
-        """The (m_s,) scalars at x of the 0-based agent slot s's samples,
-        from one pass over its rows, unchecked: ``_grad_rows`` builds each
-        sample's row of ``component_grad_table`` from its scalar."""
-        raise NotImplementedError
-
-    def _grad_rows(self, rows: np.ndarray, scalars: np.ndarray, X: np.ndarray, out: np.ndarray) -> None:
-        """The component gradients of the k stacked 0-based sample ``rows``,
-        from their ``_grad_scalars`` at X, a (k, d) stack or one (d,) point,
-        written into ``out``, a C-contiguous (k, d) array, unchecked. Each
-        row equals its row of ``component_grad_table`` bit for bit, whatever
-        rows are built with it."""
-        raise NotImplementedError
+        equal bit for bit to ``_component_grads(rows, X) - _component_grads(rows, T)``,
+        from one call with X and T as the first and second half of the batch."""
+        grads = self._component_grads(np.concatenate((rows, rows)), np.concatenate((X, T)))
+        return grads[: len(rows)] - grads[len(rows) :]
 
     def local_full_grads(self, agents: np.ndarray, X: np.ndarray) -> np.ndarray:
         """The full local gradients of the 1-based ``agents[j]`` at ``X[j]``,
@@ -153,7 +132,7 @@ class FiniteSumProblem:
         raise NotImplementedError
 
     def _check_agents(self, agents: np.ndarray, X: np.ndarray) -> None:
-        """One check of a whole ``local_full_grads`` batch, or of a table's one agent."""
+        """One check of a whole ``local_full_grads`` batch."""
         _check_integers("agents", agents)
         if agents.ndim != 1 or X.shape != (agents.size, self.d):
             raise ValueError(
@@ -228,7 +207,8 @@ class LogisticProblem(FiniteSumProblem):
         """Keep all agents' rows as one CSR; agent i owns the next sizes[i-1] rows.
 
         The per-agent rows and transposes are views into the stacked arrays;
-        GT-VR's refresh alone reads a feature-major copy of each agent's rows
+        the full-gradient oracle alone (GT-VR's refresh, GT-VR's and GT-SAGA's
+        starts) reads a feature-major copy of each agent's rows
         (``_feature_major``), made last, from the canonical signed rows. The rows
         are held in canonical form (``_canonical``), sorted by feature with
         repeated features summed, so every oracle applies a feature once,
@@ -309,35 +289,6 @@ class LogisticProblem(FiniteSumProblem):
         grads.ravel()[flat[live]] += (vals * _grad_coef(*_exp_terms(z), 1))[live]
         return grads
 
-    def _component_grad_diffs(self, rows: np.ndarray, X: np.ndarray, T: np.ndarray) -> np.ndarray:
-        # X and T through one pass, as the first and second half of the batch
-        grads = self._component_grads(np.concatenate((rows, rows)), np.concatenate((X, T)))
-        return grads[: len(rows)] - grads[len(rows) :]
-
-    def _margin_terms(self, s: int, points: np.ndarray) -> tuple[np.ndarray, ...]:
-        """The per-agent kernel of the metric pass and GT-SAGA's table: slot
-        s's signed margins z = A_s @ points at a (d,) point or at each column
-        of a (d, K) stack, and their ``_exp_terms``."""
-        z = self._feats[s] @ points
-        return (z, *_exp_terms(z))
-
-    def _grad_scalars(self, s: int, x: np.ndarray) -> np.ndarray:
-        # each sample's gradient coefficient
-        return _grad_coef(*self._margin_terms(s, x)[1:], 1)
-
-    def _grad_rows(self, rows: np.ndarray, scalars: np.ndarray, X: np.ndarray, out: np.ndarray) -> None:
-        # the ridge, with each row's products added at its positions: the
-        # sampled oracle's ridge + v coef, so a zero ridge entry keeps its sign
-        np.multiply(2.0 * self.lam1, X, out=out)
-        indptr = self._rows.indptr
-        ends = indptr.take(rows + 1)
-        counts = ends - indptr.take(rows)
-        last = np.cumsum(counts)
-        # row c's counts[c] entries end at ends[c] in the rows, at last[c] here
-        entries = np.arange(last[-1]) + np.repeat(ends - last, counts)
-        flat = np.repeat(np.arange(0, out.size, self.d), counts) + self._rows.indices[entries]
-        out.ravel()[flat] += self._rows.data[entries] * np.repeat(scalars, counts)
-
     def _local_full_grads(self, slots: np.ndarray, X: np.ndarray) -> np.ndarray:
         # agent by agent, on the feature-major copy, where a one-vector
         # product scatters instead of running one long add chain per row. The
@@ -360,7 +311,8 @@ class LogisticProblem(FiniteSumProblem):
         points = np.ascontiguousarray(X.T)
         ridge = (2.0 * self.lam1) * X
         for i, m in enumerate(self.m):
-            z, e, one_e = self._margin_terms(i, points)
+            z = self._feats[i] @ points
+            e, one_e = _exp_terms(z)
             sig_neg = _sigmoid_neg(z, e, one_e)
             grads[:, i] = (self._feats_t[i] @ _grad_coef(e, one_e, m)).T
             grads[:, i] += ridge
@@ -476,22 +428,6 @@ class QuadraticProblem(FiniteSumProblem):
         # for bit; einsum and (a * X).sum(1) do not
         r = (a[:, None, :] @ X[:, :, None])[:, 0, 0] - self._target_rows.take(rows)
         return r[:, None] * a
-
-    def _component_grad_diffs(self, rows: np.ndarray, X: np.ndarray, T: np.ndarray) -> np.ndarray:
-        a = self._rows.take(rows, axis=0)
-        t = self._target_rows.take(rows)
-        r_x = (a[:, None, :] @ X[:, :, None])[:, 0, 0] - t
-        r_t = (a[:, None, :] @ T[:, :, None])[:, 0, 0] - t
-        return r_x[:, None] * a - r_t[:, None] * a
-
-    def _grad_scalars(self, s: int, x: np.ndarray) -> np.ndarray:
-        # the residuals from one gemv over the agent's block; the sampled
-        # oracle's per-row dots, and a gemv over part of the block, round
-        # apart from it
-        return self._feats[s] @ x - self._targets[s]
-
-    def _grad_rows(self, rows: np.ndarray, scalars: np.ndarray, X: np.ndarray, out: np.ndarray) -> None:
-        np.multiply(scalars[:, None], self._rows[rows], out=out)
 
     def _local_full_grads(self, slots: np.ndarray, X: np.ndarray) -> np.ndarray:
         if self._blocks is None:  # unequal m_i: agent by agent

@@ -112,17 +112,23 @@ def component_grad_diffs(prob: FiniteSumProblem, js: np.ndarray, X: np.ndarray, 
     return prob._component_grad_diffs(sample_rows(prob, js), X, T)
 
 
+def component_grad_table(prob: FiniteSumProblem, i: int, x: np.ndarray) -> np.ndarray:
+    """All component gradients of agent i at x, stacked (m_i, d), from one
+    call of the sampled core, as GT-SAGA rebuilds its rows at x1."""
+    lo, hi = prob.layout.offsets[i - 1 : i + 1]
+    return prob._component_grads(np.arange(lo, hi), np.tile(x, (hi - lo, 1)))
+
+
 def gtsaga_tables(prob: FiniteSumProblem, est) -> list[np.ndarray]:
     """GT-SAGA's logical table, one (m_i, d) array per live state row of the
     estimator ``est``, replica-major as the state: a drawn row from the
-    buffer, every other rebuilt at x1 from its start scalar, all state rows'
-    in one ``_grad_rows`` call, as a round rebuilds its first draws."""
+    buffer, every other the sampled gradient at x1, all state rows' in one
+    ``_component_grads`` call, as a round rebuilds its first draws."""
     n, offsets = prob.n, prob.layout.offsets
     agents = np.arange(len(est._offset)) % n
     sizes = prob.layout.sizes[agents]
     samples = np.concatenate([np.arange(offsets[s], offsets[s + 1]) for s in agents])
-    table = np.empty((len(samples), prob.d))
-    prob._grad_rows(samples, est._scalars[samples], est._x1[np.repeat(agents, sizes)], table)
+    table = prob._component_grads(samples, est._x1[np.repeat(agents, sizes)])
     slots = est._slot[np.repeat(est._offset, sizes) + samples]
     drawn = slots >= 0
     table[drawn] = est._buffer[slots[drawn]]

@@ -8,11 +8,10 @@ The metric pass is the per-agent one that batched
 ``local_costs_and_grads`` replaced, also kept verbatim. The per-sample
 gradient and the per-agent cost and gradient come from
 ``reference_problem`` and the scalar draws from ``reference_rng``. Only
-the shared primitives (mixing, the component table, the trace row and
-the consensus gap) come from the package under test. Each agent's
-streams are its own generators from ``helpers.scalar_streams``, built
-from the documented spawn keys, so the reference shares no stream object
-with the engine it checks.
+the shared primitives (mixing, the trace row and the consensus gap) come
+from the package under test. Each agent's streams are its own generators
+from ``helpers.scalar_streams``, built from the documented spawn keys, so
+the reference shares no stream object with the engine it checks.
 """
 
 from __future__ import annotations
@@ -256,14 +255,19 @@ def dsgt_round(
 
 
 def init_gtsaga(problem: FiniteSumProblem, x1: np.ndarray, cfg: RunConfig) -> SwarmState:
-    """Gradient table filled at the start point (m_i evals per agent).
+    """Gradient table filled at the start point (m_i evals per agent): each
+    row the sample's gradient at x1, and their mean the full local gradient.
 
     The table is the storage cost the anchored estimator avoids: GT-SAGA
     keeps m_i * d reals per agent where GT-VR keeps d.
     """
     x = _as_stacked(problem, x1)
-    tables = [problem.component_grad_table(i, x[i - 1]) for i in range(1, problem.n + 1)]
-    v = np.stack([t.mean(axis=0) for t in tables])
+    agents = range(1, problem.n + 1)
+    tables = [
+        np.stack([component_grad(problem, i, j, x[i - 1]) for j in range(1, problem.m[i - 1] + 1)])
+        for i in agents
+    ]
+    v = np.stack([local_full_grad(problem, i, x[i - 1]) for i in agents])
     return SwarmState(
         k=0,
         x=x,

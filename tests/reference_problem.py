@@ -3,11 +3,11 @@
 ``gtvr.problem`` keeps only the oracles the engine and the metric pass
 call: the unchecked sampled cores ``_component_grads`` and
 ``_component_grad_diffs`` (tests reach them with 1-based indices through
-``helpers.component_grads`` and ``helpers.component_grad_diffs``), the
-batched ``local_full_grads``, the
-component table and ``local_costs_and_grads``. These are the scalar
-oracles those are checked against, with the arithmetic and index checks
-they had as methods, reading the problem's per-agent views (``_feats``,
+``helpers.component_grads`` and ``helpers.component_grad_diffs``, and a
+whole agent's table through ``helpers.component_grad_table``), the
+batched ``local_full_grads`` and ``local_costs_and_grads``. These are the
+scalar oracles those are checked against, with the arithmetic and index
+checks they had as methods, reading the problem's per-agent views (``_feats``,
 ``_targets``). A logistic problem holds each row multiplied by its label,
 so a row of ``_feats`` is l a and its margin (l a)'x is the signed margin
 l a'x. A component's margin adds the row's products one at a time in

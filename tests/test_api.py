@@ -65,7 +65,6 @@ PUBLIC_NAMES = [
 # live in tests/reference_problem.py, the network-average cost and gradient
 # in helpers.global_cost_and_grad
 PROBLEM_ORACLES = [
-    "component_grad_table",
     "lipschitz_estimate",
     "local_costs_and_grads",
     "local_full_grads",

@@ -21,6 +21,7 @@ from gtvr.problem import (
 from helpers import (
     central_diff_grad,
     component_grad_diffs,
+    component_grad_table,
     component_grads,
     global_cost_and_grad,
     gtsaga_tables,
@@ -177,7 +178,7 @@ def test_logistic_stable_for_large_iterates():
 def test_component_grad_table_matches_scalar_calls():
     for prob in (make_logistic(2, 7, 6, seed=6, lam1=1e-3), make_quadratic(2, 7, 6, seed=6)):
         x = np.random.default_rng(3).normal(size=prob.d)
-        table = prob.component_grad_table(1, x)
+        table = component_grad_table(prob, 1, x)
         for j in range(1, prob.m[0] + 1):
             assert np.abs(table[j - 1] - component_grad(prob, 1, j, x)).max() <= 1e-12
 
@@ -296,7 +297,7 @@ def test_view_backed_agents_match_independent_copies():
         for j in range(1, prob.m[i - 1] + 1):
             assert component_cost(prob, i, j, x) == component_cost(single, 1, j, x)
             assert np.array_equal(component_grad(prob, i, j, x), component_grad(single, 1, j, x))
-        assert np.array_equal(prob.component_grad_table(i, x), single.component_grad_table(1, x))
+        assert np.array_equal(component_grad_table(prob, i, x), component_grad_table(single, 1, x))
         assert local_cost(prob, i, x) == local_cost(single, 1, x)
         assert np.array_equal(full_grads_at(prob, x)[i - 1], full_grads_at(single, x)[0])
 
@@ -311,7 +312,7 @@ def test_agents_share_stacked_row_and_feature_major_buffers():
         prob.local_costs_and_grads(x)
         full_grads_at(prob, x)
         for i in range(1, prob.n + 1):
-            prob.component_grad_table(i, x)
+            component_grad_table(prob, i, x)
         total = sum(prob.m)
         assert prob._rows.shape == (total, prob.d)
         # agent i's A_i^T is a (d, m_i) view of the same stacked arrays as
@@ -336,52 +337,91 @@ def test_agents_share_stacked_row_and_feature_major_buffers():
         assert [table.shape for table in tables] == [(m, prob.d) for m in prob.m]
 
 
-@pytest.mark.parametrize("d", [4, 37, 123])
-def test_quadratic_table_takes_the_residuals_of_one_block_gemv(d):
-    # the rows GT-SAGA's eager start wrote, which its rebuilt rows must
-    # equal: r * a with r from one gemv over the agent's block; per-row dots
-    # (the sampled oracle's) and a gemv over part of the block round apart
-    prob = make_quadratic(3, 50, d, seed=d)
-    x = np.random.default_rng(d).normal(size=d)
-    a, t = prob._feats[1], prob._targets[1]
-    table = prob.component_grad_table(2, x)
-    assert same_bits(table, (a @ x - t)[:, None] * a)
-    dots = np.array([row @ x for row in a]) - t
-    assert not same_bits(table, dots[:, None] * a)
-    # rows built from the agent's scalars in any order and number are its table's rows
-    rows = np.random.default_rng(d).permutation(50)[:20]
-    part = np.empty((20, d))
-    prob._grad_rows(prob.layout.offsets[1] + rows, prob._grad_scalars(1, x)[rows], x, part)
-    assert same_bits(part, table[rows])
-
-
 @pytest.mark.parametrize("replicas", [1, 3])
 @pytest.mark.parametrize(
     "prob", [partitioned_logistic()[2], uneven_quadratic()], ids=["logistic", "quadratic"]
 )
 def test_gtsaga_start_table_equals_component_grad_table_bit_for_bit(prob, replicas):
     # unequal m_i and a nonzero start, so the logistic ridge is nonzero. The
-    # start holds no row: the logical table rebuilds every row from its
-    # start scalar, all agents' rows in one call, as a round rebuilds its
-    # first draws, and a lone row alone
+    # start holds no row: the logical table rebuilds every row at x1 with the
+    # sampled oracle, all agents' rows in one call, as a round rebuilds its
+    # first draws, and a lone row and the per-sample reference give the same
+    # bits; the start mean is the full local gradient at x1
     x1 = np.random.default_rng(5).normal(size=(prob.n, prob.d))
     cfgs = [RunConfig(algorithm="gtsaga", eta=0.01 * (r + 1)) for r in range(replicas)]
     est = init_swarm(prob, x1, cfgs).estimator
     tables = gtsaga_tables(prob, est)
     assert len(set(prob.m)) > 1 and len(tables) == replicas * prob.n and est._held == 0
+    full = prob.local_full_grads(np.arange(1, prob.n + 1), x1)
     for i, (x, m) in enumerate(zip(x1, prob.m), start=1):
-        want = prob.component_grad_table(i, x)
-        # the sampled oracle at each of the agent's rows, code apart from the
-        # table's (the quadratic's per-row dots round apart from its gemv)
-        rows = prob.layout.base[i - 1] + np.arange(1, m + 1)
-        assert np.allclose(prob._component_grads(rows, np.tile(x, (m, 1))), want, rtol=1e-12, atol=1e-12)
-        for j, row in enumerate(rows.tolist()):
-            alone = np.empty((1, prob.d))
-            prob._grad_rows(np.array([row]), est._scalars[[row]], x[None], alone)
-            assert same_bits(alone[0], want[j])
+        want = component_grad_table(prob, i, x)
+        for j, row in enumerate((prob.layout.base[i - 1] + np.arange(1, m + 1)).tolist()):
+            assert same_bits(prob._component_grads(np.array([row]), x[None])[0], want[j])
+            assert same_bits(component_grad(prob, i, j + 1, x), want[j])
         for r in range(replicas):
             assert same_bits(tables[r * prob.n + i - 1], want)
-            assert same_bits(est.table_mean[r * prob.n + i - 1], want.mean(axis=0))
+            assert same_bits(est.table_mean[r * prob.n + i - 1], full[i - 1])
+
+
+@pytest.mark.parametrize("replicas", [1, 3])
+@pytest.mark.parametrize(
+    "prob", [partitioned_logistic()[2], uneven_quadratic()], ids=["logistic", "quadratic"]
+)
+def test_gtsaga_and_gtvr_start_from_the_same_estimate(prob, replicas):
+    # both seed estimate and tracker with the full local gradients at x1,
+    # so the start's tracking error is exactly zero for either
+    x1 = np.random.default_rng(8).normal(size=(prob.n, prob.d))
+    swarms = [
+        init_swarm(prob, x1, [RunConfig(algorithm=algorithm, eta=0.01 * (r + 1)) for r in range(replicas)])
+        for algorithm in ("gtsaga", "gtvr")
+    ]
+    for name in ("v", "y", "grad_evals"):
+        assert same_bits(*(getattr(swarm, name) for swarm in swarms))
+
+
+def block_gemv_table_mean(prob, i, x):
+    """GT-SAGA's earlier start mean of agent i at x: the mean of its table's
+    rows, the quadratic's r a with r from one gemv over the agent's block,
+    the logistic's ridge plus each row's products added at its positions."""
+    if isinstance(prob, QuadraticProblem):
+        a, t = prob._feats[i - 1], prob._targets[i - 1]
+        return ((a @ x - t)[:, None] * a).mean(axis=0)
+    return ReferenceLogistic(prob).component_grad_table(i, x).mean(axis=0)
+
+
+@pytest.mark.parametrize(
+    "prob",
+    [
+        partitioned_logistic()[2],
+        make_logistic(4, 200, 30, seed=2, lam1=1e-3),
+        uneven_quadratic(),
+        make_quadratic(4, 50, 6, seed=1),
+    ],
+    ids=["logistic_unequal", "logistic", "quadratic_unequal", "quadratic"],
+)
+def test_gtsaga_start_mean_equals_the_table_mean_within_rounding(prob):
+    # Both forms share the ridge rho_k = 2 lam1 x_k and each sample's
+    # coefficient c_j (the quadratic's residual, the logistic's
+    # -sigma(z) sigma(-z)), and sum the m terms rho_k + a_jk c_j in another
+    # order. Each side's products, its sum of m terms and its division by m
+    # put it within gamma_{m+3} (|rho_k| + S_k / m) of the exact mean, with
+    # S_k = sum_j |a_jk c_j| and gamma_n = n u / (1 - n u), u = 2**-53, so
+    # the two are within twice that
+    u = np.finfo(float).eps / 2
+    x1 = np.random.default_rng(9).normal(size=(prob.n, prob.d))
+    for scale in (1.0, 30.0):
+        est = init_swarm(prob, scale * x1, RunConfig(algorithm="gtsaga")).estimator
+        for i, (x, m) in enumerate(zip(scale * x1, prob.m), start=1):
+            a = prob._feats[i - 1]
+            if isinstance(prob, QuadraticProblem):
+                ridge, c = np.zeros(prob.d), a @ x - prob._targets[i - 1]
+            else:
+                ridge, (sig, sig_neg) = 2.0 * prob.lam1 * x, reference_sigmoid_pair(a @ x)
+                c = sig * sig_neg
+            S = abs(a).T @ np.abs(c)
+            gamma = (m + 3) * u / (1 - (m + 3) * u)
+            bound = 2 * gamma * (np.abs(ridge) + S / m)
+            assert (np.abs(est.table_mean[i - 1] - block_gemv_table_mean(prob, i, x)) <= bound).all()
 
 
 def shuffled_within_rows(csr, seed):
@@ -446,7 +486,7 @@ def test_unsorted_rows_give_the_problem_of_their_sorted_copy(n):
             assert same_bits(got.local_full_grads(agents, X), want.local_full_grads(agents, X))
             for i in range(1, n + 1):
                 assert local_cost(got, i, x) == local_cost(want, i, x)
-                assert same_bits(got.component_grad_table(i, x), want.component_grad_table(i, x))
+                assert same_bits(component_grad_table(got, i, x), component_grad_table(want, i, x))
             for j in range(1, min(want.m) + 1):
                 js, Y = np.full(n, j), X[:n]
                 assert same_bits(component_grads(got, js, Y), component_grads(want, js, Y))
@@ -583,7 +623,7 @@ def test_logistic_oracles_equal_the_reference_bit_for_bit(instance):
     for i in range(1, prob.n + 1):
         assert same_value(local_cost(prob, i, x), ref.local_cost(i, x))
         assert same_value(full[i - 1], ref.local_full_grad(i, x))
-        assert same_value(prob.component_grad_table(i, x), ref.component_grad_table(i, x))
+        assert same_value(component_grad_table(prob, i, x), ref.component_grad_table(i, x))
     # each agent's last sample, at the same point
     assert same_value(
         component_grads(prob, np.array(prob.m), np.tile(x, (prob.n, 1))),
@@ -658,8 +698,9 @@ def test_sampled_gradients_equal_their_table_rows_bit_for_bit(instance):
     replicas = max(prob.m)
     js = np.array([[r % m + 1 for m in prob.m] for r in range(replicas)]).ravel()
     grads = component_grads(prob, js, np.tile(x, (replicas * prob.n, 1)))
+    ref = ReferenceLogistic(prob)
     for i, m in enumerate(prob.m, start=1):
-        table = prob.component_grad_table(i, x)
+        table = ref.component_grad_table(i, x)
         for r in range(replicas):
             assert same_bits(grads[r * prob.n + i - 1], table[r % m])
 
@@ -891,13 +932,3 @@ def test_checked_entries_reject_non_integer_agents(name):
             prob.local_full_grads(agents, X)
     for ids in (np.array([1, 2], dtype=np.int32), np.array([1, 2], dtype=np.uint8)):
         assert prob.local_full_grads(ids, X).shape == (2, prob.d)
-    # the table's single agent id likewise: True is not agent 1
-    for i in (1.5, 2.0, np.float64(2.0), True, np.bool_(True), "2"):
-        with pytest.raises(TypeError, match="agents must be an integer array"):
-            prob.component_grad_table(i, X[0])
-    for i in (0, prob.n + 1):
-        with pytest.raises(IndexError, match="out of range"):
-            prob.component_grad_table(i, X[0])
-    with pytest.raises(ValueError, match="point per selected agent"):
-        prob.component_grad_table(1, X)
-    assert same_bits(prob.component_grad_table(np.int32(2), X[0]), prob.component_grad_table(2, X[0]))

@@ -29,8 +29,8 @@ the logistic shape's set-up time: building its
 ``LogisticProblem`` again with ``from_partition`` from a ``RawDataset``
 of its rows, what a run pays between parsing and its first round, again
 the minimum over ``--repeats`` builds, and GT-SAGA's start, ``init_swarm`` at
-zero, which computes each agent's start scalars and table mean, the
-minimum over ``--repeats`` starts. Its memory follows, from fresh
+zero, which computes every agent's full local gradient there as the
+table mean, the minimum over ``--repeats`` starts. Its memory follows, from fresh
 interpreters, the minimum over ``--repeats``: the growth of the
 process's peak RSS (VmHWM) over that start and over the first 100
 rounds after it, and the rows its table holds then, one per distinct

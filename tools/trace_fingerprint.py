@@ -7,10 +7,13 @@ its parent. Run it from each checkout and compare the output:
     python3 tools/trace_fingerprint.py
 
 It prints one ``name hash`` line per instance and one for the theory
-reports, so a difference names the instance it is in, and last the
-hash of everything, the running total over the same bytes in the same
-order. It imports ``gtvr`` from the ``src/`` next to this script, so
-each checkout hashes its own code; to compare a checkout with an older
+reports, so a difference names the instance it is in, then an
+``openblas-kernel <name>`` line, the core that numpy's bundled OpenBLAS
+picked on this CPU (its BLAS products, and so the hashes, can differ
+between kernels), and last the hash of everything, the running total
+over the same bytes in the same order; the kernel line is not hashed.
+It imports ``gtvr`` from the ``src/`` next to this script, so each
+checkout hashes its own code; to compare a checkout with an older
 one, run this copy of the script from both. ``tools/trace_diff.py`` runs
 the same corpus in two checkouts and reports by how much they differ.
 Covered, for the four algorithms on each instance and seeds 1 and 7:
@@ -27,6 +30,7 @@ five fixed inputs.
 
 from __future__ import annotations
 
+import ctypes
 import hashlib
 import io
 import sys
@@ -123,8 +127,23 @@ def sections():
     )
 
 
+def openblas_kernel() -> str:
+    """The core name of numpy's bundled OpenBLAS, from its
+    ``scipy_openblas_get_corename64_`` in ``numpy.libs/``, or "unknown"
+    where no such library or symbol is found."""
+    for path in sorted((Path(np.__file__).resolve().parents[1] / "numpy.libs").glob("*openblas*")):
+        try:
+            corename = ctypes.CDLL(str(path)).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        corename.argtypes, corename.restype = [], ctypes.c_char_p
+        return corename().decode()
+    return "unknown"
+
+
 def fingerprint() -> list[str]:
-    """One ``name hash`` line per section, then the hash of all of them."""
+    """One ``name hash`` line per section, the OpenBLAS kernel, then the
+    hash of all of the sections."""
     total = hashlib.sha256()
     lines = []
     for name, chunks in sections():
@@ -133,7 +152,7 @@ def fingerprint() -> list[str]:
             total.update(chunk)
             part.update(chunk)
         lines.append(f"{name} {part.hexdigest()}")
-    return lines + [total.hexdigest()]
+    return lines + [f"openblas-kernel {openblas_kernel()}", total.hexdigest()]
 
 
 if __name__ == "__main__":
